@@ -162,7 +162,7 @@ def _cmd_zetaneg(args):
     rows = []
     for k in range(1, args.k + 1):
         rows.append({"k": k,
-                     "value": poly_to_str(zeta_neg(k, fq, threads=args.threads))})
+                     "value": poly_to_str(zeta_neg(k, fq))})
     if args.format == "csv":
         lines = ["k,value"]
         lines += [f"{r['k']},{r['value']}" for r in rows]
@@ -198,7 +198,7 @@ def _theta_from_args(args, fq: Fq):
     pi = _parse_pi(args, fq)
     s_extra, t_aux = _split_places(args, fq)
     return stickelberger_series(pi, args.level, s_extra, t_aux,
-                                udeg=args.udeg, threads=args.threads)
+                                udeg=args.udeg)
 
 
 def _cmd_stickelberger(args):
@@ -256,7 +256,7 @@ def _cmd_cwverify(args):
     fq = _fq(args)
     a = poly_parse(args.a, fq)
     b = poly_parse(args.b, fq)
-    rep = cw_verify(a, b, args.kmax, threads=args.threads)
+    rep = cw_verify(a, b, args.kmax)
     return rep.as_dict(), 0 if rep.passed else 1
 
 
@@ -274,7 +274,7 @@ def _cmd_okada(args):
 
 def _cmd_selftest(args):
     suites = []
-    for name, rows in run_all(threads=args.threads):
+    for name, rows in run_all():
         checks = [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows]
         suites.append({"suite": name, "checks": checks,
                        "ok": all(c["ok"] for c in checks)})
@@ -293,8 +293,6 @@ def build_parser() -> _Parser:
                         help="field size, a prime power")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the data-parallel paths")
 
     def cmd(name, handler, **flags):
         p = sub.add_parser(name, parents=[common])
@@ -365,8 +363,6 @@ def main(argv=None) -> int:
         if args.format == "csv" and args.command not in FLAT_COMMANDS:
             raise _UsageError(
                 "csv output is only available for " + ", ".join(FLAT_COMMANDS))
-        if args.threads is not None and args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
         payload, code = args.handler(args)
         _emit(payload, args.out)
         if code == 1:

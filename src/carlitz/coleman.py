@@ -175,10 +175,11 @@ def _fq_of(ring) -> Fq:
 
 
 def _x_order(p: Poly) -> int:
+    """Index of the lowest nonzero coefficient; 0 for the zero polynomial."""
     for i, c in enumerate(p.coeffs):
         if c != p.ring.zero:
             return i
-    raise ValueError("order of the zero polynomial")
+    return 0
 
 
 def _finite_prec(a, b) -> int:

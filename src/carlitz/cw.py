@@ -13,11 +13,10 @@ Bernoulli-Carlitz form; nothing is shared between the pipelines.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cmod import bernoulli_carlitz, carlitz_exp
-from .coleman import ColemanSeries, _fq_of, cyclotomic_unit_series, phi_poly
+from .coleman import ColemanSeries, _fq_of, _x_order, cyclotomic_unit_series
 from .fq import Fq
 from .poly import Poly
 from .ratfun import FracField, RatFun, base_field
@@ -62,14 +61,6 @@ def lucas_binom(n: int, k: int, p: int) -> int:
     return out
 
 
-def _characteristic(ring) -> int:
-    if isinstance(ring, Fq):
-        return ring.p
-    if isinstance(ring, FracField):
-        return _characteristic(ring.cring)
-    raise TypeError(f"no characteristic known for {ring!r}")
-
-
 def ht_derivative(j: int, f: TruncSeries) -> TruncSeries:
     """The jth divided-power derivative:
     sum c_n x^n  |->  sum binom(n+j, j) c_{n+j} x^n.
@@ -79,7 +70,7 @@ def ht_derivative(j: int, f: TruncSeries) -> TruncSeries:
         raise ValueError("derivative index must be >= 0")
     if j == 0:
         return f
-    p = _characteristic(f.ring)
+    p = _fq_of(f.ring).p
     out = []
     for i, c in enumerate(f.coeffs):
         n = f.order + i - j
@@ -127,7 +118,7 @@ def dlog_exp_series(f, prec: int) -> TruncSeries:
     d = dlog(val)
     if isinstance(d, RatFun):
         fq = _fq_of(d.field.cring)
-        margin = 2 * (_low_order(d.num) + _low_order(d.den)) + 2
+        margin = 2 * (_x_order(d.num) + _x_order(d.den)) + 2
         e = _exp_in_x(fq, max(prec + margin, 2))
         num = _poly_at_series(d.num, e)
         den = _poly_at_series(d.den, e)
@@ -138,13 +129,6 @@ def dlog_exp_series(f, prec: int) -> TruncSeries:
         e = _exp_in_x(fq, max(prec + margin, 2))
         out = d.compose(e)
     return out.truncate(prec)
-
-
-def _low_order(p: Poly) -> int:
-    for i, c in enumerate(p.coeffs):
-        if c != p.ring.zero:
-            return i
-    return 0
 
 
 def coates_wiles(k: int, f) -> RatFun:
@@ -191,7 +175,7 @@ class CWReport:
         }
 
 
-def cw_verify(a: Poly, b: Poly, kmax: int, threads: int | None = None) -> CWReport:
+def cw_verify(a: Poly, b: Poly, kmax: int) -> CWReport:
     """Run the identity for k = 1..kmax; one exponential composition total,
     then independent closed-form values per row."""
     fq = a.ring
@@ -213,10 +197,5 @@ def cw_verify(a: Poly, b: Poly, kmax: int, threads: int | None = None) -> CWRepo
         rhs = (av ** k - bv ** k) * bc.value / F.coerce(bc.factorial)
         return CWRow(k, lhs, rhs, lhs == rhs)
 
-    ks = range(1, kmax + 1)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, ks))
-    else:
-        rows = [row(k) for k in ks]
+    rows = [row(k) for k in range(1, kmax + 1)]
     return CWReport(q=fq.q, a=a, b=b, rows=rows)

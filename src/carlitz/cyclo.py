@@ -15,7 +15,10 @@ import math
 from .cmod import carlitz_phi, omega_minpoly
 from .fq import Fq
 from .poly import Poly, all_residues
-from .quotient import QuotElem, QuotientRing, quotient_norm, solve_linear
+from .quotient import (
+    QuotElem, QuotientRing, ResidueElem, ResidueRing, quotient_norm,
+    solve_linear,
+)
 from .ratfun import RatFun, base_field
 
 __all__ = [
@@ -39,6 +42,7 @@ class CycloField:
         self.pi = pi
         self.n = n
         self.minpoly_A = omega_minpoly(pi, n)  # x-poly, F_q[T] coefficients
+        self.residues = ResidueRing(pi, n)
         F = base_field(self.fq)
         self.F = F
         mn = self.minpoly_A.map_coeffs(F.coerce, ring=F)
@@ -57,16 +61,11 @@ class CycloField:
         return field
 
     def residue_modulus(self) -> Poly:
-        return self.pi ** self.n
+        return self.residues.modulus
 
     def galois_reps(self) -> list[Poly]:
         """Canonical representatives of (A/pi^n)^* in enumeration order."""
-        mod_pi = self.pi
-        out = []
-        for a in all_residues(self.fq, self.n * self.pi.degree, self.pi.var):
-            if not (a % mod_pi).is_zero():
-                out.append(a)
-        return out
+        return self.residues.unit_residues()
 
     def coerce(self, x) -> "CycloElem":
         if isinstance(x, CycloElem):
@@ -155,13 +154,12 @@ class CycloElem:
 
 
 def _unit_rep(field: CycloField, a) -> Poly:
-    from .quotient import ResidueElem
     if isinstance(a, ResidueElem):
         a = a.rep
     if not isinstance(a, Poly):
         raise TypeError(f"Galois element must be a polynomial, got {a!r}")
-    a_red = a % field.residue_modulus()
-    if (a_red % field.pi).is_zero():
+    a_red = field.residues.reduce(a)
+    if not field.residues.is_unit_key(a_red):
         raise ValueError(f"{a!r} is not prime to {field.pi!r}")
     return a_red
 

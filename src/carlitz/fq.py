@@ -38,6 +38,19 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _power(base, e: int, one, mul):
+    """base^e for e >= 0 by square-and-multiply; the one copy every power in
+    the package goes through.  Callers handle negative e and reduce first."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
 # -- integer-coefficient polynomial helpers mod p (low-to-high lists) --------
 # Only used to find the canonical modulus; everything else goes through Poly.
 
@@ -71,14 +84,8 @@ def _ip_mod(a: list[int], f: list[int], p: int) -> list[int]:
 
 
 def _ip_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _ip_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = _ip_mulmod(result, base, f, p)
-        base = _ip_mulmod(base, base, f, p)
-        e >>= 1
-    return result
+    return _power(_ip_mod(a, f, p), e, [1],
+                  lambda x, y: _ip_mulmod(x, y, f, p))
 
 
 def _ip_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -198,14 +205,7 @@ class FqElem:
         if self.i == 0:
             return f.one if e == 0 else f.zero
         # element order divides q-1
-        e %= f.q - 1
-        result, base = f.one, self
-        while e:
-            if e & 1:
-                result = f.mul(result, base)
-            base = f.mul(base, base)
-            e >>= 1
-        return result
+        return _power(self, e % (f.q - 1), f.one, f.mul)
 
     def __repr__(self) -> str:
         if self.field.m == 1:

@@ -9,7 +9,10 @@ so every comparison stays exact.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import CharacterError
+from .fq import _power
 from .poly import Poly, ZZ
 from .quotient import ResidueRing
 
@@ -235,15 +238,7 @@ class CycInt:
     def __pow__(self, e: int) -> "CycInt":
         if e < 0:
             raise ValueError("negative powers are not integral")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.ring.one, operator.mul)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()

@@ -14,8 +14,10 @@ F_q[T].
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ParseError
-from .fq import Fq, FqElem
+from .fq import Fq, FqElem, _power, _prime_divisors
 
 __all__ = [
     "IntRing",
@@ -159,15 +161,8 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly(self.ring, self.var, [self.ring.one])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Poly(self.ring, self.var, [self.ring.one]),
+                      operator.mul)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by var^k, k >= 0."""
@@ -251,7 +246,7 @@ class Poly:
     def derivative(self) -> "Poly":
         out = []
         for n in range(1, len(self.coeffs)):
-            out.append(self.coeffs[n] * _int_in_ring(self.ring, n))
+            out.append(self.coeffs[n] * self.ring.coerce(n))
         return Poly(self.ring, self.var, out)
 
     def valuation(self, p: "Poly") -> int:
@@ -320,10 +315,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return self.__str__()
-
-
-def _int_in_ring(ring, n: int):
-    return ring.coerce(n)
 
 
 class PolyRing:
@@ -557,27 +548,8 @@ def all_residues(fq: Fq, bound: int, var: str = "T") -> list[Poly]:
 # -- irreducibility ----------------------------------------------------------
 
 def _poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly(base.ring, base.var, [base.ring.one])
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return _power(base % mod, e, Poly(base.ring, base.var, [base.ring.one]),
+                  lambda a, b: (a * b) % mod)
 
 
 def is_irreducible(poly: Poly) -> bool:

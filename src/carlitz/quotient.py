@@ -10,8 +10,10 @@ is what the Coleman norm route needs.
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations
 
+from .fq import _power
 from .poly import Poly, is_irreducible
 from .series import TruncSeries
 
@@ -67,15 +69,7 @@ class ResidueRing:
     def pow_key(self, a: Poly, e: int) -> Poly:
         if e < 0:
             return self.pow_key(self.inv_key(a), -e)
-        result = self.one.rep
-        base = self.reduce(a)
-        while e:
-            if e & 1:
-                result = self.mul_key(result, base)
-            if e > 1:
-                base = self.mul_key(base, base)
-            e >>= 1
-        return result
+        return _power(self.reduce(a), e, self.one.rep, self.mul_key)
 
     def residues(self) -> list[Poly]:
         from .poly import all_residues
@@ -216,15 +210,7 @@ class QuotElem:
     def __pow__(self, e: int) -> "QuotElem":
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.ring.one, operator.mul)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()

@@ -9,7 +9,9 @@ logarithmic derivatives of Carlitz ratios are carried around exactly.
 from __future__ import annotations
 
 import math
+import operator
 
+from .fq import _power
 from .poly import Poly
 
 __all__ = ["FracField", "RatFun", "base_field"]
@@ -144,14 +146,7 @@ class RatFun:
     def __pow__(self, e: int) -> "RatFun":
         if e < 0:
             return self.inv() ** (-e)
-        result, base = self.field.one, self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.field.one, operator.mul)
 
     def derivative(self) -> "RatFun":
         return RatFun.make(

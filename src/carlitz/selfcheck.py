@@ -228,7 +228,7 @@ def suite_coates_wiles() -> list[Row]:
     return rows
 
 
-def suite_lfun(threads: int | None = None) -> list[Row]:
+def suite_lfun() -> list[Row]:
     rows: list[Row] = []
     ok = True
     for q in (2, 3):
@@ -243,14 +243,14 @@ def suite_lfun(threads: int | None = None) -> list[Row]:
         fq = Fq.get(q)
         for k in range(1, 7):
             if k % (q - 1) == 0:
-                ok = ok and zeta_neg(k, fq, threads=threads).is_zero()
+                ok = ok and zeta_neg(k, fq).is_zero()
     rows.append(("trivial zeros of zeta at negative integers", ok,
                  "k <= 6, q in {2,3}"))
 
     fq = Fq.get(2)
     pi = poly_parse("T^2+T+1", fq)
     T = poly_parse("T", fq)
-    theta = stickelberger_series(pi, 1, (), (T,), udeg=12, threads=threads)
+    theta = stickelberger_series(pi, 1, (), (T,), udeg=12)
     G = theta.ring
     g = G.element(T)
     ok = (theta.degree == 2 and theta.at_one().is_zero()
@@ -260,7 +260,10 @@ def suite_lfun(threads: int | None = None) -> list[Row]:
 
     ok = True
     for k in (1, 2, 3):
-        zeta_v_adic_neg(k, pi)
+        try:
+            zeta_v_adic_neg(k, pi)
+        except AssertionError:
+            ok = False
     rows.append(("v-adic zeta dual routes agree", ok, "k <= 3 at T^2+T+1"))
     return rows
 
@@ -275,11 +278,5 @@ SUITES = [
 ]
 
 
-def run_all(threads: int | None = None) -> list[tuple[str, list[Row]]]:
-    out = []
-    for name, fn in SUITES:
-        if name == "lfun":
-            out.append((name, fn(threads=threads)))
-        else:
-            out.append((name, fn()))
-    return out
+def run_all() -> list[tuple[str, list[Row]]]:
+    return [(name, fn()) for name, fn in SUITES]

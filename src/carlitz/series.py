@@ -15,7 +15,10 @@ Precision rules:
 
 from __future__ import annotations
 
+import operator
+
 from .errors import PrecisionError
+from .fq import _power
 from .poly import Poly
 
 __all__ = ["TruncSeries"]
@@ -211,15 +214,8 @@ class TruncSeries:
     def __pow__(self, e: int) -> "TruncSeries":
         if e < 0:
             return self.invert() ** (-e)
-        result = TruncSeries.one(self.ring, self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, TruncSeries.one(self.ring, self.var),
+                      operator.mul)
 
     def derivative(self) -> "TruncSeries":
         out = []

@@ -1,16 +1,22 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import carlitz
 import carlitz.cli as climod
+import carlitz.lfun as lfunmod
 from carlitz.cli import main
 from carlitz.cmod import carlitz_factorial
 from carlitz.cw import CWReport, CWRow
 from carlitz.fq import Fq
-from carlitz.poly import poly_parse, poly_to_str
+from carlitz.poly import Poly, poly_parse, poly_to_str
 from carlitz.ratfun import base_field
+from carlitz.selfcheck import suite_lfun
 
 
 def run(argv):
@@ -142,19 +148,6 @@ def test_runs_are_deterministic():
         assert out1 == out2
 
 
-def test_thread_count_does_not_change_output():
-    for argv in (
-        ["cwverify", "--q", "2", "--a", "T+1", "--b", "1", "--kmax", "6"],
-        ["zetaneg", "--q", "3", "--k", "6"],
-        ["stickelberger", "--q", "2", "--pi", "T^2+T+1", "--level", "1",
-         "--S", "inf", "--T", "T"],
-    ):
-        rc1, out1, _ = run(argv + ["--threads", "1"])
-        rc4, out4, _ = run(argv + ["--threads", "4"])
-        assert rc1 == rc4 == 0
-        assert out1 == out4
-
-
 def test_verification_failure_exit_code(monkeypatch):
     f2 = Fq.get(2)
     F = base_field(f2)
@@ -173,7 +166,7 @@ def test_usage_errors_exit_2():
         ["bc", "--q", "2"],                                   # missing --n
         ["phi", "--q", "2", "--a", "T+%"],                    # parse error
         ["phi", "--q", "2", "--a", "T", "--format", "csv"],   # csv not flat
-        ["bc", "--q", "2", "--n", "3", "--threads", "0"],
+        ["bc", "--q", "2", "--n", "3", "--threads", "2"],    # removed flag
         ["stickelberger", "--q", "2", "--pi", "T^2+T+1", "--level", "1",
          "--T", "T"],                                         # no --S inf
         ["zetapos", "--q", "2", "--k", "2", "--dmax", "1", "--prec", "5"],
@@ -212,6 +205,42 @@ def test_selftest_subcommand():
     names = [s["suite"] for s in doc["suites"]]
     assert len(names) == len(set(names)) >= 5
     assert all(s["ok"] for s in doc["suites"])
+
+
+def test_selftest_reports_disagreeing_v_adic_routes(monkeypatch):
+    real = lfunmod.zeta_neg
+    monkeypatch.setattr(
+        lfunmod, "zeta_neg",
+        lambda k, fq: real(k, fq) + Poly(fq, "T", [fq.one]))
+    rows = {name: ok for name, ok, _ in suite_lfun()}
+    assert rows["v-adic zeta dual routes agree"] is False
+    assert rows["trivial zeros of zeta at negative integers"] is True
+
+
+BROKEN_INVARIANTS = {
+    "exp shape": (
+        "import carlitz.cmod as m\n"
+        "real = m.d_sequence\n"
+        "m.d_sequence = lambda fq, n: [d.shift(1) for d in real(fq, n)]\n"
+        "m.carlitz_exp(m.Fq.get(2), 6)\n",
+        "coefficient at z^1 is not 1/D_0"),
+    "zeta stratum vanishing": (
+        "import carlitz.lfun as m\n"
+        "m.power_sum = lambda d, k, fq: m.Poly(fq, 'T', [fq.one])\n"
+        "m.zeta_neg(1, m.Fq.get(2))\n",
+        "stratum d=2 fails the vanishing bound for k=1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INVARIANTS))
+def test_invariants_survive_python_O(case):
+    script, message = BROKEN_INVARIANTS[case]
+    src = os.path.dirname(os.path.dirname(carlitz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert f"AssertionError: {message}" in proc.stderr
 
 
 def test_module_entry_point_matches_inprocess():

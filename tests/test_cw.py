@@ -118,10 +118,13 @@ def test_galois_equivariance():
             assert lhs == F.coerce(a) ** k * coates_wiles(k, u)
 
 
-def test_threaded_verify_matches_serial():
+def test_verify_equal_indices_gives_zero_rows():
+    # c(a, a) = 1, so dlog is the zero function and every row reads 0 = 0
     f3 = Fq.get(3)
-    a, b = poly_parse("T+2", f3), poly_parse("2", f3)
-    assert cw_verify(a, b, 8, threads=4) == cw_verify(a, b, 8)
+    a = poly_parse("T+2", f3)
+    rep = cw_verify(a, a, 4)
+    assert rep.passed
+    assert all(r.lhs.is_zero() and r.rhs.is_zero() for r in rep.rows)
 
 
 def test_report_dict_schema():

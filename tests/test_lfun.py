@@ -53,11 +53,6 @@ def test_zeta_neg_matches_literal_monic_sum():
         assert zeta_neg(k, fq) == total
 
 
-def test_zeta_neg_threaded_matches_serial():
-    f3 = Fq.get(3)
-    assert zeta_neg(7, f3, threads=4) == zeta_neg(7, f3)
-
-
 def test_v_adic_euler_identity():
     for q, pitxt, k in ((3, "T", 3), (3, "T+1", 1), (2, "T^2+T+1", 3)):
         fq = Fq.get(q)
@@ -130,12 +125,11 @@ def test_zeta_pos_precision_guardrails():
         zeta_pos_trunc(1, f2, 1, 0)
 
 
-def worked_theta(udeg=12, threads=None):
+def worked_theta(udeg=12):
     f2 = Fq.get(2)
     pi = poly_parse("T^2+T+1", f2)
     t = poly_parse("T", f2)
-    return stickelberger_series(pi, 1, s_extra=(), t_aux=(t,), udeg=udeg,
-                                threads=threads)
+    return stickelberger_series(pi, 1, s_extra=(), t_aux=(t,), udeg=udeg)
 
 
 def test_theta_worked_example_coefficients():
@@ -180,10 +174,6 @@ def test_theta_character_values():
     assert cubic.coeff(0) == R.one
     assert cubic.coeff(1) == -(R.one + two * w)
     assert cubic.coeff(2) == two * w
-
-
-def test_theta_threaded_matches_serial():
-    assert worked_theta(threads=4) == worked_theta()
 
 
 def test_character_product_is_an_euler_product():
