@@ -4,9 +4,9 @@ derivations, Bernoulli-Carlitz numbers, Stickelberger-type group-ring
 elements, and Carlitz-Goss zeta special values."""
 
 from .cmod import (
-    BCValue, SkewPoly, bernoulli_carlitz, bracket, carlitz_exp,
-    carlitz_factorial, carlitz_log, carlitz_phi, d_sequence, l_sequence,
-    omega_minpoly, torsion_poly,
+    BCValue, SkewPoly, bernoulli_carlitz, bernoulli_carlitz_table, bracket,
+    carlitz_exp, carlitz_factorial, carlitz_log, carlitz_phi, d_sequence,
+    l_sequence, omega_minpoly, torsion_poly,
 )
 from .coleman import (
     ColemanSeries, coleman_norm, cyclotomic_unit_series, decompose_by_phi,
@@ -50,8 +50,8 @@ __all__ = [
     "CycloField", "DecompositionError", "FqElem", "Fq", "FracField",
     "GroupRing", "GroupRingElem", "OkadaReport", "ParseError", "Poly",
     "PolyRing", "PrecisionError", "QuotientRing", "RatFun", "ResidueRing",
-    "SkewPoly", "TailError", "ThetaPoly", "TruncSeries", "ZZ",
-    "base_field", "bernoulli_carlitz", "bracket", "carlitz_exp",
+    "SkewPoly", "TailError", "ThetaPoly", "TruncSeries", "ZZ", "base_field",
+    "bernoulli_carlitz", "bernoulli_carlitz_table", "bracket", "carlitz_exp",
     "carlitz_factorial", "carlitz_log", "carlitz_phi", "character_table",
     "coates_wiles", "coleman_norm", "cw_verify", "cyclotomic_poly",
     "cyclotomic_unit", "cyclotomic_unit_series", "d_sequence",

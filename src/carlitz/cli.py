@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cmod import (
-    bernoulli_carlitz, carlitz_exp, carlitz_factorial, carlitz_log,
+    bernoulli_carlitz_table, carlitz_exp, carlitz_factorial, carlitz_log,
     carlitz_phi, omega_minpoly, torsion_poly,
 )
 from .cw import cw_verify
@@ -145,11 +145,9 @@ def _cmd_factorial(args):
 
 def _cmd_bc(args):
     fq = _fq(args)
-    rows = []
-    for n in range(args.n + 1):
-        bc = bernoulli_carlitz(n, fq)
-        rows.append({"n": n, "bc": str(bc.value),
-                     "factorial": poly_to_str(bc.factorial)})
+    table = bernoulli_carlitz_table(args.n, fq) if args.n >= 0 else []
+    rows = [{"n": bc.n, "bc": str(bc.value),
+             "factorial": poly_to_str(bc.factorial)} for bc in table]
     if args.format == "csv":
         lines = ["n,bc,factorial"]
         lines += [f"{r['n']},{r['bc']},{r['factorial']}" for r in rows]

@@ -7,10 +7,11 @@ of the module, and the quotients phi_{pi^n}/phi_{pi^(n-1)} are the minimal
 polynomials of the torsion generators omega_n (Eisenstein at pi, constant
 term exactly pi).
 
-The Carlitz exponential e(z) is solved degree by degree from its functional
-equation phi_T(e(z)) = e(Tz); the closed-form denominators D_i (D_0 = 1,
-D_i = [i] D_{i-1}^q with [i] = T^(q^i) - T) are asserted against the solved
-coefficients rather than trusted.  The logarithm is the series reverse of e.
+The Carlitz exponential and logarithm are built from their closed forms
+e(z) = sum z^(q^i)/D_i and log z = sum (-1)^i z^(q^i)/L_i, with D_0 = L_0 = 1,
+D_i = [i] D_{i-1}^q, L_i = [i] L_{i-1} and [i] = T^(q^i) - T, and each is
+certified once by the equation that defines it: e(z) = z + O(z^2) with
+phi_T(e(z)) = e(Tz), and e(log z) = z.
 The Carlitz factorial Pi(n) is the base-q digit product of the D_i, and
 BC_n = Pi(n) * [z^(n-1)] (1/e(z)) are the Bernoulli-Carlitz numbers.
 """
@@ -37,6 +38,7 @@ __all__ = [
     "carlitz_factorial",
     "BCValue",
     "bernoulli_carlitz",
+    "bernoulli_carlitz_table",
 ]
 
 
@@ -210,96 +212,52 @@ def l_sequence(fq: Fq, count: int) -> list[Poly]:
 # -- exponential / logarithm ---------------------------------------------------
 
 _EXP_CACHE: dict[int, TruncSeries] = {}
-_LOG_CACHE: dict[int, TruncSeries] = {}
+
+
+def _qpower_series(fq: Fq, prec: int, denominators, alternate: bool) -> TruncSeries:
+    """sum_{q^i < prec} s_i z^(q^i) / den_i to O(z^prec), where den_0, den_1,
+    ... = denominators(fq, count) and s_i = (-1)^i if alternate else 1."""
+    F = base_field(fq)
+    q = fq.q
+    count = 1
+    while q ** count < prec:
+        count += 1
+    coeffs: list[RatFun] = [F.zero] * prec
+    for i, den in enumerate(denominators(fq, count)):
+        c = F.one / F.coerce(den)
+        coeffs[q ** i] = -c if alternate and i % 2 else c
+    return TruncSeries(F, "z", 0, coeffs, prec)
 
 
 def carlitz_exp(fq: Fq, prec: int) -> TruncSeries:
-    """e(z) with e(0)=0, e'(0)=1 solving phi_T(e(z)) = e(Tz), to O(z^prec)."""
+    """e(z) = sum_{q^i < prec} z^(q^i)/D_i to O(z^prec), checked to be the
+    solution of phi_T(e(z)) = e(Tz) with e(z) = z + O(z^2)."""
     if prec < 2:
         raise ValueError("precision must be >= 2")
     cached = _EXP_CACHE.get(fq.q)
     if cached is not None and cached.prec >= prec:
         return cached.truncate(prec)
-    F = base_field(fq)
-    q = fq.q
-    t_elem = F.gen()
-    coeffs: list[RatFun] = [F.zero] * prec
-    coeffs[1] = F.one
-    for n in range(2, prec):
-        partial = TruncSeries(F, "z", 0, coeffs[:n], None)  # exact so far
-        lhs = partial.mul_scalar(t_elem) + partial ** q
-        rhs = partial.scale_argument(t_elem)
-        residual = (lhs - rhs).coefficient(n)
-        if residual.is_zero():
-            continue
-        denom = t_elem ** n - t_elem
-        coeffs[n] = residual / denom
-    series = TruncSeries(F, "z", 0, coeffs, prec)
-    _assert_exp_shape(fq, series)
-    if cached is None or cached.prec < prec:
-        _EXP_CACHE[fq.q] = series
-    return series
-
-
-def _assert_exp_shape(fq: Fq, e: TruncSeries) -> None:
-    # solved coefficients must be exactly 1/D_i at z^(q^i), zero elsewhere
-    F = base_field(fq)
-    q = fq.q
-    imax = 0
-    while q ** (imax + 1) < e.prec:
-        imax += 1
-    ds = d_sequence(fq, imax + 1)
-    qpows = {q ** i: i for i in range(imax + 1)}
-    for n, c in e.items():
-        i = qpows.get(n)
-        if i is None:
-            raise AssertionError(f"spurious exponential coefficient at z^{n}")
-        if c * F.coerce(ds[i]) != F.one:
-            raise AssertionError(f"coefficient at z^{n} is not 1/D_{i}")
+    e = _qpower_series(fq, prec, d_sequence, alternate=False)
+    t = e.ring.gen()
+    if not (e.mul_scalar(t) + e ** fq.q).agrees_with(e.scale_argument(t)):
+        raise AssertionError("e(z) fails phi_T(e(z)) = e(Tz) within precision")
+    # the equation fixes e only up to a scalar in F_q^*
+    if e.coefficient(1) != e.ring.one:
+        raise AssertionError("e(z) is not z + O(z^2)")
+    _EXP_CACHE[fq.q] = e
+    return e
 
 
 def carlitz_log(fq: Fq, prec: int) -> TruncSeries:
-    """The series reverse of the exponential: e(log(z)) = z + O(z^prec)."""
+    """log z = sum_{q^i < prec} (-1)^i z^(q^i)/L_i to O(z^prec), checked to
+    be the series reverse of the exponential: e(log z) = z + O(z^prec)."""
     if prec < 2:
         raise ValueError("precision must be >= 2")
-    cached = _LOG_CACHE.get(fq.q)
-    if cached is not None and cached.prec >= prec:
-        return cached.truncate(prec)
-    F = base_field(fq)
-    e = carlitz_exp(fq, prec)
-    coeffs: list[RatFun] = [F.zero] * prec
-    coeffs[1] = F.one
-    for n in range(2, prec):
-        partial = TruncSeries(F, "z", 0, coeffs[:n], None)  # exact so far
-        comp = e.truncate(n + 1).compose(partial)
-        coeffs[n] = -comp.coefficient(n)
-    lam = TruncSeries(F, "z", 0, coeffs, prec)
-    _assert_log_shape(fq, lam)
-    roundtrip = e.compose(lam)
-    z = TruncSeries.monomial(F, "z", F.one, 1)
-    if not roundtrip.agrees_with(z):
+    lam = _qpower_series(fq, prec, l_sequence, alternate=True)
+    z = TruncSeries.monomial(lam.ring, "z", lam.ring.one, 1)
+    if not carlitz_exp(fq, prec).compose(lam).agrees_with(z):
         raise AssertionError("e(log z) != z within precision")
-    if cached is None or cached.prec < prec:
-        _LOG_CACHE[fq.q] = lam
     return lam
-
-
-def _assert_log_shape(fq: Fq, lam: TruncSeries) -> None:
-    # log z = sum (-1)^i z^(q^i) / L_i
-    F = base_field(fq)
-    q = fq.q
-    imax = 0
-    while q ** (imax + 1) < lam.prec:
-        imax += 1
-    ls = l_sequence(fq, imax + 1)
-    qpows = {q ** i: i for i in range(imax + 1)}
-    for n, c in lam.items():
-        i = qpows.get(n)
-        if i is None:
-            raise AssertionError(f"spurious logarithm coefficient at z^{n}")
-        sign = F.one if i % 2 == 0 else -F.one
-        if c * F.coerce(ls[i]) != sign:
-            raise AssertionError(f"coefficient at z^{n} is not (-1)^{i}/L_{i}")
 
 
 # -- factorial and Bernoulli numbers -------------------------------------------
@@ -339,13 +297,21 @@ def bernoulli_carlitz(n: int, fq: Fq) -> BCValue:
     q - 1 does not divide n > 0."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    F = base_field(fq)
+    return _bc_value(n, carlitz_exp(fq, n + 2).invert(), fq)
+
+
+def bernoulli_carlitz_table(nmax: int, fq: Fq) -> list[BCValue]:
+    """[BC_0, ..., BC_nmax] read off one reciprocal 1/e(z)."""
+    if nmax < 0:
+        raise ValueError("index must be >= 0")
+    recip = carlitz_exp(fq, nmax + 2).invert()
+    return [_bc_value(n, recip, fq) for n in range(nmax + 1)]
+
+
+def _bc_value(n: int, recip: TruncSeries, fq: Fq) -> BCValue:
+    # recip = 1/e(z), known through z^(n-1) at least
     fact = carlitz_factorial(n, fq)
-    e = carlitz_exp(fq, n + 2)
-    inv = e.invert()
-    c = inv.coefficient(n - 1)
-    value = c * F.coerce(fact)
-    if n > 0 and n % (fq.q - 1) != 0 and fq.q > 2:
-        if not value.is_zero():
-            raise AssertionError(f"BC_{n} should vanish for q={fq.q}")
+    value = recip.coefficient(n - 1) * recip.ring.coerce(fact)
+    if n % (fq.q - 1) != 0 and not value.is_zero():
+        raise AssertionError(f"BC_{n} should vanish for q={fq.q}")
     return BCValue(n, value, fact)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cmod import bernoulli_carlitz
+from .cmod import bernoulli_carlitz_table
 from .errors import CharacterError, PrecisionError, TailError
 from .fq import Fq
 from .groupring import CharSpec, CycIntRing, GroupRing, GroupRingElem, character_table
@@ -361,10 +361,10 @@ def okada_report(pi: Poly) -> OkadaReport:
     kmax = fq.q ** pi.degree - 2
     irregular = []
     den_hits = []
-    for k in range(1, kmax + 1):
+    for bc in bernoulli_carlitz_table(kmax, fq)[1:]:
+        k = bc.n
         if k % (fq.q - 1) != 0:
             continue
-        bc = bernoulli_carlitz(k, fq)
         if bc.value.is_zero():
             irregular.append(k)
             continue

@@ -223,7 +223,19 @@ BROKEN_INVARIANTS = {
         "real = m.d_sequence\n"
         "m.d_sequence = lambda fq, n: [d.shift(1) for d in real(fq, n)]\n"
         "m.carlitz_exp(m.Fq.get(2), 6)\n",
-        "coefficient at z^1 is not 1/D_0"),
+        "e(z) fails phi_T(e(z)) = e(Tz) within precision"),
+    "exp normalisation": (
+        "import carlitz.cmod as m\n"
+        "real = m.d_sequence\n"
+        "m.d_sequence = lambda fq, n: [-d for d in real(fq, n)]\n"
+        "m.carlitz_exp(m.Fq.get(3), 6)\n",
+        "e(z) is not z + O(z^2)"),
+    "log round trip": (
+        "import carlitz.cmod as m\n"
+        "real = m.l_sequence\n"
+        "m.l_sequence = lambda fq, n: [d.shift(1) for d in real(fq, n)]\n"
+        "m.carlitz_log(m.Fq.get(2), 6)\n",
+        "e(log z) != z within precision"),
     "zeta stratum vanishing": (
         "import carlitz.lfun as m\n"
         "m.power_sum = lambda d, k, fq: m.Poly(fq, 'T', [fq.one])\n"

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from carlitz.cmod import (
-    SkewPoly, bernoulli_carlitz, bracket, carlitz_exp, carlitz_factorial,
-    carlitz_log, carlitz_phi, d_sequence, l_sequence, omega_minpoly,
-    torsion_poly,
+    SkewPoly, bernoulli_carlitz, bernoulli_carlitz_table, bracket, carlitz_exp,
+    carlitz_factorial, carlitz_log, carlitz_phi, d_sequence, l_sequence,
+    omega_minpoly, torsion_poly,
 )
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
@@ -15,6 +15,32 @@ from carlitz.series import TruncSeries
 
 def rand_poly(rng, fq, deg):
     return Poly(fq, "T", [FqElem(fq, rng.randrange(fq.q)) for _ in range(deg + 1)])
+
+
+def solved_exp(fq, prec):
+    """Oracle: e(z) = z + ... solved degree by degree from phi_T(e) = e(Tz);
+    the coefficient of z^n is fixed by (T^n - T) c_n = [z^n] e^q."""
+    F = base_field(fq)
+    t = F.gen()
+    coeffs = [F.zero] * prec
+    coeffs[1] = F.one
+    for n in range(2, prec):
+        partial = TruncSeries(F, "z", 0, coeffs[:n], None)  # exact so far
+        lhs = partial.mul_scalar(t) + partial ** fq.q
+        residual = (lhs - partial.scale_argument(t)).coefficient(n)
+        coeffs[n] = residual / (t ** n - t)
+    return TruncSeries(F, "z", 0, coeffs, prec)
+
+
+def reverted_series(e):
+    """Oracle: the compositional inverse of e = z + ..., term by term."""
+    F = e.ring
+    coeffs = [F.zero] * e.prec
+    coeffs[1] = F.one
+    for n in range(2, e.prec):
+        partial = TruncSeries(F, "z", 0, coeffs[:n], None)  # exact so far
+        coeffs[n] = -e.truncate(n + 1).compose(partial).coefficient(n)
+    return TruncSeries(F, "z", 0, coeffs, e.prec)
 
 
 def test_skew_multiplication_twists_scalars():
@@ -123,6 +149,15 @@ def test_exp_coefficients_are_inverse_factorials():
                 assert e.coefficient(n).is_zero()
 
 
+def test_closed_forms_match_solved_series():
+    for q in (2, 3, 4):
+        fq = Fq.get(q)
+        prec = q ** 2 + 2
+        e = solved_exp(fq, prec)
+        assert carlitz_exp(fq, prec) == e
+        assert carlitz_log(fq, prec) == reverted_series(e)
+
+
 def test_exp_satisfies_the_functional_equation():
     for q in (2, 3):
         fq = Fq.get(q)
@@ -176,13 +211,18 @@ def test_bernoulli_known_values_q3():
 
 
 def test_bernoulli_vanishing_and_factorials():
-    for q in (3, 4):
+    for q in (2, 3, 4):
         fq = Fq.get(q)
-        for n in range(1, 12):
-            bc = bernoulli_carlitz(n, fq)
+        singles = [bernoulli_carlitz(n, fq) for n in range(13)]
+        for n in range(13):
+            assert bernoulli_carlitz_table(n, fq) == singles[:n + 1]
+        for n, bc in enumerate(singles):
+            assert bc.n == n
             if n % (q - 1) != 0:
                 assert bc.value.is_zero()
             assert bc.factorial == carlitz_factorial(n, fq)
+    with pytest.raises(ValueError):
+        bernoulli_carlitz_table(-1, Fq.get(2))
 
 
 def test_minpoly_rejects_reducible_modulus():
