@@ -31,8 +31,8 @@ from .groupring import (
 )
 from .lfun import (
     OkadaReport, ThetaPoly, okada_report, power_sum, power_sum_enum,
-    stickelberger_coefficient, stickelberger_series, zeta_neg, zeta_pos_trunc,
-    zeta_v_adic_neg,
+    stickelberger_coefficient, stickelberger_coefficient_enum,
+    stickelberger_series, zeta_neg, zeta_pos_trunc, zeta_v_adic_neg,
 )
 from .poly import (
     Poly, PolyRing, ZZ, is_irreducible, monic_enumerate, poly_parse,
@@ -60,7 +60,8 @@ __all__ = [
     "l_sequence", "lucas_binom", "monic_enumerate", "okada_report",
     "omega_minpoly", "phi_poly", "poly_parse", "poly_to_str", "power_sum",
     "power_sum_enum", "quotient_norm", "star_action",
-    "stickelberger_coefficient", "stickelberger_series", "torsion_poly",
+    "stickelberger_coefficient", "stickelberger_coefficient_enum",
+    "stickelberger_series", "torsion_poly",
     "upsilon", "valuation_at_p", "x_field", "zeta_neg", "zeta_pos_trunc",
     "zeta_v_adic_neg",
 ]

@@ -145,7 +145,7 @@ def _cmd_factorial(args):
 
 def _cmd_bc(args):
     fq = _fq(args)
-    table = bernoulli_carlitz_table(args.n, fq) if args.n >= 0 else []
+    table = bernoulli_carlitz_table(args.n, fq)
     rows = [{"n": bc.n, "bc": str(bc.value),
              "factorial": poly_to_str(bc.factorial)} for bc in table]
     if args.format == "csv":

@@ -130,11 +130,13 @@ class GroupRingElem:
         """Left translation by the class of a."""
         return self.ring.element(a) * self
 
-    def project(self, m: int) -> "GroupRingElem":
-        """Push down along (A/pi^n)^* -> (A/pi^m)^*, m <= n."""
+    def project(self, m: int, target: GroupRing | None = None) -> "GroupRingElem":
+        """Push down along (A/pi^n)^* -> (A/pi^m)^*, m <= n.  target is
+        GroupRing(pi, m) when the caller has built it already."""
         if m > self.ring.n:
             raise ValueError("projection target above current level")
-        target = GroupRing(self.ring.pi, m)
+        if target is None:
+            target = GroupRing(self.ring.pi, m)
         out: dict[Poly, int] = {}
         for k, c in self.coeffs.items():
             km = target.key(k)

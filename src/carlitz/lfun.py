@@ -10,6 +10,13 @@ removes the Euler factor at a finite prime, and the positive-k values are
 expanded as series in t = 1/T.  Stickelberger-type elements live in the
 integral group ring Z[(A/pi^n)^*] and are assembled degree by degree from
 the classes of monic polynomials prime to a finite set of places.
+
+Neither family is enumerated where counting already gives the answer.  In
+S_d(k) a multinomial that is 0 mod p kills every term below it.  The monic
+polynomials of degree n >= deg M are equidistributed mod M = pi^level times
+the other finite places of S, so those Stickelberger coefficients are one
+count on every class.  The enumerating routes stay as
+power_sum_enum and stickelberger_coefficient_enum, the oracles in tests.
 """
 
 from __future__ import annotations
@@ -38,7 +45,10 @@ def power_sum(d: int, k: int, fq: Fq) -> Poly:
         S_d(k) = (-1)^d sum multinom(k; k_0,...,k_{d-1}, r) T^{dr + sum i k_i}
 
     over tuples with each k_i a positive multiple of q - 1 and r = k - sum k_i
-    >= 0.  The sum is empty once d(q-1) > k, so S_d(k) = 0 there.
+    >= 0.  The sum is empty once d(q-1) > k, so S_d(k) = 0 there.  The
+    multinomial is built one factor binom(remaining, k_i) at a time, and a
+    prefix whose product is 0 mod p kills every tuple that extends it, so
+    the walk skips that subtree (by Lucas' theorem most of them for p = 3).
     """
     if d < 0 or k < 0:
         raise ValueError("need d >= 0 and k >= 0")
@@ -56,8 +66,9 @@ def power_sum(d: int, k: int, fq: Fq) -> Poly:
         slots_left = d - i - 1
         j = step
         while remaining - j >= slots_left * step:
-            descend(i + 1, remaining - j, texp + i * j,
-                    mult * math.comb(remaining, j) % p)
+            m = mult * math.comb(remaining, j) % p
+            if m:
+                descend(i + 1, remaining - j, texp + i * j, m)
             j += step
 
     descend(0, k, 0, 1)
@@ -166,11 +177,54 @@ def zeta_pos_trunc(k: int, fq: Fq, dmax: int, prec: int) -> TruncSeries:
 
 # -- Stickelberger-type group-ring series -------------------------------------
 
-def stickelberger_coefficient(pi: Poly, level: int, s_finite, n: int) -> GroupRingElem:
+def _distinct_places(places, label: str) -> list[Poly]:
+    """The distinct members of places, each checked monic irreducible."""
+    out: list[Poly] = []
+    for v in places:
+        if not (v.is_monic() and is_irreducible(v)):
+            raise ValueError(f"members of {label} must be monic irreducible")
+        if v not in out:
+            out.append(v)
+    return out
+
+
+def stickelberger_coefficient(pi: Poly, level: int, s_finite, n: int,
+                              ring: GroupRing | None = None) -> GroupRingElem:
     """Degree-n coefficient before any auxiliary-place modification: the sum
     of [a mod pi^level] over monic a of degree n prime to every member of
-    s_finite."""
-    ring = GroupRing(pi, level)
+    s_finite, the finite places of S (pi among them).
+
+    Let M = pi^level * prod v over the members v != pi.  Once n >= deg M the
+    monic polynomials of degree n run over every residue mod M exactly
+    q^(n - deg M) times (Rosen, Number Theory in Function Fields, ch. 4), and
+    by the Chinese remainder theorem each unit class mod pi^level lifts to
+    prod_v (q^deg v - 1) units mod M.  So the coefficient is that count on
+    every class, with no enumeration; below deg M the monic polynomials are
+    enumerated.  ring is GroupRing(pi, level) with s_finite already checked,
+    as stickelberger_series passes them; without it both are checked here.
+    """
+    if ring is None:
+        if level < 1:
+            raise ValueError("need level >= 1")
+        ring = GroupRing(pi, level)
+        s_finite = _distinct_places(s_finite, "S")
+    if pi not in s_finite:
+        raise ValueError("s_finite must contain pi")
+    extra = [v for v in s_finite if v != pi]
+    deg_m = level * pi.degree + sum(v.degree for v in extra)
+    if n < deg_m:
+        return stickelberger_coefficient_enum(pi, level, s_finite, n, ring)
+    q = pi.ring.q
+    count = q ** (n - deg_m) * math.prod(q ** v.degree - 1 for v in extra)
+    return GroupRingElem(ring, dict.fromkeys(ring.group_keys(), count))
+
+
+def stickelberger_coefficient_enum(pi: Poly, level: int, s_finite, n: int,
+                                   ring: GroupRing | None = None) -> GroupRingElem:
+    """The same coefficient by literal enumeration of the q^n monic
+    polynomials of degree n.  Oracle for stickelberger_coefficient."""
+    if ring is None:
+        ring = GroupRing(pi, level)
     acc: dict = {}
     for a in monic_enumerate(pi.ring, n, pi.var):
         if any((a % v).is_zero() for v in s_finite):
@@ -221,7 +275,7 @@ class ThetaPoly:
         """Push every coefficient down to Z[(A/pi^m)^*]."""
         target = GroupRing(self.pi, m)
         return ThetaPoly(target, self.s_finite, self.t_aux,
-                         [c.project(m) for c in self.coeffs])
+                         [c.project(m, target) for c in self.coeffs])
 
     def eval_char(self, spec: CharSpec) -> Poly:
         """Apply a character coefficientwise; the result is a polynomial in u
@@ -286,20 +340,10 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
         raise ValueError("pi must be monic irreducible")
     if level < 1:
         raise ValueError("need level >= 1")
-    s_finite = [pi]
-    for v in s_extra:
-        if not (v.is_monic() and is_irreducible(v)):
-            raise ValueError("members of S must be monic irreducible")
-        if v not in s_finite:
-            s_finite.append(v)
-    t_list = []
-    for v in t_aux:
-        if not (v.is_monic() and is_irreducible(v)):
-            raise ValueError("members of T must be monic irreducible")
-        if v in s_finite:
-            raise ValueError("S and T must be disjoint")
-        if v not in t_list:
-            t_list.append(v)
+    s_finite = [pi] + [v for v in _distinct_places(s_extra, "S") if v != pi]
+    t_list = _distinct_places(t_aux, "T")
+    if any(v in s_finite for v in t_list):
+        raise ValueError("S and T must be disjoint")
     s_finite.sort(key=lambda v: v.sort_key())
     t_list.sort(key=lambda v: v.sort_key())
 
@@ -309,7 +353,7 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
             f"degree bound {udeg} is below the tail window {tail}; raise it")
 
     ring = GroupRing(pi, level)
-    coeffs = [stickelberger_coefficient(pi, level, s_finite, n)
+    coeffs = [stickelberger_coefficient(pi, level, s_finite, n, ring)
               for n in range(udeg + 1)]
 
     for v in t_list:

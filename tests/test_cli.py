@@ -164,6 +164,7 @@ def test_verification_failure_exit_code(monkeypatch):
 def test_usage_errors_exit_2():
     cases = [
         ["bc", "--q", "2"],                                   # missing --n
+        ["bc", "--q", "2", "--n", "-1"],                      # negative --n
         ["phi", "--q", "2", "--a", "T+%"],                    # parse error
         ["phi", "--q", "2", "--a", "T", "--format", "csv"],   # csv not flat
         ["bc", "--q", "2", "--n", "3", "--threads", "2"],    # removed flag

@@ -5,7 +5,8 @@ from carlitz.fq import Fq
 from carlitz.groupring import CharSpec, CycIntRing, GroupRing
 from carlitz.lfun import (
     okada_report, power_sum, power_sum_enum, stickelberger_coefficient,
-    stickelberger_series, zeta_neg, zeta_pos_trunc, zeta_v_adic_neg,
+    stickelberger_coefficient_enum, stickelberger_series, zeta_neg,
+    zeta_pos_trunc, zeta_v_adic_neg,
 )
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
 from carlitz.ratfun import base_field
@@ -13,11 +14,12 @@ from carlitz.series import TruncSeries
 
 
 def test_power_sums_match_enumeration():
-    for q in (2, 3):
+    # q = 4 and 9 put p != q; at p = 2, 3 many multinomial prefixes are 0 mod p
+    for q, dmax in ((2, 3), (3, 3), (4, 3), (9, 2)):
         fq = Fq.get(q)
-        for d in (0, 1, 2):
-            for k in range(1, 7):
-                assert power_sum(d, k, fq) == power_sum_enum(d, k, fq)
+        for d in range(dmax + 1):
+            for k in range(1, 13):
+                assert power_sum(d, k, fq) == power_sum_enum(d, k, fq), (q, d, k)
 
 
 def test_power_sum_degree_zero_and_cutoff():
@@ -43,7 +45,8 @@ def test_zeta_neg_at_minus_one_is_one_for_q3():
 
 
 def test_zeta_neg_matches_literal_monic_sum():
-    for q, k in ((3, 1), (3, 3), (3, 5), (2, 3)):
+    for q, k in ((3, 1), (3, 3), (3, 5), (2, 3), (3, 7), (3, 11), (4, 5),
+                 (4, 7)):
         fq = Fq.get(q)
         bound = k // (q - 1) + 1
         total = Poly(fq, "T", [])
@@ -159,6 +162,65 @@ def test_theta_raw_coefficients_before_modification():
     for n in range(2, 7):
         assert stickelberger_coefficient(pi, 1, [pi], n) == \
             full.scale(2 ** (n - 2))
+
+
+COUNTED_CASES = [
+    # (q, pi, level, extra finite places of S)
+    (2, "T^2+T+1", 1, ()),
+    (2, "T^2+T+1", 2, ()),
+    (2, "T", 2, ("T+1",)),
+    (2, "T", 1, ("T^2+T+1",)),
+    (3, "T^2+1", 1, ("T",)),
+    (3, "T", 2, ("T+1",)),
+    (4, "T", 1, ("T+1",)),
+    (3, "T+2", 1, ("T", "T+1")),
+]
+
+
+@pytest.mark.parametrize("q,pitxt,level,extra", COUNTED_CASES)
+def test_counted_coefficients_match_enumeration(q, pitxt, level, extra):
+    # every n through deg M + 2, where the count replaces the enumeration
+    fq = Fq.get(q)
+    pi = poly_parse(pitxt, fq)
+    s_finite = [pi] + [poly_parse(v, fq) for v in extra]
+    deg_m = level * pi.degree + sum(v.degree for v in s_finite[1:])
+    ns = [n for n in range(deg_m + 3) if q ** n <= 30000]
+    assert ns[-1] >= deg_m
+    for n in ns:
+        assert stickelberger_coefficient(pi, level, s_finite, n) == \
+            stickelberger_coefficient_enum(pi, level, s_finite, n), n
+
+
+def test_counted_coefficient_skips_enumeration(monkeypatch):
+    import carlitz.lfun as lfun
+    f3 = Fq.get(3)
+    pi = poly_parse("T^2+1", f3)
+    s_finite = [pi, poly_parse("T", f3)]
+    monkeypatch.setattr(lfun, "monic_enumerate", None)
+    c = stickelberger_coefficient(pi, 1, s_finite, 20)
+    assert set(c.coeffs.values()) == {3 ** 17 * 2}
+    assert len(c.coeffs) == 8
+
+
+def test_coefficient_input_validation():
+    f2 = Fq.get(2)
+    pi = poly_parse("T^2+T+1", f2)
+    with pytest.raises(ValueError):
+        stickelberger_coefficient(pi, 1, [], 3)  # pi must be in S
+    with pytest.raises(ValueError):
+        stickelberger_coefficient(pi, 1, [pi, poly_parse("T^2+1", f2)], 3)
+    with pytest.raises(ValueError):
+        stickelberger_coefficient(pi, 0, [pi], 3)
+
+
+def test_theta_terminates_far_beyond_enumeration():
+    # 3^40 monic polynomials of degree 40: reachable only by counting
+    f3 = Fq.get(3)
+    pi = poly_parse("T^2+1", f3)
+    kw = dict(s_extra=(poly_parse("T", f3),), t_aux=(poly_parse("T+1", f3),))
+    deep = stickelberger_series(pi, 1, udeg=40, **kw)
+    assert deep == stickelberger_series(pi, 1, udeg=12, **kw)
+    assert deep.degree == 3
 
 
 def test_theta_character_values():
