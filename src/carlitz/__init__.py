@@ -33,6 +33,7 @@ from .lfun import (
     OkadaReport, ThetaPoly, okada_report, power_sum, power_sum_enum,
     stickelberger_coefficient, stickelberger_coefficient_enum,
     stickelberger_series, zeta_neg, zeta_pos_trunc, zeta_v_adic_neg,
+    zeta_v_adic_neg_enum,
 )
 from .poly import (
     Poly, PolyRing, ZZ, is_irreducible, monic_enumerate, poly_parse,
@@ -63,5 +64,5 @@ __all__ = [
     "stickelberger_coefficient", "stickelberger_coefficient_enum",
     "stickelberger_series", "torsion_poly",
     "upsilon", "valuation_at_p", "x_field", "zeta_neg", "zeta_pos_trunc",
-    "zeta_v_adic_neg",
+    "zeta_v_adic_neg", "zeta_v_adic_neg_enum",
 ]

@@ -51,52 +51,6 @@ def _power(base, e: int, one, mul):
     return result
 
 
-# -- integer-coefficient polynomial helpers mod p (low-to-high lists) --------
-# Only used to find the canonical modulus; everything else goes through Poly.
-
-def _ip_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ip_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ip_mod(out, f, p)
-
-
-def _ip_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for j, fj in enumerate(f):
-                a[shift + j] = (a[shift + j] - lead * fj) % p
-        a.pop()
-    return _ip_trim(a)
-
-
-def _ip_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    return _power(_ip_mod(a, f, p), e, [1],
-                  lambda x, y: _ip_mulmod(x, y, f, p))
-
-
-def _ip_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ip_trim(list(a)), _ip_trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _ip_mod(a, bm, p)
-    return a
-
-
 def _prime_divisors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -110,33 +64,17 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _ip_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test for a monic degree-n polynomial over F_p."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    if _ip_powmod(x, p ** n, f, p) != _ip_mod(x, f, p):
-        return False
-    for r in _prime_divisors(n):
-        h = _ip_powmod(x, p ** (n // r), f, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _ip_gcd(f, _ip_trim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)  # F_p[s]/(s)
+    from .poly import Poly, is_irreducible  # poly imports this module
+    fp = Fq.get(p)
     for v in range(p ** m):
         # digits of v, read highest-power-first, give (c_{m-1}, ..., c_0);
         # counting v upward scans candidates in lexicographic order
         hi_first = [(v // p ** k) % p for k in range(m - 1, -1, -1)]
         coeffs = list(reversed(hi_first)) + [1]  # low-to-high, monic
-        if _ip_irreducible(coeffs, p):
+        if is_irreducible(Poly(fp, "s", [FqElem(fp, c) for c in coeffs])):
             return tuple(coeffs)
     raise ValueError(f"no irreducible of degree {m} over F_{p}")  # unreachable
 

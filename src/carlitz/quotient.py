@@ -3,19 +3,19 @@ norms.
 
 The norm of an element u of K[y]/(m) is the determinant of multiplication by
 u on the power basis 1, y, ..., y^(deg m - 1).  The same matrix construction
-applies when u has polynomial or truncated-series coefficients in a second
-variable; the determinant is then expanded division-free (cofactors), which
-is what the Coleman norm route needs.
+applies when u has polynomial coefficients in a second variable, which is
+what the Coleman norm route needs.  One determinant serves every entry ring:
+Berkowitz's recurrence never divides, so entries in F_q(T) and entries in
+F_q(T)[x] take the same path.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import permutations
+from functools import reduce
 
 from .fq import _power
 from .poly import Poly, is_irreducible
-from .series import TruncSeries
 
 __all__ = [
     "ResidueRing",
@@ -23,8 +23,7 @@ __all__ = [
     "QuotientRing",
     "QuotElem",
     "quotient_norm",
-    "det_field",
-    "det_ring",
+    "det",
     "solve_linear",
 ]
 
@@ -228,72 +227,40 @@ class QuotElem:
 
 # -- determinants and linear solve --------------------------------------------
 
-def det_field(mat: list[list], ring):
-    """Gaussian-elimination determinant over a field parent."""
+def det(mat: list[list], zero):
+    """Determinant by Berkowitz's division-free recurrence (Berkowitz, IPL 18,
+    1984); O(n^4) ring operations using only +, - and *, so it serves field
+    entries and polynomial entries alike.
+
+    With A_k the leading k x k block, A_(k+1) = [[A_k, u], [r, a]] and
+    chi_k(x) = det(x I + A_k), the coefficients of chi_(k+1) are those of
+    chi_k times the lower-triangular Toeplitz matrix whose first column is
+    (1, a, -r u, r A_k u, -r A_k^2 u, ..., +-r A_k^(k-1) u); det A = chi_n(0).
+    """
     n = len(mat)
-    rows = [list(r) for r in mat]
-    zero, one = ring.zero, ring.one
-    det = one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            return zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        pinv = pivot ** -1
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor == zero:
-                continue
-            scale = factor * pinv
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - scale * rows[col][c]
-    return det
-
-
-_DET_RING_LIMIT = 6
-
-
-def det_ring(mat: list[list], zero):
-    """Division-free determinant (permutation expansion); small dimensions."""
-    n = len(mat)
-    if n > _DET_RING_LIMIT:
-        raise ValueError(f"ring determinant limited to {_DET_RING_LIMIT}x"
-                         f"{_DET_RING_LIMIT}, got {n}")
     if n == 0:
         raise ValueError("empty matrix")
-    acc = zero
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = mat[0][perm[0]]
-        for r in range(1, n):
-            term = term * mat[r][perm[r]]
-        acc = acc + term if sign > 0 else acc - term
-    return acc
+    # c[i] is the coefficient of x^(k-1-i) in chi_k; the leading 1 is implicit
+    c: list = []
+    for k in range(n):
+        block = [row[:k] for row in mat[:k]]
+        r = mat[k][:k]
+        v = [row[k] for row in mat[:k]]
+        col = [mat[k][k]]
+        for j in range(k):
+            if j:
+                v = [_dot(brow, v) for brow in block]
+            w = _dot(r, v)
+            col.append(w if j % 2 else zero - w)
+        c = [reduce(operator.add, [col[i]]
+                    + [col[i - 1 - j] * c[j] for j in range(i)] + c[i:i + 1])
+             for i in range(k + 1)]
+    return c[-1]
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _dot(a: list, b: list):
+    """a[0] b[0] + a[1] b[1] + ...; a and b nonempty."""
+    return reduce(operator.add, map(operator.mul, a, b))
 
 
 def solve_linear(mat: list[list], rhs: list, ring) -> list:
@@ -331,59 +298,34 @@ def solve_linear(mat: list[list], rhs: list, ring) -> list:
 # -- multiplication-matrix norms ----------------------------------------------
 
 def quotient_norm(elem):
-    """Norm down to K (or to K-coefficient polynomials/series).
+    """Norm down to K, or to K-coefficient polynomials.
 
     * QuotElem u: det of multiplication by u on K[y]/(m); lands in K.
-    * Poly/TruncSeries in a second variable with QuotElem coefficients:
-      same matrix with polynomial (resp. series) entries, expanded
-      division-free; lands in K[x] (resp. series over K).
+    * Poly in a second variable with QuotElem coefficients: the same matrix
+      with polynomial entries; lands in K[x].
     """
     if isinstance(elem, QuotElem):
-        qr = elem.ring
-        n = qr.degree
-        ybar = qr.gen()
-        mat = [[qr.K.zero] * n for _ in range(n)]
-        col = qr.one * elem
-        for j in range(n):
-            rep = col.rep
-            for i in range(n):
-                mat[i][j] = rep.coeff(i)
-            col = col * ybar
-        return det_field(mat, qr.K)
+        rows = _mult_matrix_coeffs(elem.ring, [elem])
+        return det([[e[0] for e in row] for row in rows], elem.ring.K.zero)
     if isinstance(elem, Poly) and isinstance(elem.ring, QuotientRing):
-        qr = elem.ring
-        entries = _mult_matrix_coeffs(qr, elem.coeffs)
-        n = qr.degree
-        mat = [[Poly(qr.K, elem.var, entries[(i, j)])
-                for j in range(n)] for i in range(n)]
-        zero = Poly(qr.K, elem.var, [])
-        return det_ring(mat, zero)
-    if isinstance(elem, TruncSeries) and isinstance(elem.ring, QuotientRing):
-        qr = elem.ring
-        entries = _mult_matrix_coeffs(qr, elem.coeffs)
-        n = qr.degree
-        mat = [[TruncSeries(qr.K, elem.var, elem.order, entries[(i, j)],
-                            elem.prec)
-                for j in range(n)] for i in range(n)]
-        zero = TruncSeries.zero(qr.K, elem.var, elem.prec)
-        return det_ring(mat, zero)
+        K, var = elem.ring.K, elem.var
+        rows = _mult_matrix_coeffs(elem.ring, elem.coeffs)
+        return det([[Poly(K, var, e) for e in row] for row in rows],
+                   Poly(K, var, []))
     raise TypeError(f"cannot take a quotient norm of {elem!r}")
 
 
-def _mult_matrix_coeffs(qr: QuotientRing, coeffs):
-    """entries[(i, j)][k] = row-i component of c_k * ybar^j, for each stored
+def _mult_matrix_coeffs(qr: QuotientRing, coeffs) -> list[list[list]]:
+    """rows[i][j][k] = row-i component of c_k * ybar^j, for each stored
     second-variable index k."""
     n = qr.degree
-    width = len(coeffs)
+    rows = [[[qr.K.zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
     ypow = qr.one
     ybar = qr.gen()
-    entries: dict[tuple[int, int], list] = {
-        (i, j): [qr.K.zero] * width for i in range(n) for j in range(n)
-    }
     for j in range(n):
         for k, ck in enumerate(coeffs):
             rep = (ck * ypow).rep
             for i in range(n):
-                entries[(i, j)][k] = rep.coeff(i)
+                rows[i][j][k] = rep.coeff(i)
         ypow = ypow * ybar
-    return entries
+    return rows

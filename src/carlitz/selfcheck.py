@@ -21,6 +21,7 @@ from .cyclo import CycloField, field_norm, upsilon, valuation_at_p
 from .fq import Fq, FqElem
 from .lfun import (
     power_sum, power_sum_enum, stickelberger_series, zeta_neg, zeta_v_adic_neg,
+    zeta_v_adic_neg_enum,
 )
 from .poly import Poly, is_irreducible, monic_enumerate, poly_parse, poly_to_str
 from .ratfun import base_field
@@ -262,7 +263,7 @@ def suite_lfun() -> list[Row]:
     ok = True
     for k in (1, 2, 3):
         try:
-            zeta_v_adic_neg(k, pi)
+            ok = ok and zeta_v_adic_neg(k, pi) == zeta_v_adic_neg_enum(k, pi)
         except AssertionError:
             ok = False
     rows.append(("v-adic zeta dual routes agree", ok, "k <= 3 at T^2+T+1"))

@@ -198,6 +198,19 @@ def test_internal_errors_exit_3():
     assert rc == 3
 
 
+@pytest.mark.parametrize("q,pi", [("7", "T"), ("2", "T^3+T+1"), ("5", "T")])
+def test_colemancheck_beyond_six_by_six(q, pi):
+    # norm matrix sides 7 and 8, and side 5 as the control
+    rc, out, err = run(["colemancheck", "--q", q, "--pi", pi, "--trials", "2"])
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert [c["name"] for c in doc["checks"]] == [
+        "norm fixes phi_a for a prime to pi", "norm is multiplicative",
+        "norm commutes with torsion evaluation"]
+    assert all(c["ok"] for c in doc["checks"])
+
+
 def test_selftest_subcommand():
     rc, out, err = run(["selftest", "--q", "2"])
     assert rc == 0 and err == ""

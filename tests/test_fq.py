@@ -39,6 +39,13 @@ def test_canonical_modulus_is_smallest():
     # the invariant is lexicographic-minimality among monic irreducibles
     f4 = Fq.get(4)
     assert f4.modulus == (1, 1, 1)
+    pinned = {
+        8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1), 25: (2, 0, 1),
+        27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1),
+        81: (2, 1, 0, 0, 1), 121: (1, 0, 1), 125: (1, 1, 0, 1),
+    }
+    for q, modulus in pinned.items():
+        assert Fq.get(q).modulus == modulus, q
 
 
 def test_enumeration_order_is_by_index():

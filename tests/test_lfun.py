@@ -6,7 +6,7 @@ from carlitz.groupring import CharSpec, CycIntRing, GroupRing
 from carlitz.lfun import (
     okada_report, power_sum, power_sum_enum, stickelberger_coefficient,
     stickelberger_coefficient_enum, stickelberger_series, zeta_neg,
-    zeta_pos_trunc, zeta_v_adic_neg,
+    zeta_pos_trunc, zeta_v_adic_neg, zeta_v_adic_neg_enum,
 )
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
 from carlitz.ratfun import base_field
@@ -75,8 +75,24 @@ def test_v_adic_matches_literal_coprime_sum():
         for a in monic_enumerate(f3, d):
             if not (a % pi).is_zero():
                 total = total + a ** k
+    assert zeta_v_adic_neg_enum(k, pi) == total
     assert zeta_v_adic_neg(k, pi) == total
     assert total == poly_parse("1+2*T^3", f3)
+    for q, pitxt, k in ((2, "T", 1), (2, "T", 4), (2, "T^2+T+1", 3),
+                        (2, "T^3+T+1", 2), (3, "T", 5), (3, "T+2", 4),
+                        (3, "T^2+1", 3), (4, "T", 5), (5, "T+1", 4)):
+        pi = poly_parse(pitxt, Fq.get(q))
+        assert zeta_v_adic_neg(k, pi) == zeta_v_adic_neg_enum(k, pi), \
+            (q, pitxt, k)
+
+
+def test_v_adic_skips_enumeration(monkeypatch):
+    import carlitz.lfun as lfun
+    f3 = Fq.get(3)
+    pi = poly_parse("T", f3)
+    monkeypatch.setattr(lfun, "monic_enumerate", None)
+    one = Poly(f3, "T", [f3.one])
+    assert zeta_v_adic_neg(16, pi) == (one - pi ** 16) * zeta_neg(16, f3)
 
 
 def test_v_adic_rejects_bad_modulus():

@@ -1,13 +1,63 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
 from carlitz.quotient import (
-    QuotientRing, ResidueRing, det_field, det_ring, quotient_norm, solve_linear,
+    QuotientRing, ResidueRing, det, quotient_norm, solve_linear,
 )
 from carlitz.ratfun import base_field
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def leibniz_det(mat, zero):
+    """Oracle: the permutation expansion sum of sign(s) prod_r mat[r][s(r)]."""
+    n = len(mat)
+    acc = zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = mat[0][perm[0]]
+        for r in range(1, n):
+            term = term * mat[r][perm[r]]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def matmul(a, b, zero):
+    n = len(a)
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+@st.composite
+def fq_matrices(draw, min_n, max_n, count):
+    q = draw(st.sampled_from((2, 3, 4, 5, 9)))
+    n = draw(st.integers(min_n, max_n))
+    fq = Fq.get(q)
+    entry = st.integers(0, q - 1).map(lambda i: FqElem(fq, i))
+    mats = [draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n, max_size=n)) for _ in range(count)]
+    return fq, mats
+
+
+@st.composite
+def poly_matrix_pairs(draw, max_n):
+    fq = Fq.get(draw(st.sampled_from((2, 3))))
+    n = draw(st.integers(1, max_n))
+    entry = st.lists(st.integers(0, fq.q - 1), max_size=3).map(
+        lambda cs: Poly(fq, "T", [FqElem(fq, c) for c in cs]))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return Poly(fq, "T", []), draw(square), draw(square)
 
 
 def test_residue_ring_units_and_inverses():
@@ -48,13 +98,40 @@ def test_det_ring_agrees_with_det_field():
     for n in (1, 2, 3, 4):
         for _ in range(5):
             rows = [[FqElem(fq, rng.randrange(5)) for _ in range(n)] for _ in range(n)]
-            assert det_ring(rows, fq.zero) == det_field(rows, fq)
+            assert det(rows, fq.zero) == leibniz_det(rows, fq.zero)
 
 
 def test_det_ring_permutation_signs():
     fq = Fq.get(7)
     m = [[fq.zero, fq.one], [fq.one, fq.zero]]
-    assert det_ring(m, fq.zero) == fq.from_int(-1)
+    assert det(m, fq.zero) == fq.from_int(-1) == leibniz_det(m, fq.zero)
+
+
+def test_det_rejects_empty_matrix():
+    with pytest.raises(ValueError):
+        det([], Fq.get(2).zero)
+
+
+@PROPERTY
+@given(fq_matrices(min_n=1, max_n=5, count=1))
+def test_det_matches_leibniz_over_fq(case):
+    fq, (mat,) = case
+    assert det(mat, fq.zero) == leibniz_det(mat, fq.zero)
+
+
+@PROPERTY
+@given(fq_matrices(min_n=6, max_n=8, count=2))
+def test_det_is_multiplicative_beyond_six(case):
+    fq, (a, b) = case
+    assert det(matmul(a, b, fq.zero), fq.zero) == \
+        det(a, fq.zero) * det(b, fq.zero)
+
+
+@PROPERTY
+@given(poly_matrix_pairs(max_n=5))
+def test_det_is_multiplicative_over_polynomials(case):
+    zero, a, b = case
+    assert det(matmul(a, b, zero), zero) == det(a, zero) * det(b, zero)
 
 
 def test_solve_linear_and_inconsistency():
@@ -90,3 +167,21 @@ def test_quotient_norm_of_scalar_is_power():
     qr = QuotientRing(mod)
     t = F.coerce(poly_parse("T", fq))
     assert quotient_norm(qr.coerce(t)) == t ** 2  # [F(y):F] = 2
+
+
+def test_quotient_norm_is_multiplicative_in_degree_seven():
+    rng = random.Random(33)
+    fq = Fq.get(2)
+    F = base_field(fq)
+    t = F.coerce(poly_parse("T", fq))
+    qr = QuotientRing(Poly(F, "y", [F.one, t] + [F.zero] * 5 + [F.one]))
+    assert qr.degree == 7
+
+    def element():
+        return qr.coerce(Poly(F, "y", [F.coerce(poly_parse(
+            rng.choice(("0", "1", "T", "T+1", "T^2")), fq)) for _ in range(7)]))
+
+    for _ in range(2):
+        a, b = element(), element()
+        assert quotient_norm(a) * quotient_norm(b) == quotient_norm(a * b)
+    assert quotient_norm(qr.coerce(t)) == t ** 7
