@@ -60,9 +60,6 @@ class CycloField:
             _CYCLO_CACHE[key] = field
         return field
 
-    def residue_modulus(self) -> Poly:
-        return self.residues.modulus
-
     def galois_reps(self) -> list[Poly]:
         """Canonical representatives of (A/pi^n)^* in enumeration order."""
         return self.residues.unit_residues()

@@ -8,6 +8,14 @@ element order, in every run and every process.
 Elements carry a single integer index i = sum c_j p^j over the coordinate
 vector (c_0, ..., c_{m-1}); index order is the canonical element order used
 by every enumeration in the package.
+
+Prime fields F_p with p <= _TABLE_LIMIT are interned: each ``Fq`` builds its
+p elements once, and every element it hands out (arithmetic results,
+``zero``, ``one``, ``from_int``, ``from_index``, ``elements``) is an entry of
+that list, so prime-field arithmetic allocates nothing.  ``FqElem``s built
+directly still compare equal by index.  Every other field, F_{p^m} and the
+rare prime above the limit, builds each result by the coordinate loops and
+multiplication tables below, which are exact for m = 1 too.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 __all__ = ["Fq", "FqElem"]
 
 _FIELD_CACHE: dict[int, "Fq"] = {}
-_TABLE_LIMIT = 256  # full mul tables only for small q
+_TABLE_LIMIT = 256  # full mul tables and interned elements only for small q
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -74,7 +82,7 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         # counting v upward scans candidates in lexicographic order
         hi_first = [(v // p ** k) % p for k in range(m - 1, -1, -1)]
         coeffs = list(reversed(hi_first)) + [1]  # low-to-high, monic
-        if is_irreducible(Poly(fp, "s", [FqElem(fp, c) for c in coeffs])):
+        if is_irreducible(Poly(fp, "s", [fp.from_index(c) for c in coeffs])):
             return tuple(coeffs)
     raise ValueError(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
@@ -112,7 +120,7 @@ class FqElem:
         return self.i != 0
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FqElem)
             and other.field.q == self.field.q
             and other.i == self.i
@@ -125,7 +133,7 @@ class FqElem:
         return self.field.add(self, other)
 
     def __sub__(self, other: "FqElem") -> "FqElem":
-        return self.field.add(self, self.field.neg(other))
+        return self.field.sub(self, other)
 
     def __neg__(self) -> "FqElem":
         return self.field.neg(self)
@@ -162,8 +170,12 @@ class Fq:
         self.p = p
         self.m = m
         self.modulus = _canonical_modulus(p, m)
-        self.zero = FqElem(self, 0)
-        self.one = FqElem(self, 1)
+        # the interned elements of a small prime field, by index
+        self._elems: list[FqElem] | None = (
+            [FqElem(self, i) for i in range(p)]
+            if m == 1 and p <= _TABLE_LIMIT else None)
+        self.zero = self.from_index(0)
+        self.one = self.from_index(1)
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
         # s^k mod modulus for k in [m, 2m-2], as coordinate tuples
@@ -211,24 +223,30 @@ class Fq:
         raise TypeError(f"cannot coerce {x!r} into F_{self.q}")
 
     def from_int(self, n: int) -> FqElem:
-        return FqElem(self, n % self.p)
+        return self.from_index(n % self.p)
+
+    def from_index(self, i: int) -> FqElem:
+        """The element with index i, 0 <= i < q."""
+        if self._elems is not None:
+            return self._elems[i]
+        return FqElem(self, i)
 
     def from_coords(self, coords) -> FqElem:
         p = self.p
         i = 0
         for c in reversed(list(coords)):
             i = i * p + (c % p)
-        return FqElem(self, i)
+        return self.from_index(i)
 
     def elements(self) -> list[FqElem]:
-        return [FqElem(self, i) for i in range(self.q)]
+        return [self.from_index(i) for i in range(self.q)]
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
-        p = self.p
-        if self.m == 1:
-            return FqElem(self, (a.i + b.i) % p)
+        p, elems = self.p, self._elems
+        if elems is not None:
+            return elems[(a.i + b.i) % p]
         i, j, out, mult = a.i, b.i, 0, 1
         while i or j:
             out += ((i % p + j % p) % p) * mult
@@ -237,10 +255,22 @@ class Fq:
             mult *= p
         return FqElem(self, out)
 
+    def sub(self, a: FqElem, b: FqElem) -> FqElem:
+        p, elems = self.p, self._elems
+        if elems is not None:
+            return elems[(a.i - b.i) % p]
+        i, j, out, mult = a.i, b.i, 0, 1
+        while i or j:
+            out += ((i % p - j % p) % p) * mult
+            i //= p
+            j //= p
+            mult *= p
+        return FqElem(self, out)
+
     def neg(self, a: FqElem) -> FqElem:
-        p = self.p
-        if self.m == 1:
-            return FqElem(self, (-a.i) % p)
+        p, elems = self.p, self._elems
+        if elems is not None:
+            return elems[-a.i % p]
         i, out, mult = a.i, 0, 1
         while i:
             out += ((-i) % p) * mult
@@ -249,8 +279,9 @@ class Fq:
         return FqElem(self, out)
 
     def mul(self, a: FqElem, b: FqElem) -> FqElem:
-        if self.m == 1:
-            return FqElem(self, (a.i * b.i) % self.p)
+        elems = self._elems
+        if elems is not None:
+            return elems[a.i * b.i % self.p]
         if self.q <= _TABLE_LIMIT:
             if self._mul_table is None:
                 self._build_tables()
@@ -260,8 +291,8 @@ class Fq:
     def inv(self, a: FqElem) -> FqElem:
         if a.i == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.q}")
-        if self.m == 1:
-            return FqElem(self, pow(a.i, -1, self.p))
+        if self._elems is not None:
+            return self._elems[pow(a.i, -1, self.p)]
         if self.q <= _TABLE_LIMIT:
             if self._inv_table is None:
                 self._build_tables()

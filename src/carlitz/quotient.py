@@ -123,9 +123,6 @@ class ResidueElem:
     def __pow__(self, e: int) -> "ResidueElem":
         return ResidueElem(self.ring, self.ring.pow_key(self.rep, e))
 
-    def is_unit(self) -> bool:
-        return self.ring.is_unit_key(self.rep)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ResidueElem) and other.ring == self.ring
                 and other.rep == self.rep)

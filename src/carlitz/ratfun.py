@@ -168,11 +168,6 @@ class RatFun:
         d = self.den.eval(point, ring)
         return n * d ** -1
 
-    def as_poly(self) -> Poly:
-        if not self.den.is_one():
-            raise ValueError(f"{self!r} is not polynomial")
-        return self.num
-
     def __str__(self) -> str:
         ns = str(self.num)
         if self.den.is_one():

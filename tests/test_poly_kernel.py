@@ -1,0 +1,149 @@
+"""The F_p polynomial kernel against the generic loops it replaces.
+
+Over an interned prime field ``Poly`` runs ``*``, ``divmod``, ``gcd`` and
+``egcd`` on coefficient-index lists; the generic helpers, which F_{p^m}
+still runs, are the oracle.
+"""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from carlitz.fq import Fq, FqElem
+from carlitz.poly import (
+    _KRONECKER_MIN, Poly, _divmod_generic, _egcd_generic, _fp_mul,
+    _gcd_generic, _interned, _mul_generic,
+)
+
+PRIMES = (2, 3, 5, 7)
+KERNEL = settings(max_examples=60)
+
+
+def fresh_poly(fq, ints):
+    """A polynomial whose coefficients are new, non-interned elements."""
+    return Poly(fq, "T", [FqElem(fq, c) for c in ints])
+
+
+@st.composite
+def fp_polys(draw, max_deg=300):
+    """(fq, polys): two or three polynomials over one F_p, each zero,
+    constant, short (schoolbook side of the Kronecker cutoff) or long, dense
+    or sparse, monic or not."""
+    fq = Fq.get(draw(st.sampled_from(PRIMES)))
+    out = []
+    for _ in range(draw(st.integers(2, 3))):
+        deg = draw(st.one_of(st.integers(-1, 4), st.integers(5, max_deg)))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        density = draw(st.sampled_from((1.0, 0.2)))
+        ints = [rng.randrange(fq.q) if rng.random() < density else 0
+                for _ in range(deg + 1)]
+        if deg >= 0:
+            ints[-1] = draw(st.integers(1, fq.q - 1))  # monic or not
+        out.append(fresh_poly(fq, ints))
+    return fq, out
+
+
+def test_kernel_runs_exactly_on_small_prime_fields():
+    for p in PRIMES + (251,):
+        assert _interned(Fq.get(p))
+    for q in (4, 8, 9, 25, 257):
+        assert not _interned(Fq.get(q))
+    f = Fq.get(257)  # above the limit: exact through the coordinate loops
+    for a, b in ((3, 250), (256, 256), (0, 5), (100, 0)):
+        x, y = f.from_int(a), f.from_int(b)
+        assert ((x + y).i, (x - y).i, (x * y).i, (-x).i) == (
+            (a + b) % 257, (a - b) % 257, a * b % 257, -a % 257)
+        if b:
+            assert (x / y).i == a * pow(b, -1, 257) % 257
+
+
+@KERNEL
+@given(fp_polys())
+def test_mul_matches_generic(case):
+    _, (a, b, *_) = case
+    assert a * b == _mul_generic(a, b)
+    assert b * a == _mul_generic(b, a)
+
+
+@KERNEL
+@given(fp_polys())
+def test_divmod_matches_generic(case):
+    _, (a, b, *_) = case
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    quo, rem = a.divmod(b)
+    assert (quo, rem) == _divmod_generic(a, b)
+    assert quo * b + rem == a and rem.degree < b.degree
+
+
+@KERNEL
+@given(fp_polys())
+def test_gcd_and_egcd_match_generic(case):
+    _, (a, b, *rest) = case
+    if rest:  # a common factor, so the gcd is not always 1
+        a, b = a * rest[0], b * rest[0]
+    g = a.gcd(b)
+    assert g == _gcd_generic(a, b)
+    assert a.egcd(b) == _egcd_generic(a, b)
+    g2, u, v = a.egcd(b)
+    assert g2 == g and u * a + v * b == g
+
+
+def test_mul_both_sides_of_the_kronecker_cutoff():
+    rng = random.Random(5)
+    for p in PRIMES:
+        fq = Fq.get(p)
+        for la in range(1, 11):
+            for lb in (1, 2, 3, 5, 8, 13, 40, 301):
+                a = [rng.randrange(p) for _ in range(la - 1)] + [1]
+                b = [rng.randrange(p) for _ in range(lb - 1)]
+                b.append(rng.randrange(1, p))
+                want = _mul_generic(fresh_poly(fq, a), fresh_poly(fq, b))
+                assert fresh_poly(fq, _fp_mul(a, b, p)) == want, (p, la, lb)
+    assert 1 < _KRONECKER_MIN < 10 * 301
+
+
+def test_prime_field_results_are_interned():
+    for p in PRIMES:
+        fq = Fq.get(p)
+        table = fq._elems
+        assert len(table) == p
+        assert fq.zero is table[0] and fq.one is table[1]
+        assert all(x is y for x, y in zip(fq.elements(), table))
+        for n in range(-2 * p, 2 * p):
+            assert fq.from_int(n) is table[n % p]
+        for a in (FqElem(fq, i) for i in range(p)):  # not interned inputs
+            assert fq.neg(a) is table[-a.i % p] and -a is fq.neg(a)
+            for b in (FqElem(fq, i) for i in range(p)):
+                assert fq.add(a, b) is table[(a.i + b.i) % p]
+                assert fq.sub(a, b) is table[(a.i - b.i) % p]
+                assert fq.mul(a, b) is table[a.i * b.i % p]
+                assert a - b is fq.sub(a, b) and a * b is fq.mul(a, b)
+            if a:
+                assert fq.inv(a) is table[pow(a.i, -1, p)]
+        c = fresh_poly(fq, [1, 2 % p, 1]) * fresh_poly(fq, [p - 1, 1])
+        assert all(x is table[x.i] for x in c.coeffs)
+
+
+def test_extension_field_arithmetic_unchanged():
+    # SHA-256 of every +, -, *, /, negation and fifth power over F_4 and
+    # F_9, by index, as computed before prime fields were interned
+    pinned = {
+        4: "fd22c9864d1c7e064f6dbb72a8d633c2e6c888e41adc89d638c355d4727bb4b4",
+        9: "a0d368ca388666792a3e27908142b2dec29c04f355afd7a3af20c41df8c03235",
+    }
+    for q, digest in pinned.items():
+        els = Fq.get(q).elements()
+        rows = []
+        for a in els:
+            rows.append((-a).i)
+            for b in els:
+                rows += [(a + b).i, (a - b).i, (a * b).i]
+                if b:
+                    rows.append((a / b).i)
+            rows.append((a ** 5).i)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, q

@@ -11,7 +11,7 @@ from carlitz.quotient import (
 )
 from carlitz.ratfun import base_field
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+PROPERTY = settings(max_examples=40)
 
 
 def leibniz_det(mat, zero):
