@@ -17,7 +17,7 @@ from .cw import (
     ht_derivative, lucas_binom,
 )
 from .cyclo import (
-    CycloElem, CycloField, cyclotomic_unit, field_norm, galois_act, upsilon,
+    CycloField, cyclotomic_unit, field_norm, galois_act, upsilon,
     valuation_at_p,
 )
 from .errors import (
@@ -26,8 +26,7 @@ from .errors import (
 )
 from .fq import Fq, FqElem
 from .groupring import (
-    CharSpec, CycInt, CycIntRing, GroupRing, GroupRingElem, character_table,
-    cyclotomic_poly,
+    CharSpec, GroupRing, GroupRingElem, character_table, cyclotomic_poly,
 )
 from .lfun import (
     OkadaReport, ThetaPoly, okada_report, power_sum, power_sum_enum,
@@ -47,11 +46,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BCValue", "CWReport", "CWRow", "CarlitzError", "CharSpec",
-    "CharacterError", "ColemanSeries", "CycInt", "CycIntRing", "CycloElem",
-    "CycloField", "DecompositionError", "FqElem", "Fq", "FracField",
-    "GroupRing", "GroupRingElem", "OkadaReport", "ParseError", "Poly",
-    "PolyRing", "PrecisionError", "QuotientRing", "RatFun", "ResidueRing",
-    "SkewPoly", "TailError", "ThetaPoly", "TruncSeries", "ZZ", "base_field",
+    "CharacterError", "ColemanSeries", "CycloField", "DecompositionError",
+    "FqElem", "Fq", "FracField", "GroupRing", "GroupRingElem", "OkadaReport",
+    "ParseError", "Poly", "PolyRing", "PrecisionError", "QuotientRing",
+    "RatFun", "ResidueRing", "SkewPoly", "TailError", "ThetaPoly",
+    "TruncSeries", "ZZ", "base_field",
     "bernoulli_carlitz", "bernoulli_carlitz_table", "bracket", "carlitz_exp",
     "carlitz_factorial", "carlitz_log", "carlitz_phi", "character_table",
     "coates_wiles", "coleman_norm", "cw_verify", "cyclotomic_poly",

@@ -21,11 +21,11 @@ the input's precision tag.
 from __future__ import annotations
 
 from .cmod import carlitz_phi, torsion_poly, _require_prime
-from .cyclo import CycloElem, CycloField
+from .cyclo import CycloField
 from .errors import DecompositionError, PrecisionError
 from .fq import Fq
 from .poly import Poly
-from .quotient import QuotientRing, quotient_norm
+from .quotient import QuotElem, QuotientRing, quotient_norm
 from .ratfun import FracField, RatFun, base_field
 from .series import TruncSeries
 
@@ -228,10 +228,7 @@ def _norm_poly(p: Poly, pi: Poly) -> Poly:
     if p.is_zero():
         return p
     xy = Poly.gen(qr, p.var) + Poly(qr, p.var, [qr.gen()])
-    acc = Poly(qr, p.var, [])
-    for c in reversed(p.coeffs):
-        acc = acc * xy + Poly(qr, p.var, [qr.coerce(c)])
-    product = quotient_norm(acc)
+    product = quotient_norm(p.map_coeffs(qr.coerce, ring=qr).compose(xy))
     return decompose_by_phi(product, pi)
 
 
@@ -329,7 +326,7 @@ def star_action(a: Poly, f: ColemanSeries) -> ColemanSeries:
     return ColemanSeries(ser.compose(inner), f.pi)
 
 
-def eval_at_omega(f: ColemanSeries, n: int) -> CycloElem:
+def eval_at_omega(f: ColemanSeries, n: int) -> QuotElem:
     """f(omega_n) in the level-n cyclotomic field.
 
     Exact input always evaluates (the denominator must stay invertible).  A
@@ -338,9 +335,9 @@ def eval_at_omega(f: ColemanSeries, n: int) -> CycloElem:
     if f.pi is None:
         raise ValueError("evaluation needs the prime attached to the series")
     field = CycloField.get(f.pi, n)
-    point = field.omega.q
+    point = field.omega
     if isinstance(f.value, RatFun):
-        return CycloElem(field, f.value.eval(point, field.quot))
+        return f.value.eval(point, field)
     ser = f.value
     if ser.prec is not None and ser.prec < field.degree:
         raise PrecisionError(
@@ -348,7 +345,7 @@ def eval_at_omega(f: ColemanSeries, n: int) -> CycloElem:
             f">= {field.degree}, have {ser.prec}",
             needed=field.degree,
         )
-    acc = field.quot.zero
+    acc = field.zero
     for k, c in ser.items():
-        acc = acc + field.quot.coerce(c) * point ** k
-    return CycloElem(field, acc)
+        acc = acc + field.coerce(c) * point ** k
+    return acc

@@ -1,27 +1,23 @@
-"""Integral group rings Z[(A/pi^n)^*], integer cyclotomic models, and
+"""Integral group rings Z[(A/pi^n)^*], cyclotomic polynomials over Z, and
 character specifications.
 
-Group-ring elements are coefficient maps keyed by canonical unit residues;
-multiplication is convolution through the residue ring.  Characters take
-values in Z[x]/(Phi_m) with Phi_m the classical m-th cyclotomic polynomial,
-so every comparison stays exact.
+Group-ring elements are coefficient maps keyed by canonical unit residues
+(``quotient.ResidueRing`` keys); multiplication is convolution through the
+residue ring.  Characters take values in Z[x]/(Phi_m), a
+``quotient.QuotientRing`` over Z with Phi_m the classical m-th cyclotomic
+polynomial, so every comparison stays exact.
 """
 
 from __future__ import annotations
 
-import operator
-
 from .errors import CharacterError
-from .fq import _power
 from .poly import Poly, ZZ
-from .quotient import ResidueRing
+from .quotient import QuotientRing, ResidueRing
 
 __all__ = [
     "GroupRing",
     "GroupRingElem",
     "cyclotomic_poly",
-    "CycIntRing",
-    "CycInt",
     "CharSpec",
     "character_table",
 ]
@@ -160,7 +156,7 @@ class GroupRingElem:
         return " + ".join(parts)
 
 
-# -- integer cyclotomics ---------------------------------------------------------
+# -- cyclotomic polynomials ------------------------------------------------------
 
 _CYC_POLY_CACHE: dict[int, Poly] = {1: Poly(ZZ, "x", [-1, 1])}
 
@@ -181,87 +177,6 @@ def cyclotomic_poly(m: int) -> Poly:
     return xm1
 
 
-class CycIntRing:
-    """Z[x]/(Phi_m): exact integral model of the m-th roots of unity."""
-
-    is_field = False
-
-    def __init__(self, m: int) -> None:
-        self.m = m
-        self.modulus = cyclotomic_poly(m)
-        self.zero = CycInt(self, Poly(ZZ, "x", []))
-        self.one = CycInt(self, Poly(ZZ, "x", [1]) % self.modulus)
-
-    def coerce(self, v) -> "CycInt":
-        if isinstance(v, CycInt):
-            if v.ring != self:
-                raise ValueError("element of a different cyclotomic ring")
-            return v
-        if isinstance(v, int):
-            return CycInt(self, Poly(ZZ, "x", [v]) % self.modulus)
-        if isinstance(v, Poly) and v.ring == ZZ:
-            return CycInt(self, v % self.modulus)
-        raise TypeError(f"cannot coerce {v!r}")
-
-    def root(self, e: int = 1) -> "CycInt":
-        """The class of x^e, a primitive m-th root of unity for e = 1."""
-        e %= self.m
-        return CycInt(self, Poly(ZZ, "x", [0] * e + [1]) % self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycIntRing) and other.m == self.m
-
-    def __hash__(self) -> int:
-        return hash(("CycIntRing", self.m))
-
-    def __repr__(self) -> str:
-        return f"Z[x]/(Phi_{self.m})"
-
-
-class CycInt:
-    __slots__ = ("ring", "rep")
-
-    def __init__(self, ring: CycIntRing, rep: Poly) -> None:
-        self.ring = ring
-        self.rep = rep
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.ring, self.rep + other.rep)
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.ring, self.rep - other.rep)
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.ring, -self.rep)
-
-    def __mul__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.ring, (self.rep * other.rep) % self.ring.modulus)
-
-    def __pow__(self, e: int) -> "CycInt":
-        if e < 0:
-            raise ValueError("negative powers are not integral")
-        return _power(self, e, self.ring.one, operator.mul)
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def as_int(self) -> int:
-        """The value when it is a plain integer (degree <= 0)."""
-        if self.rep.degree > 0:
-            raise ValueError(f"{self!r} is not an integer")
-        return self.rep.coeff(0)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CycInt) and other.ring == self.ring
-                and other.rep == self.rep)
-
-    def __hash__(self) -> int:
-        return hash(("CycInt", self.ring.m, self.rep))
-
-    def __repr__(self) -> str:
-        return str(self.rep)
-
-
 # -- characters ------------------------------------------------------------------
 
 class CharSpec:
@@ -275,8 +190,9 @@ class CharSpec:
         self.order = order
         self.gens = dict(gens)
 
-    def values(self) -> CycIntRing:
-        return CycIntRing(self.order)
+    def values(self) -> QuotientRing:
+        """Z[x]/(Phi_m) for m the order; x is a primitive m-th root of 1."""
+        return QuotientRing(cyclotomic_poly(self.order))
 
 
 def character_table(ring: GroupRing, spec: CharSpec) -> dict:

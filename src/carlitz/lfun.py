@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cmod import bernoulli_carlitz_table
 from .errors import CharacterError, PrecisionError, TailError
 from .fq import Fq
-from .groupring import CharSpec, CycIntRing, GroupRing, GroupRingElem, character_table
+from .groupring import CharSpec, GroupRing, GroupRingElem, character_table
 from .poly import Poly, is_irreducible, monic_enumerate, poly_to_str
 from .series import TruncSeries
 
@@ -285,7 +285,8 @@ class ThetaPoly:
     def eval_char(self, spec: CharSpec) -> Poly:
         """Apply a character coefficientwise; the result is a polynomial in u
         over Z[x]/(Phi_m) for m the character order."""
-        ring = CycIntRing(spec.order)
+        ring = spec.values()
+        zeta = ring.gen()
         table = character_table(self.ring, spec)
         out = []
         for c in self.coeffs:
@@ -295,7 +296,7 @@ class ThetaPoly:
                 if e is None:
                     raise CharacterError(
                         f"character generators do not reach [{key}]")
-                acc = acc + ring.root(e) * ring.coerce(coef)
+                acc = acc + zeta ** e * ring.coerce(coef)
             out.append(acc)
         return Poly(ring, "u", out)
 
@@ -339,6 +340,10 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
     B = level deg(pi) + sum deg(v) + 2 coefficients through degree udeg must
     come out zero; anything else raises TailError (the bound udeg is too
     small to certify termination, or the input does not terminate).
+
+    An empty t_aux raises ValueError: the raw coefficient of u^n is then the
+    positive count of stickelberger_coefficient on every class for all
+    n >= deg M, so no bound can certify termination.
     """
     fq = pi.ring
     if not (pi.is_monic() and is_irreducible(pi)):
@@ -347,6 +352,11 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
         raise ValueError("need level >= 1")
     s_finite = [pi] + [v for v in _distinct_places(s_extra, "S") if v != pi]
     t_list = _distinct_places(t_aux, "T")
+    if not t_list:
+        raise ValueError(
+            "T must contain an auxiliary place: without one the coefficient "
+            "of u^n is a positive count for every large n, so the series "
+            "never terminates")
     if any(v in s_finite for v in t_list):
         raise ValueError("S and T must be disjoint")
     s_finite.sort(key=lambda v: v.sort_key())

@@ -1,7 +1,22 @@
-"""Residue rings A/pi^n, quotient rings K[y]/(m), and multiplication-matrix
-norms.
+"""Residue-class rings R[y]/(m), residue keys of A/pi^n, and
+multiplication-matrix norms.
 
-The norm of an element u of K[y]/(m) is the determinant of multiplication by
+QuotientRing/QuotElem is the one residue-class type: polynomials over a
+coefficient parent R modulo a monic m.  Reducing by a monic modulus never
+inverts a coefficient, so R may be a field or not.  It serves
+
+* F_q(T): the Carlitz cyclotomic fields F[x]/(m_n) (``cyclo.CycloField``
+  is a subclass) and the torsion quotient F[y]/(phi_pi(y)) of the Coleman
+  norm;
+* Z: Z[x]/(Phi_m), where characters take their values
+  (``groupring.CharSpec.values``);
+* F_q: A/pi^n as a ring of elements, with inverses by the extended gcd;
+* A = F_q[T] (``PolyRing``): the same quotients over integral coefficients.
+
+ResidueRing is the key-level view of A/pi^n on raw polynomials: group rings
+hash those keys, and its level 0 is A/(1), whose modulus has degree 0.
+
+The norm of an element u of R[y]/(m) is the determinant of multiplication by
 u on the power basis 1, y, ..., y^(deg m - 1).  The same matrix construction
 applies when u has polynomial coefficients in a second variable, which is
 what the Coleman norm route needs.  One determinant serves every entry ring:
@@ -19,7 +34,6 @@ from .poly import Poly, is_irreducible
 
 __all__ = [
     "ResidueRing",
-    "ResidueElem",
     "QuotientRing",
     "QuotElem",
     "quotient_norm",
@@ -29,9 +43,8 @@ __all__ = [
 
 
 class ResidueRing:
-    """A/pi^n for a monic irreducible pi in F_q[T]."""
-
-    is_field = False
+    """A/pi^n for a monic irreducible pi in F_q[T], on canonical
+    representatives (reduced polynomials) used as keys."""
 
     def __init__(self, pi: Poly, n: int) -> None:
         # n = 0 is the trivial quotient A/(1): a single class, key 0
@@ -44,8 +57,6 @@ class ResidueRing:
         self.pi = pi
         self.n = n
         self.modulus = pi ** n
-        self.zero = ResidueElem(self, Poly(self.fq, self.var, []))
-        self.one = ResidueElem(self, Poly(self.fq, self.var, [self.fq.one]))
 
     def reduce(self, poly: Poly) -> Poly:
         return poly % self.modulus
@@ -59,17 +70,6 @@ class ResidueRing:
             return True
         return not (a % self.pi).is_zero()
 
-    def inv_key(self, a: Poly) -> Poly:
-        g, u, _ = a.egcd(self.modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError(f"{a!r} is not a unit mod pi^{self.n}")
-        return (u.mul_scalar(g.constant ** -1)) % self.modulus
-
-    def pow_key(self, a: Poly, e: int) -> Poly:
-        if e < 0:
-            return self.pow_key(self.inv_key(a), -e)
-        return _power(self.reduce(a), e, self.one.rep, self.mul_key)
-
     def residues(self) -> list[Poly]:
         from .poly import all_residues
         return all_residues(self.fq, self.n * self.pi.degree, self.var)
@@ -77,18 +77,6 @@ class ResidueRing:
     def unit_residues(self) -> list[Poly]:
         """Canonical representatives of (A/pi^n)^*, in enumeration order."""
         return [a for a in self.residues() if self.is_unit_key(a)]
-
-    def coerce(self, x) -> "ResidueElem":
-        if isinstance(x, ResidueElem):
-            if x.ring != self:
-                raise ValueError("element of a different residue ring")
-            return x
-        if isinstance(x, Poly):
-            return ResidueElem(self, self.reduce(x))
-        if isinstance(x, int):
-            return ResidueElem(
-                self, Poly(self.fq, self.var, [self.fq.from_int(x)]))
-        raise TypeError(f"cannot coerce {x!r}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ResidueRing) and other.pi == self.pi
@@ -101,41 +89,9 @@ class ResidueRing:
         return f"ResidueRing({self.pi!r}, {self.n})"
 
 
-class ResidueElem:
-    __slots__ = ("ring", "rep")
-
-    def __init__(self, ring: ResidueRing, rep: Poly) -> None:
-        self.ring = ring
-        self.rep = rep
-
-    def __add__(self, other: "ResidueElem") -> "ResidueElem":
-        return ResidueElem(self.ring, self.ring.reduce(self.rep + other.rep))
-
-    def __sub__(self, other: "ResidueElem") -> "ResidueElem":
-        return ResidueElem(self.ring, self.ring.reduce(self.rep - other.rep))
-
-    def __neg__(self) -> "ResidueElem":
-        return ResidueElem(self.ring, self.ring.reduce(-self.rep))
-
-    def __mul__(self, other: "ResidueElem") -> "ResidueElem":
-        return ResidueElem(self.ring, self.ring.mul_key(self.rep, other.rep))
-
-    def __pow__(self, e: int) -> "ResidueElem":
-        return ResidueElem(self.ring, self.ring.pow_key(self.rep, e))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ResidueElem) and other.ring == self.ring
-                and other.rep == self.rep)
-
-    def __hash__(self) -> int:
-        return hash((self.rep, self.ring.n))
-
-    def __repr__(self) -> str:
-        return f"[{self.rep!r}]"
-
-
 class QuotientRing:
-    """K[y]/(modulus) over a field parent K; not assumed to be a field."""
+    """R[y]/(modulus) for a monic modulus over any coefficient parent R;
+    not assumed to be a field."""
 
     is_field = False
 
@@ -180,19 +136,31 @@ class QuotElem:
         self.ring = ring
         self.rep = rep
 
+    def _check(self, other: "QuotElem") -> None:
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError(
+                f"mixed quotient rings: {self.ring!r} vs {other.ring!r}")
+
     def __add__(self, other: "QuotElem") -> "QuotElem":
+        self._check(other)
         return QuotElem(self.ring, self.rep + other.rep)
 
     def __sub__(self, other: "QuotElem") -> "QuotElem":
+        self._check(other)
         return QuotElem(self.ring, self.rep - other.rep)
 
     def __neg__(self) -> "QuotElem":
         return QuotElem(self.ring, -self.rep)
 
     def __mul__(self, other: "QuotElem") -> "QuotElem":
+        self._check(other)
         return QuotElem(self.ring, (self.rep * other.rep) % self.ring.modulus)
 
     def inv(self) -> "QuotElem":
+        """The inverse by the extended gcd; needs a field of coefficients."""
+        if not self.ring.K.is_field:
+            raise ValueError(
+                f"no inverse over the non-field {self.ring.K!r}")
         g, u, _ = self.rep.egcd(self.ring.modulus)
         if g.degree != 0:
             raise ZeroDivisionError(
@@ -212,7 +180,8 @@ class QuotElem:
         return self.rep.is_zero()
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, QuotElem) and other.ring == self.ring
+        return (isinstance(other, QuotElem)
+                and (other.ring is self.ring or other.ring == self.ring)
                 and other.rep == self.rep)
 
     def __hash__(self) -> int:

@@ -180,6 +180,10 @@ def test_usage_errors_exit_2():
         ["stickelberger", "--q", "4", "--pi", "T", "--level", "1", "--S",
          "inf", "--T", "T+1"],                                # not prime field
         ["minpoly", "--q", "2", "--pi", "T^2+1", "--n", "1"], # reducible pi
+        ["stickelberger", "--q", "2", "--pi", "T^2+T+1", "--level", "1",
+         "--S", "inf", "--udeg", "12"],                       # no --T place
+        ["stickelberger", "--q", "3", "--pi", "T", "--level", "2", "--S",
+         "inf", "--S", "T+1", "--udeg", "9"],                 # no --T place
     ]
     for argv in cases:
         rc, out, err = run(argv)
@@ -193,9 +197,6 @@ def test_internal_errors_exit_3():
                         "--udeg", "3"])
     assert rc == 3
     assert err.startswith("error: ") and err.count("\n") == 1
-    rc, out, err = run(["stickelberger", "--q", "2", "--pi", "T^2+T+1",
-                        "--level", "1", "--S", "inf", "--udeg", "12"])
-    assert rc == 3
 
 
 @pytest.mark.parametrize("q,pi", [("7", "T"), ("2", "T^3+T+1"), ("5", "T")])

@@ -81,6 +81,8 @@ INVOCATIONS = [
     ["stickelberger", "--q", "4", "--pi", "T", "--level", "1", "--S", "inf",
      "--T", "T+1"],
     ["minpoly", "--q", "2", "--pi", "T^2+1", "--n", "1"],
+    ["stickelberger", "--q", "2", "--pi", "T^2+T+1", "--level", "1", "--S",
+     "inf", "--udeg", "12"],
     # exit 3: the theta series fails its tail check at too small a --udeg
     ["stickelberger", "--q", "2", "--level", "1", "--udeg", "3"] + THETA,
 ]

@@ -4,8 +4,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz.cmod import carlitz_phi
+from carlitz.cyclo import CycloField
 from carlitz.fq import Fq, FqElem
-from carlitz.poly import Poly, poly_parse
+from carlitz.groupring import CharSpec
+from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
 from carlitz.quotient import (
     QuotientRing, ResidueRing, det, quotient_norm, solve_linear,
 )
@@ -64,11 +67,14 @@ def test_residue_ring_units_and_inverses():
     f2 = Fq.get(2)
     pi = poly_parse("T^2+T+1", f2)
     rr = ResidueRing(pi, 2)
+    qr = QuotientRing(rr.modulus)  # A/pi^2 as a ring of elements
     units = rr.unit_residues()
     assert len(units) == 12  # (q^d - 1) q^d = 3 * 4
     for u in units:
-        v = rr.inv_key(u)
-        assert rr.mul_key(u, v) == rr.reduce(Poly(f2, "T", [f2.one]))
+        x = qr.coerce(u)
+        assert x * x.inv() == qr.one
+    with pytest.raises(ZeroDivisionError):
+        qr.coerce(pi).inv()
 
 
 def test_residue_ring_level_zero_is_trivial():
@@ -185,3 +191,146 @@ def test_quotient_norm_is_multiplicative_in_degree_seven():
         a, b = element(), element()
         assert quotient_norm(a) * quotient_norm(b) == quotient_norm(a * b)
     assert quotient_norm(qr.coerce(t)) == t ** 7
+
+
+# -- QuotElem: one residue-class type over four coefficient parents ----------
+
+def _small_poly(draw, fq, max_len=3):
+    cs = draw(st.lists(st.integers(0, fq.q - 1), max_size=max_len))
+    return Poly(fq, "T", [fq.from_int(c) for c in cs])
+
+
+@st.composite
+def cyclo_elems(draw):
+    """F_q(T): elements of small Carlitz cyclotomic fields, with
+    denominators."""
+    q, pitxt, n = draw(st.sampled_from(
+        ((2, "T", 2), (3, "T", 1), (2, "T^2+T+1", 1), (3, "T+1", 2))))
+    fq = Fq.get(q)
+    field = CycloField.get(poly_parse(pitxt, fq), n)
+    F = field.F
+    dens = [poly_parse(d, fq) for d in ("1", "T", "T+1")]
+
+    def elem():
+        cs = [F.coerce(_small_poly(draw, fq)) / F.coerce(draw(st.sampled_from(dens)))
+              for _ in range(field.degree)]
+        return field.coerce(Poly(F, field.var, cs))
+    return field, [elem() for _ in range(3)]
+
+
+@st.composite
+def cyclotomic_int_elems(draw):
+    """Z: Z[x]/(Phi_m), the ring characters of order m take values in."""
+    ring = CharSpec(draw(st.sampled_from((1, 3, 4, 6))), {}).values()
+    coeffs = st.lists(st.integers(-4, 4), max_size=ring.degree + 2)
+    return ring, [ring.coerce(Poly(ZZ, "x", draw(coeffs))) for _ in range(3)]
+
+
+@st.composite
+def residue_elems(draw):
+    """F_q: A/pi^2 as a ring of elements."""
+    q, pitxt = draw(st.sampled_from(
+        ((2, "T"), (2, "T^2+T+1"), (3, "T+1"), (5, "T+2"))))
+    fq = Fq.get(q)
+    ring = QuotientRing(poly_parse(pitxt, fq) ** 2)
+    return ring, [ring.coerce(_small_poly(draw, fq, ring.degree + 2))
+                  for _ in range(3)]
+
+
+@st.composite
+def integral_elems(draw):
+    """A = F_q[T]: phi_T(y) = y^q + T y, monic with coefficients in A."""
+    fq = Fq.get(draw(st.sampled_from((2, 3))))
+    A = PolyRing(fq, "T")
+    ring = QuotientRing(carlitz_phi(poly_parse("T", fq)).as_additive(var="y"))
+    assert ring.K == A
+
+    def elem():
+        return ring.coerce(Poly(A, "y", [_small_poly(draw, fq)
+                                        for _ in range(ring.degree + 1)]))
+    return ring, [elem() for _ in range(3)]
+
+
+PARENTS = [cyclo_elems, cyclotomic_int_elems, residue_elems, integral_elems]
+
+
+@pytest.mark.parametrize("parent", PARENTS, ids=lambda f: f.__name__)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_quotient_ring_laws(parent, data):
+    ring, (a, b, c) = data.draw(parent())
+    zero, one = ring.zero, ring.one
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a + (-a) == zero and a - b == a + (-b)
+    assert a ** 3 == a * a * a and a ** 0 == one
+    for r in (a, b, a + b, a - b, -a, a * b, a * b * c, a ** 3, ring.gen()):
+        assert r.ring == ring and r.rep.degree < ring.degree
+
+
+@pytest.mark.parametrize("parent", [cyclo_elems, residue_elems],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_quotient_inverses_over_fields(parent, data):
+    ring, (x, y, _) = data.draw(parent())
+    # a unit of F(omega_n) is any nonzero element; of A/pi^2, any residue
+    # prime to pi: either way, one that shares no factor with the modulus
+    if x.rep.gcd(ring.modulus).degree == 0:
+        xinv = x.inv()
+        assert x * xinv == ring.one
+        assert (y * x) * xinv == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+
+
+def test_mixed_quotient_rings_raise():
+    f2 = Fq.get(2)
+    a = CycloField.get(poly_parse("T", f2), 1)
+    b = CycloField.get(poly_parse("T+1", f2), 1)
+    z3, z4 = CharSpec(3, {}).values(), CharSpec(4, {}).values()
+    for x, y in ((a.omega, b.omega), (z3.gen(), z4.gen())):
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v):
+            with pytest.raises(ValueError):
+                op(x, y)
+        assert x != y
+    with pytest.raises(ValueError):
+        a.coerce(b.omega)
+    # equal moduli are one ring, even as separate instances
+    assert CharSpec(3, {}).values().gen() * z3.gen() == z3.gen() ** 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_quotient_norm_over_A_matches_fraction_field(q):
+    """The Coleman-norm matrices over A = F_q[T] give the same determinant
+    as over F = F_q(T): the torsion quotient A[y]/(phi_T(y)), then coerced
+    into F, against F[y]/(phi_T(y))."""
+    rng = random.Random(70 + q)
+    fq = Fq.get(q)
+    F = base_field(fq)
+    phi = carlitz_phi(poly_parse("T", fq)).as_additive(var="y")
+    qa = QuotientRing(phi)
+    qf = QuotientRing(phi.map_coeffs(F.coerce, ring=F))
+
+    def to_f(u):
+        return qf.coerce(u.rep.map_coeffs(F.coerce, ring=F))
+
+    def small():
+        return Poly(fq, "T", [fq.from_int(rng.randrange(q)) for _ in range(3)])
+
+    for _ in range(3):
+        u = qa.coerce(Poly(qa.K, "y", [small() for _ in range(qa.degree)]))
+        assert F.coerce(quotient_norm(u)) == quotient_norm(to_f(u))
+        # p(x + y) with p in A[x]: the matrix _norm_poly builds
+        p = Poly(fq, "x", [fq.from_int(rng.randrange(q)) for _ in range(3)]
+                 + [fq.one])
+        xy_a = Poly.gen(qa, "x") + Poly(qa, "x", [qa.gen()])
+        xy_f = Poly.gen(qf, "x") + Poly(qf, "x", [qf.gen()])
+        na = quotient_norm(p.map_coeffs(qa.coerce, ring=qa).compose(xy_a))
+        nf = quotient_norm(p.map_coeffs(qf.coerce, ring=qf).compose(xy_f))
+        assert na.map_coeffs(F.coerce, ring=F) == nf
