@@ -7,10 +7,15 @@ pi, the norm N f is pinned down by
 
 the product running over all pi-torsion points of the Carlitz module.  The
 product is computed without ever adjoining a torsion point: phi_pi(y) is
-separable, so the multiplication-by-f(x+y) norm in F[y]/(phi_pi(y)) equals
+separable, so the multiplication-by-f(x+y) norm in R[y]/(phi_pi(y)) equals
 the product over the roots.  The result is then rewritten as a polynomial in
 phi_pi(x) (always possible, because the product is invariant under the
-translations x |-> x + u).
+translations x |-> x + u), peeling coefficients from the top.
+
+All of this runs over A = F_q[T]: a polynomial in x over F is first scaled
+by the lcm d of its coefficient denominators, phi_pi is monic with A
+coefficients, so the norm matrix, its determinant and the decomposition
+need no division, and F is touched once at the end, dividing by d^(q^deg pi).
 
 Exact inputs are ratios of polynomials in x and stay exact.  Truncated
 inputs are handled on their stored representative: the leading x-power is
@@ -20,7 +25,7 @@ the input's precision tag.
 
 from __future__ import annotations
 
-from .cmod import carlitz_phi, torsion_poly, _require_prime
+from .cmod import carlitz_phi, _require_prime
 from .cyclo import CycloField
 from .errors import DecompositionError, PrecisionError
 from .fq import Fq
@@ -53,9 +58,7 @@ def x_field(fq: Fq) -> FracField:
 
 def phi_poly(a: Poly, var: str = "x") -> Poly:
     """phi_a(x) as a plain polynomial in x with coefficients in F."""
-    F = base_field(a.ring)
-    add = carlitz_phi(a).as_additive()
-    return Poly(F, var, [F.coerce(c) for c in add.coeffs])
+    return carlitz_phi(a).as_additive(base_field(a.ring), var)
 
 
 class ColemanSeries:
@@ -223,62 +226,81 @@ def coleman_norm(f: ColemanSeries) -> ColemanSeries:
 
 
 def _norm_poly(p: Poly, pi: Poly) -> Poly:
-    """prod over torsion points of p(x+u), pushed back through phi_pi."""
-    qr = _torsion_quotient(pi)
+    """prod over torsion points of p(x+u), pushed back through phi_pi.
+
+    p has coefficients in F; with d the monic lcm of their denominators,
+    P = d p lies in A[x], and N(p) = N(P)/d^n with n = q^deg pi.  N(P) and
+    its decomposition are computed over A; the decomposition is linear, so
+    dividing its coefficients by d^n in F is the only fraction work."""
     if p.is_zero():
         return p
+    F = p.ring
+    qr = _torsion_quotient(pi)
+    A = qr.K
+    d = A.one
+    for c in p.coeffs:
+        if not c.den.is_one():
+            d = d * c.den.exact_div(d.gcd(c.den))
+    P = Poly(qr, p.var, [qr.coerce(c.num * d.exact_div(c.den))
+                         for c in p.coeffs])
     xy = Poly.gen(qr, p.var) + Poly(qr, p.var, [qr.gen()])
-    product = quotient_norm(p.map_coeffs(qr.coerce, ring=qr).compose(xy))
-    return decompose_by_phi(product, pi)
+    h = decompose_by_phi(quotient_norm(P.compose(xy)), pi)
+    if d.is_one():
+        return h.map_coeffs(F.coerce, ring=F)
+    dn = d ** qr.degree
+    return h.map_coeffs(lambda c: RatFun.make(F, c, dn), ring=F)
 
 
 _TORSION_QR_CACHE: dict[tuple[int, tuple], QuotientRing] = {}
 
 
 def _torsion_quotient(pi: Poly) -> QuotientRing:
-    """F[y]/(phi_pi(y)); not a field (y is a factor), but the norm never
-    divides by y."""
+    """A[y]/(phi_pi(y)) over A = F_q[T]: phi_pi is monic in y, so reducing by
+    it needs no inverse.  Not a domain (y is a factor), but the norm never
+    divides."""
     key = (pi.ring.q, pi.coeffs)
     qr = _TORSION_QR_CACHE.get(key)
     if qr is None:
-        qr = QuotientRing(phi_poly(pi, var="y"))
+        qr = QuotientRing(carlitz_phi(pi).as_additive(var="y"))
         _TORSION_QR_CACHE[key] = qr
     return qr
 
 
 def decompose_by_phi(g, pi: Poly):
-    """The unique h with h(phi_pi(x)) = g(x), solved degree by degree.
+    """The unique h with h(phi_pi(x)) = g(x), peeled from the top.
 
-    The lowest term of phi_pi(x)^k is pi^k x^k, so coefficient k of the
-    residual determines h_k.  A nonzero residual after all stages means g is
-    not a polynomial in phi_pi(x) and raises DecompositionError."""
+    phi_pi(x) is monic of degree Q = q^deg pi, so h_k is the residual's
+    coefficient at x^(kQ), for k from deg g / Q down to 0; no division, so g
+    may have coefficients in A = F_q[T] or in F.  A nonzero residual after
+    all stages means g is not a polynomial in phi_pi(x) and raises
+    DecompositionError."""
     if isinstance(g, TruncSeries):
         return _decompose_series(g, pi)
     if not isinstance(g, Poly):
         raise TypeError(f"cannot decompose {g!r}")
     if g.is_zero():
         return g
-    F = g.ring
-    phi = phi_poly(pi, var=g.var)
+    R = g.ring
+    phi = carlitz_phi(pi).as_additive(R, var=g.var)
     qd = phi.degree
     if g.degree % qd:
         raise DecompositionError(
             f"degree {g.degree} is not a multiple of {qd}")
-    pi_inv = F.coerce(pi).inv()
-    out = []
+    top = g.degree // qd
+    phi_pows = [Poly(R, g.var, [R.one])]
+    for _ in range(top):
+        phi_pows.append(phi_pows[-1] * phi)
+    out = [R.zero] * (top + 1)
     r = g
-    phi_pow = Poly(F, g.var, [F.one])
-    for k in range(g.degree // qd + 1):
-        if k:
-            phi_pow = phi_pow * phi
-        hk = r.coeff(k) * pi_inv ** k
-        out.append(hk)
-        if hk != F.zero:
-            r = r - phi_pow.mul_scalar(hk)
+    for k in range(top, -1, -1):
+        hk = r.coeff(k * qd)
+        if hk != R.zero:
+            out[k] = hk
+            r = r - phi_pows[k].mul_scalar(hk)
     if not r.is_zero():
         raise DecompositionError(
             f"residual {r!r} is not a polynomial in phi_pi(x)")
-    return Poly(F, g.var, out)
+    return Poly(R, g.var, out)
 
 
 def _decompose_series(g: TruncSeries, pi: Poly) -> TruncSeries:

@@ -19,9 +19,13 @@ lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
 the integer product, multiplied once and unpacked mod p (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC 2009).
-Every other coefficient parent, F_{p^m} included, runs the generic loops
-(``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``, ``_egcd_generic``),
-which the tests also use as the oracle for the kernel.
+Over A = F_p[T] (a ``PolyRing`` on such a field) ``*`` packs too: T = z^D,
+with D the longest T-length in one factor plus the longest in the other
+minus 1, turns a product in A[x] into one F_p[z] product whose blocks of D
+digits are the A-coefficients (``_mul_packed``).
+Every other coefficient parent, F_{p^m} and F_{p^m}[T] included, runs the
+generic loops (``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``,
+``_egcd_generic``), which the tests also use as the oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -124,7 +128,8 @@ class Poly:
         return self.coeff(0)
 
     def _check(self, other: "Poly") -> None:
-        if self.var != other.var or self.ring != other.ring:
+        if self.var != other.var or (other.ring is not self.ring
+                                     and other.ring != self.ring):
             raise ValueError(
                 f"mixed polynomial arithmetic: {self.var}/{self.ring!r} vs "
                 f"{other.var}/{other.ring!r}"
@@ -150,9 +155,12 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if not _interned(self.ring):
-            return _mul_generic(self, other)
-        return _fp_poly(self, _fp_mul(_ints(self), _ints(other), self.ring.p))
+        ring = self.ring
+        if _interned(ring):
+            return _fp_poly(self, _fp_mul(_ints(self), _ints(other), ring.p))
+        if type(ring) is PolyRing and _interned(ring.cring):
+            return _mul_packed(self, other)
+        return _mul_generic(self, other)
 
     def mul_scalar(self, c) -> "Poly":
         c = self.ring.coerce(c)
@@ -273,7 +281,8 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.var == other.var and self.ring == other.ring
+        return (self.var == other.var and (other.ring is self.ring
+                                           or other.ring == self.ring)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
@@ -462,6 +471,32 @@ def _fp_egcd(a: list[int], b: list[int],
         return r0, u0, v0
     lc = pow(r0[-1], -1, p)
     return _fp_scale(r0, lc, p), _fp_scale(u0, lc, p), _fp_scale(v0, lc, p)
+
+
+def _mul_packed(a: Poly, b: Poly) -> Poly:
+    """Product in F_p[T][x] through one F_p[z] product: T = z^D with D the
+    longest T-length in a plus the longest in b minus 1, so each coefficient
+    of the product (T-degree below D) fills its own block of D digits."""
+    if not a.coeffs or not b.coeffs:
+        return Poly(a.ring, a.var, [])
+    cring, tvar = a.ring.cring, a.ring.var
+    ia = [_ints(c) for c in a.coeffs]
+    ib = [_ints(c) for c in b.coeffs]
+    D = max(map(len, ia)) + max(map(len, ib)) - 1
+    prod = _fp_mul(_pack(ia, D), _pack(ib, D), cring.p)
+    elems = cring._elems
+    return Poly(a.ring, a.var, [
+        Poly(cring, tvar, [elems[c] for c in _fp_strip(prod[k:k + D])])
+        for k in range(0, len(prod), D)])
+
+
+def _pack(rows: list[list[int]], D: int) -> list[int]:
+    """The indices of sum r_i(z) z^(i D), stripped."""
+    out: list[int] = []
+    for r in rows:
+        out += r
+        out += [0] * (D - len(r))
+    return _fp_strip(out)
 
 
 class PolyRing:

@@ -6,12 +6,12 @@ coefficient parent R modulo a monic m.  Reducing by a monic modulus never
 inverts a coefficient, so R may be a field or not.  It serves
 
 * F_q(T): the Carlitz cyclotomic fields F[x]/(m_n) (``cyclo.CycloField``
-  is a subclass) and the torsion quotient F[y]/(phi_pi(y)) of the Coleman
-  norm;
+  is a subclass);
 * Z: Z[x]/(Phi_m), where characters take their values
   (``groupring.CharSpec.values``);
 * F_q: A/pi^n as a ring of elements, with inverses by the extended gcd;
-* A = F_q[T] (``PolyRing``): the same quotients over integral coefficients.
+* A = F_q[T] (``PolyRing``): the torsion quotient A[y]/(phi_pi(y)) of the
+  Coleman norm, whose products run on the packed A[x] kernel of ``poly``.
 
 ResidueRing is the key-level view of A/pi^n on raw polynomials: group rings
 hash those keys, and its level 0 is A/(1), whose modulus has degree 0.
@@ -20,8 +20,8 @@ The norm of an element u of R[y]/(m) is the determinant of multiplication by
 u on the power basis 1, y, ..., y^(deg m - 1).  The same matrix construction
 applies when u has polynomial coefficients in a second variable, which is
 what the Coleman norm route needs.  One determinant serves every entry ring:
-Berkowitz's recurrence never divides, so entries in F_q(T) and entries in
-F_q(T)[x] take the same path.
+Berkowitz's recurrence never divides, so entries in a field, in A or in A[x]
+take the same path.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 
 from .cmod import (
-    bernoulli_carlitz_table, carlitz_exp, carlitz_log, carlitz_phi,
-    omega_minpoly,
+    _require_prime, bernoulli_carlitz_table, carlitz_exp, carlitz_log,
+    carlitz_phi, omega_minpoly,
 )
 from .coleman import (
     ColemanSeries, coleman_norm, cyclotomic_unit_series, eval_at_omega,
@@ -149,10 +149,14 @@ def suite_cyclo() -> list[Row]:
 
 def suite_coleman(fq: Fq | None = None, pis: list[Poly] | None = None,
                   trials: int = 10) -> list[Row]:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows: list[Row] = []
     fq = fq if fq is not None else Fq.get(2)
     if pis is None:
         pis = [_first_irreducible(fq, 1), _first_irreducible(fq, 2)]
+    for pi in pis:
+        _require_prime(pi)
     texts = ["T", "T+1", "T^2", "T^2+T+1"]
     cand = [poly_parse(t, fq) for t in texts]
 

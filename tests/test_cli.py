@@ -184,6 +184,10 @@ def test_usage_errors_exit_2():
          "--S", "inf", "--udeg", "12"],                       # no --T place
         ["stickelberger", "--q", "3", "--pi", "T", "--level", "2", "--S",
          "inf", "--S", "T+1", "--udeg", "9"],                 # no --T place
+        ["colemancheck", "--q", "2", "--pi", "0"],            # zero pi
+        ["colemancheck", "--q", "2", "--pi", "2*T"],          # 2*T = 0 in F_2
+        ["colemancheck", "--q", "2", "--trials", "-1"],       # negative trials
+        ["colemancheck", "--q", "2", "--trials", "0"],        # vacuous check
     ]
     for argv in cases:
         rc, out, err = run(argv)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from carlitz.cmod import carlitz_phi
 from carlitz.coleman import (
     ColemanSeries, coleman_norm, cyclotomic_unit_series, decompose_by_phi,
     eval_at_omega, phi_poly, star_action, x_field,
@@ -9,7 +10,8 @@ from carlitz.coleman import (
 from carlitz.cyclo import CycloField, cyclotomic_unit, galois_act
 from carlitz.errors import DecompositionError, PrecisionError
 from carlitz.fq import Fq
-from carlitz.poly import Poly, poly_parse
+from carlitz.poly import Poly, PolyRing, poly_parse
+from carlitz.quotient import QuotientRing, quotient_norm
 from carlitz.series import TruncSeries
 
 
@@ -21,6 +23,90 @@ def rand_xpoly(rng, fq, deg, nonzero_const=False):
     if coeffs[deg].is_zero():
         coeffs[deg] = Fb.one
     return Poly(Fb, "x", coeffs)
+
+
+def decompose_bottom_up(g, pi):
+    """The oracle for decompose_by_phi over F: the lowest term of
+    phi_pi(x)^k is pi^k x^k, so coefficient k of the residual, times
+    pi^(-k), is h_k."""
+    if g.is_zero():
+        return g
+    F = g.ring
+    phi = phi_poly(pi, var=g.var)
+    qd = phi.degree
+    if g.degree % qd:
+        raise DecompositionError(f"degree {g.degree} is not a multiple of {qd}")
+    pi_inv = F.coerce(pi).inv()
+    out = []
+    r = g
+    phi_pow = Poly(F, g.var, [F.one])
+    for k in range(g.degree // qd + 1):
+        if k:
+            phi_pow = phi_pow * phi
+        hk = r.coeff(k) * pi_inv ** k
+        out.append(hk)
+        if hk != F.zero:
+            r = r - phi_pow.mul_scalar(hk)
+    if not r.is_zero():
+        raise DecompositionError("residual is not a polynomial in phi_pi(x)")
+    return Poly(F, g.var, out)
+
+
+def norm_over_fraction_field(p, pi):
+    """The F_q(T) route for N(p): quotient_norm in F[y]/(phi_pi(y)), then
+    the bottom-up decomposition."""
+    if p.is_zero():
+        return p
+    qr = QuotientRing(phi_poly(pi, var="y"))
+    xy = Poly.gen(qr, p.var) + Poly(qr, p.var, [qr.gen()])
+    return decompose_bottom_up(
+        quotient_norm(p.map_coeffs(qr.coerce, ring=qr).compose(xy)), pi)
+
+
+def rand_frac_xpoly(rng, fq, deg):
+    """x-polynomial over F whose coefficients often have T-denominators."""
+    F = x_field(fq).cring
+    dens = [F.one, F.coerce(poly_parse("T", fq)),
+            F.coerce(poly_parse("T+1", fq)),
+            F.coerce(poly_parse("T^2+T+1", fq))]
+    coeffs = [F.coerce(Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                                      for _ in range(2)]))
+              / rng.choice(dens) for _ in range(deg)]
+    coeffs.append(F.one / rng.choice(dens))
+    return Poly(F, "x", coeffs)
+
+
+ORACLE_CASES = [(q, pi) for q in (2, 3, 4, 5) for pi in ("T", "T+1")] + [
+    (2, "T^2+T+1")]
+
+
+@pytest.mark.parametrize("q,pi_text", ORACLE_CASES)
+def test_integral_norm_matches_fraction_field_route(q, pi_text):
+    # coleman_norm runs over A = F_q[T] after clearing denominators; the
+    # oracle norms in F[y]/(phi_pi(y)) and decomposes bottom-up
+    rng = random.Random(100 * q + len(pi_text))
+    fq = Fq.get(q)
+    pi = poly_parse(pi_text, fq)
+    xf = x_field(fq)
+    F = xf.cring
+    T = F.coerce(poly_parse("T", fq))
+    x = Poly.gen(F, "x")
+    fixed = [x + Poly(F, "x", [F.one / T]),
+             (x ** 2).mul_scalar(F.one / F.coerce(poly_parse("T+1", fq)))
+             + Poly(F, "x", [F.one])]
+    for p in fixed + [rand_frac_xpoly(rng, fq, rng.randrange(1, 3))
+                      for _ in range(3)]:
+        want = norm_over_fraction_field(p, pi)
+        # exact input: num and den are normed separately
+        den = Poly(F, "x", [F.one, F.one])
+        got = coleman_norm(ColemanSeries(xf.from_pair(p, den), pi)).value
+        assert got == xf.from_pair(want, norm_over_fraction_field(den, pi))
+        # truncated input: the stored representative is normed exactly
+        if p.constant == F.zero:
+            continue
+        trunc = ColemanSeries(TruncSeries(F, "x", 0, p.coeffs, 6), pi)
+        assert coleman_norm(trunc).value == TruncSeries(F, "x", 0,
+                                                        want.coeffs, 6)
 
 
 def test_norm_against_literal_torsion_product():
@@ -41,6 +127,13 @@ def test_norm_against_literal_torsion_product():
         lhs = xf.from_pair(nf.num.compose(phi), nf.den.compose(phi))
         rhs = xf.from_pair(num * num.compose(shift), den * den.compose(shift))
         assert lhs == rhs
+    # a coefficient with a T-denominator: N(x + 1/T)(phi_T(x)) is
+    # (x + 1/T)(x + T + 1/T)
+    inv_t = xf.cring.coerce(pi).inv()
+    num = Poly.gen(xf.cring, "x") + Poly(xf.cring, "x", [inv_t])
+    nf = coleman_norm(ColemanSeries(xf.coerce(num), pi)).value
+    assert nf.den.is_one()
+    assert nf.num.compose(phi) == num * num.compose(shift)
 
 
 def test_norm_fixes_phi_a_for_a_prime_to_pi():
@@ -101,7 +194,19 @@ def test_decompose_by_phi_roundtrip():
     phi = phi_poly(pi)
     for _ in range(8):
         h = rand_xpoly(rng, f3, rng.randrange(4))
-        assert decompose_by_phi(h.compose(phi), pi) == h
+        g = h.compose(phi)
+        assert decompose_by_phi(g, pi) == h == decompose_bottom_up(g, pi)
+    # over A = F_q[T]: peeling from the top never divides
+    for q, pi_text in ((2, "T^2+T+1"), (3, "T+1"), (5, "T")):
+        fq = Fq.get(q)
+        pi = poly_parse(pi_text, fq)
+        A = PolyRing(fq, "T")
+        phi_a = carlitz_phi(pi).as_additive(A)
+        for _ in range(4):
+            h = Poly(A, "x", [Poly(fq, "T", [fq.from_index(rng.randrange(q))
+                                             for _ in range(3)])
+                              for _ in range(rng.randrange(1, 4))])
+            assert decompose_by_phi(h.compose(phi_a), pi) == h
 
 
 def test_decompose_by_phi_failures():

@@ -63,6 +63,8 @@ INVOCATIONS = [
     ["colemancheck", "--q", "2"],
     ["colemancheck", "--q", "7", "--pi", "T", "--trials", "2"],
     ["colemancheck", "--q", "4", "--pi", "T", "--trials", "2"],
+    ["colemancheck", "--q", "2", "--pi", "T^3+T+1", "--trials", "2"],
+    ["colemancheck", "--q", "3", "--pi", "T^2+1", "--trials", "2"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "1", "--kmax", "8"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "T+1", "--kmax", "12"],
     ["cwverify", "--q", "3", "--a", "T", "--b", "T+1", "--kmax", "8"],
@@ -83,6 +85,8 @@ INVOCATIONS = [
     ["minpoly", "--q", "2", "--pi", "T^2+1", "--n", "1"],
     ["stickelberger", "--q", "2", "--pi", "T^2+T+1", "--level", "1", "--S",
      "inf", "--udeg", "12"],
+    ["colemancheck", "--q", "2", "--pi", "0"],
+    ["colemancheck", "--q", "2", "--trials", "-1"],
     # exit 3: the theta series fails its tail check at too small a --udeg
     ["stickelberger", "--q", "2", "--level", "1", "--udeg", "3"] + THETA,
 ]

@@ -1,8 +1,9 @@
 """The F_p polynomial kernel against the generic loops it replaces.
 
 Over an interned prime field ``Poly`` runs ``*``, ``divmod``, ``gcd`` and
-``egcd`` on coefficient-index lists; the generic helpers, which F_{p^m}
-still runs, are the oracle.
+``egcd`` on coefficient-index lists, and over A = F_p[T] it multiplies
+A[x] polynomials by one packed F_p product; the generic helpers, which
+F_{p^m} still runs, are the oracle.
 """
 
 import hashlib
@@ -11,9 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import poly as poly_mod
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
-    _KRONECKER_MIN, Poly, _divmod_generic, _egcd_generic, _fp_mul,
+    _KRONECKER_MIN, Poly, PolyRing, _divmod_generic, _egcd_generic, _fp_mul,
     _gcd_generic, _interned, _mul_generic,
 )
 
@@ -91,6 +93,67 @@ def test_gcd_and_egcd_match_generic(case):
     assert a.egcd(b) == _egcd_generic(a, b)
     g2, u, v = a.egcd(b)
     assert g2 == g and u * a + v * b == g
+
+
+@st.composite
+def ax_polys(draw, fields=PRIMES):
+    """(A, a, b): two polynomials in x over A = F_q[T], each zero, constant
+    or of x-length up to 40, with coefficients of T-degree up to 30 and zero
+    coefficients at either end and in the middle."""
+    fq = Fq.get(draw(st.sampled_from(fields)))
+    A = PolyRing(fq, "T")
+    out = []
+    for _ in range(2):
+        xlen = draw(st.one_of(st.integers(0, 1), st.integers(2, 40)))
+        tdeg = draw(st.integers(0, 30))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        coeffs = []
+        for i in range(xlen):
+            if xlen > 2 and rng.random() < 0.25 and i < xlen - 1:
+                coeffs.append(A.zero)  # zero T-coefficient, low end or middle
+                continue
+            d = rng.randrange(-1 if i < xlen - 1 else 0, tdeg + 1)
+            ts = [rng.randrange(fq.q) for _ in range(d + 1)]
+            if ts:
+                ts[-1] = rng.randrange(1, fq.q)
+            coeffs.append(Poly(fq, "T", [fq.from_index(t) for t in ts]))
+        out.append(Poly(A, "x", coeffs))
+    return A, out[0], out[1]
+
+
+@KERNEL
+@given(ax_polys())
+def test_packed_ax_mul_matches_generic(case):
+    _, a, b = case
+    assert a * b == _mul_generic(a, b)
+    assert b * a == _mul_generic(b, a)
+
+
+def test_ax_mul_path_is_chosen_by_the_coefficient_field(monkeypatch):
+    calls = []
+    packed = poly_mod._mul_packed
+
+    def spy(a, b):
+        calls.append(a.ring)
+        return packed(a, b)
+
+    monkeypatch.setattr(poly_mod, "_mul_packed", spy)
+    rng = random.Random(11)
+    for q in (2, 3, 4, 5, 7, 9):
+        fq = Fq.get(q)
+        A = PolyRing(fq, "T")
+
+        def rand_ax():
+            return Poly(A, "x", [
+                Poly(fq, "T", [fq.from_index(rng.randrange(q))
+                               for _ in range(rng.randrange(6))] + [fq.one])
+                for _ in range(rng.randrange(1, 8))])
+
+        for _ in range(5):
+            a, b = rand_ax(), rand_ax()
+            calls.clear()
+            assert a * b == _mul_generic(a, b)
+            assert calls == ([A] if _interned(fq) else []), q
 
 
 def test_mul_both_sides_of_the_kronecker_cutoff():
