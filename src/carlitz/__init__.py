@@ -21,8 +21,8 @@ from .cyclo import (
     valuation_at_p,
 )
 from .errors import (
-    CarlitzError, CharacterError, DecompositionError, ParseError,
-    PrecisionError, TailError,
+    CarlitzError, CharacterError, DecompositionError, InvariantError,
+    ParseError, PrecisionError, TailError,
 )
 from .fq import Fq, FqElem
 from .groupring import (
@@ -47,7 +47,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BCValue", "CWReport", "CWRow", "CarlitzError", "CharSpec",
     "CharacterError", "ColemanSeries", "CycloField", "DecompositionError",
-    "FqElem", "Fq", "FracField", "GroupRing", "GroupRingElem", "OkadaReport",
+    "FqElem", "Fq", "FracField", "GroupRing", "GroupRingElem",
+    "InvariantError", "OkadaReport",
     "ParseError", "Poly", "PolyRing", "PrecisionError", "QuotientRing",
     "RatFun", "ResidueRing", "SkewPoly", "TailError", "ThetaPoly",
     "TruncSeries", "ZZ", "base_field",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .fq import Fq
 from .poly import Poly, PolyRing, is_irreducible
 from .ratfun import RatFun, base_field
@@ -164,14 +165,14 @@ def omega_minpoly(pi: Poly, n: int) -> Poly:
     else:
         m = tn.exact_div(torsion_poly(pi, n - 1))
     if not m.is_monic():
-        raise AssertionError("torsion quotient failed to be monic")
+        raise InvariantError("torsion quotient failed to be monic")
     const = m.constant
     if const != pi:
-        raise AssertionError(f"constant term {const!r} != {pi!r}")
+        raise InvariantError(f"constant term {const!r} != {pi!r}")
     for i in range(m.degree):
         c = m.coeff(i)
         if not c.is_zero() and (c % pi).degree >= 0 and not (c % pi).is_zero():
-            raise AssertionError(f"coefficient {i} not divisible by {pi!r}")
+            raise InvariantError(f"coefficient {i} not divisible by {pi!r}")
     return m
 
 
@@ -240,10 +241,10 @@ def carlitz_exp(fq: Fq, prec: int) -> TruncSeries:
     e = _qpower_series(fq, prec, d_sequence, alternate=False)
     t = e.ring.gen()
     if not (e.mul_scalar(t) + e ** fq.q).agrees_with(e.scale_argument(t)):
-        raise AssertionError("e(z) fails phi_T(e(z)) = e(Tz) within precision")
+        raise InvariantError("e(z) fails phi_T(e(z)) = e(Tz) within precision")
     # the equation fixes e only up to a scalar in F_q^*
     if e.coefficient(1) != e.ring.one:
-        raise AssertionError("e(z) is not z + O(z^2)")
+        raise InvariantError("e(z) is not z + O(z^2)")
     _EXP_CACHE[fq.q] = e
     return e
 
@@ -256,7 +257,7 @@ def carlitz_log(fq: Fq, prec: int) -> TruncSeries:
     lam = _qpower_series(fq, prec, l_sequence, alternate=True)
     z = TruncSeries.monomial(lam.ring, "z", lam.ring.one, 1)
     if not carlitz_exp(fq, prec).compose(lam).agrees_with(z):
-        raise AssertionError("e(log z) != z within precision")
+        raise InvariantError("e(log z) != z within precision")
     return lam
 
 
@@ -313,5 +314,5 @@ def _bc_value(n: int, recip: TruncSeries, fq: Fq) -> BCValue:
     fact = carlitz_factorial(n, fq)
     value = recip.coefficient(n - 1) * recip.ring.coerce(fact)
     if n % (fq.q - 1) != 0 and not value.is_zero():
-        raise AssertionError(f"BC_{n} should vanish for q={fq.q}")
+        raise InvariantError(f"BC_{n} should vanish for q={fq.q}")
     return BCValue(n, value, fact)

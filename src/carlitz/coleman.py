@@ -6,16 +6,17 @@ pi, the norm N f is pinned down by
     prod_{u in phi[pi]} f(x + u)  =  (N f)(phi_pi(x)),
 
 the product running over all pi-torsion points of the Carlitz module.  The
-product is computed without ever adjoining a torsion point: phi_pi(y) is
-separable, so the multiplication-by-f(x+y) norm in R[y]/(phi_pi(y)) equals
-the product over the roots.  The result is then rewritten as a polynomial in
-phi_pi(x) (always possible, because the product is invariant under the
-translations x |-> x + u), peeling coefficients from the top.
+product is computed without ever adjoining a torsion point.  phi_pi is monic
+and F_q-linear, so phi_pi(y) - phi_pi(x) is the product of y - x - u over
+the torsion u, and the norm of P(y) from K[x][y]/(phi_pi(y) - x) down to
+K[x] -- the determinant of multiplication by P(y) -- is h(x) with
+h(phi_pi(x)) = prod_u P(x + u).  One norm gives N P already written in
+phi_pi(x): no Taylor shift P(x + y) and no decomposition of a product.
 
-All of this runs over A = F_q[T]: a polynomial in x over F is first scaled
-by the lcm d of its coefficient denominators, phi_pi is monic with A
-coefficients, so the norm matrix, its determinant and the decomposition
-need no division, and F is touched once at the end, dividing by d^(q^deg pi).
+The coefficient ring K is A = F_q[T]: a polynomial in x over F is first
+scaled by the lcm d of its coefficient denominators, phi_pi is monic with A
+coefficients, so the norm matrix and its determinant need no division, and
+F is touched once at the end, dividing by d^(q^deg pi).
 
 Exact inputs are ratios of polynomials in x and stay exact.  Truncated
 inputs are handled on their stored representative: the leading x-power is
@@ -29,7 +30,7 @@ from .cmod import carlitz_phi, _require_prime
 from .cyclo import CycloField
 from .errors import DecompositionError, PrecisionError
 from .fq import Fq
-from .poly import Poly
+from .poly import Poly, PolyRing
 from .quotient import QuotElem, QuotientRing, quotient_norm
 from .ratfun import FracField, RatFun, base_field
 from .series import TruncSeries
@@ -229,39 +230,48 @@ def _norm_poly(p: Poly, pi: Poly) -> Poly:
     """prod over torsion points of p(x+u), pushed back through phi_pi.
 
     p has coefficients in F; with d the monic lcm of their denominators,
-    P = d p lies in A[x], and N(p) = N(P)/d^n with n = q^deg pi.  N(P) and
-    its decomposition are computed over A; the decomposition is linear, so
-    dividing its coefficients by d^n in F is the only fraction work."""
+    P = d p lies in A[x], and N(p) = N(P)/d^n with n = q^deg pi.  N(P) is
+    the norm of P(y) in A[x][y]/(phi_pi(y) - x), which lands in A[x]
+    already written in phi_pi(x); dividing its coefficients by d^n in F is
+    the only fraction work."""
     if p.is_zero():
         return p
     F = p.ring
     qr = _torsion_quotient(pi)
-    A = qr.K
+    R = qr.K
+    A = R.cring
     d = A.one
     for c in p.coeffs:
         if not c.den.is_one():
             d = d * c.den.exact_div(d.gcd(c.den))
-    P = Poly(qr, p.var, [qr.coerce(c.num * d.exact_div(c.den))
+    P = Poly(R, qr.var, [Poly(A, R.var, [c.num * d.exact_div(c.den)])
                          for c in p.coeffs])
-    xy = Poly.gen(qr, p.var) + Poly(qr, p.var, [qr.gen()])
-    h = decompose_by_phi(quotient_norm(P.compose(xy)), pi)
+    h = quotient_norm(qr.coerce(P))
     if d.is_one():
-        return h.map_coeffs(F.coerce, ring=F)
+        return Poly(F, p.var, [F.coerce(c) for c in h.coeffs])
     dn = d ** qr.degree
-    return h.map_coeffs(lambda c: RatFun.make(F, c, dn), ring=F)
+    return Poly(F, p.var, [RatFun.make(F, c, dn) for c in h.coeffs])
 
 
 _TORSION_QR_CACHE: dict[tuple[int, tuple], QuotientRing] = {}
 
 
 def _torsion_quotient(pi: Poly) -> QuotientRing:
-    """A[y]/(phi_pi(y)) over A = F_q[T]: phi_pi is monic in y, so reducing by
-    it needs no inverse.  Not a domain (y is a factor), but the norm never
-    divides."""
+    """A[x][y]/(phi_pi(y) - x) over A = F_q[T].
+
+    phi_pi is monic and F_q-linear, so phi_pi(y) - phi_pi(x) is the product
+    of y - x - u over the pi-torsion u: the norm of P(y) is h(x) with
+    h(phi_pi(x)) = prod_u P(x + u), the Coleman norm itself.  The modulus
+    is monic in y, so reducing by it needs no inverse."""
     key = (pi.ring.q, pi.coeffs)
     qr = _TORSION_QR_CACHE.get(key)
     if qr is None:
-        qr = QuotientRing(carlitz_phi(pi).as_additive(var="y"))
+        phi = carlitz_phi(pi).as_additive(var="y")
+        A = phi.ring
+        R = PolyRing(A, "x")
+        coeffs = [Poly(A, R.var, [c]) for c in phi.coeffs]
+        coeffs[0] = -R.gen()
+        qr = QuotientRing(Poly(R, phi.var, coeffs))
         _TORSION_QR_CACHE[key] = qr
     return qr
 

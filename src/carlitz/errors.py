@@ -9,6 +9,7 @@ __all__ = [
     "DecompositionError",
     "TailError",
     "CharacterError",
+    "InvariantError",
 ]
 
 
@@ -47,3 +48,9 @@ class TailError(CarlitzError):
 
 class CharacterError(CarlitzError):
     """Character data is inconsistent or does not cover the group."""
+
+
+class InvariantError(CarlitzError, AssertionError):
+    """An internal identity the library checks on its own results failed:
+    a bug, not bad input.  An explicit raise, so ``python -O`` keeps it; an
+    ``AssertionError`` too, so handlers of failed assertions still see it."""

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .cmod import bernoulli_carlitz_table
-from .errors import CharacterError, PrecisionError, TailError
+from .errors import CharacterError, InvariantError, PrecisionError, TailError
 from .fq import Fq
 from .groupring import CharSpec, GroupRing, GroupRingElem, character_table
 from .poly import Poly, is_irreducible, monic_enumerate, poly_to_str
@@ -103,7 +103,7 @@ def zeta_neg(k: int, fq: Fq) -> Poly:
     for d in range(k + 3):
         s = power_sum(d, k, fq)
         if d * (fq.q - 1) > k and not s.is_zero():
-            raise AssertionError(
+            raise InvariantError(
                 f"stratum d={d} fails the vanishing bound for k={k}")
         total = total + s
     return total
@@ -131,7 +131,7 @@ def zeta_v_adic_neg(k: int, pi: Poly) -> Poly:
         s = power_sum(d, k, fq)
         s_low = power_sum(d - e, k, fq) if d >= e else Poly(fq, pi.var, [])
         if not (s - pik * s_low).is_zero():
-            raise AssertionError(
+            raise InvariantError(
                 f"coprime stratum d={d} fails to vanish for k={k}")
     return value
 

@@ -10,16 +10,19 @@ inverts a coefficient, so R may be a field or not.  It serves
 * Z: Z[x]/(Phi_m), where characters take their values
   (``groupring.CharSpec.values``);
 * F_q: A/pi^n as a ring of elements, with inverses by the extended gcd;
-* A = F_q[T] (``PolyRing``): the torsion quotient A[y]/(phi_pi(y)) of the
-  Coleman norm, whose products run on the packed A[x] kernel of ``poly``.
+* A[x] = F_q[T][x] (``PolyRing`` over ``PolyRing``): the torsion quotient
+  A[x][y]/(phi_pi(y) - x) of the Coleman norm, whose norm matrix has A[x]
+  entries multiplied on the packed kernel of ``poly``.
 
 ResidueRing is the key-level view of A/pi^n on raw polynomials: group rings
 hash those keys, and its level 0 is A/(1), whose modulus has degree 0.
 
 The norm of an element u of R[y]/(m) is the determinant of multiplication by
-u on the power basis 1, y, ..., y^(deg m - 1).  The same matrix construction
-applies when u has polynomial coefficients in a second variable, which is
-what the Coleman norm route needs.  One determinant serves every entry ring:
+u on the power basis 1, y, ..., y^(deg m - 1); each column is y times the
+one before, reduced by the nonzero coefficients of m alone.  The same matrix
+construction applies when u has polynomial coefficients in a second
+variable, the Taylor-shift route the tests keep as the Coleman norm's
+oracle.  One determinant serves every entry ring:
 Berkowitz's recurrence never divides, so entries in a field, in A or in A[x]
 take the same path.
 """
@@ -283,15 +286,24 @@ def quotient_norm(elem):
 
 def _mult_matrix_coeffs(qr: QuotientRing, coeffs) -> list[list[list]]:
     """rows[i][j][k] = row-i component of c_k * ybar^j, for each stored
-    second-variable index k."""
+    second-variable index k.
+
+    Column j + 1 is y times column j mod m: shift up by one, then subtract
+    top * m_i over the nonzero coefficients m_i of m only, so no product of
+    residue classes and no division is taken."""
     n = qr.degree
-    rows = [[[qr.K.zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
-    ypow = qr.one
-    ybar = qr.gen()
-    for j in range(n):
-        for k, ck in enumerate(coeffs):
-            rep = (ck * ypow).rep
+    zero = qr.K.zero
+    taps = [(i, m) for i, m in enumerate(qr.modulus.coeffs[:n]) if m != zero]
+    rows = [[[zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
+    for k, ck in enumerate(coeffs):
+        col = list(ck.rep.coeffs) + [zero] * (n - len(ck.rep.coeffs))
+        for j in range(n):
+            if j:
+                top = col[-1]
+                col = [zero] + col[:-1]
+                if top != zero:
+                    for i, m in taps:
+                        col[i] = col[i] - top * m
             for i in range(n):
-                rows[i][j][k] = rep.coeff(i)
-        ypow = ypow * ybar
+                rows[i][j][k] = col[i]
     return rows

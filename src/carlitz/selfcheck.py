@@ -18,6 +18,7 @@ from .coleman import (
 )
 from .cw import cw_verify, coates_wiles, ht_derivative
 from .cyclo import CycloField, field_norm, upsilon, valuation_at_p
+from .errors import InvariantError
 from .fq import Fq, FqElem
 from .lfun import (
     power_sum, power_sum_enum, stickelberger_series, zeta_neg, zeta_v_adic_neg,
@@ -46,7 +47,7 @@ def _first_irreducible(fq: Fq, d: int) -> Poly:
     for p in monic_enumerate(fq, d):
         if is_irreducible(p):
             return p
-    raise AssertionError("no irreducible of requested degree")
+    raise InvariantError("no irreducible of requested degree")
 
 
 def suite_basealg() -> list[Row]:

@@ -271,7 +271,7 @@ def test_invariants_survive_python_O(case):
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
-    assert f"AssertionError: {message}" in proc.stderr
+    assert f"InvariantError: {message}" in proc.stderr
 
 
 def test_module_entry_point_matches_inprocess():

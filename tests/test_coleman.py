@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from carlitz import coleman
 from carlitz.cmod import carlitz_phi
 from carlitz.coleman import (
     ColemanSeries, coleman_norm, cyclotomic_unit_series, decompose_by_phi,
@@ -107,6 +108,82 @@ def test_integral_norm_matches_fraction_field_route(q, pi_text):
         trunc = ColemanSeries(TruncSeries(F, "x", 0, p.coeffs, 6), pi)
         assert coleman_norm(trunc).value == TruncSeries(F, "x", 0,
                                                         want.coeffs, 6)
+
+
+def assert_norm_matches_oracle(p, pi, order=0, prec=7):
+    """coleman_norm of p as exact input, and of x^order p truncated at prec,
+    against the F_q(T) route; returns the oracle's N(p)."""
+    want = norm_over_fraction_field(p, pi)
+    xf = x_field(pi.ring)
+    assert coleman_norm(ColemanSeries(xf.coerce(p), pi)).value == \
+        xf.coerce(want)
+    trunc = ColemanSeries(TruncSeries(p.ring, "x", order, p.coeffs, prec), pi)
+    assert coleman_norm(trunc).value == TruncSeries(p.ring, "x", order,
+                                                    want.coeffs, prec)
+    return want
+
+
+@pytest.mark.parametrize("q,pi_text", [(2, "T^2+T+1"), (3, "T"), (4, "T+1")])
+def test_norm_of_constant_is_its_power(q, pi_text):
+    # every torsion translate of a constant is the constant: N(c) = c^n
+    fq = Fq.get(q)
+    pi = poly_parse(pi_text, fq)
+    F = x_field(fq).cring
+    c = F.coerce(poly_parse("T+1", fq)) / F.coerce(poly_parse("T", fq))
+    want = assert_norm_matches_oracle(Poly(F, "x", [c]), pi)
+    assert want == Poly(F, "x", [c ** (q ** pi.degree)])
+
+
+@pytest.mark.parametrize("q,pi_text,a_texts", [
+    (3, "T", ("T^2+1", "T^2+T")), (2, "T^2+T+1", ("T^2", "T^2+T+1"))])
+def test_norm_of_input_at_least_as_long_as_the_modulus(q, pi_text, a_texts):
+    # deg phi_a = q^deg a >= q^deg pi, so P(y) is reduced mod phi_pi(y) - x
+    # before its matrix is built; phi_a is fixed when a is prime to pi
+    fq = Fq.get(q)
+    pi = poly_parse(pi_text, fq)
+    for a_text in a_texts:
+        a = poly_parse(a_text, fq)
+        p = phi_poly(a)
+        assert p.degree >= q ** pi.degree
+        want = assert_norm_matches_oracle(p, pi, order=1, prec=12)
+        assert (want == p) == (not (a % pi).is_zero())
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_norm_with_leading_coefficient_divisible_by_pi(q):
+    fq = Fq.get(q)
+    pi = poly_parse("T", fq)
+    F = x_field(fq).cring
+    t = F.coerce(pi)
+    assert_norm_matches_oracle(Poly(F, "x", [F.one, F.zero, t]), pi)
+    assert_norm_matches_oracle(Poly(F, "x", [F.one / t, t, t * t]), pi,
+                               order=2)
+
+
+def test_norm_over_f4_takes_the_generic_loops():
+    # F_4 is not a prime field: no interned elements, no packed A[x] product
+    fq = Fq.get(4)
+    F = x_field(fq).cring
+    w = F.coerce(fq.from_index(2))
+    den = F.coerce(poly_parse("T^2+T+1", fq))
+    p = Poly(F, "x", [w, F.one / den, w * w, F.one])
+    for pi_text in ("T", "T+1"):
+        assert_norm_matches_oracle(p, poly_parse(pi_text, fq), order=1)
+
+
+def test_norm_takes_no_taylor_shift_and_no_decomposition(monkeypatch):
+    fq = Fq.get(5)
+    pi = poly_parse("T", fq)
+    F = x_field(fq).cring
+    p = Poly(F, "x", [F.one, F.coerce(pi), F.one / F.coerce(pi), F.one])
+    want = norm_over_fraction_field(p, pi)
+
+    def forbidden(*args):
+        raise RuntimeError("the Coleman norm took a detour")
+    monkeypatch.setattr(Poly, "compose", forbidden)
+    monkeypatch.setattr(coleman, "decompose_by_phi", forbidden)
+    got = coleman_norm(ColemanSeries(p, pi)).value
+    assert got == x_field(fq).coerce(want)
 
 
 def test_norm_against_literal_torsion_product():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.cmod import carlitz_phi
+from carlitz.coleman import _torsion_quotient
 from carlitz.cyclo import CycloField
 from carlitz.fq import Fq, FqElem
 from carlitz.groupring import CharSpec
 from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
 from carlitz.quotient import (
-    QuotientRing, ResidueRing, det, quotient_norm, solve_linear,
+    QuotientRing, ResidueRing, _mult_matrix_coeffs, det, quotient_norm,
+    solve_linear,
 )
 from carlitz.ratfun import base_field
 
@@ -193,7 +195,7 @@ def test_quotient_norm_is_multiplicative_in_degree_seven():
     assert quotient_norm(qr.coerce(t)) == t ** 7
 
 
-# -- QuotElem: one residue-class type over four coefficient parents ----------
+# -- QuotElem: one residue-class type over five coefficient parents ----------
 
 def _small_poly(draw, fq, max_len=3):
     cs = draw(st.lists(st.integers(0, fq.q - 1), max_size=max_len))
@@ -251,7 +253,27 @@ def integral_elems(draw):
     return ring, [elem() for _ in range(3)]
 
 
-PARENTS = [cyclo_elems, cyclotomic_int_elems, residue_elems, integral_elems]
+@st.composite
+def torsion_elems(draw):
+    """A[x]: the Coleman torsion quotient A[x][y]/(phi_pi(y) - x), on the
+    prime field (packed A[x] products) and on F_4 (generic loops)."""
+    q, pitxt = draw(st.sampled_from(
+        ((2, "T"), (2, "T^2+T+1"), (3, "T"), (3, "T+1"), (4, "T"))))
+    fq = Fq.get(q)
+    ring = _torsion_quotient(poly_parse(pitxt, fq))
+    R = ring.K
+
+    def elem():
+        # P(y) with A[x] coefficients, longer than deg m so coerce reduces
+        cs = [Poly(R.cring, R.var, [_small_poly(draw, fq, 2)
+                                    for _ in range(draw(st.integers(0, 2)))])
+              for _ in range(draw(st.integers(0, ring.degree + 2)))]
+        return ring.coerce(Poly(R, ring.var, cs))
+    return ring, [elem() for _ in range(3)]
+
+
+PARENTS = [cyclo_elems, cyclotomic_int_elems, residue_elems, integral_elems,
+           torsion_elems]
 
 
 @pytest.mark.parametrize("parent", PARENTS, ids=lambda f: f.__name__)
@@ -334,3 +356,37 @@ def test_quotient_norm_over_A_matches_fraction_field(q):
         na = quotient_norm(p.map_coeffs(qa.coerce, ring=qa).compose(xy_a))
         nf = quotient_norm(p.map_coeffs(qf.coerce, ring=qf).compose(xy_f))
         assert na.map_coeffs(F.coerce, ring=F) == nf
+
+
+# -- the multiplication matrix: shift-and-reduce against full products -------
+
+def mult_matrix_by_products(qr, coeffs):
+    """Oracle for _mult_matrix_coeffs: column j of c_k is the full residue
+    product c_k * ybar^j, reduced mod m by its own divmod."""
+    n = qr.degree
+    rows = [[[qr.K.zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
+    ypow = qr.one
+    ybar = qr.gen()
+    for j in range(n):
+        for k, ck in enumerate(coeffs):
+            rep = (ck * ypow).rep
+            for i in range(n):
+                rows[i][j][k] = rep.coeff(i)
+        ypow = ypow * ybar
+    return rows
+
+
+@pytest.mark.parametrize("parent", PARENTS, ids=lambda f: f.__name__)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_mult_matrix_shift_and_reduce_matches_products(parent, data):
+    ring, elems = data.draw(parent())
+    assert (_mult_matrix_coeffs(ring, elems)
+            == mult_matrix_by_products(ring, elems))
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_quotient_norm_is_multiplicative_in_torsion_quotient(data):
+    ring, (a, b, _) = data.draw(torsion_elems())
+    assert quotient_norm(a) * quotient_norm(b) == quotient_norm(a * b)
