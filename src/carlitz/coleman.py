@@ -18,6 +18,11 @@ scaled by the lcm d of its coefficient denominators, phi_pi is monic with A
 coefficients, so the norm matrix and its determinant need no division, and
 F is touched once at the end, dividing by d^(q^deg pi).
 
+That norm is ``cyclo._norm_poly`` along phi_a for any monic a: the tower
+norm N_{F_n/F_m} is the same construction along phi_{pi^(n-m)}, read at
+omega_m, so it lives with the cyclotomic fields and this module calls it
+with a = pi.
+
 Exact inputs are ratios of polynomials in x and stay exact.  Truncated
 inputs are handled on their stored representative: the leading x-power is
 split off (N x = x), the unit part is normed exactly, and the result keeps
@@ -27,11 +32,11 @@ the input's precision tag.
 from __future__ import annotations
 
 from .cmod import carlitz_phi, _require_prime
-from .cyclo import CycloField
+from .cyclo import CycloField, _norm_poly
 from .errors import DecompositionError, PrecisionError
 from .fq import Fq
-from .poly import Poly, PolyRing
-from .quotient import QuotElem, QuotientRing, quotient_norm
+from .poly import Poly
+from .quotient import QuotElem
 from .ratfun import FracField, RatFun, base_field
 from .series import TruncSeries
 
@@ -224,56 +229,6 @@ def coleman_norm(f: ColemanSeries) -> ColemanSeries:
     normed = _norm_poly(unit, pi)
     return ColemanSeries(
         TruncSeries(ser.ring, ser.var, ser.order, normed.coeffs, ser.prec), pi)
-
-
-def _norm_poly(p: Poly, pi: Poly) -> Poly:
-    """prod over torsion points of p(x+u), pushed back through phi_pi.
-
-    p has coefficients in F; with d the monic lcm of their denominators,
-    P = d p lies in A[x], and N(p) = N(P)/d^n with n = q^deg pi.  N(P) is
-    the norm of P(y) in A[x][y]/(phi_pi(y) - x), which lands in A[x]
-    already written in phi_pi(x); dividing its coefficients by d^n in F is
-    the only fraction work."""
-    if p.is_zero():
-        return p
-    F = p.ring
-    qr = _torsion_quotient(pi)
-    R = qr.K
-    A = R.cring
-    d = A.one
-    for c in p.coeffs:
-        if not c.den.is_one():
-            d = d * c.den.exact_div(d.gcd(c.den))
-    P = Poly(R, qr.var, [Poly(A, R.var, [c.num * d.exact_div(c.den)])
-                         for c in p.coeffs])
-    h = quotient_norm(qr.coerce(P))
-    if d.is_one():
-        return Poly(F, p.var, [F.coerce(c) for c in h.coeffs])
-    dn = d ** qr.degree
-    return Poly(F, p.var, [RatFun.make(F, c, dn) for c in h.coeffs])
-
-
-_TORSION_QR_CACHE: dict[tuple[int, tuple], QuotientRing] = {}
-
-
-def _torsion_quotient(pi: Poly) -> QuotientRing:
-    """A[x][y]/(phi_pi(y) - x) over A = F_q[T].
-
-    phi_pi is monic and F_q-linear, so phi_pi(y) - phi_pi(x) is the product
-    of y - x - u over the pi-torsion u: the norm of P(y) is h(x) with
-    h(phi_pi(x)) = prod_u P(x + u), the Coleman norm itself.  The modulus
-    is monic in y, so reducing by it needs no inverse."""
-    key = (pi.ring.q, pi.coeffs)
-    qr = _TORSION_QR_CACHE.get(key)
-    if qr is None:
-        phi = carlitz_phi(pi).as_additive(var="y")
-        A = phi.ring
-        R = PolyRing(A, "x")
-        coeffs = [Poly(A, R.var, [c]) for c in phi.coeffs]
-        coeffs[0] = -R.gen()
-        qr = QuotientRing(Poly(R, phi.var, coeffs))
-        _TORSION_QR_CACHE[key] = qr
-    return qr
 
 
 def decompose_by_phi(g, pi: Poly):

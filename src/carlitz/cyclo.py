@@ -4,9 +4,16 @@ F_n is the splitting field of the pi^n-torsion of the Carlitz module,
 presented concretely as F[x]/(m_n) where m_n is the minimal polynomial of a
 torsion generator omega_n.  CycloField is the QuotientRing on m_n, so its
 elements are plain QuotElems.  Gal(F_n/F) = (A/pi^n)^* acts through the
-module: the class of a sends omega_n to phi_a(omega_n).  The extension is
-totally ramified at pi with uniformizer omega_n, so valuations descend
-through the multiplication-matrix norm: val(e) = val_pi(N_{F_n/F}(e)).
+module: the class of a sends omega_n to phi_a(omega_n).
+
+Norms down the tower are torsion norms.  The conjugates of omega_n over F_m
+(1 <= m < n) are omega_n + phi[pi^(n-m)], the translates by the
+pi^(n-m)-torsion, so N_{F_n/F_m}(r(omega_n)) = h(omega_m) with
+h(phi_{pi^(n-m)}(x)) = prod_u r(x + u): one norm in A[x][y]/(phi_a(y) - x)
+with a = pi^(n-m), the same one the Coleman norm takes with a = pi.  The norm
+to F itself is the multiplication-matrix determinant over F.  The extension
+is totally ramified at pi with uniformizer omega_n, so valuations descend
+through it: val(e) = val_pi(N_{F_n/F}(e)).
 """
 
 from __future__ import annotations
@@ -15,10 +22,8 @@ import math
 
 from .cmod import carlitz_phi, omega_minpoly
 from .fq import Fq
-from .poly import Poly, all_residues
-from .quotient import (
-    QuotElem, QuotientRing, ResidueRing, quotient_norm, solve_linear,
-)
+from .poly import Poly, PolyRing
+from .quotient import QuotElem, QuotientRing, ResidueRing, quotient_norm
 from .ratfun import RatFun, base_field
 
 __all__ = [
@@ -68,10 +73,6 @@ class CycloField(QuotientRing):
             self._act_images[a_red] = img
         return img
 
-    def _omega_image_subfield(self, k: int) -> QuotElem:
-        """phi_{pi^k}(omega_n) inside the level-n field."""
-        return carlitz_phi(self.pi ** k).eval(self.omega, self)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CycloField) and other.pi == self.pi
                 and other.n == self.n)
@@ -102,9 +103,11 @@ def galois_act(a, e: QuotElem) -> QuotElem:
 def field_norm(e: QuotElem, target_level: int):
     """Norm from level n to level m <= n; lands in F itself for m = 0.
 
-    The Galois group of F_n/F_m is the classes of {1 + pi^m b}, so the norm
-    is the product of those conjugates; the result is rewritten through the
-    subfield embedding omega_m = phi_{pi^(n-m)}(omega_n) by linear algebra.
+    For 1 <= m < n the Galois group of F_n/F_m is the classes 1 + pi^m b,
+    which move omega_n to omega_n + phi_b(omega_(n-m)): the conjugates are
+    omega_n + u over the pi^(n-m)-torsion phi[pi^(n-m)].  So with
+    e = r(omega_n) the norm is h(omega_m), h the torsion norm of r along
+    phi_{pi^(n-m)} (``_norm_poly``), read at omega_m = phi_{pi^(n-m)}(omega_n).
     """
     field = e.ring
     n, m = field.n, target_level
@@ -114,26 +117,58 @@ def field_norm(e: QuotElem, target_level: int):
         return e
     if m == 0:
         return quotient_norm(e)
-    fq, pi = field.fq, field.pi
-    d = pi.degree
-    acc = field.one
-    pim = pi ** m
-    one = Poly(fq, pi.var, [fq.one])
-    for b in all_residues(fq, (n - m) * d, pi.var):
-        a = one + pim * b
-        acc = acc * galois_act(a, e)
-    # rewrite acc as a polynomial in omega_m = phi_{pi^(n-m)}(omega_n)
-    sub = CycloField.get(pi, m)
-    image = field._omega_image_subfield(n - m)
-    cols = []
-    power = field.one
-    for _ in range(sub.degree):
-        cols.append([power.rep.coeff(i) for i in range(field.degree)])
-        power = power * image
-    mat = [[cols[j][i] for j in range(sub.degree)] for i in range(field.degree)]
-    rhs = [acc.rep.coeff(i) for i in range(field.degree)]
-    sol = solve_linear(mat, rhs, field.F)
-    return QuotElem(sub, Poly(sub.K, sub.var, sol))
+    sub = CycloField.get(field.pi, m)
+    return _norm_poly(e.rep, field.pi ** (n - m)).eval(sub.omega, sub)
+
+
+def _norm_poly(p: Poly, a: Poly) -> Poly:
+    """h with h(phi_a(x)) = prod over the a-torsion u of p(x + u).
+
+    p has coefficients in F; with d the monic lcm of their denominators,
+    P = d p lies in A[x], and N(p) = N(P)/d^n with n = q^deg a.  N(P) is
+    the norm of P(y) in A[x][y]/(phi_a(y) - x), which lands in A[x]
+    already written in phi_a(x); dividing its coefficients by d^n in F is
+    the only fraction work."""
+    if p.is_zero():
+        return p
+    F = p.ring
+    qr = _torsion_quotient(a)
+    R = qr.K
+    A = R.cring
+    d = A.one
+    for c in p.coeffs:
+        if not c.den.is_one():
+            d = d * c.den.exact_div(d.gcd(c.den))
+    P = Poly(R, qr.var, [Poly(A, R.var, [c.num * d.exact_div(c.den)])
+                         for c in p.coeffs])
+    h = quotient_norm(qr.coerce(P))
+    if d.is_one():
+        return Poly(F, p.var, [F.coerce(c) for c in h.coeffs])
+    dn = d ** qr.degree
+    return Poly(F, p.var, [RatFun.make(F, c, dn) for c in h.coeffs])
+
+
+_TORSION_QR_CACHE: dict[tuple[int, tuple], QuotientRing] = {}
+
+
+def _torsion_quotient(a: Poly) -> QuotientRing:
+    """A[x][y]/(phi_a(y) - x) over A = F_q[T], for a monic a.
+
+    phi_a is monic and F_q-linear, so phi_a(y) - phi_a(x) is the product
+    of y - x - u over the a-torsion u: the norm of P(y) is h(x) with
+    h(phi_a(x)) = prod_u P(x + u).  The modulus is monic in y, so reducing
+    by it needs no inverse."""
+    key = (a.ring.q, a.coeffs)
+    qr = _TORSION_QR_CACHE.get(key)
+    if qr is None:
+        phi = carlitz_phi(a).as_additive(var="y")
+        A = phi.ring
+        R = PolyRing(A, "x")
+        coeffs = [Poly(A, R.var, [c]) for c in phi.coeffs]
+        coeffs[0] = -R.gen()
+        qr = QuotientRing(Poly(R, phi.var, coeffs))
+        _TORSION_QR_CACHE[key] = qr
+    return qr
 
 
 def valuation_at_p(e: QuotElem):

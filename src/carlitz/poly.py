@@ -701,31 +701,26 @@ def monic_enumerate(fq: Fq, d: int, var: str = "T") -> list[Poly]:
     coefficient varying fastest (index order)."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    out = []
-    one = fq.one
-    elems = fq.elements()
-    for v in range(fq.q ** d):
-        coeffs = []
-        w = v
-        for _ in range(d):
-            coeffs.append(elems[w % fq.q])
-            w //= fq.q
-        coeffs.append(one)
-        out.append(Poly(fq, var, coeffs))
-    return out
+    return _digit_polys(fq, d, var, [fq.one])
 
 
 def all_residues(fq: Fq, bound: int, var: str = "T") -> list[Poly]:
     """All polynomials of degree < bound over F_q, in index order."""
-    out = []
+    return _digit_polys(fq, bound, var, [])
+
+
+def _digit_polys(fq: Fq, n: int, var: str, top: list) -> list[Poly]:
+    """For v = 0, 1, ..., q^n - 1: the base-q digits of v as coefficients
+    0..n-1 (element index order, constant varying fastest), then top."""
+    q = fq.q
     elems = fq.elements()
-    for v in range(fq.q ** bound):
+    out = []
+    for v in range(q ** n):
         coeffs = []
-        w = v
-        for _ in range(bound):
-            coeffs.append(elems[w % fq.q])
-            w //= fq.q
-        out.append(Poly(fq, var, coeffs))
+        for _ in range(n):
+            v, r = divmod(v, q)
+            coeffs.append(elems[r])
+        out.append(Poly(fq, var, coeffs + top))
     return out
 
 

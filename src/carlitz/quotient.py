@@ -11,8 +11,9 @@ inverts a coefficient, so R may be a field or not.  It serves
   (``groupring.CharSpec.values``);
 * F_q: A/pi^n as a ring of elements, with inverses by the extended gcd;
 * A[x] = F_q[T][x] (``PolyRing`` over ``PolyRing``): the torsion quotient
-  A[x][y]/(phi_pi(y) - x) of the Coleman norm, whose norm matrix has A[x]
-  entries multiplied on the packed kernel of ``poly``.
+  A[x][y]/(phi_a(y) - x) of the Coleman and tower norms
+  (``cyclo._norm_poly``), whose norm matrix has A[x] entries multiplied on
+  the packed kernel of ``poly``.
 
 ResidueRing is the key-level view of A/pi^n on raw polynomials: group rings
 hash those keys, and its level 0 is A/(1), whose modulus has degree 0.
@@ -33,7 +34,7 @@ import operator
 from functools import reduce
 
 from .fq import _power
-from .poly import Poly, is_irreducible
+from .poly import Poly, all_residues, is_irreducible
 
 __all__ = [
     "ResidueRing",
@@ -41,7 +42,6 @@ __all__ = [
     "QuotElem",
     "quotient_norm",
     "det",
-    "solve_linear",
 ]
 
 
@@ -74,7 +74,6 @@ class ResidueRing:
         return not (a % self.pi).is_zero()
 
     def residues(self) -> list[Poly]:
-        from .poly import all_residues
         return all_residues(self.fq, self.n * self.pi.degree, self.var)
 
     def unit_residues(self) -> list[Poly]:
@@ -194,7 +193,7 @@ class QuotElem:
         return f"<{self.rep!r}>"
 
 
-# -- determinants and linear solve --------------------------------------------
+# -- determinants -------------------------------------------------------------
 
 def det(mat: list[list], zero):
     """Determinant by Berkowitz's division-free recurrence (Berkowitz, IPL 18,
@@ -230,38 +229,6 @@ def det(mat: list[list], zero):
 def _dot(a: list, b: list):
     """a[0] b[0] + a[1] b[1] + ...; a and b nonempty."""
     return reduce(operator.add, map(operator.mul, a, b))
-
-
-def solve_linear(mat: list[list], rhs: list, ring) -> list:
-    """Solve an R x C system (R >= C) over a field parent; raises on an
-    inconsistent or rank-deficient system."""
-    nrows, ncols = len(mat), len(mat[0]) if mat else 0
-    rows = [list(mat[r]) + [rhs[r]] for r in range(nrows)]
-    zero = ring.zero
-    rank_row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for r in range(rank_row, nrows):
-            if rows[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("rank-deficient linear system")
-        rows[rank_row], rows[piv] = rows[piv], rows[rank_row]
-        pinv = rows[rank_row][col] ** -1
-        rows[rank_row] = [v * pinv for v in rows[rank_row]]
-        for r in range(nrows):
-            if r != rank_row and rows[r][col] != zero:
-                factor = rows[r][col]
-                rows[r] = [rows[r][c] - factor * rows[rank_row][c]
-                           for c in range(ncols + 1)]
-        pivots.append(col)
-        rank_row += 1
-    for r in range(rank_row, nrows):
-        if rows[r][ncols] != zero:
-            raise ValueError("inconsistent linear system")
-    return [rows[i][ncols] for i in range(ncols)]
 
 
 # -- multiplication-matrix norms ----------------------------------------------

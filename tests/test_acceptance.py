@@ -22,7 +22,9 @@ from carlitz.coleman import (
     phi_poly, star_action, x_field,
 )
 from carlitz.cw import coates_wiles, cw_verify, ht_derivative
-from carlitz.cyclo import CycloField, field_norm, upsilon, valuation_at_p
+from carlitz.cyclo import (
+    CycloField, field_norm, galois_act, upsilon, valuation_at_p,
+)
 from carlitz.fq import Fq, FqElem
 from carlitz.lfun import stickelberger_coefficient, stickelberger_series, \
     zeta_neg, zeta_v_adic_neg
@@ -146,14 +148,23 @@ def test_criterion_04_norm_compatible_with_torsion_evaluation(announce):
         f2 = Fq.get(2)
         pi = poly_parse("T", f2)
         Fb = x_field(f2).cring
+        field2 = CycloField.get(pi, 2)
+        # both sides norm through cyclo._norm_poly; the oracle is the
+        # product of the conjugates of f(omega_2) over F_1, sigma_a with
+        # a = 1 + T b, and omega_1 = phi_T(omega_2) embeds the left side
+        omega1 = phi_poly(pi).eval(field2.omega, field2)
+        conj = [poly_parse(a, f2) for a in ("1", "T+1")]
         for _ in range(10):
             cs = [Fb.coerce(rng.randrange(2)) for _ in range(5)]
             if all(c.is_zero() for c in cs):
                 cs[0] = Fb.one
             f = ColemanSeries(Poly(Fb, "x", cs), pi)
-            lhs = field_norm(eval_at_omega(f, 2), 1)
+            e = eval_at_omega(f, 2)
+            lhs = field_norm(e, 1)
             rhs = eval_at_omega(coleman_norm(f), 1)
             assert lhs == rhs
+            assert lhs.rep.eval(omega1, field2) == \
+                galois_act(conj[0], e) * galois_act(conj[1], e)
 
 
 def test_criterion_05_eisenstein_and_tower_norm(announce):

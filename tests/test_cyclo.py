@@ -2,13 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from carlitz.cmod import carlitz_phi
 from carlitz.cyclo import (
-    CycloField, cyclotomic_unit, field_norm, galois_act, upsilon,
+    CycloField, _norm_poly, cyclotomic_unit, field_norm, galois_act, upsilon,
     valuation_at_p,
 )
 from carlitz.fq import Fq
-from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
+from carlitz.poly import (
+    Poly, all_residues, is_irreducible, monic_enumerate, poly_parse,
+)
+from carlitz.ratfun import base_field
 
 
 def irreducibles(fq, d):
@@ -20,6 +25,38 @@ def rand_elem(rng, field):
                [field.F.coerce(rng.randrange(field.fq.q))
                 for _ in range(field.degree)])
     return field.coerce(rep)
+
+
+def rand_frac_elem(rng, field):
+    """A dense element whose coefficients often have T-denominators."""
+    fq, F = field.fq, field.F
+    dens = [F.one, F.coerce(poly_parse("T", fq)),
+            F.coerce(poly_parse("T+1", fq))]
+    cs = [F.coerce(Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                                  for _ in range(2)])) / rng.choice(dens)
+          for _ in range(field.degree)]
+    return field.coerce(Poly(F, "x", cs))
+
+
+def conjugate_product(e, m):
+    """Oracle for field_norm down to level m >= 1: the product of the
+    conjugates galois_act(1 + pi^m b, e) over b of degree < (n-m) deg pi,
+    still an element of the level-n field."""
+    field = e.ring
+    fq, pi = field.fq, field.pi
+    one = Poly(fq, pi.var, [fq.one])
+    acc = field.one
+    for b in all_residues(fq, (field.n - m) * pi.degree, pi.var):
+        acc = acc * galois_act(one + pi ** m * b, e)
+    return acc
+
+
+def embed(x, field):
+    """x in a lower level as an element of field: omega_m goes to
+    phi_{pi^(n-m)}(omega_n), so no linear solve is needed."""
+    k = field.n - x.ring.n
+    image = carlitz_phi(field.pi ** k).eval(field.omega, field)
+    return x.rep.eval(image, field)
 
 
 def test_degrees_match_unit_group_order():
@@ -53,12 +90,69 @@ def test_norm_of_omega_down_to_base_is_pm_pi():
 
 
 def test_tower_norm_sends_omega2_to_omega1():
+    # and N(omega_n) = omega_m at every level below n = 3
     for q in (2, 3):
         fq = Fq.get(q)
         pi = poly_parse("T", fq)
-        field2 = CycloField.get(pi, 2)
-        field1 = CycloField.get(pi, 1)
-        assert field_norm(field2.omega, 1) == field1.omega
+        for n, m in ((2, 1), (3, 1), (3, 2)):
+            field = CycloField.get(pi, n)
+            assert field_norm(field.omega, m) == CycloField.get(pi, m).omega
+
+
+@pytest.mark.parametrize("q,pi_text,n,m", [
+    (2, "T", 3, 1), (2, "T", 3, 2), (2, "T^2+T+1", 2, 1), (3, "T", 2, 1),
+    (4, "T", 2, 1), (5, "T", 2, 1)])
+def test_tower_norm_matches_conjugate_product(q, pi_text, n, m):
+    rng = random.Random(10 * q + n + m)
+    field = CycloField.get(poly_parse(pi_text, Fq.get(q)), n)
+    for _ in range(2):
+        e = rand_frac_elem(rng, field)
+        nrm = field_norm(e, m)
+        assert nrm.ring == CycloField.get(field.pi, m)
+        assert embed(nrm, field) == conjugate_product(e, m)
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 3, 1), (2, 3, 2), (3, 2, 1),
+                                   (4, 2, 1)])
+def test_tower_norm_of_zero_and_constants(q, n, m):
+    fq = Fq.get(q)
+    pi = poly_parse("T", fq)
+    field, sub = CycloField.get(pi, n), CycloField.get(pi, m)
+    assert field_norm(field.zero, m) == sub.zero
+    # a constant is its own conjugate: N(c) = c^[F_n:F_m]
+    c = field.F.coerce(poly_parse("T+1", fq)) / field.F.coerce(pi)
+    assert field_norm(field.coerce(c), m) == \
+        sub.coerce(c ** (field.degree // sub.degree))
+
+
+@st.composite
+def transitivity_cases(draw):
+    """Monic linear a, b over F_q, q in {2, 3, 4}, so ab is composite of
+    degree 2 (a square when a = b), and p over F with T-denominators."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    fq = Fq.get(q)
+    F = base_field(fq)
+    a, b = (draw(st.sampled_from(monic_enumerate(fq, 1))) for _ in range(2))
+    dens = [F.one, F.coerce(poly_parse("T", fq)),
+            F.coerce(poly_parse("T+1", fq))]
+
+    def coeff(num):
+        return F.coerce(num) / draw(st.sampled_from(dens))
+    cs = [coeff(Poly(fq, "T", [fq.from_index(draw(st.integers(0, q - 1)))
+                               for _ in range(2)]))
+          for _ in range(draw(st.integers(0, 2)))]
+    return Poly(F, "x", cs + [coeff(Poly(fq, "T", [fq.one]))]), a, b
+
+
+@settings(max_examples=25)
+@given(case=transitivity_cases())
+def test_torsion_norm_is_transitive(case):
+    # phi_ab = phi_a phi_b: norming along phi_b, then phi_a, is norming
+    # along phi_ab; a stray q^deg pi for q^deg a breaks the d^n scaling
+    p, a, b = case
+    assert _norm_poly(p, a * b) == _norm_poly(_norm_poly(p, b), a)
+    # phi_1(x) = x has the single torsion point 0
+    assert _norm_poly(p, a ** 0) == p
 
 
 def test_galois_action_is_an_action():

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.cmod import carlitz_phi
-from carlitz.coleman import _torsion_quotient
-from carlitz.cyclo import CycloField
+from carlitz.cyclo import CycloField, _torsion_quotient
 from carlitz.fq import Fq, FqElem
 from carlitz.groupring import CharSpec
 from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
 from carlitz.quotient import (
     QuotientRing, ResidueRing, _mult_matrix_coeffs, det, quotient_norm,
-    solve_linear,
 )
 from carlitz.ratfun import base_field
 
@@ -140,20 +138,6 @@ def test_det_is_multiplicative_beyond_six(case):
 def test_det_is_multiplicative_over_polynomials(case):
     zero, a, b = case
     assert det(matmul(a, b, zero), zero) == det(a, zero) * det(b, zero)
-
-
-def test_solve_linear_and_inconsistency():
-    fq = Fq.get(3)
-    a = fq.from_int
-    rows = [[a(1), a(2)], [a(2), a(1)], [a(1), a(1)]]
-    rhs = [a(0), a(0), a(0)]
-    sol = solve_linear(rows, rhs, fq)
-    assert sol == [fq.zero, fq.zero]
-    # [[1,2],[2,1]] is singular mod 3 and the right side is incompatible
-    with pytest.raises(ValueError):
-        solve_linear([[a(1), a(2)], [a(2), a(1)]], [a(1), a(1)], fq)
-    with pytest.raises(ValueError):
-        solve_linear([[a(1), a(1)], [a(2), a(2)]], [a(1), a(1)], fq)
 
 
 def test_quotient_norm_is_multiplicative():
@@ -348,7 +332,8 @@ def test_quotient_norm_over_A_matches_fraction_field(q):
     for _ in range(3):
         u = qa.coerce(Poly(qa.K, "y", [small() for _ in range(qa.degree)]))
         assert F.coerce(quotient_norm(u)) == quotient_norm(to_f(u))
-        # p(x + y) with p in A[x]: the matrix _norm_poly builds
+        # p(x + y) with p in A[x]: the Taylor-shift matrix of the oracle
+        # route for cyclo._norm_poly (tests/test_coleman.py)
         p = Poly(fq, "x", [fq.from_int(rng.randrange(q)) for _ in range(3)]
                  + [fq.one])
         xy_a = Poly.gen(qa, "x") + Poly(qa, "x", [qa.gen()])
