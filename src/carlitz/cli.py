@@ -158,7 +158,8 @@ def _cmd_bc(args):
 def _cmd_zetaneg(args):
     fq = _fq(args)
     rows = []
-    for k in range(1, args.k + 1):
+    # a --k below 1 goes to zeta_neg, which rejects it in its own words
+    for k in range(1, args.k + 1) if args.k >= 1 else [args.k]:
         rows.append({"k": k,
                      "value": poly_to_str(zeta_neg(k, fq))})
     if args.format == "csv":

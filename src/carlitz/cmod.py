@@ -13,7 +13,10 @@ D_i = [i] D_{i-1}^q, L_i = [i] L_{i-1} and [i] = T^(q^i) - T, and each is
 certified once by the equation that defines it: e(z) = z + O(z^2) with
 phi_T(e(z)) = e(Tz), and e(log z) = z.
 The Carlitz factorial Pi(n) is the base-q digit product of the D_i, and
-BC_n = Pi(n) * [z^(n-1)] (1/e(z)) are the Bernoulli-Carlitz numbers.
+BC_n = Pi(n) * [z^(n-1)] (1/e(z)) are the Bernoulli-Carlitz numbers.  Every
+BC value reads one cached 1/e(z) per q, kept at the highest precision asked
+for so far and truncated on reads; inverting a truncation of e gives the
+truncation of 1/e, so the cache changes no coefficient.
 """
 
 from __future__ import annotations
@@ -213,6 +216,7 @@ def l_sequence(fq: Fq, count: int) -> list[Poly]:
 # -- exponential / logarithm ---------------------------------------------------
 
 _EXP_CACHE: dict[int, TruncSeries] = {}
+_RECIP_CACHE: dict[int, TruncSeries] = {}
 
 
 def _qpower_series(fq: Fq, prec: int, denominators, alternate: bool) -> TruncSeries:
@@ -247,6 +251,16 @@ def carlitz_exp(fq: Fq, prec: int) -> TruncSeries:
         raise InvariantError("e(z) is not z + O(z^2)")
     _EXP_CACHE[fq.q] = e
     return e
+
+
+def _exp_reciprocal(fq: Fq, prec: int) -> TruncSeries:
+    """carlitz_exp(fq, prec).invert(), i.e. 1/e(z) to O(z^(prec-2)), cut
+    from the longest reciprocal computed so far for q."""
+    recip = _RECIP_CACHE.get(fq.q)
+    if recip is None or recip.prec < prec - 2:
+        recip = carlitz_exp(fq, prec).invert()
+        _RECIP_CACHE[fq.q] = recip
+    return recip.truncate(prec - 2)
 
 
 def carlitz_log(fq: Fq, prec: int) -> TruncSeries:
@@ -298,14 +312,14 @@ def bernoulli_carlitz(n: int, fq: Fq) -> BCValue:
     q - 1 does not divide n > 0."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _bc_value(n, carlitz_exp(fq, n + 2).invert(), fq)
+    return _bc_value(n, _exp_reciprocal(fq, n + 2), fq)
 
 
 def bernoulli_carlitz_table(nmax: int, fq: Fq) -> list[BCValue]:
     """[BC_0, ..., BC_nmax] read off one reciprocal 1/e(z)."""
     if nmax < 0:
         raise ValueError("index must be >= 0")
-    recip = carlitz_exp(fq, nmax + 2).invert()
+    recip = _exp_reciprocal(fq, nmax + 2)
     return [_bc_value(n, recip, fq) for n in range(nmax + 1)]
 
 

@@ -4,6 +4,19 @@ Canonical form: gcd(num, den) = 1 and den monic, so equality is componentwise.
 ``FracField(Fq.get(q), "T")`` is the base field F = F_q(T); nesting as in
 ``FracField(F, "x")`` gives rational functions in x over F, which is how
 logarithmic derivatives of Carlitz ratios are carried around exactly.
+
+``+``, ``*`` and ``/`` follow Henrici's rule (JACM 3, 1956; Knuth, TAOCP
+vol. 2, 4.5.1): with canonical operands a/b and c/d, a common factor can only
+come from the factors themselves, so the gcds run on them, never on the
+assembled product.
+  * (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)), g1 = gcd(a, d) and
+    g2 = gcd(c, b), each skipped when one side is a unit.
+  * a/b + c/d with g = gcd(b, d): (ad + cb)/(bd) when g = 1; otherwise
+    t = a(d/g) + c(b/g), h = gcd(t, g) and the sum is (t/h)/((b/g)(d/h)).
+``RatFun.make`` reduces an arbitrary pair with one gcd of the whole; it
+serves ``from_pair``, ``derivative`` and every caller that assembles a
+fraction from an arbitrary pair, and is the oracle the rule is tested
+against.
 """
 
 from __future__ import annotations
@@ -114,13 +127,22 @@ class RatFun:
         return hash((self.num, self.den))
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        if self.den.is_one() and other.den.is_one():
-            return RatFun.make(self.field, self.num + other.num, self.den)
-        return RatFun.make(
-            self.field,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.coeffs:
+            return other
+        if not c.coeffs:
+            return self
+        if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # monic, so b = d = 1
+            return _canonical(self.field, a + c, b)
+        g = _gcd(b, d)
+        if g is None:
+            return RatFun(self.field, a * d + c * b, b * d)
+        b = b.exact_div(g)
+        t = a * d.exact_div(g) + c * b
+        h = _gcd(t, g) if t.coeffs else None
+        if h is not None:
+            t, d = t.exact_div(h), d.exact_div(h)
+        return _canonical(self.field, t, b * d)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -129,16 +151,17 @@ class RatFun:
         return RatFun(self.field, -self.num, self.den)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
-        if self.den.is_one() and other.den.is_one():
-            return RatFun.make(self.field, self.num * other.num, self.den)
-        return RatFun.make(self.field, self.num * other.num,
-                           self.den * other.den)
+        return _product(self.field, self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun.make(self.field, self.num * other.den,
-                           self.den * other.num)
+        out = _product(self.field, self.num, self.den, other.den, other.num)
+        if not out.den.is_monic():
+            lcinv = out.den.leading ** -1
+            out = RatFun(out.field, out.num.mul_scalar(lcinv),
+                         out.den.mul_scalar(lcinv))
+        return out
 
     def inv(self) -> "RatFun":
         return self.field.one / self
@@ -177,6 +200,35 @@ class RatFun:
 
     def __repr__(self) -> str:
         return self.__str__()
+
+
+def _gcd(a: Poly, b: Poly) -> Poly | None:
+    """gcd(a, b) for nonzero a and b, or None when it is 1; a unit on either
+    side answers without dividing."""
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return None
+    g = a.gcd(b)
+    return g if len(g.coeffs) > 1 else None
+
+
+def _canonical(field: FracField, num: Poly, den: Poly) -> RatFun:
+    # num/den with gcd 1 and den monic; only zero still needs its own form
+    return RatFun(field, num, den) if num.coeffs else field.zero
+
+
+def _product(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
+    """(a/b)(c/d) with gcd(a, b) = gcd(c, d) = 1: the cross gcds are the only
+    cancellation left.  The denominator is monic when b and d are."""
+    if not a.coeffs or not c.coeffs:
+        return field.zero
+    g1 = _gcd(a, d)
+    if g1 is not None:
+        a, d = a.exact_div(g1), d.exact_div(g1)
+    g2 = _gcd(c, b)
+    if g2 is not None:
+        c, b = c.exact_div(g2), b.exact_div(g2)
+    den = b if d.is_one() else d if b.is_one() else b * d
+    return RatFun(field, a * c, den)
 
 
 def _wrap(s: str) -> str:

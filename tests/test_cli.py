@@ -195,6 +195,16 @@ def test_usage_errors_exit_2():
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_zetaneg_rejects_k_below_one(k):
+    # the library's own message, not an empty table with exit 0
+    with pytest.raises(ValueError) as exc:
+        lfunmod.zeta_neg(int(k), Fq.get(3))
+    for fmt in ([], ["--format", "csv"]):
+        rc, out, err = run(["zetaneg", "--q", "3", "--k", k] + fmt)
+        assert (rc, out, err) == (2, "", f"error: {exc.value}\n")
+
+
 def test_internal_errors_exit_3():
     rc, out, err = run(["stickelberger", "--q", "2", "--pi", "T^2+T+1",
                         "--level", "1", "--S", "inf", "--T", "T",

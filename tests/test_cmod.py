@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from carlitz import cmod
 from carlitz.cmod import (
     SkewPoly, bernoulli_carlitz, bernoulli_carlitz_table, bracket, carlitz_exp,
     carlitz_factorial, carlitz_log, carlitz_phi, d_sequence, l_sequence,
     omega_minpoly, torsion_poly,
 )
+from carlitz.cw import cw_verify
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
 from carlitz.ratfun import base_field
@@ -223,6 +225,52 @@ def test_bernoulli_vanishing_and_factorials():
             assert bc.factorial == carlitz_factorial(n, fq)
     with pytest.raises(ValueError):
         bernoulli_carlitz_table(-1, Fq.get(2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_cached_reciprocal_is_a_fresh_inversion(q, monkeypatch):
+    fq = Fq.get(q)
+    precs = range(2, 41)
+    fresh = {p: carlitz_exp(fq, p).invert() for p in precs}
+    for order in (precs, reversed(precs)):  # smallest-first, largest-first
+        monkeypatch.setattr(cmod, "_RECIP_CACHE", {})
+        for p in order:
+            got = cmod._exp_reciprocal(fq, p)
+            assert (got.order, got.prec) == (fresh[p].order, fresh[p].prec)
+            assert got == fresh[p]
+
+
+def count_inversions(monkeypatch):
+    calls = []
+    real = TruncSeries.invert
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TruncSeries, "invert", counted)
+    return calls
+
+
+def test_warm_bernoulli_values_invert_nothing(monkeypatch):
+    fq = Fq.get(3)
+    bernoulli_carlitz_table(12, fq)  # warm the cache
+    calls = count_inversions(monkeypatch)
+    bernoulli_carlitz_table(12, fq)
+    for n in range(13):
+        bernoulli_carlitz(n, fq)
+    assert calls == []
+
+
+def test_cw_verify_left_side_inverts_its_own_series(monkeypatch):
+    # the right side reads the cached 1/e(z); the left side must not, or
+    # the two sides of the law would share more than the certified e(z)
+    f2 = Fq.get(2)
+    a, b = poly_parse("T", f2), poly_parse("T+1", f2)
+    cw_verify(a, b, 10)  # warm every cache
+    calls = count_inversions(monkeypatch)
+    assert cw_verify(a, b, 10).passed
+    assert len(calls) == 1
 
 
 def test_minpoly_rejects_reducible_modulus():

@@ -87,6 +87,7 @@ INVOCATIONS = [
      "inf", "--udeg", "12"],
     ["colemancheck", "--q", "2", "--pi", "0"],
     ["colemancheck", "--q", "2", "--trials", "-1"],
+    ["zetaneg", "--q", "3", "--k", "0"],
     # exit 3: the theta series fails its tail check at too small a --udeg
     ["stickelberger", "--q", "2", "--level", "1", "--udeg", "3"] + THETA,
 ]

@@ -1,10 +1,14 @@
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
 from carlitz.ratfun import FracField, RatFun, base_field
+
+QS = (2, 3, 4, 9)
 
 
 def rand_ratfun(rng, F, max_deg=4):
@@ -82,3 +86,141 @@ def test_eval_matches_substitution():
     f = F.coerce(poly_parse("T^2+1", fq)) / F.coerce(poly_parse("T+3", fq))
     v = f.eval(fq.from_int(1), fq)
     assert v == fq.from_int(3)  # (1+1)/(1+3) = 2 * 4^-1 = 2 * 4 = 3 mod 5
+
+
+# -- Henrici's rule against the one-gcd oracle RatFun.make --------------------
+
+def textbook(op, f, g):
+    """The unreduced numerator and denominator of f op g."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+    if op is operator.add:
+        return a * d + c * b, b * d
+    if op is operator.sub:
+        return a * d - c * b, b * d
+    if op is operator.mul:
+        return a * c, b * d
+    return a * d, b * c
+
+
+def assert_canonical(r):
+    assert r.den.is_monic()
+    assert r.num.gcd(r.den).is_one()
+
+
+def check_against_oracle(f, g):
+    F = f.field
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and g.is_zero():
+            continue
+        got = op(f, g)
+        assert got == RatFun.make(F, *textbook(op, f, g)), op
+        assert_canonical(got)
+
+
+@st.composite
+def factor_products(draw, field, coeff, nonzero, max_deg, count):
+    """``count`` polynomials over ``field`` (any of them may be zero), each
+    a scalar times a product of factors from one small shared pool, so that
+    numerators and denominators share factors and every cancellation of the
+    rule happens."""
+    var = "x" if isinstance(field, FracField) else "T"
+
+    def poly(n):
+        cs = [draw(coeff) for _ in range(n)]
+        cs.append(draw(nonzero))
+        return Poly(field, var, cs)
+
+    pool = [poly(draw(st.integers(0, max_deg)))
+            for _ in range(draw(st.integers(1, 3)))]
+    out = []
+    for _ in range(count):
+        if draw(st.integers(0, 9)) == 0:
+            out.append(Poly(field, var, []))
+            continue
+        p = poly(0)
+        for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=3)):
+            p = p * pool[i]
+        out.append(p)
+    return out
+
+
+def fraction_pair(F, polys):
+    nums, dens = polys[:2], polys[2:]
+    dens = [d if d.coeffs else F.one.num for d in dens]
+    return [RatFun.make(F, n, d) for n, d in zip(nums, dens)]
+
+
+@st.composite
+def base_pairs(draw):
+    fq = Fq.get(draw(st.sampled_from(QS)))
+    coeff = st.integers(0, fq.q - 1).map(fq.from_index)
+    nonzero = st.integers(1, fq.q - 1).map(fq.from_index)
+    polys = draw(factor_products(fq, coeff, nonzero, 2, 4))
+    return fraction_pair(base_field(fq), polys)
+
+
+@st.composite
+def nested_pairs(draw):
+    fq = Fq.get(draw(st.sampled_from((2, 3))))
+    F = base_field(fq)
+    digit = st.integers(0, fq.q - 1)
+    small = st.tuples(st.lists(digit, max_size=1), digit).map(
+        lambda t: Poly(fq, "T", [fq.from_index(i) for i in t[0] + [t[1]]]))
+    nonzero_small = small.filter(lambda p: p.coeffs)
+    coeff = st.tuples(small, nonzero_small).map(lambda nd: RatFun.make(F, *nd))
+    nonzero = st.tuples(nonzero_small, nonzero_small).map(
+        lambda nd: RatFun.make(F, *nd))
+    polys = draw(factor_products(F, coeff, nonzero, 1, 4))
+    return fraction_pair(FracField(F, "x"), polys)
+
+
+@given(base_pairs())
+@settings(max_examples=200)
+def test_henrici_rule_matches_make_over_fq_t(pair):
+    check_against_oracle(*pair)
+
+
+@given(nested_pairs())
+@settings(max_examples=40)
+def test_henrici_rule_matches_make_over_nested_field(pair):
+    # F_q(T)(x): the gcds run the generic loops over F_q(T) coefficients
+    check_against_oracle(*pair)
+
+
+def test_henrici_edge_cases(monkeypatch):
+    fq = Fq.get(3)
+    F = base_field(fq)
+
+    def r(num, den="1"):
+        return RatFun.make(F, poly_parse(num, fq), poly_parse(den, fq))
+
+    def boom(*args):
+        raise AssertionError("+, -, * and / must not call RatFun.make")
+
+    f, g = r("T+1", "T^2"), r("2*T", "T+2")
+    want = {op: RatFun.make(F, *textbook(op, f, g))
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv)}
+    monkeypatch.setattr(RatFun, "make", staticmethod(boom))
+    for op, value in want.items():
+        assert op(f, g) == value
+    monkeypatch.undo()
+    # zero operands
+    for x in (f, F.zero):
+        assert x + F.zero == x and F.zero + x == x
+        assert (x * F.zero).is_zero() and (F.zero * x).is_zero()
+    assert F.zero / f == F.zero
+    # equal denominators, and sums that cancel to the canonical zero
+    assert r("T", "T^2+1") + r("1", "T^2+1") == r("T+1", "T^2+1")
+    assert r("T", "T+1") + r("1", "T+1") == F.one
+    assert f - f == F.zero and f + (-f) == F.zero
+    assert (f - f).den.is_one()
+    # g = gcd(b, d) = T and t = (T+2) + (T+1) = 2T, so h = gcd(t, g) = T
+    s = r("1", "T^2+T") + r("1", "T^2+2*T")
+    assert s == r("2", "T^2+2") and s.num.degree == 0
+    # a non-monic divisor: 1/(2T) is 2/T
+    q = F.one / r("2*T")
+    assert (q.num, q.den) == (poly_parse("2", fq), poly_parse("T", fq))
+    assert_canonical(q)
+    with pytest.raises(ZeroDivisionError):
+        f / F.zero
