@@ -21,7 +21,7 @@ truncation of 1/e, so the cache changes no coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError
 from .fq import Fq
@@ -179,9 +179,17 @@ def omega_minpoly(pi: Poly, n: int) -> Poly:
     return m
 
 
+_PRIMES: set[Poly] = set()  # every pi _require_prime has accepted
+
+
 def _require_prime(pi: Poly) -> None:
+    """Rabin's test runs once per prime; a rejected pi is never stored, so
+    it raises on every call."""
+    if pi in _PRIMES:
+        return
     if not pi.is_monic() or not is_irreducible(pi):
         raise ValueError(f"{pi!r} must be monic irreducible")
+    _PRIMES.add(pi)
 
 
 # -- bracket / factorial sequences --------------------------------------------
@@ -295,13 +303,11 @@ def carlitz_factorial(n: int, fq: Fq) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class BCValue:
-    """A Bernoulli-Carlitz number BC_n together with Pi(n)."""
+class BCValue(namedtuple("BCValue", "n value factorial")):
+    """A Bernoulli-Carlitz number: value = BC_n in F_q(T), together with
+    factorial = Pi(n) in F_q[T]."""
 
-    n: int
-    value: RatFun
-    factorial: Poly
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"BC_{self.n} = {self.value}"

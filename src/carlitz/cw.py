@@ -16,7 +16,7 @@ a^k - b^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cmod import bernoulli_carlitz_table, carlitz_exp
 from .coleman import ColemanSeries, _fq_of, _x_order, cyclotomic_unit_series
@@ -143,23 +143,15 @@ def coates_wiles(k: int, f) -> RatFun:
 
 # -- the reciprocity-law verifier ------------------------------------------------
 
-@dataclass(frozen=True)
-class CWRow:
-    k: int
-    lhs: RatFun
-    rhs: RatFun
-    equal: bool
+CWRow = namedtuple("CWRow", "k lhs rhs equal")
+CWRow.__doc__ = "One k: lhs and rhs in F = F_q(T), and whether they agree."
 
 
-@dataclass(frozen=True)
-class CWReport:
-    """Row-by-row comparison delta_k(c(a,b)) vs (a^k - b^k) BC_k/Pi(k)."""
+class CWReport(namedtuple("CWReport", "q a b rows")):
+    """Row-by-row comparison delta_k(c(a,b)) vs (a^k - b^k) BC_k/Pi(k):
+    q, the indices a and b (Polys) and a sequence of CWRows."""
 
-    q: int
-    a: Poly
-    b: Poly
-    rows: list[CWRow] = field(default_factory=list)
-    pi: Poly | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -23,7 +23,7 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cmod import bernoulli_carlitz_table
 from .errors import CharacterError, InvariantError, PrecisionError, TailError
@@ -392,13 +392,12 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
 
 # -- irregularity scan --------------------------------------------------------
 
-@dataclass(frozen=True)
-class OkadaReport:
-    q: int
-    pi: Poly
-    kmax: int
-    irregular: tuple[int, ...]
-    denominator_hits: tuple[int, ...]
+class OkadaReport(namedtuple("OkadaReport",
+                             "q pi kmax irregular denominator_hits")):
+    """The scan at a prime pi (a Poly) up to kmax; irregular and
+    denominator_hits are tuples of indices k."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ from carlitz.cmod import (
     carlitz_factorial, carlitz_log, carlitz_phi, d_sequence, l_sequence,
     omega_minpoly, torsion_poly,
 )
+from carlitz.coleman import ColemanSeries
 from carlitz.cw import cw_verify
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
@@ -279,3 +280,54 @@ def test_minpoly_rejects_reducible_modulus():
         omega_minpoly(poly_parse("T^2+1", f2), 1)  # (T+1)^2
     with pytest.raises(ValueError):
         torsion_poly(poly_parse("T^2", f2), 1)
+
+
+def test_bc_value_record_contract():
+    f3 = Fq.get(3)
+    bc = bernoulli_carlitz(2, f3)
+    assert isinstance(bc, cmod.BCValue)
+    assert bc.n == 2 and bc.factorial == carlitz_factorial(2, f3)
+    again = cmod.BCValue(n=bc.n, value=bc.value, factorial=bc.factorial)
+    assert again == cmod.BCValue(bc.n, bc.value, bc.factorial) == bc
+    assert hash(again) == hash(bc)
+    assert again != cmod.BCValue(3, bc.value, bc.factorial)
+    with pytest.raises(AttributeError):
+        bc.n = 4
+    assert repr(bc).startswith("BCValue(n=2, ")
+    assert str(bc) == f"BC_2 = {bc.value}"
+
+
+def count_irreducibility_tests(monkeypatch):
+    calls = []
+    real = cmod.is_irreducible
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cmod, "is_irreducible", counted)
+    return calls
+
+
+def test_accepted_prime_is_tested_once(monkeypatch):
+    f3 = Fq.get(3)
+    pi = poly_parse("T^2+1", f3)
+    x = Poly.gen(base_field(f3), "x")
+    ColemanSeries(x, pi)
+    calls = count_irreducibility_tests(monkeypatch)
+    again = ColemanSeries(x, poly_parse("T^2+1", f3))
+    assert again.pi == pi and calls == []
+    torsion_poly(pi, 1)
+    omega_minpoly(pi, 2)
+    assert calls == []
+
+
+def test_rejected_prime_raises_on_every_call(monkeypatch):
+    f2 = Fq.get(2)
+    pi = poly_parse("T^2+1", f2)  # (T+1)^2
+    x = Poly.gen(base_field(f2), "x")
+    calls = count_irreducibility_tests(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            ColemanSeries(x, pi)
+    assert len(calls) == 3

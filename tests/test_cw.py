@@ -6,8 +6,8 @@ import pytest
 from carlitz.cmod import bernoulli_carlitz
 from carlitz.coleman import cyclotomic_unit_series, star_action
 from carlitz.cw import (
-    CWReport, coates_wiles, cw_verify, dlog, dlog_exp_series, ht_derivative,
-    lucas_binom,
+    CWReport, CWRow, coates_wiles, cw_verify, dlog, dlog_exp_series,
+    ht_derivative, lucas_binom,
 )
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
@@ -148,3 +148,26 @@ def test_verify_input_validation():
         cw_verify(t, t, 0)
     with pytest.raises(ValueError):
         coates_wiles(0, cyclotomic_unit_series(t, poly_parse("1", f2)))
+
+
+def test_report_record_contract():
+    f2 = Fq.get(2)
+    F = base_field(f2)
+    a, b = poly_parse("T", f2), poly_parse("1", f2)
+    row = CWRow(1, F.one, F.zero, False)
+    assert (row.k, row.lhs, row.rhs, row.equal) == (1, F.one, F.zero, False)
+    assert row == CWRow(k=1, lhs=F.one, rhs=F.zero, equal=False)
+    assert hash(row) == hash(CWRow(1, F.one, F.zero, False))
+    with pytest.raises(AttributeError):
+        row.equal = True
+    assert repr(row).startswith("CWRow(k=1, ")
+    rep = CWReport(q=2, a=a, b=b, rows=(row,))
+    assert rep == CWReport(2, a, b, (row,))
+    assert hash(rep) == hash(CWReport(2, a, b, (row,)))
+    assert rep.q == 2 and rep.a == a and rep.b == b and not rep.passed
+    with pytest.raises(AttributeError):
+        rep.rows = ()
+    assert repr(rep).startswith("CWReport(q=2, ")
+    verified = cw_verify(a, b, 3)
+    assert verified.passed and [r.k for r in verified.rows] == [1, 2, 3]
+    assert verified == cw_verify(a, b, 3)

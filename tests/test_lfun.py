@@ -4,9 +4,10 @@ from carlitz.errors import CharacterError, PrecisionError, TailError
 from carlitz.fq import Fq
 from carlitz.groupring import CharSpec, GroupRing
 from carlitz.lfun import (
-    okada_report, power_sum, power_sum_enum, stickelberger_coefficient,
-    stickelberger_coefficient_enum, stickelberger_series, zeta_neg,
-    zeta_pos_trunc, zeta_v_adic_neg, zeta_v_adic_neg_enum,
+    OkadaReport, okada_report, power_sum, power_sum_enum,
+    stickelberger_coefficient, stickelberger_coefficient_enum,
+    stickelberger_series, zeta_neg, zeta_pos_trunc, zeta_v_adic_neg,
+    zeta_v_adic_neg_enum,
 )
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
 from carlitz.ratfun import base_field
@@ -376,3 +377,17 @@ def test_okada_rejects_reducible():
     f3 = Fq.get(3)
     with pytest.raises(ValueError):
         okada_report(poly_parse("T^2+2", f3))  # (T+1)(T+2)
+
+
+def test_okada_report_record_contract():
+    f2 = Fq.get(2)
+    pi = poly_parse("T^3+T+1", f2)
+    rep = okada_report(pi)
+    assert rep.q == 2 and rep.pi == pi and rep.kmax == 6
+    same = OkadaReport(q=2, pi=pi, kmax=6, irregular=rep.irregular,
+                       denominator_hits=rep.denominator_hits)
+    assert same == rep == okada_report(pi)
+    assert hash(same) == hash(rep)
+    with pytest.raises(AttributeError):
+        rep.kmax = 7
+    assert repr(rep).startswith("OkadaReport(q=2, ")
