@@ -27,7 +27,6 @@ from .lfun import (
     zeta_v_adic_neg,
 )
 from .poly import Poly, poly_parse, poly_to_str
-from .selfcheck import run_all, suite_coleman
 from .series import TruncSeries
 
 FLAT_COMMANDS = ("bc", "zetaneg", "okada")
@@ -242,6 +241,8 @@ def _cmd_charval(args):
 
 
 def _cmd_colemancheck(args):
+    # selfcheck imports random, which no other subcommand needs
+    from .selfcheck import suite_coleman
     fq = _fq(args)
     pis = [poly_parse(args.pi, fq)] if args.pi is not None else None
     rows = suite_coleman(fq, pis, trials=args.trials)
@@ -272,6 +273,7 @@ def _cmd_okada(args):
 
 
 def _cmd_selftest(args):
+    from .selfcheck import run_all
     suites = []
     for name, rows in run_all():
         checks = [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows]

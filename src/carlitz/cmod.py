@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import InvariantError
 from .fq import Fq
-from .poly import Poly, PolyRing, is_irreducible
+from .poly import Poly, PolyRing, is_monic_prime
 from .ratfun import RatFun, base_field
 from .series import TruncSeries
 
@@ -179,17 +179,9 @@ def omega_minpoly(pi: Poly, n: int) -> Poly:
     return m
 
 
-_PRIMES: set[Poly] = set()  # every pi _require_prime has accepted
-
-
 def _require_prime(pi: Poly) -> None:
-    """Rabin's test runs once per prime; a rejected pi is never stored, so
-    it raises on every call."""
-    if pi in _PRIMES:
-        return
-    if not pi.is_monic() or not is_irreducible(pi):
+    if not is_monic_prime(pi):
         raise ValueError(f"{pi!r} must be monic irreducible")
-    _PRIMES.add(pi)
 
 
 # -- bracket / factorial sequences --------------------------------------------

@@ -12,6 +12,9 @@ the torsion u, and the norm of P(y) from K[x][y]/(phi_pi(y) - x) down to
 K[x] -- the determinant of multiplication by P(y) -- is h(x) with
 h(phi_pi(x)) = prod_u P(x + u).  One norm gives N P already written in
 phi_pi(x): no Taylor shift P(x + y) and no decomposition of a product.
+That norm is the resultant Res_y(phi_pi(y) - x, P), taken from the smaller
+side: for deg P <= q^deg pi with a leading coefficient in F_q^* it is a
+deg P x deg P determinant over A, otherwise the q^deg pi x q^deg pi one.
 
 The coefficient ring K is A = F_q[T]: a polynomial in x over F is first
 scaled by the lcm d of its coefficient denominators, phi_pi is monic with A

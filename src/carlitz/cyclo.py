@@ -10,9 +10,15 @@ Norms down the tower are torsion norms.  The conjugates of omega_n over F_m
 (1 <= m < n) are omega_n + phi[pi^(n-m)], the translates by the
 pi^(n-m)-torsion, so N_{F_n/F_m}(r(omega_n)) = h(omega_m) with
 h(phi_{pi^(n-m)}(x)) = prod_u r(x + u): one norm in A[x][y]/(phi_a(y) - x)
-with a = pi^(n-m), the same one the Coleman norm takes with a = pi.  The norm
-to F itself is the multiplication-matrix determinant over F.  The extension
-is totally ramified at pi with uniformizer omega_n, so valuations descend
+with a = pi^(n-m), the same one the Coleman norm takes with a = pi.  That
+norm is the resultant Res_y(phi_a(y) - x, r) with r's denominators cleared,
+and it is taken from the smaller side: with Q = q^deg a, k = deg r <= Q and
+lc(r) = c in F_q^*, the symmetry of the resultant gives c^Q det(x I - M),
+M multiplication by phi_a(y) on A[y]/(r/c), a k x k determinant over A.
+The sign (-1)^(k(Q+1)) is 1: Q + 1 is even for odd q, and -1 = 1 for even
+q.  Otherwise the Q x Q determinant over A[x] is taken.  The norm to F
+itself is the multiplication-matrix determinant over F.  The extension is
+totally ramified at pi with uniformizer omega_n, so valuations descend
 through it: val(e) = val_pi(N_{F_n/F}(e)).
 """
 
@@ -23,7 +29,10 @@ import math
 from .cmod import carlitz_phi, omega_minpoly
 from .fq import Fq
 from .poly import Poly, PolyRing
-from .quotient import QuotElem, QuotientRing, ResidueRing, quotient_norm
+from .quotient import (
+    QuotElem, QuotientRing, ResidueRing, _taps, _times_y, charpoly,
+    quotient_norm,
+)
 from .ratfun import RatFun, base_field
 
 __all__ = [
@@ -125,27 +134,77 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     """h with h(phi_a(x)) = prod over the a-torsion u of p(x + u).
 
     p has coefficients in F; with d the monic lcm of their denominators,
-    P = d p lies in A[x], and N(p) = N(P)/d^n with n = q^deg a.  N(P) is
+    P = d p lies in A[y], and N(p) = N(P)/d^Q with Q = q^deg a.  N(P) is
     the norm of P(y) in A[x][y]/(phi_a(y) - x), which lands in A[x]
-    already written in phi_a(x); dividing its coefficients by d^n in F is
-    the only fraction work."""
+    already written in phi_a(x); dividing its coefficients by d^Q in F is
+    the only fraction work.
+
+    That norm is the resultant Res_y(phi_a(y) - x, P), and it is taken from
+    the smaller side: when k = deg P <= Q and lc(P) = c lies in F_q^*,
+    ``_resultant_norm`` swaps the arguments and takes a k x k determinant
+    over A; otherwise ``_torsion_norm`` takes the Q x Q one over A[x]."""
     if p.is_zero():
         return p
     F = p.ring
     qr = _torsion_quotient(a)
-    R = qr.K
-    A = R.cring
+    A = qr.K.cring
     d = A.one
     for c in p.coeffs:
         if not c.den.is_one():
             d = d * c.den.exact_div(d.gcd(c.den))
-    P = Poly(R, qr.var, [Poly(A, R.var, [c.num * d.exact_div(c.den)])
-                         for c in p.coeffs])
-    h = quotient_norm(qr.coerce(P))
+    P = [c.num * d.exact_div(c.den) for c in p.coeffs]
+    if len(P) - 1 <= qr.degree and P[-1].degree == 0:
+        h = _resultant_norm(P, qr)
+    else:
+        h = _torsion_norm(P, qr)
     if d.is_one():
-        return Poly(F, p.var, [F.coerce(c) for c in h.coeffs])
+        return Poly(F, p.var, [F.coerce(c) for c in h])
     dn = d ** qr.degree
-    return Poly(F, p.var, [RatFun.make(F, c, dn) for c in h.coeffs])
+    return Poly(F, p.var, [RatFun.make(F, c, dn) for c in h])
+
+
+def _torsion_norm(P: list, qr: QuotientRing) -> list:
+    """Coefficients in A of N(P) for P in A[y] (coefficients low first):
+    the Q x Q determinant of multiplication by P(y) in the torsion quotient
+    qr = A[x][y]/(phi_a(y) - x)."""
+    R = qr.K
+    elem = Poly(R, qr.var, [Poly(R.cring, R.var, [c]) for c in P])
+    return list(quotient_norm(qr.coerce(elem)).coeffs)
+
+
+def _resultant_norm(P: list, qr: QuotientRing) -> list:
+    """N(P) as in ``_torsion_norm``, for deg P = k <= Q and lc(P) = c in
+    F_q^*, by a k x k determinant over A.
+
+    By the symmetry of the resultant, with beta over the roots of P,
+    Res_y(phi_a(y) - x, P) = (-1)^(kQ) c^Q prod_beta (phi_a(beta) - x)
+    = (-1)^(k(Q+1)) c^Q det(x I - M), where M is multiplication by
+    phi_a(ybar) on A[y]/(P/c).  The sign is 1: Q + 1 is even for odd q, and
+    -1 = 1 for even q.  c^Q = c, as c lies in F_q.  phi_a(ybar) and the
+    columns of -M are built by ``_times_y`` steps modulo P/c, whose
+    characteristic polynomial det(x I + (-M)) is ``charpoly``."""
+    A = qr.K.cring
+    c = P[-1]
+    k = len(P) - 1
+    if k == 0:
+        return [c]
+    zero = A.zero
+    taps = _taps(Poly(A, qr.var, [b.mul_scalar(c.constant ** -1)
+                                  for b in P[:-1]] + [A.one]))
+    # -phi_a(ybar) mod P/c: phi_a(y) - x is the modulus of qr
+    col = [A.one] + [zero] * (k - 1)
+    neg = [zero] * k
+    for j, m in enumerate(qr.modulus.coeffs):
+        if j:
+            col = _times_y(col, taps, zero)
+            if m.coeffs:
+                t = m.constant
+                neg = [v - t * u if u.coeffs else v for v, u in zip(neg, col)]
+    cols = [neg]
+    for _ in range(k - 1):
+        cols.append(_times_y(cols[-1], taps, zero))
+    chi = charpoly(list(zip(*cols)), zero)
+    return [b.mul_scalar(c.constant) for b in reversed(chi)] + [c]
 
 
 _TORSION_QR_CACHE: dict[tuple[int, tuple], QuotientRing] = {}

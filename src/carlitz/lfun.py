@@ -29,7 +29,7 @@ from .cmod import bernoulli_carlitz_table
 from .errors import CharacterError, InvariantError, PrecisionError, TailError
 from .fq import Fq
 from .groupring import CharSpec, GroupRing, GroupRingElem, character_table
-from .poly import Poly, is_irreducible, monic_enumerate, poly_to_str
+from .poly import Poly, is_monic_prime, monic_enumerate, poly_to_str
 from .series import TruncSeries
 
 
@@ -121,7 +121,7 @@ def zeta_v_adic_neg(k: int, pi: Poly) -> Poly:
     fq = pi.ring
     if k < 1:
         raise ValueError("need k >= 1")
-    if not (pi.is_monic() and is_irreducible(pi)):
+    if not is_monic_prime(pi):
         raise ValueError("pi must be monic irreducible")
     q, e = fq.q, pi.degree
     pik = pi ** k
@@ -186,7 +186,7 @@ def _distinct_places(places, label: str) -> list[Poly]:
     """The distinct members of places, each checked monic irreducible."""
     out: list[Poly] = []
     for v in places:
-        if not (v.is_monic() and is_irreducible(v)):
+        if not is_monic_prime(v):
             raise ValueError(f"members of {label} must be monic irreducible")
         if v not in out:
             out.append(v)
@@ -346,7 +346,7 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
     n >= deg M, so no bound can certify termination.
     """
     fq = pi.ring
-    if not (pi.is_monic() and is_irreducible(pi)):
+    if not is_monic_prime(pi):
         raise ValueError("pi must be monic irreducible")
     if level < 1:
         raise ValueError("need level >= 1")
@@ -414,7 +414,7 @@ def okada_report(pi: Poly) -> OkadaReport:
     numerators divisible by pi (the irregular indices).  Indices where pi
     divides the denominator are reported separately rather than counted."""
     fq = pi.ring
-    if not (pi.is_monic() and is_irreducible(pi)):
+    if not is_monic_prime(pi):
         raise ValueError("pi must be monic irreducible")
     kmax = fq.q ** pi.degree - 2
     irregular = []

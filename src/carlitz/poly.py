@@ -47,6 +47,7 @@ __all__ = [
     "monic_enumerate",
     "all_residues",
     "is_irreducible",
+    "is_monic_prime",
 ]
 
 
@@ -751,4 +752,19 @@ def is_irreducible(poly: Poly) -> bool:
         h = _poly_powmod(x, q ** (n // r), f) - x
         if f.gcd(h).degree > 0:
             return False
+    return True
+
+
+_PRIMES: set[Poly] = set()  # every poly is_monic_prime has accepted
+
+
+def is_monic_prime(poly: Poly) -> bool:
+    """poly is monic and irreducible over F_q.  Rabin's test runs once per
+    accepted prime; a rejected polynomial is never stored, so it is tested
+    again on every call."""
+    if poly in _PRIMES:
+        return True
+    if not poly.is_monic() or not is_irreducible(poly):
+        return False
+    _PRIMES.add(poly)
     return True

@@ -25,7 +25,9 @@ construction applies when u has polynomial coefficients in a second
 variable, the Taylor-shift route the tests keep as the Coleman norm's
 oracle.  One determinant serves every entry ring:
 Berkowitz's recurrence never divides, so entries in a field, in A or in A[x]
-take the same path.
+take the same path.  It builds the whole characteristic polynomial
+det(t I + M) on its way (``charpoly``); ``det`` keeps the constant term, and
+the torsion norm of a small P (``cyclo._resultant_norm``) uses all of it.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ import operator
 from functools import reduce
 
 from .fq import _power
-from .poly import Poly, all_residues, is_irreducible
+from .poly import Poly, all_residues, is_monic_prime
 
 __all__ = [
     "ResidueRing",
     "QuotientRing",
     "QuotElem",
     "quotient_norm",
+    "charpoly",
     "det",
 ]
 
@@ -53,7 +56,7 @@ class ResidueRing:
         # n = 0 is the trivial quotient A/(1): a single class, key 0
         if n < 0:
             raise ValueError("level must be >= 0")
-        if not pi.is_monic() or not is_irreducible(pi):
+        if not is_monic_prime(pi):
             raise ValueError(f"{pi!r} is not monic irreducible")
         self.fq = pi.ring
         self.var = pi.var
@@ -195,20 +198,21 @@ class QuotElem:
 
 # -- determinants -------------------------------------------------------------
 
-def det(mat: list[list], zero):
-    """Determinant by Berkowitz's division-free recurrence (Berkowitz, IPL 18,
-    1984); O(n^4) ring operations using only +, - and *, so it serves field
-    entries and polynomial entries alike.
+def charpoly(mat: list[list], zero) -> list:
+    """Coefficients of det(t I + mat) below the leading 1, highest first, by
+    Berkowitz's division-free recurrence (Berkowitz, IPL 18, 1984); O(n^4)
+    ring operations using only +, - and *, so it serves field entries and
+    polynomial entries alike.
 
     With A_k the leading k x k block, A_(k+1) = [[A_k, u], [r, a]] and
-    chi_k(x) = det(x I + A_k), the coefficients of chi_(k+1) are those of
+    chi_k(t) = det(t I + A_k), the coefficients of chi_(k+1) are those of
     chi_k times the lower-triangular Toeplitz matrix whose first column is
-    (1, a, -r u, r A_k u, -r A_k^2 u, ..., +-r A_k^(k-1) u); det A = chi_n(0).
+    (1, a, -r u, r A_k u, -r A_k^2 u, ..., +-r A_k^(k-1) u).
     """
     n = len(mat)
     if n == 0:
         raise ValueError("empty matrix")
-    # c[i] is the coefficient of x^(k-1-i) in chi_k; the leading 1 is implicit
+    # c[i] is the coefficient of t^(k-1-i) in chi_k; the leading 1 is implicit
     c: list = []
     for k in range(n):
         block = [row[:k] for row in mat[:k]]
@@ -223,7 +227,12 @@ def det(mat: list[list], zero):
         c = [reduce(operator.add, [col[i]]
                     + [col[i - 1 - j] * c[j] for j in range(i)] + c[i:i + 1])
              for i in range(k + 1)]
-    return c[-1]
+    return c
+
+
+def det(mat: list[list], zero):
+    """Determinant: the constant term chi_n(0) of ``charpoly``."""
+    return charpoly(mat, zero)[-1]
 
 
 def _dot(a: list, b: list):
@@ -253,24 +262,35 @@ def quotient_norm(elem):
 
 def _mult_matrix_coeffs(qr: QuotientRing, coeffs) -> list[list[list]]:
     """rows[i][j][k] = row-i component of c_k * ybar^j, for each stored
-    second-variable index k.
-
-    Column j + 1 is y times column j mod m: shift up by one, then subtract
-    top * m_i over the nonzero coefficients m_i of m only, so no product of
-    residue classes and no division is taken."""
+    second-variable index k; column j + 1 is ``_times_y`` of column j."""
     n = qr.degree
     zero = qr.K.zero
-    taps = [(i, m) for i, m in enumerate(qr.modulus.coeffs[:n]) if m != zero]
+    taps = _taps(qr.modulus)
     rows = [[[zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
     for k, ck in enumerate(coeffs):
         col = list(ck.rep.coeffs) + [zero] * (n - len(ck.rep.coeffs))
         for j in range(n):
             if j:
-                top = col[-1]
-                col = [zero] + col[:-1]
-                if top != zero:
-                    for i, m in taps:
-                        col[i] = col[i] - top * m
+                col = _times_y(col, taps, zero)
             for i in range(n):
                 rows[i][j][k] = col[i]
     return rows
+
+
+def _taps(modulus: Poly) -> list[tuple]:
+    """(i, m_i) over the nonzero coefficients below the top of a monic m."""
+    zero = modulus.ring.zero
+    return [(i, m) for i, m in enumerate(modulus.coeffs[:-1]) if m != zero]
+
+
+def _times_y(col: list, taps: list[tuple], zero) -> list:
+    """y times the residue col (deg m coefficients, low first) mod the monic m
+    whose ``_taps`` are given: shift up by one, then subtract top * m_i over
+    the nonzero m_i only, so no product of residue classes and no division
+    is taken."""
+    top = col[-1]
+    col = [zero] + col[:-1]
+    if top != zero:
+        for i, m in taps:
+            col[i] = col[i] - top * m
+    return col

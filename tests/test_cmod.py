@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carlitz import cmod
+from carlitz import cmod, poly
 from carlitz.cmod import (
     SkewPoly, bernoulli_carlitz, bernoulli_carlitz_table, bracket, carlitz_exp,
     carlitz_factorial, carlitz_log, carlitz_phi, d_sequence, l_sequence,
@@ -11,7 +12,9 @@ from carlitz.cmod import (
 from carlitz.coleman import ColemanSeries
 from carlitz.cw import cw_verify
 from carlitz.fq import Fq, FqElem
+from carlitz.lfun import stickelberger_series
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
+from carlitz.quotient import ResidueRing
 from carlitz.ratfun import base_field
 from carlitz.series import TruncSeries
 
@@ -298,14 +301,15 @@ def test_bc_value_record_contract():
 
 
 def count_irreducibility_tests(monkeypatch):
+    # poly.is_monic_prime, behind every prime check, calls this name
     calls = []
-    real = cmod.is_irreducible
+    real = poly.is_irreducible
 
     def counted(p):
         calls.append(p)
         return real(p)
 
-    monkeypatch.setattr(cmod, "is_irreducible", counted)
+    monkeypatch.setattr(poly, "is_irreducible", counted)
     return calls
 
 
@@ -331,3 +335,43 @@ def test_rejected_prime_raises_on_every_call(monkeypatch):
         with pytest.raises(ValueError):
             ColemanSeries(x, pi)
     assert len(calls) == 3
+
+
+def test_residue_rings_and_stickelberger_share_one_prime_test(monkeypatch):
+    f2 = Fq.get(2)
+    pi, t = poly_parse("T^2+T+1", f2), poly_parse("T", f2)
+    monkeypatch.setattr(poly, "_PRIMES", set())  # forget earlier tests
+    calls = count_irreducibility_tests(monkeypatch)
+    for n in (1, 2, 3):
+        ResidueRing(pi, n)
+    stickelberger_series(pi, 1, t_aux=(t,), udeg=12)
+    assert calls.count(pi) == 1
+
+
+@st.composite
+def phi_cases(draw):
+    """a, b in F_q[T] with q^(deg a + deg b) <= 81, and c in F_q."""
+    q = draw(st.sampled_from((2, 3, 4, 9)))
+    fq = Fq.get(q)
+    digit = st.integers(0, q - 1).map(lambda i: FqElem(fq, i))
+    top = {2: 6, 3: 4, 4: 3, 9: 2}[q]
+    da = draw(st.integers(0, top // 2))
+    db = draw(st.integers(0, top - da))
+    a, b = (Poly(fq, "T", draw(st.lists(digit, min_size=d + 1,
+                                         max_size=d + 1)))
+            for d in (da, db))
+    return a, b, draw(digit)
+
+
+@settings(max_examples=30)
+@given(case=phi_cases())
+def test_phi_is_an_fq_algebra_homomorphism(case):
+    a, b, c = case
+
+    def phi(x):
+        return carlitz_phi(x).as_additive()
+    assert phi(a + b) == phi(a) + phi(b)
+    assert phi(a * b) == phi(a).compose(phi(b))
+    cx = phi(Poly(a.ring, "T", [c]))
+    x = Poly.gen(cx.ring, "x")
+    assert cx == x.mul_scalar(cx.ring.coerce(c))

@@ -1,13 +1,15 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import cyclo
 from carlitz.cmod import carlitz_phi
 from carlitz.cyclo import (
-    CycloField, _norm_poly, cyclotomic_unit, field_norm, galois_act, upsilon,
-    valuation_at_p,
+    CycloField, _norm_poly, _torsion_norm, _torsion_quotient, cyclotomic_unit,
+    field_norm, galois_act, upsilon, valuation_at_p,
 )
 from carlitz.fq import Fq
 from carlitz.poly import (
@@ -153,6 +155,106 @@ def test_torsion_norm_is_transitive(case):
     assert _norm_poly(p, a * b) == _norm_poly(_norm_poly(p, b), a)
     # phi_1(x) = x has the single torsion point 0
     assert _norm_poly(p, a ** 0) == p
+
+
+def torsion_route(p, a):
+    """Oracle for _norm_poly: the Q x Q determinant over A[x] of
+    multiplication by d p(y) in A[x][y]/(phi_a(y) - x), divided by d^Q,
+    with d the plain product of the coefficient denominators."""
+    F = p.ring
+    d = F.one
+    for c in p.coeffs:
+        d = d * F.coerce(c.den)
+    qr = _torsion_quotient(a)
+    h = _torsion_norm([(c * d).num for c in p.coeffs], qr)
+    return Poly(F, p.var, [F.coerce(c) / d ** qr.degree for c in h])
+
+
+def grid_poly(rng, fq, k, lead, with_dens):
+    """Degree-k p over F, small random coefficients below the F-element
+    lead, over the denominators T and T + 1 when with_dens."""
+    F = base_field(fq)
+    dens = [F.one]
+    if with_dens:
+        dens += [F.coerce(poly_parse("T", fq)),
+                 F.coerce(poly_parse("T+1", fq))]
+    cs = [F.coerce(Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                                  for _ in range(2)])) / rng.choice(dens)
+          for _ in range(k)]
+    return Poly(F, "x", cs + [lead])
+
+
+@pytest.mark.parametrize("q,a_text", [
+    (2, "T"), (2, "T^2"), (3, "T"), (3, "T^2"), (4, "T"), (5, "T"),
+    (9, "T")])
+def test_norm_poly_matches_torsion_route(q, a_text):
+    # deg p from 0 to Q + 1, exact and over T-denominators.  Once the
+    # denominators are cleared, d p has a unit leading coefficient for the
+    # first two variants (T and T + 1 divide T^2 + T, so d = T^2 + T) and
+    # not for the last two: the k x k route serves exactly the first two
+    # with k <= Q, and the Q x Q route everything else
+    fq = Fq.get(q)
+    F = base_field(fq)
+    a = poly_parse(a_text, fq)
+    Q = q ** a.degree
+    rng = random.Random(7 * q + Q)
+    unit = F.coerce(fq.from_index(q - 1))
+    non_unit = F.coerce(poly_parse("T+1", fq))
+    over_d = unit / F.coerce(poly_parse("T^2+T", fq))
+    variants = [(unit, False), (over_d, True), (non_unit, False),
+                (non_unit, True)]
+    expect = []
+    with mock.patch.object(cyclo, "_resultant_norm",
+                           wraps=cyclo._resultant_norm) as small:
+        for k in range(Q + 2):
+            # the Q x Q oracle over F_9 is slow: one variant per degree there
+            for v, (lead, with_dens) in enumerate(variants):
+                if Q > 5 and v != k % len(variants):
+                    continue
+                p = grid_poly(rng, fq, k, lead, with_dens)
+                assert _norm_poly(p, a) == torsion_route(p, a), (k, p)
+                if k <= Q and v < 2:
+                    expect.append(k)
+    got = [len(c.args[0]) - 1 for c in small.call_args_list]
+    assert got == expect and Q in got
+
+
+@st.composite
+def split_products(draw):
+    """p on the k x k side of the size rule (deg p <= Q, a unit leading
+    coefficient once denominators are cleared) and r with deg(p r) > Q,
+    over F with T-denominators, a monic linear, q in {2, 3, 4}."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    fq = Fq.get(q)
+    F = base_field(fq)
+    a = draw(st.sampled_from(monic_enumerate(fq, 1)))
+    dens = [F.one, F.coerce(poly_parse("T", fq)),
+            F.coerce(poly_parse("T+1", fq))]
+
+    digit = st.integers(0, q - 1).map(fq.from_index)
+
+    def coeffs(n):
+        return [F.coerce(Poly(fq, "T", [draw(digit), draw(digit)]))
+                / draw(st.sampled_from(dens)) for _ in range(n)]
+    low = coeffs(draw(st.integers(0, q)))
+    lead = F.coerce(fq.from_index(draw(st.integers(1, q - 1))))
+    if any(not c.den.is_one() for c in low):
+        lead = lead / F.coerce(poly_parse("T^2+T", fq))  # d = T^2 + T
+    r = Poly(F, "x", coeffs(q - len(low) + 1) + [F.one])
+    return Poly(F, "x", low + [lead]), r, a
+
+
+@settings(max_examples=25)
+@given(case=split_products())
+def test_norm_is_multiplicative_across_the_size_rule(case):
+    p, r, a = case
+    Q = a.ring.q ** a.degree
+    assert p.degree <= Q < (p * r).degree
+    with mock.patch.object(cyclo, "_resultant_norm",
+                           wraps=cyclo._resultant_norm) as small:
+        assert _norm_poly(p * r, a) == _norm_poly(p, a) * _norm_poly(r, a)
+    # p * r took the Q x Q route, p the k x k one
+    assert len(small.call_args_list[0].args[0]) == p.degree + 1
 
 
 def test_galois_action_is_an_action():

@@ -10,7 +10,8 @@ from carlitz.fq import Fq, FqElem
 from carlitz.groupring import CharSpec
 from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
 from carlitz.quotient import (
-    QuotientRing, ResidueRing, _mult_matrix_coeffs, det, quotient_norm,
+    QuotientRing, ResidueRing, _mult_matrix_coeffs, charpoly, det,
+    quotient_norm,
 )
 from carlitz.ratfun import base_field
 
@@ -28,6 +29,18 @@ def leibniz_det(mat, zero):
         for r in range(1, n):
             term = term * mat[r][perm[r]]
         acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def laplace_det(mat, zero):
+    """Oracle: cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = zero
+    for j, e in enumerate(mat[0]):
+        term = e * laplace_det([row[:j] + row[j + 1:] for row in mat[1:]],
+                               zero)
+        acc = acc - term if j % 2 else acc + term
     return acc
 
 
@@ -61,6 +74,22 @@ def poly_matrix_pairs(draw, max_n):
     square = st.lists(st.lists(entry, min_size=n, max_size=n),
                       min_size=n, max_size=n)
     return Poly(fq, "T", []), draw(square), draw(square)
+
+
+@st.composite
+def charpoly_cases(draw):
+    """A 1x1 to 4x4 matrix over F_q or over A = F_q[T], q in {2, 3, 4, 5}."""
+    fq = Fq.get(draw(st.sampled_from((2, 3, 4, 5))))
+    n = draw(st.integers(1, 4))
+    digit = st.integers(0, fq.q - 1).map(lambda i: FqElem(fq, i))
+    if draw(st.booleans()):
+        K = fq
+        entry = digit
+    else:
+        K = PolyRing(fq, "T")
+        entry = st.lists(digit, max_size=3).map(lambda cs: Poly(fq, "T", cs))
+    return K, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                            min_size=n, max_size=n))
 
 
 def test_residue_ring_units_and_inverses():
@@ -116,6 +145,23 @@ def test_det_ring_permutation_signs():
 def test_det_rejects_empty_matrix():
     with pytest.raises(ValueError):
         det([], Fq.get(2).zero)
+    with pytest.raises(ValueError):
+        charpoly([], Fq.get(2).zero)
+
+
+@PROPERTY
+@given(charpoly_cases())
+def test_charpoly_matches_laplace_expansion(case):
+    # charpoly lists det(t I + M) below its leading 1, highest power first
+    K, mat = case
+    n = len(mat)
+    shifted = [[Poly(K, "t", [e] + [K.one] * (i == j))
+                for j, e in enumerate(row)] for i, row in enumerate(mat)]
+    chi = laplace_det(shifted, Poly(K, "t", []))
+    assert chi.degree == n and chi.is_monic()
+    got = charpoly(mat, K.zero)
+    assert got == [chi.coeff(n - 1 - i) for i in range(n)]
+    assert det(mat, K.zero) == got[-1]
 
 
 @PROPERTY

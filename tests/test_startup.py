@@ -3,8 +3,9 @@
 Every `python -m carlitz` run pays for the modules `carlitz.cli` imports,
 and a stdlib module without cached bytecode is compiled from source on
 each run.  `dataclasses` alone pulls in inspect, ast, dis and tokenize;
-`typing` is larger still.  Run under `python -S` so that no `site`
-hook preloads modules and hides what the package itself imports.
+`typing` is larger still, and `random` loads `_sha512` and `bisect`.
+Run under `python -S` so that no `site` hook preloads modules and hides
+what the package itself imports.
 """
 
 import json
@@ -15,7 +16,8 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+         "random")
 
 PROBE = """
 import json, sys
