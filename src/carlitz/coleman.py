@@ -335,7 +335,5 @@ def eval_at_omega(f: ColemanSeries, n: int) -> QuotElem:
             f">= {field.degree}, have {ser.prec}",
             needed=field.degree,
         )
-    acc = field.zero
-    for k, c in ser.items():
-        acc = acc + field.coerce(c) * point ** k
-    return acc
+    rep = Poly(ser.ring, ser.var, ser.coeffs)
+    return rep.eval(point, field) * point ** ser.order

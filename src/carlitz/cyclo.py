@@ -14,10 +14,11 @@ with a = pi^(n-m), the same one the Coleman norm takes with a = pi.  That
 norm is the resultant Res_y(phi_a(y) - x, r) with r's denominators cleared,
 and it is taken from the smaller side: with Q = q^deg a, k = deg r <= Q and
 lc(r) = c in F_q^*, the symmetry of the resultant gives c^Q det(x I - M),
-M multiplication by phi_a(y) on A[y]/(r/c), a k x k determinant over A.
-The sign (-1)^(k(Q+1)) is 1: Q + 1 is even for odd q, and -1 = 1 for even
-q.  Otherwise the Q x Q determinant over A[x] is taken.  The norm to F
-itself is the multiplication-matrix determinant over F.  The extension is
+M multiplication by phi_a(y) on A[y]/(r/c), a k x k characteristic
+polynomial over A.  The sign (-1)^(k(Q+1)) is 1: Q + 1 is even for odd q,
+and -1 = 1 for even q.  Otherwise the Q x Q determinant over A[x] is taken.
+The norm to F itself is the determinant over F.  Each of these is ``det``
+or ``charpoly`` of one ``quotient._mult_matrix``.  The extension is
 totally ramified at pi with uniformizer omega_n, so valuations descend
 through it: val(e) = val_pi(N_{F_n/F}(e)).
 """
@@ -30,8 +31,7 @@ from .cmod import carlitz_phi, omega_minpoly
 from .fq import Fq
 from .poly import Poly, PolyRing
 from .quotient import (
-    QuotElem, QuotientRing, ResidueRing, _taps, _times_y, charpoly,
-    quotient_norm,
+    QuotElem, QuotientRing, ResidueRing, _mult_matrix, charpoly, quotient_norm,
 )
 from .ratfun import RatFun, base_field
 
@@ -174,36 +174,24 @@ def _torsion_norm(P: list, qr: QuotientRing) -> list:
 
 def _resultant_norm(P: list, qr: QuotientRing) -> list:
     """N(P) as in ``_torsion_norm``, for deg P = k <= Q and lc(P) = c in
-    F_q^*, by a k x k determinant over A.
+    F_q^*, by a k x k characteristic polynomial over A.
 
     By the symmetry of the resultant, with beta over the roots of P,
     Res_y(phi_a(y) - x, P) = (-1)^(kQ) c^Q prod_beta (phi_a(beta) - x)
     = (-1)^(k(Q+1)) c^Q det(x I - M), where M is multiplication by
     phi_a(ybar) on A[y]/(P/c).  The sign is 1: Q + 1 is even for odd q, and
-    -1 = 1 for even q.  c^Q = c, as c lies in F_q.  phi_a(ybar) and the
-    columns of -M are built by ``_times_y`` steps modulo P/c, whose
-    characteristic polynomial det(x I + (-M)) is ``charpoly``."""
+    -1 = 1 for even q.  c^Q = c, as c lies in F_q.  det(x I - M) is
+    ``charpoly`` of -M, the ``_mult_matrix`` of -phi_a(ybar)."""
     A = qr.K.cring
     c = P[-1]
-    k = len(P) - 1
-    if k == 0:
+    if len(P) == 1:
         return [c]
-    zero = A.zero
-    taps = _taps(Poly(A, qr.var, [b.mul_scalar(c.constant ** -1)
-                                  for b in P[:-1]] + [A.one]))
-    # -phi_a(ybar) mod P/c: phi_a(y) - x is the modulus of qr
-    col = [A.one] + [zero] * (k - 1)
-    neg = [zero] * k
-    for j, m in enumerate(qr.modulus.coeffs):
-        if j:
-            col = _times_y(col, taps, zero)
-            if m.coeffs:
-                t = m.constant
-                neg = [v - t * u if u.coeffs else v for v, u in zip(neg, col)]
-    cols = [neg]
-    for _ in range(k - 1):
-        cols.append(_times_y(cols[-1], taps, zero))
-    chi = charpoly(list(zip(*cols)), zero)
+    ring = QuotientRing(Poly(A, qr.var, [b.mul_scalar(c.constant ** -1)
+                                         for b in P]))
+    # -phi_a(y): the modulus phi_a(y) - x of qr without its -x term, negated
+    neg = Poly(A, qr.var,
+               [A.zero] + [-m.coeff(0) for m in qr.modulus.coeffs[1:]])
+    chi = charpoly(_mult_matrix(ring.coerce(neg)))
     return [b.mul_scalar(c.constant) for b in reversed(chi)] + [c]
 
 

@@ -231,9 +231,12 @@ class Poly:
         return Poly(self.ring, self.var, out)
 
     def valuation(self, p: "Poly") -> int:
-        """Multiplicity of the factor p; self must be nonzero."""
+        """Multiplicity of the factor p; self must be nonzero and p must not
+        be a nonzero constant, which divides everything."""
         if self.is_zero():
             raise ValueError("valuation of the zero polynomial")
+        if p.degree == 0:
+            raise ValueError(f"valuation at the constant {p!r}")
         count, cur = 0, self
         while True:
             q, r = cur.divmod(p)
@@ -293,7 +296,7 @@ class Poly:
         try:
             return poly_to_str(self)
         except (ValueError, AttributeError):
-            return _poly_str_general(self)
+            return _poly_text(self, str)
 
     def __repr__(self) -> str:
         return self.__str__()
@@ -329,8 +332,10 @@ def _divmod_generic(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if dq < 0:
         return Poly(ring, a.var, []), a
     quo = [zero] * (dq + 1)
-    dcs = b.coeffs
-    dn = len(dcs) - 1
+    dn = len(b.coeffs) - 1
+    # rem[k + dn] is never read once quo[k] is set: subtract below the top,
+    # over the divisor's nonzero coefficients only
+    taps = [(j, dj) for j, dj in enumerate(b.coeffs[:-1]) if dj != zero]
     for k in range(dq, -1, -1):
         lead = rem[k + dn]
         if linv is not None:
@@ -338,7 +343,7 @@ def _divmod_generic(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         if lead == zero:
             continue
         quo[k] = lead
-        for j, dj in enumerate(dcs):
+        for j, dj in taps:
             rem[k + j] = rem[k + j] - lead * dj
     return Poly(ring, a.var, quo), Poly(ring, a.var, rem[:dn])
 
@@ -650,6 +655,15 @@ def _coeff_int(c) -> int:
 def poly_to_str(poly: Poly) -> str:
     """Canonical text: terms highest degree first, '+'-separated, prime-field
     coefficients as integer literals.  Round-trips through poly_parse."""
+    return _poly_text(poly, lambda c: str(_coeff_int(c)))
+
+
+def _poly_text(poly: Poly, text) -> str:
+    """Terms highest degree first, '+'-separated, each coefficient written
+    by ``text``; a unit coefficient is left out, and one whose text is not a
+    single factor is parenthesised.  With ``str`` this is the display-only
+    form for coefficients with no canonical integer text (rational
+    functions, tower elements), not meant to be re-parsed."""
     if poly.is_zero():
         return "0"
     parts = []
@@ -657,27 +671,7 @@ def poly_to_str(poly: Poly) -> str:
         c = poly.coeff(e)
         if c == poly.ring.zero:
             continue
-        v = _coeff_int(c)
-        if e == 0:
-            parts.append(str(v))
-        else:
-            head = "" if v == 1 else f"{v}*"
-            xpart = poly.var if e == 1 else f"{poly.var}^{e}"
-            parts.append(head + xpart)
-    return "+".join(parts)
-
-
-def _poly_str_general(poly: Poly) -> str:
-    """Display-only form for coefficients with no canonical integer text
-    (rational functions, tower elements); not meant to be re-parsed."""
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for e in range(poly.degree, -1, -1):
-        c = poly.coeff(e)
-        if c == poly.ring.zero:
-            continue
-        cs = str(c)
+        cs = text(c)
         if e == 0:
             parts.append(cs if _is_factor(cs) else f"({cs})")
             continue

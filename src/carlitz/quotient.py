@@ -19,15 +19,15 @@ ResidueRing is the key-level view of A/pi^n on raw polynomials: group rings
 hash those keys, and its level 0 is A/(1), whose modulus has degree 0.
 
 The norm of an element u of R[y]/(m) is the determinant of multiplication by
-u on the power basis 1, y, ..., y^(deg m - 1); each column is y times the
-one before, reduced by the nonzero coefficients of m alone.  The same matrix
-construction applies when u has polynomial coefficients in a second
-variable, the Taylor-shift route the tests keep as the Coleman norm's
-oracle.  One determinant serves every entry ring:
-Berkowitz's recurrence never divides, so entries in a field, in A or in A[x]
-take the same path.  It builds the whole characteristic polynomial
-det(t I + M) on its way (``charpoly``); ``det`` keeps the constant term, and
-the torsion norm of a small P (``cyclo._resultant_norm``) uses all of it.
+u on the power basis 1, y, ..., y^(deg m - 1) (``_mult_matrix``); each
+column is y times the one before, reduced by the nonzero coefficients of m
+alone.  Every norm in the package is ``det`` or ``charpoly`` of that one
+matrix: the norm to F of a cyclotomic field element, the Q x Q torsion norm
+over A[x] and the k x k torsion norm of a small P over A
+(``cyclo._resultant_norm``).  Berkowitz's recurrence never divides, so
+entries in a field, in A or in A[x] take the same path.  It builds the whole
+characteristic polynomial det(t I + M) on its way (``charpoly``); ``det``
+keeps the constant term.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class QuotElem:
 
 # -- determinants -------------------------------------------------------------
 
-def charpoly(mat: list[list], zero) -> list:
+def charpoly(mat: list[list]) -> list:
     """Coefficients of det(t I + mat) below the leading 1, highest first, by
     Berkowitz's division-free recurrence (Berkowitz, IPL 18, 1984); O(n^4)
     ring operations using only +, - and *, so it serves field entries and
@@ -223,16 +223,16 @@ def charpoly(mat: list[list], zero) -> list:
             if j:
                 v = [_dot(brow, v) for brow in block]
             w = _dot(r, v)
-            col.append(w if j % 2 else zero - w)
+            col.append(w if j % 2 else -w)
         c = [reduce(operator.add, [col[i]]
                     + [col[i - 1 - j] * c[j] for j in range(i)] + c[i:i + 1])
              for i in range(k + 1)]
     return c
 
 
-def det(mat: list[list], zero):
+def det(mat: list[list]):
     """Determinant: the constant term chi_n(0) of ``charpoly``."""
-    return charpoly(mat, zero)[-1]
+    return charpoly(mat)[-1]
 
 
 def _dot(a: list, b: list):
@@ -242,55 +242,28 @@ def _dot(a: list, b: list):
 
 # -- multiplication-matrix norms ----------------------------------------------
 
-def quotient_norm(elem):
-    """Norm down to K, or to K-coefficient polynomials.
-
-    * QuotElem u: det of multiplication by u on K[y]/(m); lands in K.
-    * Poly in a second variable with QuotElem coefficients: the same matrix
-      with polynomial entries; lands in K[x].
-    """
-    if isinstance(elem, QuotElem):
-        rows = _mult_matrix_coeffs(elem.ring, [elem])
-        return det([[e[0] for e in row] for row in rows], elem.ring.K.zero)
-    if isinstance(elem, Poly) and isinstance(elem.ring, QuotientRing):
-        K, var = elem.ring.K, elem.var
-        rows = _mult_matrix_coeffs(elem.ring, elem.coeffs)
-        return det([[Poly(K, var, e) for e in row] for row in rows],
-                   Poly(K, var, []))
-    raise TypeError(f"cannot take a quotient norm of {elem!r}")
+def quotient_norm(u: QuotElem):
+    """Norm of u down to K: det of multiplication by u on K[y]/(m)."""
+    if not isinstance(u, QuotElem):
+        raise TypeError(f"cannot take a quotient norm of {u!r}")
+    return det(_mult_matrix(u))
 
 
-def _mult_matrix_coeffs(qr: QuotientRing, coeffs) -> list[list[list]]:
-    """rows[i][j][k] = row-i component of c_k * ybar^j, for each stored
-    second-variable index k; column j + 1 is ``_times_y`` of column j."""
-    n = qr.degree
+def _mult_matrix(u: QuotElem) -> list[list]:
+    """Rows of multiplication by u on the power basis 1, ybar, ...: column
+    j + 1 is ybar times column j, shifted up by one and reduced by
+    subtracting top * m_i over the nonzero m_i below the top of the monic m
+    only, so no product of residue classes and no division is taken."""
+    qr = u.ring
     zero = qr.K.zero
-    taps = _taps(qr.modulus)
-    rows = [[[zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
-    for k, ck in enumerate(coeffs):
-        col = list(ck.rep.coeffs) + [zero] * (n - len(ck.rep.coeffs))
-        for j in range(n):
-            if j:
-                col = _times_y(col, taps, zero)
-            for i in range(n):
-                rows[i][j][k] = col[i]
-    return rows
-
-
-def _taps(modulus: Poly) -> list[tuple]:
-    """(i, m_i) over the nonzero coefficients below the top of a monic m."""
-    zero = modulus.ring.zero
-    return [(i, m) for i, m in enumerate(modulus.coeffs[:-1]) if m != zero]
-
-
-def _times_y(col: list, taps: list[tuple], zero) -> list:
-    """y times the residue col (deg m coefficients, low first) mod the monic m
-    whose ``_taps`` are given: shift up by one, then subtract top * m_i over
-    the nonzero m_i only, so no product of residue classes and no division
-    is taken."""
-    top = col[-1]
-    col = [zero] + col[:-1]
-    if top != zero:
-        for i, m in taps:
-            col[i] = col[i] - top * m
-    return col
+    taps = [(i, m) for i, m in enumerate(qr.modulus.coeffs[:-1]) if m != zero]
+    col = list(u.rep.coeffs) + [zero] * (qr.degree - len(u.rep.coeffs))
+    cols = [col]
+    for _ in range(qr.degree - 1):
+        top = col[-1]
+        col = [zero] + col[:-1]
+        if top != zero:
+            for i, m in taps:
+                col[i] = col[i] - top * m
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]

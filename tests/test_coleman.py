@@ -54,14 +54,14 @@ def decompose_bottom_up(g, pi):
 
 
 def norm_over_fraction_field(p, pi):
-    """The F_q(T) route for N(p): quotient_norm in F[y]/(phi_pi(y)), then
-    the bottom-up decomposition."""
+    """The F_q(T) route for N(p): quotient_norm of the Taylor shift
+    p(x + ybar) in F[x][y]/(phi_pi(y)), then the bottom-up decomposition."""
     if p.is_zero():
         return p
-    qr = QuotientRing(phi_poly(pi, var="y"))
-    xy = Poly.gen(qr, p.var) + Poly(qr, p.var, [qr.gen()])
-    return decompose_bottom_up(
-        quotient_norm(p.map_coeffs(qr.coerce, ring=qr).compose(xy)), pi)
+    R = PolyRing(p.ring, p.var)
+    qr = QuotientRing(phi_poly(pi, var="y").map_coeffs(R.coerce, ring=R))
+    shifted = p.eval(qr.coerce(R.gen()) + qr.gen(), qr)
+    return decompose_bottom_up(quotient_norm(shifted), pi)
 
 
 def rand_frac_xpoly(rng, fq, deg):
@@ -355,6 +355,26 @@ def test_eval_at_omega_precision_gate():
     # at the field degree loses nothing
     assert g.degree < field.degree
     assert eval_at_omega(enough, 1) == eval_at_omega(exact, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_eval_at_omega_of_truncated_laurent_series(q):
+    # a negative order multiplies by a power of 1/omega; the sum is taken
+    # term by term as the oracle
+    rng = random.Random(40 + q)
+    fq = Fq.get(q)
+    pi = poly_parse("T", fq)
+    F = x_field(fq).cring
+    for n in (1, 2):
+        field = CycloField.get(pi, n)
+        for order in (-3, -1, 0, 2):
+            coeffs = rand_frac_xpoly(rng, fq, field.degree + 1).coeffs
+            ser = TruncSeries(F, "x", order, coeffs,
+                              order + len(coeffs) + 1)
+            want = field.zero
+            for k, c in ser.items():
+                want = want + field.coerce(c) * field.omega ** k
+            assert eval_at_omega(ColemanSeries(ser, pi), n) == want
 
 
 def test_mixed_prime_arithmetic_rejected():

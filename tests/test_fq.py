@@ -1,6 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.fq import Fq, FqElem
+
+QS = (2, 3, 4, 9)
+
+
+@st.composite
+def field_triples(draw):
+    """Three elements of one F_q, q in {2, 3, 4, 9}: prime fields and
+    proper extensions."""
+    fq = Fq.get(draw(st.sampled_from(QS)))
+    elem = st.integers(0, fq.q - 1).map(lambda i: FqElem(fq, i))
+    return fq, draw(elem), draw(elem), draw(elem)
 
 
 def test_prime_field_arithmetic():
@@ -81,3 +93,25 @@ def test_cross_field_coercion_rejected():
     f2, f3 = Fq.get(2), Fq.get(3)
     with pytest.raises(ValueError):
         f3.coerce(f2.one)
+
+
+@settings(max_examples=80)
+@given(field_triples())
+def test_field_axioms(case):
+    fq, a, b, c = case
+    zero, one = fq.zero, fq.one
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b)
+    acc = zero
+    for _ in range(fq.p):
+        acc = acc + a
+    assert acc == zero  # characteristic p
+    assert a ** fq.q == a  # every element is a root of X^q - X
+    if a == zero:
+        with pytest.raises(ZeroDivisionError):
+            b / a
+    else:
+        assert a * a ** -1 == one and (b / a) * a == b

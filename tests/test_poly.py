@@ -1,12 +1,33 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.errors import ParseError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
     Poly, ZZ, is_irreducible, monic_enumerate, poly_parse, poly_to_str,
 )
+
+
+QS = (2, 3, 4, 9)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over one F_q, q in {2, 3, 4, 9} (the int kernel on
+    F_2 and F_3, the generic loops on F_4 and F_9), each zero, constant or
+    up to degree 8, sparse or dense, monic or not, with a shared factor
+    drawn as often as not."""
+    fq = Fq.get(draw(st.sampled_from(QS)))
+    coeff = st.integers(0, fq.q - 1).map(lambda i: FqElem(fq, i))
+
+    def poly(max_deg):
+        return Poly(fq, "T", draw(st.lists(coeff, max_size=max_deg + 1)))
+    a, b, common = poly(8), poly(6), poly(3)
+    if draw(st.booleans()):
+        a, b = a * common, b * common
+    return fq, a, b
 
 
 def rand_poly(rng, fq, deg):
@@ -57,6 +78,25 @@ def test_divmod_and_gcd():
         assert u * a + v * b == g
         if not a.is_zero():
             assert a.gcd(b).is_monic() or a.gcd(b).is_zero()
+
+
+@settings(max_examples=80)
+@given(poly_pairs())
+def test_division_with_remainder_and_bezout(case):
+    fq, a, b = case
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+    else:
+        quo, rem = a.divmod(b)
+        assert quo * b + rem == a and rem.degree < b.degree
+    g, u, v = a.egcd(b)
+    assert u * a + v * b == g
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.is_monic() and g == a.gcd(b)
+    assert (a % g).is_zero() and (b % g).is_zero()
 
 
 def test_divmod_over_integers_requires_monic():

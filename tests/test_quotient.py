@@ -10,8 +10,7 @@ from carlitz.fq import Fq, FqElem
 from carlitz.groupring import CharSpec
 from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
 from carlitz.quotient import (
-    QuotientRing, ResidueRing, _mult_matrix_coeffs, charpoly, det,
-    quotient_norm,
+    QuotientRing, ResidueRing, _mult_matrix, charpoly, det, quotient_norm,
 )
 from carlitz.ratfun import base_field
 
@@ -133,20 +132,20 @@ def test_det_ring_agrees_with_det_field():
     for n in (1, 2, 3, 4):
         for _ in range(5):
             rows = [[FqElem(fq, rng.randrange(5)) for _ in range(n)] for _ in range(n)]
-            assert det(rows, fq.zero) == leibniz_det(rows, fq.zero)
+            assert det(rows) == leibniz_det(rows, fq.zero)
 
 
 def test_det_ring_permutation_signs():
     fq = Fq.get(7)
     m = [[fq.zero, fq.one], [fq.one, fq.zero]]
-    assert det(m, fq.zero) == fq.from_int(-1) == leibniz_det(m, fq.zero)
+    assert det(m) == fq.from_int(-1) == leibniz_det(m, fq.zero)
 
 
 def test_det_rejects_empty_matrix():
     with pytest.raises(ValueError):
-        det([], Fq.get(2).zero)
+        det([])
     with pytest.raises(ValueError):
-        charpoly([], Fq.get(2).zero)
+        charpoly([])
 
 
 @PROPERTY
@@ -159,31 +158,30 @@ def test_charpoly_matches_laplace_expansion(case):
                 for j, e in enumerate(row)] for i, row in enumerate(mat)]
     chi = laplace_det(shifted, Poly(K, "t", []))
     assert chi.degree == n and chi.is_monic()
-    got = charpoly(mat, K.zero)
+    got = charpoly(mat)
     assert got == [chi.coeff(n - 1 - i) for i in range(n)]
-    assert det(mat, K.zero) == got[-1]
+    assert det(mat) == got[-1]
 
 
 @PROPERTY
 @given(fq_matrices(min_n=1, max_n=5, count=1))
 def test_det_matches_leibniz_over_fq(case):
     fq, (mat,) = case
-    assert det(mat, fq.zero) == leibniz_det(mat, fq.zero)
+    assert det(mat) == leibniz_det(mat, fq.zero)
 
 
 @PROPERTY
 @given(fq_matrices(min_n=6, max_n=8, count=2))
 def test_det_is_multiplicative_beyond_six(case):
     fq, (a, b) = case
-    assert det(matmul(a, b, fq.zero), fq.zero) == \
-        det(a, fq.zero) * det(b, fq.zero)
+    assert det(matmul(a, b, fq.zero)) == det(a) * det(b)
 
 
 @PROPERTY
 @given(poly_matrix_pairs(max_n=5))
 def test_det_is_multiplicative_over_polynomials(case):
     zero, a, b = case
-    assert det(matmul(a, b, zero), zero) == det(a, zero) * det(b, zero)
+    assert det(matmul(a, b, zero)) == det(a) * det(b)
 
 
 def test_quotient_norm_is_multiplicative():
@@ -378,33 +376,38 @@ def test_quotient_norm_over_A_matches_fraction_field(q):
     for _ in range(3):
         u = qa.coerce(Poly(qa.K, "y", [small() for _ in range(qa.degree)]))
         assert F.coerce(quotient_norm(u)) == quotient_norm(to_f(u))
-        # p(x + y) with p in A[x]: the Taylor-shift matrix of the oracle
+        # p(x + y) with p in A[x]: the Taylor-shift element of the oracle
         # route for cyclo._norm_poly (tests/test_coleman.py)
         p = Poly(fq, "x", [fq.from_int(rng.randrange(q)) for _ in range(3)]
                  + [fq.one])
-        xy_a = Poly.gen(qa, "x") + Poly(qa, "x", [qa.gen()])
-        xy_f = Poly.gen(qf, "x") + Poly(qf, "x", [qf.gen()])
-        na = quotient_norm(p.map_coeffs(qa.coerce, ring=qa).compose(xy_a))
-        nf = quotient_norm(p.map_coeffs(qf.coerce, ring=qf).compose(xy_f))
+        na = quotient_norm(taylor_shift(p, qa.modulus))
+        nf = quotient_norm(taylor_shift(p, qf.modulus))
         assert na.map_coeffs(F.coerce, ring=F) == nf
+
+
+def taylor_shift(p, modulus):
+    """p(x + ybar) as one element of K[x][y]/(modulus), for p in x over the
+    coefficient parent K of the modulus (or over a subring of it)."""
+    K = modulus.ring
+    R = PolyRing(K, p.var)
+    qr = QuotientRing(modulus.map_coeffs(lambda c: Poly(K, p.var, [c]),
+                                         ring=R))
+    return p.eval(qr.coerce(R.gen()) + qr.gen(), qr)
 
 
 # -- the multiplication matrix: shift-and-reduce against full products -------
 
-def mult_matrix_by_products(qr, coeffs):
-    """Oracle for _mult_matrix_coeffs: column j of c_k is the full residue
-    product c_k * ybar^j, reduced mod m by its own divmod."""
-    n = qr.degree
-    rows = [[[qr.K.zero] * len(coeffs) for _ in range(n)] for _ in range(n)]
+def mult_matrix_by_products(u):
+    """Oracle for _mult_matrix: column j is the full residue product
+    u * ybar^j, reduced mod m by its own divmod."""
+    qr = u.ring
+    cols = []
     ypow = qr.one
-    ybar = qr.gen()
-    for j in range(n):
-        for k, ck in enumerate(coeffs):
-            rep = (ck * ypow).rep
-            for i in range(n):
-                rows[i][j][k] = rep.coeff(i)
-        ypow = ypow * ybar
-    return rows
+    for _ in range(qr.degree):
+        rep = (u * ypow).rep
+        cols.append([rep.coeff(i) for i in range(qr.degree)])
+        ypow = ypow * qr.gen()
+    return [list(row) for row in zip(*cols)]
 
 
 @pytest.mark.parametrize("parent", PARENTS, ids=lambda f: f.__name__)
@@ -412,8 +415,17 @@ def mult_matrix_by_products(qr, coeffs):
 @given(data=st.data())
 def test_mult_matrix_shift_and_reduce_matches_products(parent, data):
     ring, elems = data.draw(parent())
-    assert (_mult_matrix_coeffs(ring, elems)
-            == mult_matrix_by_products(ring, elems))
+    for u in elems:
+        assert _mult_matrix(u) == mult_matrix_by_products(u)
+
+
+def test_quotient_norm_takes_only_residue_classes():
+    fq = Fq.get(2)
+    qr = QuotientRing(poly_parse("T^2+T+1", fq))
+    with pytest.raises(TypeError):
+        quotient_norm(Poly(qr, "x", [qr.gen(), qr.one]))
+    with pytest.raises(TypeError):
+        quotient_norm(poly_parse("T+1", fq))
 
 
 @settings(max_examples=15)

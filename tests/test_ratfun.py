@@ -58,6 +58,19 @@ def test_valuation():
     assert F.zero.valuation(T) == float("inf")
 
 
+def test_valuation_at_a_constant_raises():
+    # a nonzero constant divides everything: no multiplicity to count
+    fq = Fq.get(3)
+    f = poly_parse("T^2+1", fq)
+    for c in ("2", "1"):
+        with pytest.raises(ValueError):
+            f.valuation(poly_parse(c, fq))
+        with pytest.raises(ValueError):
+            base_field(fq).coerce(f).valuation(poly_parse(c, fq))
+    with pytest.raises(ZeroDivisionError):
+        f.valuation(Poly(fq, "T", []))
+
+
 def test_derivative_quotient_rule():
     rng = random.Random(12)
     F = base_field(Fq.get(3))
