@@ -38,7 +38,7 @@ from .poly import (
     Poly, PolyRing, ZZ, is_irreducible, monic_enumerate, poly_parse,
     poly_to_str,
 )
-from .quotient import QuotientRing, ResidueRing, quotient_norm
+from .quotient import QuotientRing, quotient_norm
 from .ratfun import FracField, RatFun, base_field
 from .series import TruncSeries
 
@@ -50,7 +50,7 @@ __all__ = [
     "FqElem", "Fq", "FracField", "GroupRing", "GroupRingElem",
     "InvariantError", "OkadaReport",
     "ParseError", "Poly", "PolyRing", "PrecisionError", "QuotientRing",
-    "RatFun", "ResidueRing", "SkewPoly", "TailError", "ThetaPoly",
+    "RatFun", "SkewPoly", "TailError", "ThetaPoly",
     "TruncSeries", "ZZ", "base_field",
     "bernoulli_carlitz", "bernoulli_carlitz_table", "bracket", "carlitz_exp",
     "carlitz_factorial", "carlitz_log", "carlitz_phi", "character_table",

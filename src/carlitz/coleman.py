@@ -34,6 +34,8 @@ the input's precision tag.
 
 from __future__ import annotations
 
+import functools
+
 from .cmod import carlitz_phi, _require_prime
 from .cyclo import CycloField, _norm_poly
 from .errors import DecompositionError, PrecisionError
@@ -53,16 +55,10 @@ __all__ = [
     "cyclotomic_unit_series",
 ]
 
-_XFIELD_CACHE: dict[int, FracField] = {}
-
-
+@functools.cache
 def x_field(fq: Fq) -> FracField:
     """F(x) with F = F_q(T); rational functions in the series variable."""
-    xf = _XFIELD_CACHE.get(fq.q)
-    if xf is None:
-        xf = FracField(base_field(fq), "x")
-        _XFIELD_CACHE[fq.q] = xf
-    return xf
+    return FracField(base_field(fq), "x")
 
 
 def phi_poly(a: Poly, var: str = "x") -> Poly:

@@ -106,14 +106,6 @@ def _exp_in_x(fq: Fq, prec: int) -> TruncSeries:
     return TruncSeries(e.ring, "x", e.order, e.coeffs, e.prec)
 
 
-def _poly_at_series(p: Poly, s: TruncSeries) -> TruncSeries:
-    # Horner with exact constants; p's coefficients must coerce into s.ring
-    acc = TruncSeries.zero(s.ring, s.var)
-    for c in reversed(p.coeffs):
-        acc = acc * s + TruncSeries.const(s.ring, s.var, s.ring.coerce(c))
-    return acc
-
-
 def dlog_exp_series(f, prec: int) -> TruncSeries:
     """(dlog f)(e_C(x)) through O(x^prec); the generating series of the
     delta_k values, coefficient of x^(k-1) being delta_k."""
@@ -123,8 +115,8 @@ def dlog_exp_series(f, prec: int) -> TruncSeries:
         fq = _fq_of(d.field.cring)
         margin = 2 * (_x_order(d.num) + _x_order(d.den)) + 2
         e = _exp_in_x(fq, max(prec + margin, 2))
-        num = _poly_at_series(d.num, e)
-        den = _poly_at_series(d.den, e)
+        num = TruncSeries.from_poly(d.num).compose(e)
+        den = TruncSeries.from_poly(d.den).compose(e)
         out = num * den.invert()
     else:
         fq = _fq_of(d.ring)

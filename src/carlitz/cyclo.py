@@ -4,7 +4,9 @@ F_n is the splitting field of the pi^n-torsion of the Carlitz module,
 presented concretely as F[x]/(m_n) where m_n is the minimal polynomial of a
 torsion generator omega_n.  CycloField is the QuotientRing on m_n, so its
 elements are plain QuotElems.  Gal(F_n/F) = (A/pi^n)^* acts through the
-module: the class of a sends omega_n to phi_a(omega_n).
+module: the class of a sends omega_n to phi_a(omega_n).  The field holds
+that group as the ``groupring.GroupRing`` ``galois``, whose reduced keys
+are the Galois representatives, the same keys Stickelberger elements use.
 
 Norms down the tower are torsion norms.  The conjugates of omega_n over F_m
 (1 <= m < n) are omega_n + phi[pi^(n-m)], the translates by the
@@ -25,13 +27,15 @@ through it: val(e) = val_pi(N_{F_n/F}(e)).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .cmod import carlitz_phi, omega_minpoly
 from .fq import Fq
+from .groupring import GroupRing
 from .poly import Poly, PolyRing
 from .quotient import (
-    QuotElem, QuotientRing, ResidueRing, _mult_matrix, charpoly, quotient_norm,
+    QuotElem, QuotientRing, _mult_matrix, charpoly, quotient_norm,
 )
 from .ratfun import RatFun, base_field
 
@@ -44,8 +48,6 @@ __all__ = [
     "cyclotomic_unit",
 ]
 
-_CYCLO_CACHE: dict[tuple[int, tuple, int], "CycloField"] = {}
-
 
 class CycloField(QuotientRing):
     """F[x]/(m_n); use :meth:`get` so towers share instances."""
@@ -55,7 +57,7 @@ class CycloField(QuotientRing):
         self.pi = pi
         self.n = n
         self.minpoly_A = omega_minpoly(pi, n)  # x-poly, F_q[T] coefficients
-        self.residues = ResidueRing(pi, n)
+        self.galois = GroupRing(pi, n)
         F = base_field(self.fq)
         self.F = F
         super().__init__(self.minpoly_A.map_coeffs(F.coerce, ring=F))
@@ -63,17 +65,13 @@ class CycloField(QuotientRing):
         self._act_images: dict[Poly, QuotElem] = {}
 
     @staticmethod
+    @functools.cache
     def get(pi: Poly, n: int) -> "CycloField":
-        key = (pi.ring.q, pi.coeffs, n)
-        field = _CYCLO_CACHE.get(key)
-        if field is None:
-            field = CycloField(pi, n)
-            _CYCLO_CACHE[key] = field
-        return field
+        return CycloField(pi, n)
 
     def galois_reps(self) -> list[Poly]:
         """Canonical representatives of (A/pi^n)^* in enumeration order."""
-        return self.residues.unit_residues()
+        return self.galois.group_keys()
 
     def _omega_image(self, a_red: Poly) -> QuotElem:
         img = self._act_images.get(a_red)
@@ -96,10 +94,7 @@ class CycloField(QuotientRing):
 def _unit_rep(field: CycloField, a) -> Poly:
     if not isinstance(a, Poly):
         raise TypeError(f"Galois element must be a polynomial, got {a!r}")
-    a_red = field.residues.reduce(a)
-    if not field.residues.is_unit_key(a_red):
-        raise ValueError(f"{a!r} is not prime to {field.pi!r}")
-    return a_red
+    return field.galois.key(a)
 
 
 def galois_act(a, e: QuotElem) -> QuotElem:
@@ -195,9 +190,7 @@ def _resultant_norm(P: list, qr: QuotientRing) -> list:
     return [b.mul_scalar(c.constant) for b in reversed(chi)] + [c]
 
 
-_TORSION_QR_CACHE: dict[tuple[int, tuple], QuotientRing] = {}
-
-
+@functools.cache
 def _torsion_quotient(a: Poly) -> QuotientRing:
     """A[x][y]/(phi_a(y) - x) over A = F_q[T], for a monic a.
 
@@ -205,17 +198,12 @@ def _torsion_quotient(a: Poly) -> QuotientRing:
     of y - x - u over the a-torsion u: the norm of P(y) is h(x) with
     h(phi_a(x)) = prod_u P(x + u).  The modulus is monic in y, so reducing
     by it needs no inverse."""
-    key = (a.ring.q, a.coeffs)
-    qr = _TORSION_QR_CACHE.get(key)
-    if qr is None:
-        phi = carlitz_phi(a).as_additive(var="y")
-        A = phi.ring
-        R = PolyRing(A, "x")
-        coeffs = [Poly(A, R.var, [c]) for c in phi.coeffs]
-        coeffs[0] = -R.gen()
-        qr = QuotientRing(Poly(R, phi.var, coeffs))
-        _TORSION_QR_CACHE[key] = qr
-    return qr
+    phi = carlitz_phi(a).as_additive(var="y")
+    A = phi.ring
+    R = PolyRing(A, "x")
+    coeffs = [Poly(A, R.var, [c]) for c in phi.coeffs]
+    coeffs[0] = -R.gen()
+    return QuotientRing(Poly(R, phi.var, coeffs))
 
 
 def valuation_at_p(e: QuotElem):

@@ -20,9 +20,10 @@ multiplication tables below, which are exact for m = 1 too.
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["Fq", "FqElem"]
 
-_FIELD_CACHE: dict[int, "Fq"] = {}
 _TABLE_LIMIT = 256  # full mul tables and interned elements only for small q
 
 
@@ -195,12 +196,9 @@ class Fq:
             self._red = rows
 
     @staticmethod
+    @functools.cache
     def get(q: int) -> "Fq":
-        field = _FIELD_CACHE.get(q)
-        if field is None:
-            field = Fq(q)
-            _FIELD_CACHE[q] = field
-        return field
+        return Fq(q)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Fq) and other.q == self.q
@@ -244,37 +242,31 @@ class Fq:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
-        p, elems = self.p, self._elems
+        elems = self._elems
         if elems is not None:
-            return elems[(a.i + b.i) % p]
-        i, j, out, mult = a.i, b.i, 0, 1
-        while i or j:
-            out += ((i % p + j % p) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return FqElem(self, out)
+            return elems[(a.i + b.i) % self.p]
+        return self._digitwise(a.i, b.i, 1)
 
     def sub(self, a: FqElem, b: FqElem) -> FqElem:
-        p, elems = self.p, self._elems
+        elems = self._elems
         if elems is not None:
-            return elems[(a.i - b.i) % p]
-        i, j, out, mult = a.i, b.i, 0, 1
-        while i or j:
-            out += ((i % p - j % p) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return FqElem(self, out)
+            return elems[(a.i - b.i) % self.p]
+        return self._digitwise(a.i, b.i, -1)
 
     def neg(self, a: FqElem) -> FqElem:
-        p, elems = self.p, self._elems
+        elems = self._elems
         if elems is not None:
-            return elems[-a.i % p]
-        i, out, mult = a.i, 0, 1
-        while i:
-            out += ((-i) % p) * mult
+            return elems[-a.i % self.p]
+        return self._digitwise(0, a.i, -1)
+
+    def _digitwise(self, i: int, j: int, sign: int) -> FqElem:
+        """The element whose coordinates are those of index i plus sign
+        times those of index j, each mod p."""
+        p, out, mult = self.p, 0, 1
+        while i or j:
+            out += ((i % p + sign * (j % p)) % p) * mult
             i //= p
+            j //= p
             mult *= p
         return FqElem(self, out)
 

@@ -1,18 +1,23 @@
 """Integral group rings Z[(A/pi^n)^*], cyclotomic polynomials over Z, and
 character specifications.
 
-Group-ring elements are coefficient maps keyed by canonical unit residues
-(``quotient.ResidueRing`` keys); multiplication is convolution through the
-residue ring.  Characters take values in Z[x]/(Phi_m), a
-``quotient.QuotientRing`` over Z with Phi_m the classical m-th cyclotomic
-polynomial, so every comparison stays exact.
+(A/pi^n)^* is Gal(F_n/F), so one ``GroupRing`` serves both the
+Stickelberger elements and the Galois action of ``cyclo.CycloField``.  Its
+classes are keyed by their reduced representatives, polynomials of degree
+below n deg pi; group-ring elements are coefficient maps on those keys, and
+multiplication is convolution with the product of two keys reduced mod pi^n.
+Characters take values in Z[x]/(Phi_m), a ``quotient.QuotientRing`` over Z
+with Phi_m the classical m-th cyclotomic polynomial, so every comparison
+stays exact.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import CharacterError
-from .poly import Poly, ZZ
-from .quotient import QuotientRing, ResidueRing
+from .poly import Poly, ZZ, all_residues, is_monic_prime
+from .quotient import QuotientRing
 
 __all__ = [
     "GroupRing",
@@ -24,29 +29,35 @@ __all__ = [
 
 
 class GroupRing:
-    """Z[G] for G = (A/pi^n)^*; n = 0 gives the trivial group (key 0)."""
+    """Z[G] for G = (A/pi^n)^* and a monic irreducible pi in F_q[T]; n = 0
+    gives the trivial group A/(1), whose one key is 0."""
 
     def __init__(self, pi: Poly, n: int) -> None:
-        self.residues = ResidueRing(pi, n)
+        if n < 0:
+            raise ValueError("level must be >= 0")
+        if not is_monic_prime(pi):
+            raise ValueError(f"{pi!r} is not monic irreducible")
+        self.fq = pi.ring
         self.pi = pi
         self.n = n
-
-    @property
-    def fq(self):
-        return self.residues.fq
+        self.modulus = pi ** n
 
     def key(self, a: Poly) -> Poly:
         """Canonical dictionary key for the class of a; must be a unit."""
-        r = self.residues.reduce(a)
-        if not self.residues.is_unit_key(r):
+        r = a % self.modulus
+        if self.n and (r % self.pi).is_zero():
             raise ValueError(f"{a!r} is not prime to {self.pi!r}")
         return r
+
+    def mul_key(self, a: Poly, b: Poly) -> Poly:
+        """Key of the product of the classes keyed a and b."""
+        return (a * b) % self.modulus
 
     def zero(self) -> "GroupRingElem":
         return GroupRingElem(self, {})
 
     def one(self) -> "GroupRingElem":
-        one_key = self.residues.reduce(Poly(self.fq, self.pi.var, [self.fq.one]))
+        one_key = Poly(self.fq, self.pi.var, [self.fq.one]) % self.modulus
         return GroupRingElem(self, {one_key: 1})
 
     def element(self, a: Poly, c: int = 1) -> "GroupRingElem":
@@ -59,7 +70,11 @@ class GroupRing:
         return (qd - 1) * qd ** (self.n - 1)
 
     def group_keys(self) -> list[Poly]:
-        return self.residues.unit_residues()
+        """The keys of G, in enumeration order of the residues."""
+        residues = all_residues(self.fq, self.n * self.pi.degree, self.pi.var)
+        if self.n == 0:
+            return residues
+        return [a for a in residues if not (a % self.pi).is_zero()]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupRing) and other.pi == self.pi
@@ -111,13 +126,13 @@ class GroupRingElem:
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._check(other)
-        rr = self.ring.residues
+        ring = self.ring
         out: dict[Poly, int] = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
-                k = rr.mul_key(ka, kb)
+                k = ring.mul_key(ka, kb)
                 out[k] = out.get(k, 0) + ca * cb
-        return GroupRingElem(self.ring, out)
+        return GroupRingElem(ring, out)
 
     def scale(self, c: int) -> "GroupRingElem":
         return GroupRingElem(self.ring, {k: c * v for k, v in self.coeffs.items()})
@@ -158,22 +173,16 @@ class GroupRingElem:
 
 # -- cyclotomic polynomials ------------------------------------------------------
 
-_CYC_POLY_CACHE: dict[int, Poly] = {1: Poly(ZZ, "x", [-1, 1])}
-
-
+@functools.cache
 def cyclotomic_poly(m: int) -> Poly:
     """The m-th cyclotomic polynomial over Z, by exact division of x^m - 1
     by the proper-divisor factors."""
     if m < 1:
         raise ValueError("index must be >= 1")
-    got = _CYC_POLY_CACHE.get(m)
-    if got is not None:
-        return got
     xm1 = Poly(ZZ, "x", [-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
             xm1 = xm1.exact_div(cyclotomic_poly(d))
-    _CYC_POLY_CACHE[m] = xm1
     return xm1
 
 
@@ -201,7 +210,6 @@ def character_table(ring: GroupRing, spec: CharSpec) -> dict:
     Breadth-first closure of the generated subgroup, carrying exponents mod
     the character order; any relation that maps the same residue to two
     different exponents means the data is not a homomorphism."""
-    rr = ring.residues
     m = spec.order
     table: dict[Poly, int] = {ring.one().items()[0][0]: 0}
     frontier = list(table.items())
@@ -213,7 +221,7 @@ def character_table(ring: GroupRing, spec: CharSpec) -> dict:
         nxt = []
         for k, e in frontier:
             for gk, ge in gen_pairs:
-                k2 = rr.mul_key(k, gk)
+                k2 = ring.mul_key(k, gk)
                 e2 = (e + ge) % m
                 seen = table.get(k2)
                 if seen is None:

@@ -11,9 +11,9 @@ Towers are built by using a ``PolyRing`` as the coefficient parent of an
 outer ``Poly``: e.g. additive polynomials in x whose coefficients live in
 F_q[T].
 
-Over an interned prime field F_p (see ``fq``), ``*``, ``divmod``, ``gcd`` and
-``egcd`` run on plain lists of coefficient indices (the ``_fp_*`` kernel) and
-map the results back through the field's interned elements, so no ``FqElem``
+Over an interned prime field F_p (see ``fq``), ``*``, ``divmod`` and ``gcd``
+run on plain lists of coefficient indices (the ``_fp_*`` kernel) and map the
+results back through the field's interned elements, so no ``FqElem``
 is built.  Multiplication is schoolbook while the product of the operand
 lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
@@ -24,8 +24,10 @@ with D the longest T-length in one factor plus the longest in the other
 minus 1, turns a product in A[x] into one F_p[z] product whose blocks of D
 digits are the A-coefficients (``_mul_packed``).
 Every other coefficient parent, F_{p^m} and F_{p^m}[T] included, runs the
-generic loops (``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``,
-``_egcd_generic``), which the tests also use as the oracle for the kernel.
+generic loops (``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``),
+which the tests also use as the oracle for the kernel.  ``egcd`` runs
+``_egcd_generic`` on every parent: only ``QuotElem.inv`` and the self-test
+take it, so a kernel copy would not pay for itself.
 """
 
 from __future__ import annotations
@@ -219,10 +221,7 @@ class Poly:
         """(g, u, v) with u*self + v*other = g, g monic; (0, 1, 0) when both
         inputs are zero."""
         self._check(other)
-        if not _interned(self.ring):
-            return _egcd_generic(self, other)
-        g, u, v = _fp_egcd(_ints(self), _ints(other), self.ring.p)
-        return _fp_poly(self, g), _fp_poly(self, u), _fp_poly(self, v)
+        return _egcd_generic(self, other)
 
     def derivative(self) -> "Poly":
         out = []
@@ -449,34 +448,10 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         a, b = b, _fp_divmod(a, b, p)[1]
-    return _fp_scale(a, pow(a[-1], -1, p), p) if a else a
-
-
-def _fp_scale(a: list[int], c: int, p: int) -> list[int]:
-    return [x * c % p for x in a]
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _fp_strip(out)
-
-
-def _fp_egcd(a: list[int], b: list[int],
-             p: int) -> tuple[list[int], list[int], list[int]]:
-    r0, r1 = a, b
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _fp_sub(u0, _fp_mul(q, u1, p), p)
-        v0, v1 = v1, _fp_sub(v0, _fp_mul(q, v1, p), p)
-    if not r0:
-        return r0, u0, v0
-    lc = pow(r0[-1], -1, p)
-    return _fp_scale(r0, lc, p), _fp_scale(u0, lc, p), _fp_scale(v0, lc, p)
+    if not a:
+        return a
+    lc = pow(a[-1], -1, p)
+    return [x * lc % p for x in a]
 
 
 def _mul_packed(a: Poly, b: Poly) -> Poly:

@@ -1,5 +1,4 @@
-"""Residue-class rings R[y]/(m), residue keys of A/pi^n, and
-multiplication-matrix norms.
+"""Residue-class rings R[y]/(m) and multiplication-matrix norms.
 
 QuotientRing/QuotElem is the one residue-class type: polynomials over a
 coefficient parent R modulo a monic m.  Reducing by a monic modulus never
@@ -9,14 +8,13 @@ inverts a coefficient, so R may be a field or not.  It serves
   is a subclass);
 * Z: Z[x]/(Phi_m), where characters take their values
   (``groupring.CharSpec.values``);
-* F_q: A/pi^n as a ring of elements, with inverses by the extended gcd;
+* F_q: A/pi^n as a ring of elements, with inverses by the extended gcd
+  (``groupring.GroupRing`` keys its unit group by the reduced
+  representatives alone);
 * A[x] = F_q[T][x] (``PolyRing`` over ``PolyRing``): the torsion quotient
   A[x][y]/(phi_a(y) - x) of the Coleman and tower norms
   (``cyclo._norm_poly``), whose norm matrix has A[x] entries multiplied on
   the packed kernel of ``poly``.
-
-ResidueRing is the key-level view of A/pi^n on raw polynomials: group rings
-hash those keys, and its level 0 is A/(1), whose modulus has degree 0.
 
 The norm of an element u of R[y]/(m) is the determinant of multiplication by
 u on the power basis 1, y, ..., y^(deg m - 1) (``_mult_matrix``); each
@@ -36,62 +34,15 @@ import operator
 from functools import reduce
 
 from .fq import _power
-from .poly import Poly, all_residues, is_monic_prime
+from .poly import Poly
 
 __all__ = [
-    "ResidueRing",
     "QuotientRing",
     "QuotElem",
     "quotient_norm",
     "charpoly",
     "det",
 ]
-
-
-class ResidueRing:
-    """A/pi^n for a monic irreducible pi in F_q[T], on canonical
-    representatives (reduced polynomials) used as keys."""
-
-    def __init__(self, pi: Poly, n: int) -> None:
-        # n = 0 is the trivial quotient A/(1): a single class, key 0
-        if n < 0:
-            raise ValueError("level must be >= 0")
-        if not is_monic_prime(pi):
-            raise ValueError(f"{pi!r} is not monic irreducible")
-        self.fq = pi.ring
-        self.var = pi.var
-        self.pi = pi
-        self.n = n
-        self.modulus = pi ** n
-
-    def reduce(self, poly: Poly) -> Poly:
-        return poly % self.modulus
-
-    def mul_key(self, a: Poly, b: Poly) -> Poly:
-        """Product of two canonical representatives, reduced."""
-        return (a * b) % self.modulus
-
-    def is_unit_key(self, a: Poly) -> bool:
-        if self.n == 0:
-            return True
-        return not (a % self.pi).is_zero()
-
-    def residues(self) -> list[Poly]:
-        return all_residues(self.fq, self.n * self.pi.degree, self.var)
-
-    def unit_residues(self) -> list[Poly]:
-        """Canonical representatives of (A/pi^n)^*, in enumeration order."""
-        return [a for a in self.residues() if self.is_unit_key(a)]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ResidueRing) and other.pi == self.pi
-                and other.n == self.n)
-
-    def __hash__(self) -> int:
-        return hash(("ResidueRing", self.pi, self.n))
-
-    def __repr__(self) -> str:
-        return f"ResidueRing({self.pi!r}, {self.n})"
 
 
 class QuotientRing:

@@ -21,6 +21,7 @@ against.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -70,16 +71,10 @@ class FracField:
         return f"Frac({self.cring!r}[{self.var}])"
 
 
-_BASE_CACHE: dict[int, FracField] = {}
-
-
+@functools.cache
 def base_field(fq) -> FracField:
-    """F_q(T), cached per field size."""
-    f = _BASE_CACHE.get(fq.q)
-    if f is None:
-        f = FracField(fq, "T")
-        _BASE_CACHE[fq.q] = f
-    return f
+    """F_q(T), cached per field."""
+    return FracField(fq, "T")
 
 
 class RatFun:

@@ -7,7 +7,8 @@ known Laurent polynomial (every unstored coefficient is a true zero); this is
 how polynomials enter series arithmetic without losing their natural
 precision.
 
-Precision rules:
+Precision rules (a zero series has ord = prec, and an exactly zero factor
+makes a product exactly zero):
   * ``f*g``    knows through  min(ord(f)+prec(g), ord(g)+prec(f))
   * ``f**-1``  knows through  prec(f) - 2*ord(f)
   * ``f(g)``   (ord(g) >= 1)  knows through  min(ord(g)*prec(f), Horner)
@@ -43,7 +44,8 @@ class TruncSeries:
         if lead:
             cs = cs[lead:]
             order += lead
-        if prec is not None and order + len(cs) > prec:
+        # an empty window is a zero known through prec, wherever order was
+        if prec is not None and cs and order + len(cs) > prec:
             raise ValueError("stored coefficients exceed declared precision")
         if not cs:
             order = 0 if prec is None else prec

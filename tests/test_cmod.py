@@ -12,9 +12,9 @@ from carlitz.cmod import (
 from carlitz.coleman import ColemanSeries
 from carlitz.cw import cw_verify
 from carlitz.fq import Fq, FqElem
+from carlitz.groupring import GroupRing
 from carlitz.lfun import stickelberger_series
 from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
-from carlitz.quotient import ResidueRing
 from carlitz.ratfun import base_field
 from carlitz.series import TruncSeries
 
@@ -343,7 +343,7 @@ def test_residue_rings_and_stickelberger_share_one_prime_test(monkeypatch):
     monkeypatch.setattr(poly, "_PRIMES", set())  # forget earlier tests
     calls = count_irreducibility_tests(monkeypatch)
     for n in (1, 2, 3):
-        ResidueRing(pi, n)
+        GroupRing(pi, n)
     stickelberger_series(pi, 1, t_aux=(t,), udeg=12)
     assert calls.count(pi) == 1
 

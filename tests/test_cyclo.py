@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from carlitz import cyclo
 from carlitz.cmod import carlitz_phi
+from carlitz.coleman import x_field
 from carlitz.cyclo import (
     CycloField, _norm_poly, _torsion_norm, _torsion_quotient, cyclotomic_unit,
     field_norm, galois_act, upsilon, valuation_at_p,
 )
 from carlitz.fq import Fq
+from carlitz.groupring import cyclotomic_poly
 from carlitz.poly import (
     Poly, all_residues, is_irreducible, monic_enumerate, poly_parse,
 )
@@ -353,3 +355,21 @@ def test_rejected_inputs():
     other = CycloField.get(poly_parse("T+1", f2), 1)
     with pytest.raises(ValueError):
         field.coerce(other.omega)
+
+
+@pytest.mark.parametrize("build,args", [
+    (Fq.get, lambda: (4,)),
+    (base_field, lambda: (Fq(3),)),
+    (x_field, lambda: (Fq(3),)),
+    (CycloField.get, lambda: (poly_parse("T^2+T+1", Fq.get(2)), 2)),
+    (_torsion_quotient, lambda: (poly_parse("T+1", Fq.get(3)),)),
+    (cyclotomic_poly, lambda: (12,)),
+], ids=["Fq", "base_field", "x_field", "CycloField", "torsion_quotient",
+        "cyclotomic_poly"])
+def test_parent_constructors_share_one_instance_per_key(build, args):
+    """Equal keys built afresh (a new Fq or Poly object) reach one instance,
+    and the repeat is counted as a cache hit."""
+    first = build(*args())
+    hits = build.cache_info().hits
+    assert build(*args()) is first
+    assert build.cache_info().hits == hits + 1

@@ -92,6 +92,16 @@ def test_items_are_sorted_and_sparse():
     assert two.items()[0][1] == 5
 
 
+def test_group_ring_rejects_bad_level_and_modulus():
+    f2, f3 = Fq.get(2), Fq.get(3)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        GroupRing(poly_parse("T", f2), -1)
+    for pi in (poly_parse("T^2+1", f2),  # (T+1)^2
+               poly_parse("2*T+1", f3)):  # irreducible, not monic
+        with pytest.raises(ValueError, match="is not monic irreducible"):
+            GroupRing(pi, 1)
+
+
 def test_element_keys_are_canonical():
     f2 = Fq.get(2)
     pi = poly_parse("T^2+T+1", f2)

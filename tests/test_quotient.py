@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from carlitz.cmod import carlitz_phi
 from carlitz.cyclo import CycloField, _torsion_quotient
 from carlitz.fq import Fq, FqElem
-from carlitz.groupring import CharSpec
+from carlitz.groupring import CharSpec, GroupRing
 from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
 from carlitz.quotient import (
-    QuotientRing, ResidueRing, _mult_matrix, charpoly, det, quotient_norm,
+    QuotientRing, _mult_matrix, charpoly, det, quotient_norm,
 )
 from carlitz.ratfun import base_field
 
@@ -94,13 +94,15 @@ def charpoly_cases(draw):
 def test_residue_ring_units_and_inverses():
     f2 = Fq.get(2)
     pi = poly_parse("T^2+T+1", f2)
-    rr = ResidueRing(pi, 2)
-    qr = QuotientRing(rr.modulus)  # A/pi^2 as a ring of elements
-    units = rr.unit_residues()
+    ring = GroupRing(pi, 2)
+    qr = QuotientRing(ring.modulus)  # A/pi^2 as a ring of elements
+    units = ring.group_keys()
     assert len(units) == 12  # (q^d - 1) q^d = 3 * 4
     for u in units:
         x = qr.coerce(u)
         assert x * x.inv() == qr.one
+        for v in units:  # group keys multiply as residue classes do
+            assert ring.mul_key(u, v) == (x * qr.coerce(v)).rep
     with pytest.raises(ZeroDivisionError):
         qr.coerce(pi).inv()
 
@@ -108,9 +110,9 @@ def test_residue_ring_units_and_inverses():
 def test_residue_ring_level_zero_is_trivial():
     f2 = Fq.get(2)
     pi = poly_parse("T", f2)
-    rr = ResidueRing(pi, 0)
-    assert rr.residues() == [Poly(f2, "T", [])]
-    assert rr.is_unit_key(rr.reduce(poly_parse("T^5+1", f2)))
+    ring = GroupRing(pi, 0)
+    assert ring.group_keys() == [Poly(f2, "T", [])]
+    assert ring.key(poly_parse("T^5+1", f2)) == Poly(f2, "T", [])
 
 
 def test_quotient_ring_field_arithmetic():

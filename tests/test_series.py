@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.errors import PrecisionError
 from carlitz.fq import Fq, FqElem
@@ -126,3 +127,85 @@ def test_add_alignment_and_cancellation():
     b = TruncSeries(f2, "z", 0, [f2.one], 8)
     c = a + b  # constant terms cancel in char 2
     assert c.order == 1 and c.prec == 6
+
+
+# -- the precision rules of the module docstring, against exact Poly work ----
+
+PRECISION = settings(max_examples=60)
+
+
+@st.composite
+def series(draw, fq, orders=(-3, 4), unit=False, exact=True):
+    """A series over fq: order in ``orders``, up to six stored coefficients
+    (the first nonzero when ``unit``), and a precision 0-4 past the last
+    stored one, or None (exact) when ``exact`` allows it."""
+    digit = st.integers(0, fq.q - 1).map(fq.from_index)
+    order = draw(st.integers(*orders))
+    coeffs = draw(st.lists(digit, max_size=6))
+    if unit:
+        coeffs = [draw(digit.filter(lambda c: c != fq.zero))] + coeffs
+    slack = draw(st.integers(0, 4) | st.none()) if exact \
+        else draw(st.integers(0, 4))
+    prec = None if slack is None else order + len(coeffs) + slack
+    return TruncSeries(fq, "z", order, coeffs, prec)
+
+
+def in_one_field(*specs):
+    """One series per keyword dict in specs, all over F_2 or all over F_3."""
+    return st.sampled_from((2, 3)).map(Fq.get).flatmap(
+        lambda fq: st.tuples(*(series(fq, **spec) for spec in specs)))
+
+
+def rep(s):
+    """s's stored coefficients as a polynomial, read from z^order on."""
+    return Poly(s.ring, "z", s.coeffs)
+
+
+def agrees_below(got, order, poly, top):
+    """got's coefficients equal those of z^order poly below top, from the
+    lower of the two orders on."""
+    return all(got.coefficient(n) == poly.coeff(n - order)
+               for n in range(min(got.order, order), top))
+
+
+@PRECISION
+@given(in_one_field({}, {}))
+def test_mul_knows_exactly_its_declared_precision(pair):
+    f, g = pair
+    got = f * g
+    if (f.prec is None and not f.coeffs) or (g.prec is None and not g.coeffs):
+        assert got.prec is None and got.is_zero()
+        return
+    bounds = [o + p for o, p in ((f.order, g.prec), (g.order, f.prec))
+              if p is not None]
+    assert got.prec == (min(bounds) if bounds else None)
+    exact = rep(f) * rep(g)
+    top = got.prec if bounds else f.order + g.order + len(exact.coeffs)
+    assert agrees_below(got, f.order + g.order, exact, top)
+
+
+@PRECISION
+@given(in_one_field({"unit": True, "exact": False}))
+def test_inverse_knows_exactly_its_declared_precision(single):
+    (f,) = single
+    got = f ** -1
+    assert got.prec == f.prec - 2 * f.order and got.order == -f.order
+    # f = z^v U and got = z^-v W: W U = 1 mod z^(prec f - v)
+    rel = f.prec - f.order
+    product = rep(got) * rep(f)
+    assert [product.coeff(n) for n in range(rel)] == \
+        [f.ring.one] + [f.ring.zero] * (rel - 1)
+
+
+@PRECISION
+@given(in_one_field({"orders": (0, 3)}, {"orders": (1, 3), "unit": True}))
+def test_compose_knows_exactly_its_declared_precision(pair):
+    f, g = pair
+    got = f.compose(g)
+    if f.prec is not None:
+        assert got.prec is not None and got.prec <= g.order * f.prec
+    elif g.prec is None:
+        assert got.prec is None
+    exact = rep(f).shift(f.order).compose(rep(g).shift(g.order))
+    top = got.prec if got.prec is not None else len(exact.coeffs)
+    assert agrees_below(got, 0, exact, top)
