@@ -322,9 +322,14 @@ def bernoulli_carlitz_table(nmax: int, fq: Fq) -> list[BCValue]:
 
 
 def _bc_value(n: int, recip: TruncSeries, fq: Fq) -> BCValue:
-    # recip = 1/e(z), known through z^(n-1) at least
     fact = carlitz_factorial(n, fq)
-    value = recip.coefficient(n - 1) * recip.ring.coerce(fact)
-    if n % (fq.q - 1) != 0 and not value.is_zero():
-        raise InvariantError(f"BC_{n} should vanish for q={fq.q}")
+    value = _bc_over_factorial(n, recip, fq) * recip.ring.coerce(fact)
     return BCValue(n, value, fact)
+
+
+def _bc_over_factorial(n: int, recip: TruncSeries, fq: Fq) -> RatFun:
+    """BC_n/Pi(n) = [z^(n-1)] of recip = 1/e(z), checked 0 unless (q-1) | n."""
+    c = recip.coefficient(n - 1)
+    if n % (fq.q - 1) != 0 and not c.is_zero():
+        raise InvariantError(f"BC_{n} should vanish for q={fq.q}")
+    return c

@@ -9,16 +9,16 @@ phi_a(x)/phi_b(x)).  The verifier compares, exactly in F = F_q(T),
 for k = 1..kmax.  Both sides are prime-free and read the same Carlitz
 exponential, which is certified by its functional equation
 phi_T(e(z)) = e(Tz) when it is built.  Past that shared input they are
-independent: the left substitutes e(z) into dlog of the unit c(a, b), the
-right takes BC_k from the reciprocal 1/e(z) and uses a and b only through
-a^k - b^k.
+independent: the left substitutes e(z) into dlog c(a, b), inverting its own
+series; the right reads BC_k/Pi(k) = [z^(k-1)] 1/e(z) off the cached copy,
+with no Pi(k) multiplied in or divided out, and uses a, b only via a^k - b^k.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .cmod import bernoulli_carlitz_table, carlitz_exp
+from .cmod import _bc_over_factorial, _exp_reciprocal, carlitz_exp
 from .coleman import ColemanSeries, _fq_of, _x_order, cyclotomic_unit_series
 from .fq import Fq
 from .poly import Poly
@@ -108,29 +108,34 @@ def _exp_in_x(fq: Fq, prec: int) -> TruncSeries:
 
 def dlog_exp_series(f, prec: int) -> TruncSeries:
     """(dlog f)(e_C(x)) through O(x^prec); the generating series of the
-    delta_k values, coefficient of x^(k-1) being delta_k."""
+    delta_k values, coefficient of x^(k-1) being delta_k.  e_C is built
+    only as far as the series precision rules need for that."""
     val = f.value if isinstance(f, ColemanSeries) else f
     d = dlog(val)
     if isinstance(d, RatFun):
         fq = _fq_of(d.field.cring)
-        margin = 2 * (_x_order(d.num) + _x_order(d.den)) + 2
+        # e through x^(P-1) knows num(e) (order on) through P + on - 1 and
+        # den(e) (order v) through P + v - 1, so 1/den(e) through P - v - 1
+        # and the quotient through P + on - v - 1; P = prec + v - on + 1.
+        margin = _x_order(d.den) - _x_order(d.num) + 1
         e = _exp_in_x(fq, max(prec + margin, 2))
         num = TruncSeries.from_poly(d.num).compose(e)
         den = TruncSeries.from_poly(d.den).compose(e)
         out = num * den.invert()
     else:
         fq = _fq_of(d.ring)
-        margin = 2 * abs(min(d.order, 0)) + 2
+        # d(e) is known through min(prec d, P - 2j), j = -ord d <= 1 for a dlog
+        margin = 2 * max(0, -d.order)
         e = _exp_in_x(fq, max(prec + margin, 2))
         out = d.compose(e)
     return out.truncate(prec)
 
 
 def coates_wiles(k: int, f) -> RatFun:
-    """delta_k(f) = [x^(k-1)] (dlog f)(e_C(x)), exact in F."""
+    """delta_k(f) = [x^(k-1)] (dlog f)(e_C(x)) read off O(x^k), exact in F."""
     if k < 1:
         raise ValueError("index must be >= 1")
-    return dlog_exp_series(f, k + 1).coefficient(k - 1)
+    return dlog_exp_series(f, k).coefficient(k - 1)
 
 
 # -- the reciprocity-law verifier ------------------------------------------------
@@ -163,8 +168,8 @@ class CWReport(namedtuple("CWReport", "q a b rows")):
 
 
 def cw_verify(a: Poly, b: Poly, kmax: int) -> CWReport:
-    """Run the identity for k = 1..kmax; one exponential composition for the
-    left side, one table of Bernoulli-Carlitz numbers for the right."""
+    """Run the identity for k = 1..kmax: the left side from one
+    dlog_exp_series, the right from the cached 1/e(z) and a^k - b^k."""
     fq = a.ring
     if not isinstance(fq, Fq):
         raise TypeError("indices must be polynomials over F_q")
@@ -175,14 +180,13 @@ def cw_verify(a: Poly, b: Poly, kmax: int) -> CWReport:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     F = base_field(fq)
-    ser = dlog_exp_series(cyclotomic_unit_series(a, b), kmax + 2)
-    av, bv = F.coerce(a), F.coerce(b)
-
-    def row(bc) -> CWRow:
-        k = bc.n
+    ser = dlog_exp_series(cyclotomic_unit_series(a, b), kmax)
+    recip = _exp_reciprocal(fq, kmax + 2)
+    ak = bk = Poly.const(fq, a.var, 1)
+    rows = []
+    for k in range(1, kmax + 1):
+        ak, bk = ak * a, bk * b
         lhs = ser.coefficient(k - 1)
-        rhs = (av ** k - bv ** k) * bc.value / F.coerce(bc.factorial)
-        return CWRow(k, lhs, rhs, lhs == rhs)
-
-    rows = [row(bc) for bc in bernoulli_carlitz_table(kmax, fq)[1:]]
+        rhs = F.coerce(ak - bk) * _bc_over_factorial(k, recip, fq)
+        rows.append(CWRow(k, lhs, rhs, lhs == rhs))
     return CWReport(q=fq.q, a=a, b=b, rows=rows)

@@ -514,6 +514,9 @@ class PolyRing:
 
 # -- parsing / printing ------------------------------------------------------
 
+MAX_PARSE_DEGREE = 100_000  # a parsed power past it is refused, never built
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
@@ -585,6 +588,9 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "uint":
                 raise ParseError("exponent must be an unsigned integer", pos)
+            if val * max(b.degree, 1) > MAX_PARSE_DEGREE:
+                raise ParseError(f"power exceeds the degree limit "
+                                 f"{MAX_PARSE_DEGREE}", pos)
             b = b ** val
         return b
 

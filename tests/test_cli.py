@@ -14,7 +14,7 @@ from carlitz.cli import main
 from carlitz.cmod import carlitz_factorial
 from carlitz.cw import CWReport, CWRow
 from carlitz.fq import Fq
-from carlitz.poly import Poly, poly_parse, poly_to_str
+from carlitz.poly import MAX_PARSE_DEGREE, Poly, poly_parse, poly_to_str
 from carlitz.ratfun import base_field
 from carlitz.selfcheck import suite_lfun
 
@@ -193,6 +193,20 @@ def test_usage_errors_exit_2():
         rc, out, err = run(argv)
         assert rc == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_parse_degree_limit_exits_2(monkeypatch):
+    pow_ = Poly.__pow__
+
+    def power(b, e):
+        if e > 64:
+            raise AssertionError("a power past the limit was built")
+        return pow_(b, e)
+
+    monkeypatch.setattr(Poly, "__pow__", power)
+    rc, out, err = run(["phi", "--q", "2", "--a", f"T^{MAX_PARSE_DEGREE + 1}"])
+    assert rc == 2 and out == ""
+    assert f"degree limit {MAX_PARSE_DEGREE}" in err
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -156,7 +156,7 @@ def test_exp_coefficients_are_inverse_factorials():
 
 
 def test_closed_forms_match_solved_series():
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5, 7):
         fq = Fq.get(q)
         prec = q ** 2 + 2
         e = solved_exp(fq, prec)

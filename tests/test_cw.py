@@ -2,16 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.cmod import bernoulli_carlitz
-from carlitz.coleman import cyclotomic_unit_series, star_action
+from carlitz.coleman import (
+    ColemanSeries, _fq_of, _x_order, cyclotomic_unit_series, star_action,
+    x_field,
+)
 from carlitz.cw import (
-    CWReport, CWRow, coates_wiles, cw_verify, dlog, dlog_exp_series,
-    ht_derivative, lucas_binom,
+    CWReport, CWRow, _exp_in_x, coates_wiles, cw_verify, dlog,
+    dlog_exp_series, ht_derivative, lucas_binom,
 )
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
-from carlitz.ratfun import base_field
+from carlitz.ratfun import RatFun, base_field
 from carlitz.series import TruncSeries
 
 
@@ -171,3 +175,105 @@ def test_report_record_contract():
     verified = cw_verify(a, b, 3)
     assert verified.passed and [r.k for r in verified.rows] == [1, 2, 3]
     assert verified == cw_verify(a, b, 3)
+
+
+# -- the derived margins against generously padded ones ------------------------
+
+def padded_dlog_exp_series(f, prec):
+    """Oracle for dlog_exp_series: the same substitution with e(z) padded by
+    2(ord num + ord den) + 2 terms for rational dlog f and 2|min(ord, 0)| + 2
+    for a series, far more than the precision rules ask for."""
+    d = dlog(f.value if isinstance(f, ColemanSeries) else f)
+    if isinstance(d, RatFun):
+        margin = 2 * (_x_order(d.num) + _x_order(d.den)) + 2
+        e = _exp_in_x(_fq_of(d.field.cring), max(prec + margin, 2))
+        out = (TruncSeries.from_poly(d.num).compose(e)
+               * TruncSeries.from_poly(d.den).compose(e).invert())
+    else:
+        margin = 2 * abs(min(d.order, 0)) + 2
+        out = d.compose(_exp_in_x(_fq_of(d.ring), max(prec + margin, 2)))
+    return out.truncate(prec)
+
+
+def _outcome(fn, f, prec):
+    """fn(f, prec) with its precision, or the type of what it raised."""
+    try:
+        got = fn(f, prec)
+    except Exception as ex:  # the oracle must raise alike
+        return type(ex)
+    return got, got.prec
+
+
+def _coeff(fq, rng):
+    """A random element of F_q(T) with denominator T + 1."""
+    num = Poly(fq, "T", [fq.from_index(rng.randrange(fq.q)) for _ in range(2)])
+    F = base_field(fq)
+    return F.coerce(num) / F.coerce(poly_parse("T+1", fq))
+
+
+def _index(fq, rng):
+    """A random nonzero a in F_q[T] of degree <= 2."""
+    while True:
+        a = Poly(fq, "T", [fq.from_index(rng.randrange(fq.q)) for _ in range(3)])
+        if not a.is_zero():
+            return a
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_derived_margins_match_padded_ones(q):
+    fq = Fq.get(q)
+    F, X = base_field(fq), x_field(fq)
+    rng = random.Random(q)
+    a, b = _index(fq, rng), _index(fq, rng)
+    unit = cyclotomic_unit_series(a, b)
+    grid = [unit]
+    # rational f with a pole of order 1-3 at x = 0, coefficients in F_q(T)
+    for pole in (1, 2, 3):
+        num = Poly(F, "x", [F.one, _coeff(fq, rng)])
+        den = Poly(F, "x", [F.zero] * pole
+                   + [F.one / F.coerce(poly_parse("T", fq)), _coeff(fq, rng)])
+        grid.append(X.from_pair(num, den))
+    # truncated series of order 0-3
+    for order in range(4):
+        cs = [F.one] + [_coeff(fq, rng) for _ in range(3)]
+        grid.append(TruncSeries(F, "x", order, cs, order + 4))
+    for f in grid:
+        for prec in (1, 2, 5, 9):
+            assert _outcome(dlog_exp_series, f, prec) == \
+                _outcome(padded_dlog_exp_series, f, prec)
+    # the callers' reads against the padded requests kmax + 2 and k + 1
+    padded = padded_dlog_exp_series(unit, 9 + 2)
+    assert [r.lhs for r in cw_verify(a, b, 9).rows] == \
+        [padded.coefficient(k - 1) for k in range(1, 10)]
+    for k in (1, 2, 5):
+        assert coates_wiles(k, unit) == \
+            padded_dlog_exp_series(unit, k + 1).coefficient(k - 1)
+
+
+@st.composite
+def rational_f(draw):
+    """A rational f in x over F_q(T), q in {2, 3}: numerator and denominator
+    of x-order 0-3 with up to three further terms, each coefficient a
+    quotient of polynomials in T of degree <= 1."""
+    fq = Fq.get(draw(st.sampled_from((2, 3))))
+    F = base_field(fq)
+    digit = st.integers(0, fq.q - 1).map(fq.from_index)
+    small = st.lists(digit, min_size=1, max_size=2).map(
+        lambda cs: F.coerce(Poly(fq, "T", cs)))
+    coeff = st.tuples(small, small.filter(lambda c: not c.is_zero())).map(
+        lambda nd: nd[0] / nd[1])
+    unit = coeff.filter(lambda c: not c.is_zero())
+
+    def side():
+        order = draw(st.integers(0, 3))
+        return Poly(F, "x", [F.zero] * order + [draw(unit)]
+                    + draw(st.lists(coeff, max_size=3)))
+    return x_field(fq).from_pair(side(), side())
+
+
+@settings(max_examples=60)
+@given(rational_f(), st.integers(1, 8))
+def test_dlog_exp_series_reaches_exactly_the_asked_precision(f, p):
+    got = dlog_exp_series(f, p)
+    assert got.prec == p
+    assert got == dlog_exp_series(f, p + 3).truncate(p)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from carlitz.errors import ParseError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
-    Poly, ZZ, is_irreducible, monic_enumerate, poly_parse, poly_to_str,
+    MAX_PARSE_DEGREE, Poly, ZZ, is_irreducible, monic_enumerate, poly_parse,
+    poly_to_str,
 )
 
 
@@ -61,6 +62,25 @@ def test_parse_errors_carry_position():
         poly_parse("T^T", f2)
     with pytest.raises(ParseError):
         poly_parse("T$1", f2)
+
+
+def test_parse_refuses_powers_past_the_degree_limit(monkeypatch):
+    f2, cap = Fq.get(2), MAX_PARSE_DEGREE
+    taken, pow_ = [], Poly.__pow__
+
+    def power(b, e):
+        # large powers are only recorded, so no coefficient list is built
+        taken.append(e)
+        return pow_(b, e) if e < 10 else b
+
+    monkeypatch.setattr(Poly, "__pow__", power)
+    for text in (f"T^{cap + 1}", f"(T^2+1)^{cap // 2 + 1}", f"1^{cap + 1}"):
+        with pytest.raises(ParseError, match=f"degree limit {cap}"):
+            poly_parse(text, f2)
+    assert taken == [2]  # the inner T^2 alone
+    poly_parse(f"T^{cap}", f2)
+    poly_parse(f"(T^2+1)^{cap // 2}", f2)
+    assert taken == [2, cap, 2, cap // 2]
 
 
 def test_divmod_and_gcd():
