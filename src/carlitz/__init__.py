@@ -9,8 +9,8 @@ from .cmod import (
     l_sequence, omega_minpoly, torsion_poly,
 )
 from .coleman import (
-    ColemanSeries, coleman_norm, cyclotomic_unit_series, decompose_by_phi,
-    eval_at_omega, phi_poly, star_action, x_field,
+    ColemanSeries, coleman_norm, cyclotomic_unit_series, eval_at_omega,
+    phi_poly, star_action, x_field,
 )
 from .cw import (
     CWReport, CWRow, coates_wiles, cw_verify, dlog, dlog_exp_series,
@@ -21,8 +21,8 @@ from .cyclo import (
     valuation_at_p,
 )
 from .errors import (
-    CarlitzError, CharacterError, DecompositionError, InvariantError,
-    ParseError, PrecisionError, TailError,
+    CarlitzError, CharacterError, InvariantError, ParseError, PrecisionError,
+    TailError,
 )
 from .fq import Fq, FqElem
 from .groupring import (
@@ -46,9 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BCValue", "CWReport", "CWRow", "CarlitzError", "CharSpec",
-    "CharacterError", "ColemanSeries", "CycloField", "DecompositionError",
-    "FqElem", "Fq", "FracField", "GroupRing", "GroupRingElem",
-    "InvariantError", "OkadaReport",
+    "CharacterError", "ColemanSeries", "CycloField", "FqElem", "Fq",
+    "FracField", "GroupRing", "GroupRingElem", "InvariantError", "OkadaReport",
     "ParseError", "Poly", "PolyRing", "PrecisionError", "QuotientRing",
     "RatFun", "SkewPoly", "TailError", "ThetaPoly",
     "TruncSeries", "ZZ", "base_field",
@@ -56,7 +55,7 @@ __all__ = [
     "carlitz_factorial", "carlitz_log", "carlitz_phi", "character_table",
     "coates_wiles", "coleman_norm", "cw_verify", "cyclotomic_poly",
     "cyclotomic_unit", "cyclotomic_unit_series", "d_sequence",
-    "decompose_by_phi", "dlog", "dlog_exp_series", "eval_at_omega",
+    "dlog", "dlog_exp_series", "eval_at_omega",
     "field_norm", "galois_act", "ht_derivative", "is_irreducible",
     "l_sequence", "lucas_binom", "monic_enumerate", "okada_report",
     "omega_minpoly", "phi_poly", "poly_parse", "poly_to_str", "power_sum",

@@ -17,9 +17,7 @@ from .cmod import (
     carlitz_phi, omega_minpoly, torsion_poly,
 )
 from .cw import cw_verify
-from .errors import (
-    CharacterError, DecompositionError, ParseError, PrecisionError, TailError,
-)
+from .errors import CharacterError, ParseError, PrecisionError, TailError
 from .fq import Fq
 from .groupring import CharSpec
 from .lfun import (
@@ -373,7 +371,7 @@ def main(argv=None) -> int:
         return _fail(str(ex), 2)
     except (ParseError, PrecisionError, CharacterError, ValueError) as ex:
         return _fail(str(ex), 2)
-    except (TailError, DecompositionError, AssertionError) as ex:
+    except (TailError, AssertionError) as ex:
         return _fail(str(ex) or "internal assertion failed", 3)
 
 

@@ -38,7 +38,7 @@ import functools
 
 from .cmod import carlitz_phi, _require_prime
 from .cyclo import CycloField, _norm_poly
-from .errors import DecompositionError, PrecisionError
+from .errors import PrecisionError
 from .fq import Fq
 from .poly import Poly
 from .quotient import QuotElem
@@ -48,7 +48,6 @@ from .series import TruncSeries
 __all__ = [
     "ColemanSeries",
     "coleman_norm",
-    "decompose_by_phi",
     "star_action",
     "eval_at_omega",
     "phi_poly",
@@ -228,70 +227,6 @@ def coleman_norm(f: ColemanSeries) -> ColemanSeries:
     normed = _norm_poly(unit, pi)
     return ColemanSeries(
         TruncSeries(ser.ring, ser.var, ser.order, normed.coeffs, ser.prec), pi)
-
-
-def decompose_by_phi(g, pi: Poly):
-    """The unique h with h(phi_pi(x)) = g(x), peeled from the top.
-
-    phi_pi(x) is monic of degree Q = q^deg pi, so h_k is the residual's
-    coefficient at x^(kQ), for k from deg g / Q down to 0; no division, so g
-    may have coefficients in A = F_q[T] or in F.  A nonzero residual after
-    all stages means g is not a polynomial in phi_pi(x) and raises
-    DecompositionError."""
-    if isinstance(g, TruncSeries):
-        return _decompose_series(g, pi)
-    if not isinstance(g, Poly):
-        raise TypeError(f"cannot decompose {g!r}")
-    if g.is_zero():
-        return g
-    R = g.ring
-    phi = carlitz_phi(pi).as_additive(R, var=g.var)
-    qd = phi.degree
-    if g.degree % qd:
-        raise DecompositionError(
-            f"degree {g.degree} is not a multiple of {qd}")
-    top = g.degree // qd
-    phi_pows = [Poly(R, g.var, [R.one])]
-    for _ in range(top):
-        phi_pows.append(phi_pows[-1] * phi)
-    out = [R.zero] * (top + 1)
-    r = g
-    for k in range(top, -1, -1):
-        hk = r.coeff(k * qd)
-        if hk != R.zero:
-            out[k] = hk
-            r = r - phi_pows[k].mul_scalar(hk)
-    if not r.is_zero():
-        raise DecompositionError(
-            f"residual {r!r} is not a polynomial in phi_pi(x)")
-    return Poly(R, g.var, out)
-
-
-def _decompose_series(g: TruncSeries, pi: Poly) -> TruncSeries:
-    if g.order < 0:
-        raise DecompositionError(
-            "a Laurent series with a pole cannot be phi-composed")
-    if g.prec is None:
-        h = decompose_by_phi(Poly(g.ring, g.var, (g.ring.zero,) * g.order
-                                  + g.coeffs), pi)
-        return TruncSeries.from_poly(h, None, var=g.var)
-    F = g.ring
-    phi = TruncSeries.from_poly(phi_poly(pi, var=g.var)).truncate(g.prec)
-    pi_inv = F.coerce(pi).inv()
-    out = []
-    r = g
-    phi_pow = TruncSeries.one(F, g.var, g.prec)
-    for k in range(g.prec):
-        if k:
-            phi_pow = (phi_pow * phi).truncate(g.prec)
-        hk = r.coefficient(k) * pi_inv ** k
-        out.append(hk)
-        if hk != F.zero:
-            r = r - phi_pow.mul_scalar(hk)
-    if not r.is_zero():
-        raise DecompositionError(
-            f"residual {r!r} is not a series in phi_pi(x)")
-    return TruncSeries(F, g.var, 0, out, g.prec)
 
 
 # -- Galois twisting and torsion evaluation ------------------------------------

@@ -16,6 +16,7 @@ with no Pi(k) multiplied in or divided out, and uses a, b only via a^k - b^k.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .cmod import _bc_over_factorial, _exp_reciprocal, carlitz_exp
@@ -106,6 +107,14 @@ def _exp_in_x(fq: Fq, prec: int) -> TruncSeries:
     return TruncSeries(e.ring, "x", e.order, e.coeffs, e.prec)
 
 
+def _gain(g: Poly) -> float:
+    """t - ord g, t the least positive degree of a term of g: 0 unless g is
+    a unit, and inf for a constant, whose g(e) is exact."""
+    t = next((k for k, c in enumerate(g.coeffs) if k and c != g.ring.zero),
+             math.inf)
+    return t - _x_order(g)
+
+
 def dlog_exp_series(f, prec: int) -> TruncSeries:
     """(dlog f)(e_C(x)) through O(x^prec); the generating series of the
     delta_k values, coefficient of x^(k-1) being delta_k.  e_C is built
@@ -114,10 +123,13 @@ def dlog_exp_series(f, prec: int) -> TruncSeries:
     d = dlog(val)
     if isinstance(d, RatFun):
         fq = _fq_of(d.field.cring)
-        # e through x^(P-1) knows num(e) (order on) through P + on - 1 and
-        # den(e) (order v) through P + v - 1, so 1/den(e) through P - v - 1
-        # and the quotient through P + on - v - 1; P = prec + v - on + 1.
-        margin = _x_order(d.den) - _x_order(d.num) + 1
+        # e known to O(x^P), relative precision P - 1, gives g(e) for g of
+        # order o to relative precision P - 1 + _gain(g): g(0) is exact, so
+        # a unit g gains its least positive degree.  The quotient, of order
+        # on - v, is then known to O(x^(P + on - v - 1 + s)), s the smaller
+        # gain of num and den; P = prec + v - on + 1 - s.
+        s = min(_gain(d.num), _gain(d.den))
+        margin = _x_order(d.den) - _x_order(d.num) + 1 - s
         e = _exp_in_x(fq, max(prec + margin, 2))
         num = TruncSeries.from_poly(d.num).compose(e)
         den = TruncSeries.from_poly(d.den).compose(e)

@@ -6,7 +6,6 @@ __all__ = [
     "CarlitzError",
     "ParseError",
     "PrecisionError",
-    "DecompositionError",
     "TailError",
     "CharacterError",
     "InvariantError",
@@ -36,10 +35,6 @@ class PrecisionError(CarlitzError):
             message = f"{message} (needs precision >= {needed})"
         super().__init__(message)
         self.needed = needed
-
-
-class DecompositionError(CarlitzError):
-    """Input is not of the form h(phi_pi(x)), so no decomposition exists."""
 
 
 class TailError(CarlitzError):

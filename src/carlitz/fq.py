@@ -9,13 +9,13 @@ Elements carry a single integer index i = sum c_j p^j over the coordinate
 vector (c_0, ..., c_{m-1}); index order is the canonical element order used
 by every enumeration in the package.
 
-Prime fields F_p with p <= _TABLE_LIMIT are interned: each ``Fq`` builds its
-p elements once, and every element it hands out (arithmetic results,
-``zero``, ``one``, ``from_int``, ``from_index``, ``elements``) is an entry of
-that list, so prime-field arithmetic allocates nothing.  ``FqElem``s built
-directly still compare equal by index.  Every other field, F_{p^m} and the
-rare prime above the limit, builds each result by the coordinate loops and
-multiplication tables below, which are exact for m = 1 too.
+A field with q <= _TABLE_LIMIT, prime or not, interns its q elements: every
+element it hands out (arithmetic results, ``zero``, ``one``, ``from_int``,
+``from_index``, ``elements``) is an entry of ``_elems``, and ``+``, ``-``,
+``*`` and inversion are lookups in tables of those entries, each filled on
+first use by the coordinate loops below.  A larger field (``Fq(q)`` returns
+a ``_CoordFq`` there) builds each result by those loops, and inverts by
+a^(q-2).  ``FqElem``s built directly still compare equal by index.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 
 __all__ = ["Fq", "FqElem"]
 
-_TABLE_LIMIT = 256  # full mul tables and interned elements only for small q
+_TABLE_LIMIT = 256  # interned elements and q x q tables only for small q
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -160,10 +160,30 @@ class FqElem:
         return f"Fq{self.field.q}[{','.join(map(str, self.coords))}]"
 
 
+class _Table:
+    """Stands in for one of a field's tables until its first lookup, which
+    builds the table and puts it in the stand-in's place."""
+
+    __slots__ = ("field", "name", "table")
+
+    def __init__(self, field: "Fq", name: str) -> None:
+        self.field, self.name, self.table = field, name, None
+
+    def __getitem__(self, k):
+        if self.table is None:
+            self.table = getattr(self.field, "_make" + self.name)()
+            setattr(self.field, self.name, self.table)
+        return self.table[k]
+
+
 class Fq:
     """The field F_q.  Use :meth:`Fq.get` so equal q share one instance."""
 
     is_field = True
+
+    def __new__(cls, q: int) -> "Fq":
+        # past the limit q x q tables would not pay for themselves
+        return super().__new__(_CoordFq if q > _TABLE_LIMIT else cls)
 
     def __init__(self, q: int) -> None:
         p, m = _factor_prime_power(q)
@@ -171,29 +191,12 @@ class Fq:
         self.p = p
         self.m = m
         self.modulus = _canonical_modulus(p, m)
-        # the interned elements of a small prime field, by index
-        self._elems: list[FqElem] | None = (
-            [FqElem(self, i) for i in range(p)]
-            if m == 1 and p <= _TABLE_LIMIT else None)
+        if q <= _TABLE_LIMIT:
+            self._elems = [FqElem(self, i) for i in range(q)]
+            for name in ("_add", "_neg", "_mul", "_inv"):
+                setattr(self, name, _Table(self, name))
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
-        self._mul_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
-        # s^k mod modulus for k in [m, 2m-2], as coordinate tuples
-        self._red: list[tuple[int, ...]] = []
-        if m > 1:
-            rows = []
-            cur = [(-self.modulus[c]) % p for c in range(m)]
-            rows.append(tuple(cur))  # s^m
-            for _ in range(m - 2):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for c in range(m):
-                        nxt[c] = (nxt[c] + top * rows[0][c]) % p
-                rows.append(tuple(nxt))
-                cur = nxt
-            self._red = rows
 
     @staticmethod
     @functools.cache
@@ -225,9 +228,7 @@ class Fq:
 
     def from_index(self, i: int) -> FqElem:
         """The element with index i, 0 <= i < q."""
-        if self._elems is not None:
-            return self._elems[i]
-        return FqElem(self, i)
+        return self._elems[i]
 
     def from_coords(self, coords) -> FqElem:
         p = self.p
@@ -239,60 +240,67 @@ class Fq:
     def elements(self) -> list[FqElem]:
         return [self.from_index(i) for i in range(self.q)]
 
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic: one lookup each ---------------------------------------
+    # Each table starts as a _Table stand-in whose first lookup fills it by
+    # the method named _make<table> and puts the list in its place, so from
+    # then on the hot path indexes a plain instance attribute and checks
+    # nothing.  The binary tables hold a op b at a.i * q + b.i.
+
+    def _make_add(self) -> list[FqElem]:
+        q, elems = self.q, self._elems
+        return [elems[self._digitwise(i, j, 1)]
+                for i in range(q) for j in range(q)]
+
+    def _make_neg(self) -> list[FqElem]:
+        elems = self._elems
+        return [elems[self._digitwise(0, i, -1)] for i in range(self.q)]
+
+    def _make_mul(self) -> list[FqElem]:
+        q, elems = self.q, self._elems
+        table = [elems[0]] * (q * q)  # row and column 0 stay zero
+        for i in range(1, q):
+            for j in range(i, q):
+                table[i * q + j] = table[j * q + i] = elems[
+                    self._mul_index(i, j)]
+        return table
+
+    def _make_inv(self) -> list[FqElem | None]:
+        return [None] + [a ** (self.q - 2) for a in self._elems[1:]]
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
-        elems = self._elems
-        if elems is not None:
-            return elems[(a.i + b.i) % self.p]
-        return self._digitwise(a.i, b.i, 1)
+        return self._add[a.i * self.q + b.i]
 
     def sub(self, a: FqElem, b: FqElem) -> FqElem:
-        elems = self._elems
-        if elems is not None:
-            return elems[(a.i - b.i) % self.p]
-        return self._digitwise(a.i, b.i, -1)
+        return self._add[a.i * self.q + self._neg[b.i].i]
 
     def neg(self, a: FqElem) -> FqElem:
-        elems = self._elems
-        if elems is not None:
-            return elems[-a.i % self.p]
-        return self._digitwise(0, a.i, -1)
+        return self._neg[a.i]
 
-    def _digitwise(self, i: int, j: int, sign: int) -> FqElem:
-        """The element whose coordinates are those of index i plus sign
-        times those of index j, each mod p."""
+    def mul(self, a: FqElem, b: FqElem) -> FqElem:
+        return self._mul[a.i * self.q + b.i]
+
+    def inv(self, a: FqElem) -> FqElem:
+        if a.i == 0:
+            raise ZeroDivisionError(f"division by zero in F_{self.q}")
+        return self._inv[a.i]
+
+    # -- coordinate loops: the tables' source, and q > _TABLE_LIMIT -------
+
+    def _digitwise(self, i: int, j: int, sign: int) -> int:
+        """The index whose coordinates are those of index i plus sign times
+        those of index j, each mod p."""
         p, out, mult = self.p, 0, 1
         while i or j:
             out += ((i % p + sign * (j % p)) % p) * mult
             i //= p
             j //= p
             mult *= p
-        return FqElem(self, out)
-
-    def mul(self, a: FqElem, b: FqElem) -> FqElem:
-        elems = self._elems
-        if elems is not None:
-            return elems[a.i * b.i % self.p]
-        if self.q <= _TABLE_LIMIT:
-            if self._mul_table is None:
-                self._build_tables()
-            return FqElem(self, self._mul_table[a.i * self.q + b.i])
-        return FqElem(self, self._mul_index(a.i, b.i))
-
-    def inv(self, a: FqElem) -> FqElem:
-        if a.i == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.q}")
-        if self._elems is not None:
-            return self._elems[pow(a.i, -1, self.p)]
-        if self.q <= _TABLE_LIMIT:
-            if self._inv_table is None:
-                self._build_tables()
-            return FqElem(self, self._inv_table[a.i])
-        return a ** (self.q - 2)
+        return out
 
     def _mul_index(self, i: int, j: int) -> int:
-        p, m = self.p, self.m
+        p, m, mod = self.p, self.m, self.modulus
+        if m == 1:
+            return i * j % p
         a = [(i // p ** k) % p for k in range(m)]
         b = [(j // p ** k) % p for k in range(m)]
         conv = [0] * (2 * m - 1)
@@ -300,31 +308,37 @@ class Fq:
             if au:
                 for v, bv in enumerate(b):
                     conv[u + v] = (conv[u + v] + au * bv) % p
-        out = conv[:m]
-        for k in range(m, 2 * m - 1):
+        for k in range(2 * m - 2, m - 1, -1):  # reduce by the monic modulus
             ck = conv[k]
             if ck:
-                row = self._red[k - m]
                 for c in range(m):
-                    out[c] = (out[c] + ck * row[c]) % p
+                    conv[k - m + c] = (conv[k - m + c] - ck * mod[c]) % p
         idx = 0
-        for c in reversed(out):
+        for c in reversed(conv[:m]):
             idx = idx * p + c
         return idx
 
-    def _build_tables(self) -> None:
-        q = self.q
-        table = [0] * (q * q)
-        for i in range(q):
-            for j in range(i, q):
-                v = self._mul_index(i, j)
-                table[i * q + j] = v
-                table[j * q + i] = v
-        self._mul_table = table
-        inv = [0] * q
-        for i in range(1, q):
-            for j in range(1, q):
-                if table[i * q + j] == 1:
-                    inv[i] = j
-                    break
-        self._inv_table = inv
+
+class _CoordFq(Fq):
+    """F_q with q > _TABLE_LIMIT, where q x q tables would not pay: every
+    result is a fresh ``FqElem`` built by the coordinate loops."""
+
+    def from_index(self, i: int) -> FqElem:
+        return FqElem(self, i)
+
+    def add(self, a: FqElem, b: FqElem) -> FqElem:
+        return FqElem(self, self._digitwise(a.i, b.i, 1))
+
+    def sub(self, a: FqElem, b: FqElem) -> FqElem:
+        return FqElem(self, self._digitwise(a.i, b.i, -1))
+
+    def neg(self, a: FqElem) -> FqElem:
+        return FqElem(self, self._digitwise(0, a.i, -1))
+
+    def mul(self, a: FqElem, b: FqElem) -> FqElem:
+        return FqElem(self, self._mul_index(a.i, b.i))
+
+    def inv(self, a: FqElem) -> FqElem:
+        if a.i == 0:
+            raise ZeroDivisionError(f"division by zero in F_{self.q}")
+        return a ** (self.q - 2)

@@ -11,10 +11,11 @@ Towers are built by using a ``PolyRing`` as the coefficient parent of an
 outer ``Poly``: e.g. additive polynomials in x whose coefficients live in
 F_q[T].
 
-Over an interned prime field F_p (see ``fq``), ``*``, ``divmod`` and ``gcd``
-run on plain lists of coefficient indices (the ``_fp_*`` kernel) and map the
-results back through the field's interned elements, so no ``FqElem``
-is built.  Multiplication is schoolbook while the product of the operand
+Every F_q with q <= 256 interns its elements and looks each result up in a
+table (see ``fq``).  Over such a prime field F_p, ``*``, ``divmod`` and
+``gcd`` run on plain lists of coefficient indices (the ``_fp_*`` kernel) and
+map the results back through the interned elements, so no ``FqElem`` is
+built.  Multiplication is schoolbook while the product of the operand
 lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
 the integer product, multiplied once and unpacked mod p (Harvey, "Faster
@@ -23,9 +24,10 @@ Over A = F_p[T] (a ``PolyRing`` on such a field) ``*`` packs too: T = z^D,
 with D the longest T-length in one factor plus the longest in the other
 minus 1, turns a product in A[x] into one F_p[z] product whose blocks of D
 digits are the A-coefficients (``_mul_packed``).
-Every other coefficient parent, F_{p^m} and F_{p^m}[T] included, runs the
-generic loops (``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``),
-which the tests also use as the oracle for the kernel.  ``egcd`` runs
+Every other coefficient parent, F_{p^m} and F_{p^m}[T] included (the kernel
+reduces indices mod p, which is not F_{p^m} arithmetic), runs the generic
+loops (``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``), which the
+tests also use as the oracle for the kernel.  ``egcd`` runs
 ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and the self-test
 take it, so a kernel copy would not pay for itself.
 """
@@ -383,8 +385,8 @@ _DIGIT_CODES = [(array(c).itemsize, c) for c in "BHIQ"]
 
 def _interned(ring) -> bool:
     """Whether ring is a prime field with interned elements: the kernel's
-    domain."""
-    return type(ring) is Fq and ring._elems is not None
+    domain.  The kernel reduces indices mod p, so F_{p^m} stays out."""
+    return type(ring) is Fq and ring.m == 1
 
 
 def _ints(a: Poly) -> list[int]:

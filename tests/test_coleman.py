@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from carlitz import coleman
-from carlitz.cmod import carlitz_phi
 from carlitz.coleman import (
-    ColemanSeries, coleman_norm, cyclotomic_unit_series, decompose_by_phi,
-    eval_at_omega, phi_poly, star_action, x_field,
+    ColemanSeries, coleman_norm, cyclotomic_unit_series, eval_at_omega,
+    phi_poly, star_action, x_field,
 )
 from carlitz.cyclo import CycloField, cyclotomic_unit, galois_act
-from carlitz.errors import DecompositionError, PrecisionError
+from carlitz.errors import PrecisionError
 from carlitz.fq import Fq
 from carlitz.poly import Poly, PolyRing, poly_parse
 from carlitz.quotient import QuotientRing, quotient_norm
@@ -27,16 +25,16 @@ def rand_xpoly(rng, fq, deg, nonzero_const=False):
 
 
 def decompose_bottom_up(g, pi):
-    """The oracle for decompose_by_phi over F: the lowest term of
+    """The h over F with h(phi_pi(x)) = g(x): the lowest term of
     phi_pi(x)^k is pi^k x^k, so coefficient k of the residual, times
-    pi^(-k), is h_k."""
+    pi^(-k), is h_k.  ValueError if g is not a polynomial in phi_pi(x)."""
     if g.is_zero():
         return g
     F = g.ring
     phi = phi_poly(pi, var=g.var)
     qd = phi.degree
     if g.degree % qd:
-        raise DecompositionError(f"degree {g.degree} is not a multiple of {qd}")
+        raise ValueError(f"degree {g.degree} is not a multiple of {qd}")
     pi_inv = F.coerce(pi).inv()
     out = []
     r = g
@@ -49,7 +47,7 @@ def decompose_bottom_up(g, pi):
         if hk != F.zero:
             r = r - phi_pow.mul_scalar(hk)
     if not r.is_zero():
-        raise DecompositionError("residual is not a polynomial in phi_pi(x)")
+        raise ValueError("residual is not a polynomial in phi_pi(x)")
     return Poly(F, g.var, out)
 
 
@@ -181,7 +179,6 @@ def test_norm_takes_no_taylor_shift_and_no_decomposition(monkeypatch):
     def forbidden(*args):
         raise RuntimeError("the Coleman norm took a detour")
     monkeypatch.setattr(Poly, "compose", forbidden)
-    monkeypatch.setattr(coleman, "decompose_by_phi", forbidden)
     got = coleman_norm(ColemanSeries(p, pi)).value
     assert got == x_field(fq).coerce(want)
 
@@ -262,42 +259,6 @@ def test_norm_on_truncated_series_keeps_precision():
     assert out.value.prec == 8
     assert exact.value.num.degree <= 8  # tail actually visible at this prec
     assert out.value.agrees_with(exact.as_series(8))
-
-
-def test_decompose_by_phi_roundtrip():
-    rng = random.Random(77)
-    f3 = Fq.get(3)
-    pi = poly_parse("T+1", f3)
-    phi = phi_poly(pi)
-    for _ in range(8):
-        h = rand_xpoly(rng, f3, rng.randrange(4))
-        g = h.compose(phi)
-        assert decompose_by_phi(g, pi) == h == decompose_bottom_up(g, pi)
-    # over A = F_q[T]: peeling from the top never divides
-    for q, pi_text in ((2, "T^2+T+1"), (3, "T+1"), (5, "T")):
-        fq = Fq.get(q)
-        pi = poly_parse(pi_text, fq)
-        A = PolyRing(fq, "T")
-        phi_a = carlitz_phi(pi).as_additive(A)
-        for _ in range(4):
-            h = Poly(A, "x", [Poly(fq, "T", [fq.from_index(rng.randrange(q))
-                                             for _ in range(3)])
-                              for _ in range(rng.randrange(1, 4))])
-            assert decompose_by_phi(h.compose(phi_a), pi) == h
-
-
-def test_decompose_by_phi_failures():
-    f2 = Fq.get(2)
-    pi = poly_parse("T", f2)
-    xf = x_field(f2)
-    x = Poly.gen(xf.cring, "x")
-    with pytest.raises(DecompositionError):
-        decompose_by_phi(x ** 3, pi)  # odd degree
-    with pytest.raises(DecompositionError):
-        decompose_by_phi(x ** 2, pi)  # x^2 alone is not h(x^2 + Tx)
-    bad = TruncSeries(xf.cring, "x", -1, [xf.cring.one], 3)
-    with pytest.raises(DecompositionError):
-        decompose_by_phi(bad, pi)
 
 
 def test_star_action_composes_phi():

@@ -1,9 +1,11 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import cw
 from carlitz.cmod import bernoulli_carlitz
 from carlitz.coleman import (
     ColemanSeries, _fq_of, _x_order, cyclotomic_unit_series, star_action,
@@ -274,6 +276,23 @@ def rational_f(draw):
 @settings(max_examples=60)
 @given(rational_f(), st.integers(1, 8))
 def test_dlog_exp_series_reaches_exactly_the_asked_precision(f, p):
-    got = dlog_exp_series(f, p)
+    # e(x) is sized so that the series reaches O(x^p) before its final
+    # truncate, and no further unless e is at its floor of O(x^2)
+    exp_precs, seen = [], []
+    real_exp, real_truncate = cw._exp_in_x, TruncSeries.truncate
+
+    def exp_spy(fq, prec):
+        exp_precs.append(prec)
+        return real_exp(fq, prec)
+
+    def truncate_spy(self, prec):
+        seen.append(self.prec)
+        return real_truncate(self, prec)
+
+    with patch.object(cw, "_exp_in_x", exp_spy), \
+            patch.object(TruncSeries, "truncate", truncate_spy):
+        got = dlog_exp_series(f, p)
+    before = seen[-1]  # the series the final truncate received
+    assert before in (p, None) or (before > p and exp_precs == [2])
     assert got.prec == p
     assert got == dlog_exp_series(f, p + 3).truncate(p)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import poly as poly_mod
-from carlitz.fq import Fq, FqElem
+from carlitz.fq import Fq, FqElem, _power
 from carlitz.poly import (
     _KRONECKER_MIN, Poly, PolyRing, _divmod_generic, _fp_mul, _gcd_generic,
     _interned, _mul_generic,
@@ -170,25 +170,75 @@ def test_mul_both_sides_of_the_kronecker_cutoff():
 
 
 def test_prime_field_results_are_interned():
-    for p in PRIMES:
-        fq = Fq.get(p)
-        table = fq._elems
-        assert len(table) == p
+    # every field with q <= 256, prime or not, hands out only its q entries;
+    # over F_p each value is also checked against arithmetic mod p
+    for q in (2, 3, 4, 5, 7, 8, 9, 25):
+        fq = Fq.get(q)
+        p, table = fq.p, fq._elems
+        assert len(table) == q and all(x.i == i for i, x in enumerate(table))
         assert fq.zero is table[0] and fq.one is table[1]
         assert all(x is y for x, y in zip(fq.elements(), table))
-        for n in range(-2 * p, 2 * p):
+        for n in range(-2 * q, 2 * q):
             assert fq.from_int(n) is table[n % p]
-        for a in (FqElem(fq, i) for i in range(p)):  # not interned inputs
-            assert fq.neg(a) is table[-a.i % p] and -a is fq.neg(a)
-            for b in (FqElem(fq, i) for i in range(p)):
-                assert fq.add(a, b) is table[(a.i + b.i) % p]
-                assert fq.sub(a, b) is table[(a.i - b.i) % p]
-                assert fq.mul(a, b) is table[a.i * b.i % p]
+        for a in (FqElem(fq, i) for i in range(q)):  # not interned inputs
+            assert fq.neg(a) is table[fq.neg(a).i] and -a is fq.neg(a)
+            if fq.m == 1:
+                assert fq.neg(a) is table[-a.i % p]
+            for b in (FqElem(fq, i) for i in range(q)):
+                for got in (fq.add(a, b), fq.sub(a, b), fq.mul(a, b)):
+                    assert got is table[got.i]
+                assert a + b is fq.add(a, b)
                 assert a - b is fq.sub(a, b) and a * b is fq.mul(a, b)
+                if fq.m == 1:
+                    assert fq.add(a, b) is table[(a.i + b.i) % p]
+                    assert fq.sub(a, b) is table[(a.i - b.i) % p]
+                    assert fq.mul(a, b) is table[a.i * b.i % p]
             if a:
-                assert fq.inv(a) is table[pow(a.i, -1, p)]
+                assert fq.inv(a) is table[fq.inv(a).i]
+                assert a ** -1 is fq.inv(a) and a ** 5 is table[(a ** 5).i]
+                if fq.m == 1:
+                    assert fq.inv(a) is table[pow(a.i, -1, p)]
         c = fresh_poly(fq, [1, 2 % p, 1]) * fresh_poly(fq, [p - 1, 1])
         assert all(x is table[x.i] for x in c.coeffs)
+
+
+@pytest.mark.parametrize("q", [8, 16, 27, 32, 81])
+def test_extension_field_matches_polynomials_mod_the_modulus(q):
+    # F_q = F_p[s]/(modulus) taken literally: sums, products and inverses
+    # of coordinate polynomials over F_p, reduced by Poly's own division
+    fq = Fq.get(q)
+    fp = Fq.get(fq.p)
+    modulus = Poly(fp, "s", [fp.from_int(c) for c in fq.modulus])
+    one = Poly(fp, "s", [fp.one])
+
+    def lift(x):
+        return Poly(fp, "s", [fp.from_int(c) for c in x.coords])
+
+    els = fq.elements()
+    lifted = [lift(x) for x in els]
+    for a, la in zip(els, lifted):
+        assert lift(-a) == -la
+        for b, lb in zip(els, lifted):
+            assert lift(a + b) == la + lb and lift(a - b) == la - lb
+            assert lift(a * b) == la * lb % modulus
+        if a:
+            assert lift(a) * lift(fq.inv(a)) % modulus == one
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_tables_match_the_coordinate_loops(q):
+    fq = Fq.get(q)
+    els = fq.elements()
+    for i in range(q):
+        assert fq._neg[i].i == fq._digitwise(0, i, -1)
+        for j in range(q):
+            assert fq._add[i * q + j].i == fq._digitwise(i, j, 1)
+            assert fq._mul[i * q + j].i == fq._mul_index(i, j)
+            # sub has no table of its own: add of the negation
+            assert fq.sub(els[i], els[j]).i == fq._digitwise(i, j, -1)
+        if i:  # a^(q-2) by the coordinate loops alone
+            assert fq._inv[i].i == _power(i, q - 2, 1, fq._mul_index)
+            assert fq._mul_index(i, fq._inv[i].i) == 1
 
 
 def test_extension_field_arithmetic_unchanged():
