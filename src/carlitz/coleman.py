@@ -24,7 +24,11 @@ F is touched once at the end, dividing by d^(q^deg pi).
 That norm is ``cyclo._norm_poly`` along phi_a for any monic a: the tower
 norm N_{F_n/F_m} is the same construction along phi_{pi^(n-m)}, read at
 omega_m, so it lives with the cyclotomic fields and this module calls it
-with a = pi.
+with a = pi.  N is asked for f, g and fg built from a few small factors,
+so ``_norm_poly`` keeps its last 128 (p, a) results in an LRU cache.  Its
+sibling in ``cyclo``, the inverse of each Galois image phi_b(omega) that a
+``CycloField`` keeps for ``cyclotomic_unit``, is bounded by the field's
+|(A/pi^n)^*| classes.
 
 Exact inputs are ratios of polynomials in x and stay exact.  Truncated
 inputs are handled on their stored representative: the leading x-power is

@@ -13,8 +13,9 @@ A field with q <= _TABLE_LIMIT, prime or not, interns its q elements: every
 element it hands out (arithmetic results, ``zero``, ``one``, ``from_int``,
 ``from_index``, ``elements``) is an entry of ``_elems``, and ``+``, ``-``,
 ``*`` and inversion are lookups in tables of those entries, each filled on
-first use by the coordinate loops below.  A larger field (``Fq(q)`` returns
-a ``_CoordFq`` there) builds each result by those loops, and inverts by
+first use by the coordinate loops below (the product table through the
+powers of one generator of F_q^*).  A larger field (``Fq(q)`` returns a
+``_CoordFq`` there) builds each result by those loops, and inverts by
 a^(q-2).  ``FqElem``s built directly still compare equal by index.
 """
 
@@ -256,13 +257,33 @@ class Fq:
         return [elems[self._digitwise(0, i, -1)] for i in range(self.q)]
 
     def _make_mul(self) -> list[FqElem]:
+        # a * b = g^(log a + log b) for a generator g of F_q^*: q - 2
+        # coordinate products build the powers of g, the rest is lookups
         q, elems = self.q, self._elems
+        g = self._generator()
+        power = [1]
+        for _ in range(q - 2):
+            power.append(self._mul_index(power[-1], g))
+        log = [0] * q
+        for k, i in enumerate(power):
+            log[i] = k
+        power += power  # log a + log b < 2(q - 1) needs no reduction
         table = [elems[0]] * (q * q)  # row and column 0 stay zero
         for i in range(1, q):
-            for j in range(i, q):
-                table[i * q + j] = table[j * q + i] = elems[
-                    self._mul_index(i, j)]
+            row, li = i * q, log[i]
+            for j in range(1, q):
+                table[row + j] = elems[power[li + log[j]]]
         return table
+
+    def _generator(self) -> int:
+        """The smallest index of a generator of F_q^*: an element none of
+        whose powers (q - 1)/r, r a prime dividing q - 1, is 1."""
+        n = self.q - 1
+        exps = [n // r for r in _prime_divisors(n)]
+        for g in range(1, self.q):
+            if all(_power(g, e, 1, self._mul_index) != 1 for e in exps):
+                return g
+        raise ValueError(f"F_{self.q}^* has no generator")  # unreachable
 
     def _make_inv(self) -> list[FqElem | None]:
         return [None] + [a ** (self.q - 2) for a in self._elems[1:]]

@@ -110,13 +110,15 @@ class RatFun:
         return self.num.is_one() and self.den.is_one()
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num.coeffs)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, RatFun):
             return NotImplemented
-        return (self.field == other.field and self.num == other.num
-                and self.den == other.den)
+        return ((self.field is other.field or self.field == other.field)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -181,8 +183,10 @@ class RatFun:
 
     def eval(self, point, ring):
         """Evaluate at a point of another parent; denominator must be a unit
-        there (its inverse is taken with ``** -1``)."""
+        there (its inverse is taken with ``** -1``, unless it is 1)."""
         n = self.num.eval(point, ring)
+        if self.den.is_one():
+            return n
         d = self.den.eval(point, ring)
         return n * d ** -1
 

@@ -12,6 +12,9 @@ makes a product exactly zero):
   * ``f*g``    knows through  min(ord(f)+prec(g), ord(g)+prec(f))
   * ``f**-1``  knows through  prec(f) - 2*ord(f)
   * ``f(g)``   (ord(g) >= 1)  knows through  min(ord(g)*prec(f), Horner)
+
+Coefficients are tested against zero by truth value, which for ``FqElem``
+and ``RatFun`` is one index or length check instead of a full ``==``.
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ class TruncSeries:
     __slots__ = ("ring", "var", "order", "coeffs", "prec")
 
     def __init__(self, ring, var: str, order: int, coeffs, prec: int | None) -> None:
-        zero = ring.zero
         cs = list(coeffs)
-        while cs and cs[-1] == zero:
+        while cs and not cs[-1]:
             cs.pop()
         lead = 0
-        while lead < len(cs) and cs[lead] == zero:
+        while lead < len(cs) and not cs[lead]:
             lead += 1
         if lead:
             cs = cs[lead:]
@@ -98,12 +100,7 @@ class TruncSeries:
         return self.ring.zero
 
     def items(self) -> list[tuple[int, object]]:
-        zero = self.ring.zero
-        return [
-            (self.order + k, c)
-            for k, c in enumerate(self.coeffs)
-            if c != zero
-        ]
+        return [(self.order + k, c) for k, c in enumerate(self.coeffs) if c]
 
     def _check(self, other: "TruncSeries") -> None:
         if self.var != other.var or self.ring != other.ring:
@@ -166,7 +163,7 @@ class TruncSeries:
         zero = self.ring.zero
         out = [zero] * width
         for i, ai in enumerate(self.coeffs):
-            if ai == zero:
+            if not ai:
                 continue
             jmax = min(len(other.coeffs), width - i)
             for j in range(jmax):
@@ -208,7 +205,7 @@ class TruncSeries:
             s = zero
             for j in range(1, min(n, len(u) - 1) + 1):
                 uj = u[j]
-                if uj != zero:
+                if uj:
                     s = s + uj * w[n - j]
             w.append(-(u0inv * s))
         return TruncSeries(self.ring, self.var, -v, w, self.prec - 2 * v)

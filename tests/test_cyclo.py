@@ -190,8 +190,9 @@ def grid_poly(rng, fq, k, lead, with_dens):
     (2, "T"), (2, "T^2"), (3, "T"), (3, "T^2"), (4, "T"), (5, "T"),
     (9, "T")])
 def test_norm_poly_matches_torsion_route(q, a_text):
-    # deg p from 0 to Q + 1, exact and over T-denominators.  Once the
-    # denominators are cleared, d p has a unit leading coefficient for the
+    # the uncached norm, so that every p takes its route here.  deg p from
+    # 0 to Q + 1, exact and over T-denominators.  Once the denominators are
+    # cleared, d p has a unit leading coefficient for the
     # first two variants (T and T + 1 divide T^2 + T, so d = T^2 + T) and
     # not for the last two: the k x k route serves exactly the first two
     # with k <= Q, and the Q x Q route everything else
@@ -214,11 +215,39 @@ def test_norm_poly_matches_torsion_route(q, a_text):
                 if Q > 5 and v != k % len(variants):
                     continue
                 p = grid_poly(rng, fq, k, lead, with_dens)
-                assert _norm_poly(p, a) == torsion_route(p, a), (k, p)
+                assert _norm_poly.__wrapped__(p, a) == torsion_route(p, a), \
+                    (k, p)
                 if k <= Q and v < 2:
                     expect.append(k)
     got = [len(c.args[0]) - 1 for c in small.call_args_list]
     assert got == expect and Q in got
+
+
+def test_norm_memo_matches_the_uncached_norm():
+    # _norm_poly is an LRU cache on (p, a): on a seeded grid every value is
+    # the uncached one, and a repeat is a hit handing back the same object
+    rng = random.Random(19)
+    for q in (2, 3, 4):
+        fq = Fq.get(q)
+        F = base_field(fq)
+        over_d = F.coerce(fq.from_index(q - 1)) / F.coerce(
+            poly_parse("T^2+T", fq))
+        for a in (rng.sample(monic_enumerate(fq, 1), 2)
+                  + rng.sample(monic_enumerate(fq, 2), 2)):
+            for k in (1, 2):
+                for lead, with_dens in ((F.one, False), (over_d, True)):
+                    p = grid_poly(rng, fq, k, lead, with_dens)
+                    got = _norm_poly(p, a)
+                    assert got == _norm_poly.__wrapped__(p, a), (a, p)
+                    hits = _norm_poly.cache_info().hits
+                    assert _norm_poly(p, a) is got
+                    assert _norm_poly.cache_info().hits == hits + 1
+    # the same coefficients over another F_q are another key
+    f2, f3 = Fq.get(2), Fq.get(3)
+    for fq in (f2, f3):
+        F = base_field(fq)
+        p = Poly(F, "x", [F.one, F.one])
+        assert _norm_poly(p, poly_parse("T", fq)).ring == F
 
 
 @st.composite
@@ -252,9 +281,10 @@ def test_norm_is_multiplicative_across_the_size_rule(case):
     p, r, a = case
     Q = a.ring.q ** a.degree
     assert p.degree <= Q < (p * r).degree
+    norm = _norm_poly.__wrapped__  # uncached: each call takes its route
     with mock.patch.object(cyclo, "_resultant_norm",
                            wraps=cyclo._resultant_norm) as small:
-        assert _norm_poly(p * r, a) == _norm_poly(p, a) * _norm_poly(r, a)
+        assert norm(p * r, a) == norm(p, a) * norm(r, a)
     # p * r took the Q x Q route, p the k x k one
     assert len(small.call_args_list[0].args[0]) == p.degree + 1
 
@@ -342,6 +372,21 @@ def test_cyclotomic_units_are_units_and_cocycle():
     assert valuation_at_p(cab) == 0
     assert cab * cyclotomic_unit(b, a, field) == field.one
     assert cab * cyclotomic_unit(b, d, field) == cyclotomic_unit(a, d, field)
+
+
+@pytest.mark.parametrize("q,pi_text,n", [
+    (3, "T", 2), (2, "T^2+T+1", 1), (5, "T", 1)])
+def test_cyclotomic_unit_matches_the_egcd_route(q, pi_text, n):
+    # the stored inverse of phi_b(omega) against num / den by one egcd, for
+    # every pair of classes; b is read mod pi^n, so b + pi^n is the same unit
+    field = CycloField.get(poly_parse(pi_text, Fq.get(q)), n)
+    reps = field.galois_reps()
+    for b in reps:
+        den = galois_act(b, field.omega)
+        for a in reps:
+            want = galois_act(a, field.omega) / den
+            assert cyclotomic_unit(a, b, field) == want
+            assert cyclotomic_unit(a, b + field.pi ** n, field) == want
 
 
 def test_rejected_inputs():

@@ -46,6 +46,17 @@ def test_f8_and_f9_multiplicative_order():
                 assert e ** (q - 1) == fq.one
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 27, 243, 256])
+def test_product_table_matches_pairwise_coordinate_products(q):
+    # the log/antilog-built table against one coordinate product per pair
+    fq = Fq(q)
+    table = fq._make_mul()
+    for i in range(q):
+        for j in range(i, q):
+            k = fq._mul_index(i, j)
+            assert table[i * q + j].i == k and table[j * q + i].i == k
+
+
 def test_canonical_modulus_is_smallest():
     # F_4 modulus x^2+x+1 is the unique irreducible quadratic over F_2;
     # the invariant is lexicographic-minimality among monic irreducibles

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz.cyclo import CycloField
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
 from carlitz.ratfun import FracField, RatFun, base_field
@@ -99,6 +100,21 @@ def test_eval_matches_substitution():
     f = F.coerce(poly_parse("T^2+1", fq)) / F.coerce(poly_parse("T+3", fq))
     v = f.eval(fq.from_int(1), fq)
     assert v == fq.from_int(3)  # (1+1)/(1+3) = 2 * 4^-1 = 2 * 4 = 3 mod 5
+
+
+def test_eval_with_a_unit_denominator_skips_the_inverse():
+    # n / 1 is returned as n; the value is the one n * d^-1 gives
+    fq = Fq.get(5)
+    F = base_field(fq)
+    f = F.coerce(poly_parse("T^2+1", fq))
+    for t in fq.elements():
+        assert f.eval(t, fq) == f.num.eval(t, fq) * f.den.eval(t, fq) ** -1
+    field = CycloField.get(poly_parse("T", Fq.get(3)), 2)
+    Fx = FracField(field.F, "x")
+    g = Fx.coerce(Poly(field.F, "x", [field.F.gen(), field.F.one,
+                                      field.F.one]))
+    n, d = g.num.eval(field.omega, field), g.den.eval(field.omega, field)
+    assert g.eval(field.omega, field) == n * d ** -1
 
 
 # -- Henrici's rule against the one-gcd oracle RatFun.make --------------------

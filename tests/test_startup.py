@@ -4,7 +4,8 @@ Every `python -m carlitz` run pays for the modules `carlitz.cli` imports,
 and a stdlib module without cached bytecode is compiled from source on
 each run.  `dataclasses` alone pulls in inspect, ast, dis and tokenize;
 `typing` is larger still, and `random` loads `_sha512` and `bisect`.
-Nor may the import build a field: a field's tables are filled on first use.
+Nor may the import build a field (a field's tables are filled on first use)
+or fill the torsion-norm cache.
 Run under `python -S` so that no `site` hook preloads modules and hides
 what the package itself imports.
 """
@@ -24,9 +25,11 @@ PROBE = """
 import json, sys
 before = set(sys.modules)
 import carlitz.cli
+from carlitz import cyclo
 from carlitz.fq import Fq
 print(json.dumps({"loaded": sorted(set(sys.modules) - before),
-                  "fields": Fq.get.cache_info().currsize}))
+                  "fields": Fq.get.cache_info().currsize,
+                  "norms": cyclo._norm_poly.cache_info().currsize}))
 """
 
 
@@ -40,3 +43,5 @@ def test_cli_import_skips_heavy_stdlib_modules():
     assert loaded.isdisjoint(HEAVY), sorted(loaded.intersection(HEAVY))
     # no field, and so no field's tables, is built at import
     assert probe["fields"] == 0
+    # nor is a torsion norm computed, and so memoized, at import
+    assert probe["norms"] == 0
