@@ -12,10 +12,20 @@ outer ``Poly``: e.g. additive polynomials in x whose coefficients live in
 F_q[T].
 
 Every F_q with q <= 256 interns its elements and looks each result up in a
-table (see ``fq``).  Over such a prime field F_p, ``*``, ``divmod`` and
-``gcd`` run on plain lists of coefficient indices (the ``_fp_*`` kernel) and
-map the results back through the interned elements, so no ``FqElem`` is
-built.  Multiplication is schoolbook while the product of the operand
+table (see ``fq``).  Over such a prime field F_p, ``+``, ``-``, negation,
+``*``, ``divmod``, ``gcd`` and ``mul_scalar`` (so ``monic``) are each one
+call into the ``_fp_*`` kernel on plain lists of coefficient indices, and
+no ``FqElem`` is built.  Every F_p ``Poly`` carries its index view
+(``_ix``): the kernel fills it for each result, and ``_ints`` reads it off
+the coefficients once for a polynomial built any other way (parsed, or
+from fresh ``FqElem``s).  A view is shared from then on and never written
+to.  A kernel result is built once (``_fp_poly``), straight from the
+interned elements and without the strip loop of ``Poly.__init__``: every
+kernel output is already stripped, since over a field a product's top
+coefficient is lc * lc != 0 and a quotient's lc(a)/lc(b), and sums,
+remainders and gcds are stripped explicitly; ``tests/test_poly_kernel.py``
+pins that.  On every parent, adding or subtracting the zero polynomial
+returns the left operand itself.  Multiplication is schoolbook while the product of the operand
 lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
 the integer product, multiplied once and unpacked mod p (Harvey, "Faster
@@ -26,10 +36,10 @@ minus 1, turns a product in A[x] into one F_p[z] product whose blocks of D
 digits are the A-coefficients (``_mul_packed``).
 Every other coefficient parent, F_{p^m} and F_{p^m}[T] included (the kernel
 reduces indices mod p, which is not F_{p^m} arithmetic), runs the generic
-loops (``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``), which the
-tests also use as the oracle for the kernel.  ``egcd`` runs
-``_egcd_generic`` on every parent: only ``QuotElem.inv`` and the self-test
-take it, so a kernel copy would not pay for itself.
+loops (in the methods and ``_mul_generic``, ``_divmod_generic``,
+``_gcd_generic``), which the tests also use as the oracle for the kernel.
+``egcd`` runs ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and
+the self-test take it, so a kernel copy would not pay for itself.
 """
 
 from __future__ import annotations
@@ -81,7 +91,9 @@ ZZ = IntRing()
 
 
 class Poly:
-    __slots__ = ("ring", "var", "coeffs")
+    # _ix: over an interned prime field, the index view of coeffs once read
+    # (see _ints); None until then and on every other parent
+    __slots__ = ("ring", "var", "coeffs", "_ix")
 
     def __init__(self, ring, var: str, coeffs) -> None:
         zero = ring.zero
@@ -91,6 +103,7 @@ class Poly:
         self.ring = ring
         self.var = var
         self.coeffs = tuple(cs)
+        self._ix = None
 
     # -- constructors ------------------------------------------------------
 
@@ -143,35 +156,65 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
+        ring = self.ring
+        if other.ring is not ring or other.var != self.var:
+            self._check(other)
+        if not other.coeffs:
+            return self
+        if _interned(ring):
+            return _fp_poly(ring, self.var,
+                            _fp_add(_ints(self), _ints(other), 1, ring.p))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.ring, self.var, out)
+        return Poly(ring, self.var, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return self + (-other)  # raises what a non-Poly always raised
+        ring = self.ring
+        if other.ring is not ring or other.var != self.var:
+            self._check(other)
+        if not other.coeffs:
+            return self
+        if _interned(ring):
+            return _fp_poly(ring, self.var,
+                            _fp_add(_ints(self), _ints(other), -1, ring.p))
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] or [-y for y in b[len(a):]]
+        return Poly(ring, self.var, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, self.var, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
         ring = self.ring
         if _interned(ring):
-            return _fp_poly(self, _fp_mul(_ints(self), _ints(other), ring.p))
+            return _fp_poly(ring, self.var,
+                            _fp_scale(_ints(self), ring.p - 1, ring.p))
+        return Poly(ring, self.var, [-c for c in self.coeffs])
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        ring = self.ring
+        if other.ring is not ring or other.var != self.var:
+            self._check(other)
+        if _interned(ring):
+            return _fp_poly(ring, self.var,
+                            _fp_mul(_ints(self), _ints(other), ring.p))
         if type(ring) is PolyRing and _interned(ring.cring):
             return _mul_packed(self, other)
         return _mul_generic(self, other)
 
     def mul_scalar(self, c) -> "Poly":
-        c = self.ring.coerce(c)
-        if c == self.ring.zero:
-            return Poly(self.ring, self.var, [])
-        return Poly(self.ring, self.var, [a * c for a in self.coeffs])
+        ring = self.ring
+        c = ring.coerce(c)
+        if _interned(ring):
+            return _fp_poly(ring, self.var,
+                            _fp_scale(_ints(self), c.i, ring.p))
+        if c == ring.zero:
+            return Poly(ring, self.var, [])
+        return Poly(ring, self.var, [a * c for a in self.coeffs])
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -188,13 +231,15 @@ class Poly:
         return Poly(self.ring, self.var, (self.ring.zero,) * k + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if other.is_zero():
+        ring = self.ring
+        if other.ring is not ring or other.var != self.var:
+            self._check(other)
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        if not _interned(self.ring):
+        if not _interned(ring):
             return _divmod_generic(self, other)
-        quo, rem = _fp_divmod(_ints(self), _ints(other), self.ring.p)
-        return _fp_poly(self, quo), _fp_poly(self, rem)
+        quo, rem = _fp_divmod(_ints(self), _ints(other), ring.p)
+        return _fp_poly(ring, self.var, quo), _fp_poly(ring, self.var, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -214,10 +259,13 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd; coefficient parent must be a field."""
-        self._check(other)
-        if not _interned(self.ring):
+        ring = self.ring
+        if other.ring is not ring or other.var != self.var:
+            self._check(other)
+        if not _interned(ring):
             return _gcd_generic(self, other)
-        return _fp_poly(self, _fp_gcd(_ints(self), _ints(other), self.ring.p))
+        return _fp_poly(ring, self.var,
+                        _fp_gcd(_ints(self), _ints(other), ring.p))
 
     def egcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
         """(g, u, v) with u*self + v*other = g, g monic; (0, 1, 0) when both
@@ -390,19 +438,47 @@ def _interned(ring) -> bool:
 
 
 def _ints(a: Poly) -> list[int]:
-    return [c.i for c in a.coeffs]
+    """a's index view, read from its coefficients on the first call.  The
+    list is shared from then on, so nothing may write to it: every kernel
+    function copies an input before it changes anything."""
+    ix = a._ix
+    if ix is None:
+        ix = a._ix = [c.i for c in a.coeffs]
+    return ix
 
 
-def _fp_poly(like: Poly, ints: list[int]) -> Poly:
-    """Poly in like's ring and variable from stripped, reduced indices."""
-    elems = like.ring._elems
-    return Poly(like.ring, like.var, [elems[c] for c in ints])
+def _fp_poly(ring: Fq, var: str, ints: list[int]) -> Poly:
+    """The Poly over ring with the coefficient indices ints, which must be
+    reduced and stripped, as every kernel output is; ints becomes its index
+    view.  Built once: no strip loop, no FqElem comparison."""
+    out = object.__new__(Poly)
+    out.ring = ring
+    out.var = var
+    elems = ring._elems
+    # through a list, whose size is known: a tuple grown from a map and cut
+    # back raised a session's peak memory by 1.6 MB
+    out.coeffs = tuple([elems[c] for c in ints])
+    out._ix = ints
+    return out
 
 
 def _fp_strip(a: list[int]) -> list[int]:
     while a and not a[-1]:
         a.pop()
     return a
+
+
+def _fp_add(a: list[int], b: list[int], s: int, p: int) -> list[int]:
+    """a + s*b for s = 1 or -1, stripped."""
+    out = [(x + s * y) % p for x, y in zip(a, b)]
+    if len(a) == len(b):
+        return _fp_strip(out)
+    return out + (a[len(b):] or [s * y % p for y in b[len(a):]])
+
+
+def _fp_scale(a: list[int], c: int, p: int) -> list[int]:
+    """c*a; stripped since p is prime."""
+    return [x * c % p for x in a] if c else []
 
 
 def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -467,9 +543,8 @@ def _mul_packed(a: Poly, b: Poly) -> Poly:
     ib = [_ints(c) for c in b.coeffs]
     D = max(map(len, ia)) + max(map(len, ib)) - 1
     prod = _fp_mul(_pack(ia, D), _pack(ib, D), cring.p)
-    elems = cring._elems
     return Poly(a.ring, a.var, [
-        Poly(cring, tvar, [elems[c] for c in _fp_strip(prod[k:k + D])])
+        _fp_poly(cring, tvar, _fp_strip(prod[k:k + D]))
         for k in range(0, len(prod), D)])
 
 

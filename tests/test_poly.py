@@ -191,3 +191,55 @@ def test_zero_and_degree_conventions():
     assert (z * poly_parse("T", f2)).is_zero()
     with pytest.raises(ValueError):
         z.valuation(poly_parse("T", f2))
+
+
+BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "divmod": lambda a, b: a.divmod(b),
+    "gcd": lambda a, b: a.gcd(b),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_mixed_operands_raise_the_pinned_types(op):
+    # the F_p kernel (q = 2, 3) and the generic loops (q = 4, 9) alike
+    fn = BINARY_OPS[op]
+    for q in (2, 3, 4, 9):
+        fq = Fq.get(q)
+        a = poly_parse("T^3+T+1", fq)
+        with pytest.raises(ValueError):  # mixed variable
+            fn(a, poly_parse("x^2+1", fq, "x"))
+        other_q = {2: 3, 3: 2, 4: 9, 9: 4}[q]
+        with pytest.raises(ValueError):  # mixed field
+            fn(a, poly_parse("T^2+1", Fq.get(other_q)))
+        for x in (5, 2.5, fq.one):
+            with pytest.raises(AttributeError):
+                fn(a, x)
+        for x in (None, "T"):  # ``-`` negates these first, which fails
+            with pytest.raises(TypeError if op == "-" else AttributeError):
+                fn(a, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_an_equal_field_instance_on_the_right(op, p):
+    # Fq(p) built directly is a second instance of Fq.get(p): it is accepted,
+    # and over F_p every result lands on the left operand's interned elements
+    fq, twin = Fq.get(p), Fq(p)
+    assert twin is not fq and twin == fq
+    rng = random.Random(p)
+    for _ in range(20):
+        a = Poly(fq, "T", [fq.from_index(rng.randrange(p))
+                           for _ in range(rng.randrange(0, 10))])
+        ib = [rng.randrange(p) for _ in range(rng.randrange(0, a.degree + 2))]
+        b = Poly(twin, "T", [twin.from_index(i) for i in ib])
+        b_same = Poly(fq, "T", [fq.from_index(i) for i in ib])
+        if b.is_zero() and op == "divmod":
+            continue
+        got, want = BINARY_OPS[op](a, b), BINARY_OPS[op](a, b_same)
+        assert got == want
+        for r in got if isinstance(got, tuple) else (got,):
+            assert r.ring is fq
+            assert all(c is fq._elems[c.i] for c in r.coeffs)

@@ -1,13 +1,14 @@
 """The F_p polynomial kernel against the generic loops it replaces.
 
-Over an interned prime field ``Poly`` runs ``*``, ``divmod`` and ``gcd`` on
-coefficient-index lists, and over A = F_p[T] it multiplies
-A[x] polynomials by one packed F_p product; the generic helpers, which
-F_{p^m} still runs, are the oracle.
+Over an interned prime field ``Poly`` runs ``+``, ``-``, negation, ``*``,
+``divmod``, ``gcd`` and ``mul_scalar`` on coefficient-index lists, and over
+A = F_p[T] it multiplies A[x] polynomials by one packed F_p product; the
+generic loops, which F_{p^m} still runs, are the oracle.
 """
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,71 @@ def test_gcd_and_egcd_match_generic(case):
     assert g2 == g and u * a + v * b == g
 
 
+def generic(fn, *args):
+    """fn(*args) with the kernel switched off: Poly then runs the generic
+    loops on F_p operands, as it does on every other parent."""
+    with mock.patch.object(poly_mod, "_interned", lambda ring: False):
+        return fn(*args)
+
+
+def check_built_once(r, fq):
+    """r came out of the kernel: stripped, on the interned elements, and
+    with its index view filled in agreement with its coefficients."""
+    assert not r.coeffs or r.coeffs[-1].i != 0
+    assert all(c is fq._elems[c.i] for c in r.coeffs)
+    assert r._ix == [c.i for c in r.coeffs]
+
+
+def snapshot(polys):
+    return [(x.coeffs, x._ix, None if x._ix is None else list(x._ix))
+            for x in polys]
+
+
+def check_untouched(polys, before):
+    """No operand changed: the same coefficients, and a view that was
+    filled is the same list with the same entries; one filled by the
+    operation agrees with the coefficients."""
+    for x, (coeffs, ix, ix_copy) in zip(polys, before):
+        assert x.coeffs is coeffs
+        if ix is None:
+            assert x._ix is None or x._ix == [c.i for c in coeffs]
+        else:
+            assert x._ix is ix and ix == ix_copy
+
+
+FP_OPS = {
+    "+": lambda a, b, c: a + b,
+    "-": lambda a, b, c: a - b,
+    "neg": lambda a, b, c: -a,
+    "*": lambda a, b, c: a * b,
+    "divmod": lambda a, b, c: a.divmod(b),
+    "gcd": lambda a, b, c: a.gcd(b),
+    "mul_scalar": lambda a, b, c: a.mul_scalar(c),
+    "monic": lambda a, b, c: a.monic(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FP_OPS))
+@KERNEL
+@given(case=fp_polys(), scalar=st.integers(0, 6), filled=st.booleans())
+def test_kernel_results_are_built_once(op, case, scalar, filled):
+    fq, (a, b, *_) = case
+    if op == "divmod" and b.is_zero():
+        return
+    if filled:  # operands whose views an earlier operation read
+        for x in (a, b):
+            poly_mod._ints(x)
+    c = fq.from_int(scalar)
+    before = snapshot((a, b))
+    got = FP_OPS[op](a, b, c)
+    check_untouched((a, b), before)
+    assert got == generic(FP_OPS[op], a, b, c)
+    for r in got if op == "divmod" else (got,):
+        if r is a:  # a + 0, a - 0 and monic of a monic a are a itself
+            continue
+        check_built_once(r, fq)
+
+
 @st.composite
 def ax_polys(draw, fields=PRIMES):
     """(A, a, b): two polynomials in x over A = F_q[T], each zero, constant
@@ -123,9 +189,15 @@ def ax_polys(draw, fields=PRIMES):
 @KERNEL
 @given(ax_polys())
 def test_packed_ax_mul_matches_generic(case):
-    _, a, b = case
-    assert a * b == _mul_generic(a, b)
+    A, a, b = case
+    before = snapshot(a.coeffs + b.coeffs)
+    got = a * b
+    check_untouched(a.coeffs + b.coeffs, before)
+    assert got == _mul_generic(a, b)
     assert b * a == _mul_generic(b, a)
+    assert not got.coeffs or not got.coeffs[-1].is_zero()
+    for r in got.coeffs:
+        check_built_once(r, A.cring)
 
 
 def test_ax_mul_path_is_chosen_by_the_coefficient_field(monkeypatch):
