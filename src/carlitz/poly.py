@@ -1,11 +1,12 @@
 """Dense univariate polynomials over an arbitrary coefficient parent.
 
 A coefficient parent must expose ``zero``, ``one``, ``coerce(x)`` and an
-``is_field`` flag; its elements must support ``+``, ``-``, ``*``, ``==`` and,
-where an algorithm divides, ``** -1``.  Plain Python ints work through the
-``IntRing`` singleton.  Polynomials are immutable; coefficients are stored
-low degree first with trailing zeros stripped, and the zero polynomial has
-degree -1.
+``is_field`` flag, and may expose ``poly_gcd``, the gcd its polynomials take
+in place of the generic one; its elements must support ``+``, ``-``, ``*``,
+``==`` and, where an algorithm divides, ``** -1``.  Plain Python ints work
+through the ``IntRing`` singleton.  Polynomials are immutable; coefficients
+are stored low degree first with trailing zeros stripped, and the zero
+polynomial has degree -1.
 
 Towers are built by using a ``PolyRing`` as the coefficient parent of an
 outer ``Poly``: e.g. additive polynomials in x whose coefficients live in
@@ -38,6 +39,10 @@ Every other coefficient parent, F_{p^m} and F_{p^m}[T] included (the kernel
 reduces indices mod p, which is not F_{p^m} arithmetic), runs the generic
 loops (in the methods and ``_mul_generic``, ``_divmod_generic``,
 ``_gcd_generic``), which the tests also use as the oracle for the kernel.
+The one exception is ``gcd`` over F_p(T): that ``FracField``'s ``poly_gcd``
+(``ratfun._gcd_ax``) runs a remainder sequence over A = F_p[T] on the
+kernel, and ``gcd`` takes it; over F_{p^m}(T), F(x) and every other parent
+``poly_gcd`` is absent or None and ``_gcd_generic`` runs.
 ``egcd`` runs ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and
 the self-test take it, so a kernel copy would not pay for itself.
 """
@@ -263,7 +268,8 @@ class Poly:
         if other.ring is not ring or other.var != self.var:
             self._check(other)
         if not _interned(ring):
-            return _gcd_generic(self, other)
+            route = getattr(ring, "poly_gcd", None) or _gcd_generic
+            return route(self, other)
         return _fp_poly(ring, self.var,
                         _fp_gcd(_ints(self), _ints(other), ring.p))
 
@@ -542,9 +548,11 @@ def _mul_packed(a: Poly, b: Poly) -> Poly:
     ia = [_ints(c) for c in a.coeffs]
     ib = [_ints(c) for c in b.coeffs]
     D = max(map(len, ia)) + max(map(len, ib)) - 1
-    prod = _fp_mul(_pack(ia, D), _pack(ib, D), cring.p)
+    # every digit is below p < 256, so one bytes object holds the product
+    # and rstrip drops each block's zero padding in C
+    prod = bytes(_fp_mul(_pack(ia, D), _pack(ib, D), cring.p))
     return Poly(a.ring, a.var, [
-        _fp_poly(cring, tvar, _fp_strip(prod[k:k + D]))
+        _fp_poly(cring, tvar, list(prod[k:k + D].rstrip(b"\0")))
         for k in range(0, len(prod), D)])
 
 

@@ -17,6 +17,17 @@ assembled product.
 serves ``from_pair``, ``derivative`` and every caller that assembles a
 fraction from an arbitrary pair, and is the oracle the rule is tested
 against.
+
+Which gcd a ``Poly`` takes follows its coefficient parent.  Over F_p
+(p <= 256) it is ``poly``'s integer kernel.  Over F = F_p(T) on such an F_p,
+the parent's ``poly_gcd`` is ``_gcd_ax``: each operand is cleared of its
+T-denominators into A[x], A = F_p[T], and a primitive remainder sequence
+runs there on the kernel's index lists, so the only fractions built are the
+coefficients of the monic answer.  That serves the numerators and
+denominators of F(x), the rational functions of the Coleman norm.  Over
+F_{p^m}(T), over F(x) itself and over every other field, ``poly_gcd`` is
+None and Euclid runs on the field's elements (``poly._gcd_generic``, the
+oracle for ``_gcd_ax`` in the tests).
 """
 
 from __future__ import annotations
@@ -26,7 +37,10 @@ import math
 import operator
 
 from .fq import _power
-from .poly import Poly
+from .poly import (
+    Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
+    _interned, _ints,
+)
 
 __all__ = ["FracField", "RatFun", "base_field"]
 
@@ -41,6 +55,8 @@ class FracField:
         pone = Poly(cring, var, [cring.one])
         self.zero = RatFun(self, pzero, pone)
         self.one = RatFun(self, pone, pone)
+        # the gcd Poly.gcd takes for polynomials over this field
+        self.poly_gcd = _gcd_ax if _interned(cring) else None
 
     def coerce(self, x) -> "RatFun":
         if isinstance(x, RatFun):
@@ -228,6 +244,85 @@ def _product(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
         c, b = c.exact_div(g2), b.exact_div(g2)
     den = b if d.is_one() else d if b.is_one() else b * d
     return RatFun(field, a * c, den)
+
+
+# -- gcds in F_p(T)[x] by a primitive remainder sequence over A = F_p[T] -----
+
+def _gcd_ax(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b in F[x], F = F_p(T) over an interned F_p.
+
+    Each operand is cleared of its T-denominators and made primitive in
+    A[x]; by Gauss's lemma their gcd there, made monic over F, is the gcd
+    in F[x].  Collins's primitive remainder sequence finds it (Knuth, TAOCP
+    vol. 2, 4.6.1) with every A-operation a ``_fp_*`` call on index lists,
+    so the only fractions built are the coefficients of the answer: one
+    ``RatFun.make(c, lc)`` each.  The monic gcd is unique, so this equals
+    ``_gcd_generic``, which runs Euclid on ``RatFun`` coefficients and is
+    the oracle in the tests."""
+    if not b.coeffs:
+        return a.monic()
+    if not a.coeffs:
+        return b.monic()
+    F = a.ring
+    fp, p = F.cring, F.cring.p
+    f, g = _primitive(_cleared(a, p), p), _primitive(_cleared(b, p), p)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = _prem(f, g, p)
+        if not r:
+            lc = _fp_poly(fp, F.var, g[-1])
+            return Poly(F, a.var, [RatFun.make(F, _fp_poly(fp, F.var, c), lc)
+                                   for c in g[:-1]] + [F.one])
+        f, g = g, _primitive(r, p)
+    return Poly(F, a.var, [F.one])
+
+
+def _cleared(a: Poly, p: int) -> list[list[int]]:
+    """The A-coefficients of d a, d the monic lcm of a's denominators."""
+    d = [1]
+    for c in a.coeffs:
+        den = _ints(c.den)
+        if len(den) > 1:  # monic, so a constant denominator is 1
+            d = den if len(d) == 1 else _fp_mul(
+                d, _fp_divmod(den, _fp_gcd(d, den, p), p)[0], p)
+    if len(d) == 1:
+        return [_ints(c.num) for c in a.coeffs]
+    return [_fp_mul(_ints(c.num), _fp_divmod(d, _ints(c.den), p)[0], p)
+            for c in a.coeffs]
+
+
+def _primitive(f: list[list[int]], p: int) -> list[list[int]]:
+    """Nonzero f in A[x] divided by the gcd of its coefficients."""
+    content = None
+    for c in f:
+        if c:
+            content = c if content is None else _fp_gcd(content, c, p)
+            if len(content) == 1:
+                return f
+    return [_fp_divmod(c, content, p)[0] for c in f]
+
+
+def _prem(f: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
+    """f mod g in A[x] for deg f >= deg g >= 1, up to a factor in A: each
+    step cancels the top term of f with lc(g) f - top x^s g, or with
+    f - (top/lc(g)) x^s g when lc(g) is a unit.  Stripped."""
+    lc, m = g[-1], len(g) - 1
+    linv = pow(lc[0], -1, p) if len(lc) == 1 else 0
+    r = list(f)
+    for s in range(len(r) - 1 - m, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        if linv:
+            top = _fp_scale(top, linv, p)
+        else:
+            r = [_fp_mul(c, lc, p) for c in r]
+        for j in range(m):
+            r[s + j] = _fp_add(r[s + j], _fp_mul(top, g[j], p), -1, p)
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _wrap(s: str) -> str:

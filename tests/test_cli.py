@@ -227,6 +227,21 @@ def test_internal_errors_exit_3():
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), RecursionError(
+    "maximum recursion depth\nexceeded")])
+def test_exhausted_resources_exit_3(monkeypatch, exc):
+    # an internal failure, not exit 1 ("verification failed") and not a
+    # traceback: one stderr line and nothing on stdout
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(climod, "_cmd_bc", handler)
+    rc, out, err = run(["bc", "--q", "2", "--n", "3"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert type(exc).__name__ in err
+
+
 @pytest.mark.parametrize("q,pi", [("7", "T"), ("2", "T^3+T+1"), ("5", "T")])
 def test_colemancheck_beyond_six_by_six(q, pi):
     # norm matrix sides 7 and 8, and side 5 as the control

@@ -12,12 +12,14 @@ from carlitz.cyclo import (
     CycloField, _norm_poly, _torsion_norm, _torsion_quotient, cyclotomic_unit,
     field_norm, galois_act, upsilon, valuation_at_p,
 )
+from carlitz.errors import InvariantError
 from carlitz.fq import Fq
 from carlitz.groupring import cyclotomic_poly
 from carlitz.poly import (
     Poly, all_residues, is_irreducible, monic_enumerate, poly_parse,
 )
-from carlitz.ratfun import base_field
+from carlitz.quotient import QuotElem
+from carlitz.ratfun import RatFun, base_field
 
 
 def irreducibles(fq, d):
@@ -348,6 +350,74 @@ def test_valuations():
     # pi is totally ramified with index = field degree
     assert valuation_at_p(field.coerce(field.F.coerce(pi))) == field.degree
     assert valuation_at_p(field.one) == 0
+
+
+# (q, pi, level) for pi in {T, T^2+T+1, T^2+1} where pi is prime, levels
+# 1-3, q in {2, 3, 4, 5}, while the field degree is at most 12: the oracle's
+# norm is a Berkowitz determinant over F_q(T) of that side
+def valuation_cases(max_degree=12):
+    out = []
+    for q in (2, 3, 4, 5):
+        for pi_text in ("T", "T^2+T+1", "T^2+1"):
+            pi = poly_parse(pi_text, Fq.get(q))
+            if not is_irreducible(pi):
+                continue
+            for n in (1, 2, 3):
+                # deg F_n/F = |(A/pi^n)^*|
+                if (q ** pi.degree - 1) * q ** ((n - 1) * pi.degree) \
+                        <= max_degree:
+                    out.append((q, pi_text, n))
+    return out
+
+
+def pi_power_elem(rng, field):
+    """A random element whose coefficients are small fractions times
+    pi^k, -2 <= k <= 2, with pi also inside numerators and denominators;
+    some coefficients are zero."""
+    fq, F = field.fq, field.F
+    pi = F.coerce(field.pi)
+
+    def small():  # nonzero, of degree 0 or 1
+        return Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                              for _ in range(rng.randrange(2))]
+                    + [fq.from_index(rng.randrange(1, fq.q))])
+
+    cs = []
+    for _ in range(field.degree):
+        if rng.randrange(4) == 0:
+            cs.append(F.zero)
+            continue
+        num = small() * field.pi ** rng.randrange(2)
+        c = RatFun.make(F, num, small() * field.pi ** rng.randrange(2))
+        cs.append(c * pi ** rng.randrange(-2, 3))
+    return field.coerce(Poly(F, "x", cs))
+
+
+@pytest.mark.parametrize("q,pi_text,n", valuation_cases())
+def test_valuation_closed_form_matches_the_norm(q, pi_text, n):
+    # the power-basis minimum against val_pi of the norm to F
+    field = CycloField.get(poly_parse(pi_text, Fq.get(q)), n)
+    deg, pi = field.degree, field.pi
+    rng = random.Random(q * 100 + 10 * pi.degree + n)
+    cases = [(field.omega ** k, k) for k in range(deg + 2)]
+    cases += [(field.coerce(field.F.coerce(pi)) ** k, k * deg)
+              for k in range(-2, 3)]
+    # fewer random elements in the larger fields, where each norm costs more
+    cases += [(pi_power_elem(rng, field), None)
+              for _ in range(min(12, 24 // deg))]
+    for e, want in cases:
+        if e.is_zero():
+            continue
+        got = valuation_at_p(e)
+        assert got == field_norm(e, 0).valuation(pi), e
+        assert want is None or got == want
+
+
+def test_valuation_refuses_an_unreduced_representative():
+    field = CycloField.get(poly_parse("T", Fq.get(3)), 1)
+    rep = Poly(field.F, "x", [field.F.one] * (field.degree + 1))
+    with pytest.raises(InvariantError):
+        valuation_at_p(QuotElem(field, rep))
 
 
 def test_upsilon_valuation_is_exponent_sum():

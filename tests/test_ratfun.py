@@ -1,13 +1,15 @@
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz.coleman import x_field
 from carlitz.cyclo import CycloField
 from carlitz.fq import Fq, FqElem
-from carlitz.poly import Poly, poly_parse
-from carlitz.ratfun import FracField, RatFun, base_field
+from carlitz.poly import Poly, _gcd_generic, poly_parse
+from carlitz.ratfun import FracField, RatFun, _gcd_ax, base_field
 
 QS = (2, 3, 4, 9)
 
@@ -189,8 +191,8 @@ def base_pairs(draw):
 
 
 @st.composite
-def nested_pairs(draw):
-    fq = Fq.get(draw(st.sampled_from((2, 3))))
+def nested_pairs(draw, fields=(2, 3)):
+    fq = Fq.get(draw(st.sampled_from(fields)))
     F = base_field(fq)
     digit = st.integers(0, fq.q - 1)
     small = st.tuples(st.lists(digit, max_size=1), digit).map(
@@ -212,7 +214,7 @@ def test_henrici_rule_matches_make_over_fq_t(pair):
 @given(nested_pairs())
 @settings(max_examples=40)
 def test_henrici_rule_matches_make_over_nested_field(pair):
-    # F_q(T)(x): the gcds run the generic loops over F_q(T) coefficients
+    # F_q(T)(x): the gcds run the A[x] route, F_q(T) being over a prime field
     check_against_oracle(*pair)
 
 
@@ -253,3 +255,116 @@ def test_henrici_edge_cases(monkeypatch):
     assert_canonical(q)
     with pytest.raises(ZeroDivisionError):
         f / F.zero
+
+
+# -- gcds in F_p(T)[x]: the A[x] route against the generic Euclid -------------
+
+GCD_PRIMES = (2, 3, 5, 7)
+
+
+def rand_coeff(rng, F):
+    """An element of F = F_p(T): zero now and then, and often with a
+    T-denominator."""
+    fq = F.cring
+
+    def poly(d):
+        return Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                              for _ in range(d + 1)])
+
+    den = poly(rng.randrange(3))
+    return RatFun.make(F, poly(rng.randrange(-1, 4)),
+                       den if den.coeffs else F.one.num)
+
+
+def rand_x_poly(rng, F, deg):
+    """A polynomial in x over F of degree at most deg (zero for deg -1)."""
+    return Poly(F, "x", [rand_coeff(rng, F) for _ in range(deg + 1)])
+
+
+@st.composite
+def fx_gcd_pairs(draw):
+    """(F, a, b) over F = F_p(T), of x-degree up to 6: each operand zero,
+    constant or not, and half the time both times one planted common
+    factor of degree 1-3."""
+    F = base_field(Fq.get(draw(st.sampled_from(GCD_PRIMES))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    planted = draw(st.integers(1, 3)) if draw(st.booleans()) else 0
+    a, b = (rand_x_poly(rng, F, draw(st.integers(-1, 6 - planted)))
+            for _ in range(2))
+    if planted:
+        c = rand_x_poly(rng, F, planted)
+        a, b = a * c, b * c
+    return F, a, b
+
+
+@given(fx_gcd_pairs())
+@settings(max_examples=150, deadline=None)
+def test_ax_gcd_matches_generic(case):
+    F, a, b = case
+    assert F.poly_gcd is _gcd_ax
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = x.gcd(y)
+        assert got == _gcd_generic(x, y)
+        assert got.is_zero() or got.is_monic()
+
+
+def test_ax_gcd_edge_cases():
+    fq = Fq.get(3)
+    F = base_field(fq)
+    t = F.gen()
+
+    def xp(*cs):
+        return Poly(F, "x", list(cs))
+
+    zero, one = xp(), xp(F.one)
+    f = xp(t / (t + F.one), F.one / t, t * t)  # T-denominators on both sides
+    for x, y in ((zero, zero), (zero, f), (f, zero), (one, f), (f, one),
+                 (xp(t), f), (f, f), (f * f, f)):
+        assert x.gcd(y) == _gcd_generic(x, y), (x, y)
+    assert f.gcd(zero) == f.monic() and zero.gcd(zero).is_zero()
+    assert xp(t / (t + F.one)).gcd(f).is_one()
+    # the content of the cleared operand is a power of T, removed first
+    g = xp(t * t, t ** 3 / (t + F.one))
+    a, b = g * f, g * xp(F.one, t)
+    assert a.gcd(b) == _gcd_generic(a, b) == g.monic()
+
+
+def test_gcd_route_is_chosen_by_the_coefficient_field():
+    for q in (2, 3, 5, 7, 251):
+        assert base_field(Fq.get(q)).poly_gcd is _gcd_ax
+    for q in (4, 9, 257):  # F_{p^m} and the uninterned F_257: generic
+        assert base_field(Fq.get(q)).poly_gcd is None
+    assert x_field(Fq.get(3)).poly_gcd is None  # F(x) is not over F_p
+    F = base_field(Fq.get(5))
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return _gcd_ax(a, b)
+
+    a = Poly(F, "x", [F.gen(), F.one])
+    with mock.patch.object(F, "poly_gcd", spy):
+        assert a.gcd(a) == a
+    assert calls == [(a, a)]
+
+
+def generic_gcds(F):
+    """Switch F's polynomials over to the generic gcd."""
+    return mock.patch.object(F, "poly_gcd", None)
+
+
+@given(nested_pairs(GCD_PRIMES))
+@settings(max_examples=40, deadline=None)
+def test_nested_field_arithmetic_matches_the_generic_gcd(pair):
+    # RatFun *, / and make over F(x) give the bytes the generic route gave
+    f, g = pair
+    F = f.field.cring
+    ops = [operator.mul, lambda x, y: RatFun.make(x.field, x.num * y.den
+                                                  + y.num, x.den * y.den)]
+    if not g.is_zero():
+        ops.append(operator.truediv)
+    got = [op(f, g) for op in ops]
+    with generic_gcds(F):
+        want = [op(f, g) for op in ops]
+    for x, y in zip(got, want):
+        assert (str(x), x.num, x.den) == (str(y), y.num, y.den)
