@@ -6,6 +6,8 @@ Stickelberger elements and the Galois action of ``cyclo.CycloField``.  Its
 classes are keyed by their reduced representatives, polynomials of degree
 below n deg pi; group-ring elements are coefficient maps on those keys, and
 multiplication is convolution with the product of two keys reduced mod pi^n.
+A ``GroupRing`` enumerates its unit keys on the first ``group_keys`` call
+and keeps them, so the q^(n deg pi) residues are run through once per ring.
 Characters take values in Z[x]/(Phi_m), a ``quotient.QuotientRing`` over Z
 with Phi_m the classical m-th cyclotomic polynomial, so every comparison
 stays exact.
@@ -41,6 +43,7 @@ class GroupRing:
         self.pi = pi
         self.n = n
         self.modulus = pi ** n
+        self._keys = None  # the unit keys, once group_keys enumerates them
 
     def key(self, a: Poly) -> Poly:
         """Canonical dictionary key for the class of a; must be a unit."""
@@ -70,11 +73,15 @@ class GroupRing:
         return (qd - 1) * qd ** (self.n - 1)
 
     def group_keys(self) -> list[Poly]:
-        """The keys of G, in enumeration order of the residues."""
-        residues = all_residues(self.fq, self.n * self.pi.degree, self.pi.var)
-        if self.n == 0:
-            return residues
-        return [a for a in residues if not (a % self.pi).is_zero()]
+        """The keys of G, in enumeration order of the residues: enumerated
+        on the first call, and a fresh list each time, which the caller
+        may change."""
+        if self._keys is None:
+            keys = all_residues(self.fq, self.n * self.pi.degree, self.pi.var)
+            if self.n:
+                keys = [a for a in keys if not (a % self.pi).is_zero()]
+            self._keys = keys
+        return list(self._keys)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupRing) and other.pi == self.pi

@@ -45,6 +45,19 @@ kernel, and ``gcd`` takes it; over F_{p^m}(T), F(x) and every other parent
 ``poly_gcd`` is absent or None and ``_gcd_generic`` runs.
 ``egcd`` runs ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and
 the self-test take it, so a kernel copy would not pay for itself.
+
+Text crosses the boundary without the algebra.  ``poly_parse`` evaluates
+its grammar on plain lists of integer coefficients, reduced mod the
+characteristic p of the parent (none over Z), with ``*`` and powers on
+``_fp_mul``, and builds the one result through the ring homomorphism
+Z -> parent: by ``_fp_poly`` over an interned F_p, by ``coerce`` elsewhere.
+``poly_to_str``, the canonical text, writes an interned F_p polynomial
+straight from its index view and any other through ``_poly_text``, which
+also gives the display form.  ``str`` picks the form by the parent: over
+F_q and Z the canonical text where one exists (not for an F_{p^m}
+coefficient outside F_p or a negative integer); over F(x), A[x] and
+quotient rings the display form.  ``monic_enumerate`` and ``all_residues``
+build each F_p polynomial from its digit list by ``_fp_poly``.
 """
 
 from __future__ import annotations
@@ -348,10 +361,15 @@ class Poly:
         return hash((self.var, self.coeffs))
 
     def __str__(self) -> str:
-        try:
-            return poly_to_str(self)
-        except (ValueError, AttributeError):
-            return _poly_text(self, str)
+        # F(x), A[x] and QuotElem coefficients have only the display form;
+        # over F_q and Z the canonical form fails only on an F_{p^m}
+        # coefficient outside F_p or a negative integer
+        if isinstance(self.ring, (Fq, IntRing)):
+            try:
+                return poly_to_str(self)
+            except ValueError:
+                pass
+        return _poly_text(self, str)
 
     def __repr__(self) -> str:
         return self.__str__()
@@ -487,28 +505,30 @@ def _fp_scale(a: list[int], c: int, p: int) -> list[int]:
     return [x * c % p for x in a] if c else []
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _fp_mul(a: list[int], b: list[int], p: int | None) -> list[int]:
+    """a*b over F_p; over Z, unreduced, when p is None (the parser's route
+    for integer coefficients)."""
     if not a or not b:
         return []
     la, lb = len(a), len(b)
-    if la * lb < _KRONECKER_MIN:
-        out = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return [c % p for c in out]
-    # each product coefficient is a sum of at most min(la, lb) terms below p^2
-    bound = min(la, lb) * (p - 1) ** 2
-    for size, code in _DIGIT_CODES:
-        if bound < 1 << (8 * size):
-            break
-    order = sys.byteorder
-    x = int.from_bytes(array(code, a).tobytes(), order)
-    y = int.from_bytes(array(code, b).tobytes(), order)
-    digits = array(code)
-    digits.frombytes((x * y).to_bytes((la + lb - 1) * size, order))
-    return [c % p for c in digits]
+    if p and la * lb >= _KRONECKER_MIN:
+        # each product coefficient is a sum of at most min(la, lb) terms below
+        # p^2; a p too large for 8-byte digits falls through to schoolbook
+        bound = min(la, lb) * (p - 1) ** 2
+        for size, code in _DIGIT_CODES:
+            if bound < 1 << (8 * size):
+                order = sys.byteorder
+                x = int.from_bytes(array(code, a).tobytes(), order)
+                y = int.from_bytes(array(code, b).tobytes(), order)
+                digits = array(code)
+                digits.frombytes((x * y).to_bytes((la + lb - 1) * size, order))
+                return [c % p for c in digits]
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [c % p for c in out] if p else out
 
 
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -610,9 +630,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit admits '²' and '٣'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("uint", int(text[i:j]), i))
             i = j
@@ -635,13 +655,17 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 class _Parser:
     """expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := base ('^' uint)?; base := VAR | uint | '(' expr ')'."""
+    factor := base ('^' uint)?; base := VAR | uint | '(' expr ')'.
 
-    def __init__(self, text: str, ring, var: str) -> None:
+    Every value is a stripped list of integer coefficients, low degree
+    first, reduced mod p when the parent has characteristic p and unreduced
+    over Z (p None); ``poly_parse`` maps the result into the parent once."""
+
+    def __init__(self, text: str, var: str, p: int | None) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.ring = ring
         self.var = var
+        self.p = p
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -651,43 +675,44 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Poly:
+    def expr(self) -> list[int]:
         t = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            t = t + rhs if op == "+" else t - rhs
+            sign = 1 if self.take()[0] == "+" else -1
+            t = _int_add(t, self.term(), sign, self.p)
         return t
 
-    def term(self) -> Poly:
+    def term(self) -> list[int]:
         f = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            f = f * self.factor()
+            f = _fp_mul(f, self.factor(), self.p)
         return f
 
-    def factor(self) -> Poly:
+    def factor(self) -> list[int]:
         b = self.base()
         if self.peek()[0] == "^":
             self.take()
             kind, val, pos = self.take()
             if kind != "uint":
                 raise ParseError("exponent must be an unsigned integer", pos)
-            if val * max(b.degree, 1) > MAX_PARSE_DEGREE:
+            if val * max(len(b) - 1, 1) > MAX_PARSE_DEGREE:
                 raise ParseError(f"power exceeds the degree limit "
                                  f"{MAX_PARSE_DEGREE}", pos)
-            b = b ** val
+            b = _int_power(b, val, self.p)
         return b
 
-    def base(self) -> Poly:
+    def base(self) -> list[int]:
         kind, val, pos = self.take()
         if kind == "name":
             if val != self.var:
                 raise ParseError(
                     f"unknown variable {val!r}, expected {self.var!r}", pos)
-            return Poly.gen(self.ring, self.var)
+            return [0, 1]
         if kind == "uint":
-            return Poly.const(self.ring, self.var, val)
+            if self.p:
+                val %= self.p
+            return [val] if val else []
         if kind == "(":
             inner = self.expr()
             kind2, _, pos2 = self.take()
@@ -697,15 +722,41 @@ class _Parser:
         raise ParseError(f"unexpected token {kind!r}", pos)
 
 
+def _int_add(a: list[int], b: list[int], s: int, p: int | None) -> list[int]:
+    """a + s*b for s = 1 or -1 on the parser's coefficient lists."""
+    if p:
+        return _fp_add(a, b, s, p)
+    out = [x + s * y for x, y in zip(a, b)]
+    return _fp_strip(out + (a[len(b):] or [s * y for y in b[len(a):]]))
+
+
+def _int_power(b: list[int], e: int, p: int | None) -> list[int]:
+    """b^e on the parser's coefficient lists; its one power step."""
+    return _power(b, e, [1], lambda x, y: _fp_mul(x, y, p))
+
+
+def _characteristic(ring) -> int | None:
+    """p for a parent built over an F_q (through the coefficient parent of a
+    polynomial ring, fraction field or quotient ring), None over Z."""
+    while ring is not None and not isinstance(ring, Fq):
+        ring = getattr(ring, "cring", None) or getattr(ring, "K", None)
+    return ring.p if ring is not None else None
+
+
 def poly_parse(text: str, ring, var: str = "T") -> Poly:
     """Parse polynomial text over a coefficient parent (integers land in the
-    prime field when the parent is F_q)."""
-    parser = _Parser(text, ring, var)
-    result = parser.expr()
+    prime field when the parent is F_q).  The text is evaluated on integer
+    coefficient lists and the result is built once, through the ring
+    homomorphism Z -> ring, so no intermediate Poly is made."""
+    parser = _Parser(text, var, _characteristic(ring))
+    ints = parser.expr()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting with {kind!r}", pos)
-    return result
+    if _interned(ring):
+        return _fp_poly(ring, var, ints)
+    coerce = ring.coerce
+    return Poly(ring, var, [coerce(c) for c in ints])
 
 
 def _coeff_int(c) -> int:
@@ -714,14 +765,29 @@ def _coeff_int(c) -> int:
             raise ValueError("no canonical text form for negative integers")
         return c
     if isinstance(c, FqElem):
-        return c.prime_value()
+        return c.i if c.field.m == 1 else c.prime_value()
     raise ValueError(f"no canonical text form for coefficient {c!r}")
 
 
 def poly_to_str(poly: Poly) -> str:
     """Canonical text: terms highest degree first, '+'-separated, prime-field
-    coefficients as integer literals.  Round-trips through poly_parse."""
-    return _poly_text(poly, lambda c: str(_coeff_int(c)))
+    coefficients as integer literals.  Round-trips through poly_parse.  Over
+    an interned F_p the terms are written straight from the index view."""
+    if not _interned(poly.ring):
+        return _poly_text(poly, lambda c: str(_coeff_int(c)))
+    ix = _ints(poly)
+    if not ix:
+        return "0"
+    var = poly.var
+    parts = []
+    for e in range(len(ix) - 1, 0, -1):
+        c = ix[e]
+        if c:
+            xpart = var if e == 1 else f"{var}^{e}"
+            parts.append(xpart if c == 1 else f"{c}*{xpart}")
+    if ix[0]:
+        parts.append(str(ix[0]))
+    return "+".join(parts)
 
 
 def _poly_text(poly: Poly, text) -> str:
@@ -729,7 +795,8 @@ def _poly_text(poly: Poly, text) -> str:
     by ``text``; a unit coefficient is left out, and one whose text is not a
     single factor is parenthesised.  With ``str`` this is the display-only
     form for coefficients with no canonical integer text (rational
-    functions, tower elements), not meant to be re-parsed."""
+    functions, tower elements), not meant to be re-parsed.  The oracle for
+    the index-view loop of ``poly_to_str``."""
     if poly.is_zero():
         return "0"
     parts = []
@@ -762,19 +829,23 @@ def monic_enumerate(fq: Fq, d: int, var: str = "T") -> list[Poly]:
     coefficient varying fastest (index order)."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return _digit_polys(fq, d, var, [fq.one])
+    return _digit_polys(fq, d, var, True)
 
 
 def all_residues(fq: Fq, bound: int, var: str = "T") -> list[Poly]:
     """All polynomials of degree < bound over F_q, in index order."""
-    return _digit_polys(fq, bound, var, [])
+    return _digit_polys(fq, bound, var, False)
 
 
-def _digit_polys(fq: Fq, n: int, var: str, top: list) -> list[Poly]:
+def _digit_polys(fq: Fq, n: int, var: str, monic: bool) -> list[Poly]:
     """For v = 0, 1, ..., q^n - 1: the base-q digits of v as coefficients
-    0..n-1 (element index order, constant varying fastest), then top."""
+    0..n-1 (element index order, constant varying fastest), then a leading
+    1 when monic."""
+    if _interned(fq):
+        return [_fp_poly(fq, var, ix) for ix in _digit_lists(fq.q, n, monic)]
     q = fq.q
     elems = fq.elements()
+    top = [fq.one] if monic else []
     out = []
     for v in range(q ** n):
         coeffs = []
@@ -783,6 +854,21 @@ def _digit_polys(fq: Fq, n: int, var: str, top: list) -> list[Poly]:
             coeffs.append(elems[r])
         out.append(Poly(fq, var, coeffs + top))
     return out
+
+
+def _digit_lists(q: int, n: int, monic: bool) -> list[list[int]]:
+    """The index views of ``_digit_polys`` in its order, stripped with no
+    strip loop: v in [q^d, q^(d+1)) is a top digit t = 1..q-1, varying
+    slowest, over every list of d lower digits, and the monic polynomials
+    of degree n are t = 1 over every list of n digits."""
+    lows = [[]]  # every list of d digits, constant varying fastest
+    out = [] if monic else [[]]
+    for d in range(n):
+        if not monic:
+            out += [low + [t] for t in range(1, q) for low in lows]
+        if monic or d < n - 1:
+            lows = [[c] + low for low in lows for c in range(q)]
+    return [low + [1] for low in lows] if monic else out
 
 
 # -- irreducibility ----------------------------------------------------------

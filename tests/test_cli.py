@@ -10,6 +10,7 @@ import pytest
 import carlitz
 import carlitz.cli as climod
 import carlitz.lfun as lfunmod
+import carlitz.poly as polymod
 from carlitz.cli import main
 from carlitz.cmod import carlitz_factorial
 from carlitz.cw import CWReport, CWRow
@@ -196,17 +197,23 @@ def test_usage_errors_exit_2():
 
 
 def test_parse_degree_limit_exits_2(monkeypatch):
-    pow_ = Poly.__pow__
+    pow_ = polymod._int_power
 
-    def power(b, e):
+    def power(b, e, p):
         if e > 64:
             raise AssertionError("a power past the limit was built")
-        return pow_(b, e)
+        return pow_(b, e, p)
 
-    monkeypatch.setattr(Poly, "__pow__", power)
+    monkeypatch.setattr(polymod, "_int_power", power)
     rc, out, err = run(["phi", "--q", "2", "--a", f"T^{MAX_PARSE_DEGREE + 1}"])
     assert rc == 2 and out == ""
     assert f"degree limit {MAX_PARSE_DEGREE}" in err
+
+
+def test_non_ascii_digit_exits_2_with_its_position():
+    rc, out, err = run(["phi", "--q", "2", "--a", "T^\u00b2"])
+    assert (rc, out) == (2, "")
+    assert err == "error: unexpected character '\u00b2' (at position 2)\n"
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -1,5 +1,6 @@
 import pytest
 
+import carlitz.groupring as grmod
 from carlitz.errors import CharacterError
 from carlitz.fq import Fq
 from carlitz.groupring import (
@@ -147,3 +148,24 @@ def test_trivial_character():
     G = GroupRing(poly_parse("T^2+T+1", f2), 1)
     tab = character_table(G, CharSpec(1, {poly_parse("T", f2): 0}))
     assert set(tab.values()) == {0}
+
+
+def test_group_keys_are_enumerated_once_and_handed_out_fresh(monkeypatch):
+    f3 = Fq.get(3)
+    calls, residues = [], grmod.all_residues
+
+    def counted(*args):
+        calls.append(args)
+        return residues(*args)
+
+    monkeypatch.setattr(grmod, "all_residues", counted)
+    for pi, n in ((poly_parse("T", f3), 2), (poly_parse("T^2+1", f3), 1),
+                  (poly_parse("T", f3), 0)):
+        G = GroupRing(pi, n)
+        keys = G.group_keys()
+        assert len(keys) == G.group_order()
+        keys.append(keys[0])  # a caller's edit
+        keys.reverse()
+        assert len(G.group_keys()) == G.group_order()
+        assert G.group_keys() == GroupRing(pi, n).group_keys()
+    assert len(calls) == 6  # once per ring built

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import carlitz.poly as polymod
 from carlitz.errors import ParseError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
-    MAX_PARSE_DEGREE, Poly, ZZ, is_irreducible, monic_enumerate, poly_parse,
-    poly_to_str,
+    MAX_PARSE_DEGREE, Poly, ZZ, all_residues, is_irreducible, monic_enumerate,
+    poly_parse, poly_to_str,
 )
 
 
@@ -66,14 +67,14 @@ def test_parse_errors_carry_position():
 
 def test_parse_refuses_powers_past_the_degree_limit(monkeypatch):
     f2, cap = Fq.get(2), MAX_PARSE_DEGREE
-    taken, pow_ = [], Poly.__pow__
+    taken, pow_ = [], polymod._int_power
 
-    def power(b, e):
+    def power(b, e, p):
         # large powers are only recorded, so no coefficient list is built
         taken.append(e)
-        return pow_(b, e) if e < 10 else b
+        return pow_(b, e, p) if e < 10 else b
 
-    monkeypatch.setattr(Poly, "__pow__", power)
+    monkeypatch.setattr(polymod, "_int_power", power)
     for text in (f"T^{cap + 1}", f"(T^2+1)^{cap // 2 + 1}", f"1^{cap + 1}"):
         with pytest.raises(ParseError, match=f"degree limit {cap}"):
             poly_parse(text, f2)
@@ -81,6 +82,21 @@ def test_parse_refuses_powers_past_the_degree_limit(monkeypatch):
     poly_parse(f"T^{cap}", f2)
     poly_parse(f"(T^2+1)^{cap // 2}", f2)
     assert taken == [2, cap, 2, cap // 2]
+
+
+def test_parse_accepts_ascii_digits_only():
+    f2 = Fq.get(2)
+    # a superscript digit is neither a digit nor a letter to the tokenizer
+    with pytest.raises(ParseError) as exc:
+        poly_parse("T^\u00b2", f2)
+    assert exc.value.pos == 2
+    assert str(exc.value) == "unexpected character '\u00b2' (at position 2)"
+    # an Arabic-Indic three is no coefficient 3
+    with pytest.raises(ParseError) as exc:
+        poly_parse("\u0663*T", f2)
+    assert exc.value.pos == 0
+    assert str(exc.value) == "unexpected character '\u0663' (at position 0)"
+    assert poly_parse("3*T^2", f2) == poly_parse("T^2", f2)
 
 
 def test_divmod_and_gcd():
@@ -174,6 +190,30 @@ def test_monic_enumeration_is_index_ordered():
     assert polys[3] == poly_parse("T^2+T", f3)
     idx = [sum(c.sort_key() * 3 ** i for i, c in enumerate(p.coeffs)) for p in polys]
     assert idx == sorted(idx)  # constant coefficient varies fastest
+
+
+def _digit_polys_generic(fq, n, monic):
+    """The q^n digit polynomials built from FqElems, stripped by Poly."""
+    top = [fq.one] if monic else []
+    out = []
+    for v in range(fq.q ** n):
+        digits = [(v // fq.q ** k) % fq.q for k in range(n)]
+        out.append(Poly(fq, "T", [fq.from_index(i) for i in digits] + top))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_enumeration_matches_the_generic_build(q):
+    fq = Fq.get(q)
+    for n in range(4):
+        for monic, got in ((True, monic_enumerate(fq, n)),
+                           (False, all_residues(fq, n))):
+            assert got == _digit_polys_generic(fq, n, monic)
+            for p in got:
+                assert not p.coeffs or p.coeffs[-1]  # stripped
+                if fq.m == 1:
+                    assert p._ix == [c.i for c in p.coeffs]
+        assert all_residues(fq, n)[0].is_zero()
 
 
 def test_shift_valuation_monic():
