@@ -57,7 +57,8 @@ also gives the display form.  ``str`` picks the form by the parent: over
 F_q and Z the canonical text where one exists (not for an F_{p^m}
 coefficient outside F_p or a negative integer); over F(x), A[x] and
 quotient rings the display form.  ``monic_enumerate`` and ``all_residues``
-build each F_p polynomial from its digit list by ``_fp_poly``.
+build each polynomial from its stripped digit list, by ``_fp_poly`` over an
+interned F_p.
 """
 
 from __future__ import annotations
@@ -841,34 +842,26 @@ def _digit_polys(fq: Fq, n: int, var: str, monic: bool) -> list[Poly]:
     """For v = 0, 1, ..., q^n - 1: the base-q digits of v as coefficients
     0..n-1 (element index order, constant varying fastest), then a leading
     1 when monic."""
+    lists = _digit_lists(fq.q, n, monic)
     if _interned(fq):
-        return [_fp_poly(fq, var, ix) for ix in _digit_lists(fq.q, n, monic)]
-    q = fq.q
+        return [_fp_poly(fq, var, ix) for ix in lists]
     elems = fq.elements()
-    top = [fq.one] if monic else []
-    out = []
-    for v in range(q ** n):
-        coeffs = []
-        for _ in range(n):
-            v, r = divmod(v, q)
-            coeffs.append(elems[r])
-        out.append(Poly(fq, var, coeffs + top))
-    return out
+    return [Poly(fq, var, [elems[i] for i in ix]) for ix in lists]
 
 
 def _digit_lists(q: int, n: int, monic: bool) -> list[list[int]]:
-    """The index views of ``_digit_polys`` in its order, stripped with no
+    """The index lists of ``_digit_polys`` in its order, stripped with no
     strip loop: v in [q^d, q^(d+1)) is a top digit t = 1..q-1, varying
     slowest, over every list of d lower digits, and the monic polynomials
-    of degree n are t = 1 over every list of n digits."""
-    lows = [[]]  # every list of d digits, constant varying fastest
+    of degree n are every list of n digits below a top index 1."""
+    lows = [[1]] if monic else [[]]  # every list of d digits (over the 1)
     out = [] if monic else [[]]
     for d in range(n):
         if not monic:
             out += [low + [t] for t in range(1, q) for low in lows]
         if monic or d < n - 1:
             lows = [[c] + low for low in lows for c in range(q)]
-    return [low + [1] for low in lows] if monic else out
+    return lows if monic else out
 
 
 # -- irreducibility ----------------------------------------------------------

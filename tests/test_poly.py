@@ -8,7 +8,7 @@ from carlitz.errors import ParseError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
     MAX_PARSE_DEGREE, Poly, ZZ, all_residues, is_irreducible, monic_enumerate,
-    poly_parse, poly_to_str,
+    _interned, poly_parse, poly_to_str,
 )
 
 
@@ -202,16 +202,16 @@ def _digit_polys_generic(fq, n, monic):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 257])
 def test_enumeration_matches_the_generic_build(q):
     fq = Fq.get(q)
-    for n in range(4):
+    for n in range(4 if q <= 5 else 2):
         for monic, got in ((True, monic_enumerate(fq, n)),
                            (False, all_residues(fq, n))):
             assert got == _digit_polys_generic(fq, n, monic)
             for p in got:
                 assert not p.coeffs or p.coeffs[-1]  # stripped
-                if fq.m == 1:
+                if _interned(fq):
                     assert p._ix == [c.i for c in p.coeffs]
         assert all_residues(fq, n)[0].is_zero()
 
