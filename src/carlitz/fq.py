@@ -50,14 +50,23 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 def _power(base, e: int, one, mul):
     """base^e for e >= 0 by square-and-multiply; the one copy every power in
-    the package goes through.  Callers handle negative e and reduce first."""
-    result = one
+    the package goes through.  Callers handle negative e and reduce first.
+    The result starts from the lowest set bit's power, not from ``one``, so
+    base^e takes floor(log2 e) squarings and popcount(e) - 1 products, and
+    ``one`` is returned only for e = 0; every element is immutable and
+    canonical, so a product with one would change nothing."""
+    if not e:
+        return one
+    while not e & 1:
+        base = mul(base, base)
+        e >>= 1
+    result = base
+    e >>= 1
     while e:
+        base = mul(base, base)
         if e & 1:
             result = mul(result, base)
         e >>= 1
-        if e:
-            base = mul(base, base)
     return result
 
 
@@ -152,8 +161,9 @@ class FqElem:
             return f.inv(self) ** (-e)
         if self.i == 0:
             return f.one if e == 0 else f.zero
-        # element order divides q-1
-        return _power(self, e % (f.q - 1), f.one, f.mul)
+        # element order divides q-1; the base is the field's own copy, since
+        # e = 1 returns it unmultiplied
+        return _power(f.from_index(self.i), e % (f.q - 1), f.one, f.mul)
 
     def __repr__(self) -> str:
         if self.field.m == 1:

@@ -359,6 +359,10 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
+        # over an interned F_p the index view: one C-level hash per
+        # coefficient instead of a Python-level FqElem.__hash__
+        if _interned(self.ring):
+            return hash((self.var, tuple(_ints(self))))
         return hash((self.var, self.coeffs))
 
     def __str__(self) -> str:

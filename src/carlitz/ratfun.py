@@ -15,8 +15,18 @@ assembled product.
     t = a(d/g) + c(b/g), h = gcd(t, g) and the sum is (t/h)/((b/g)(d/h)).
 ``RatFun.make`` reduces an arbitrary pair with one gcd of the whole; it
 serves ``from_pair``, ``derivative`` and every caller that assembles a
-fraction from an arbitrary pair, and is the oracle the rule is tested
-against.
+fraction from an arbitrary pair.
+
+Over F_p(T) on an interned F_p (p <= 256), ``+`` (so ``-``), ``*``, ``/``
+and ``make`` run on ``poly``'s integer kernel: each operand is a pair of
+index lists (num, den), ``_ff_sum``, ``_ff_product`` and ``_ff_reduced``
+take every gcd, cofactor division and product as one ``_fp_*`` call, and
+``_ff_box`` builds the result's two polynomials once.  ``series`` runs its
+products and inverses over F_p(T) on the same pairs.  The rule's divisions
+are exact by construction, so a remainder raises ``InvariantError``.  Over
+F_{p^m}(T), F(x) and every other field the rule runs on Polys (``_sum``,
+``_product``, ``_reduced``), and the tests keep those as the oracle for the
+pairs.
 
 Which gcd a ``Poly`` takes follows its coefficient parent.  Over F_p
 (p <= 256) it is ``poly``'s integer kernel.  Over F = F_p(T) on such an F_p,
@@ -36,6 +46,7 @@ import functools
 import math
 import operator
 
+from .errors import InvariantError
 from .fq import _power
 from .poly import (
     Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
@@ -108,16 +119,10 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return field.zero
-        if not den.is_one():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            if not den.is_monic():
-                lcinv = den.leading ** -1
-                num = num.mul_scalar(lcinv)
-                den = den.mul_scalar(lcinv)
-        return RatFun(field, num, den)
+        cring = field.cring
+        if _interned(cring):
+            return _ff_box(field, *_ff_reduced(_ints(num), _ints(den), cring.p))
+        return _reduced(field, num, den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -145,17 +150,14 @@ class RatFun:
             return other
         if not c.coeffs:
             return self
+        field = self.field
         if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # monic, so b = d = 1
-            return _canonical(self.field, a + c, b)
-        g = _gcd(b, d)
-        if g is None:
-            return RatFun(self.field, a * d + c * b, b * d)
-        b = b.exact_div(g)
-        t = a * d.exact_div(g) + c * b
-        h = _gcd(t, g) if t.coeffs else None
-        if h is not None:
-            t, d = t.exact_div(h), d.exact_div(h)
-        return _canonical(self.field, t, b * d)
+            return _canonical(field, a + c, b)
+        cring = field.cring
+        if _interned(cring):
+            return _ff_box(field, *_ff_sum(_ints(a), _ints(b), _ints(c),
+                                           _ints(d), cring.p), (b, d))
+        return _sum(field, a, b, c, d)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -164,17 +166,12 @@ class RatFun:
         return RatFun(self.field, -self.num, self.den)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
-        return _product(self.field, self.num, self.den, other.num, other.den)
+        return _times(self.field, self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        out = _product(self.field, self.num, self.den, other.den, other.num)
-        if not out.den.is_monic():
-            lcinv = out.den.leading ** -1
-            out = RatFun(out.field, out.num.mul_scalar(lcinv),
-                         out.den.mul_scalar(lcinv))
-        return out
+        return _times(self.field, self.num, self.den, other.den, other.num)
 
     def inv(self) -> "RatFun":
         return self.field.one / self
@@ -217,6 +214,8 @@ class RatFun:
         return self.__str__()
 
 
+# -- Henrici's rule on Poly operands: F_{p^m}(T), F(x), and the oracle ---------
+
 def _gcd(a: Poly, b: Poly) -> Poly | None:
     """gcd(a, b) for nonzero a and b, or None when it is 1; a unit on either
     side answers without dividing."""
@@ -231,9 +230,43 @@ def _canonical(field: FracField, num: Poly, den: Poly) -> RatFun:
     return RatFun(field, num, den) if num.coeffs else field.zero
 
 
+def _reduced(field: FracField, num: Poly, den: Poly) -> RatFun:
+    """num/den for nonzero num and den, by one gcd of the whole."""
+    if not den.is_one():
+        g = num.gcd(den)
+        if g.degree > 0:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        if not den.is_monic():
+            lcinv = den.leading ** -1
+            num = num.mul_scalar(lcinv)
+            den = den.mul_scalar(lcinv)
+    return RatFun(field, num, den)
+
+
+def _sum(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
+    """a/b + c/d for canonical operands."""
+    if not a.coeffs:
+        return _canonical(field, c, d)
+    if not c.coeffs:
+        return RatFun(field, a, b)
+    if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # monic, so b = d = 1
+        return _canonical(field, a + c, b)
+    g = _gcd(b, d)
+    if g is None:
+        return RatFun(field, a * d + c * b, b * d)
+    b = b.exact_div(g)
+    t = a * d.exact_div(g) + c * b
+    h = _gcd(t, g) if t.coeffs else None
+    if h is not None:
+        t, d = t.exact_div(h), d.exact_div(h)
+    return _canonical(field, t, b * d)
+
+
 def _product(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
-    """(a/b)(c/d) with gcd(a, b) = gcd(c, d) = 1: the cross gcds are the only
-    cancellation left.  The denominator is monic when b and d are."""
+    """(a/b)(c/d) with gcd(a, b) = gcd(c, d) = 1 and b monic: the cross gcds
+    are the only cancellation left.  d need not be monic (a quotient passes
+    the divisor's numerator), so the denominator is made monic last."""
     if not a.coeffs or not c.coeffs:
         return field.zero
     g1 = _gcd(a, d)
@@ -242,8 +275,119 @@ def _product(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
     g2 = _gcd(c, b)
     if g2 is not None:
         c, b = c.exact_div(g2), b.exact_div(g2)
-    den = b if d.is_one() else d if b.is_one() else b * d
-    return RatFun(field, a * c, den)
+    num, den = a * c, b if d.is_one() else d if b.is_one() else b * d
+    if not den.is_monic():
+        lcinv = den.leading ** -1
+        num, den = num.mul_scalar(lcinv), den.mul_scalar(lcinv)
+    return RatFun(field, num, den)
+
+
+def _times(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
+    """``_product`` on index-list pairs over F_p(T), on Polys elsewhere; a
+    product of polynomials (b = d = 1) is one product either way."""
+    if len(b.coeffs) == 1 and d.is_one():
+        return _canonical(field, a * c, b) if a.coeffs else field.zero
+    cring = field.cring
+    if _interned(cring):
+        return _ff_box(field, *_ff_product(_ints(a), _ints(b), _ints(c),
+                                           _ints(d), cring.p), (b, d))
+    return _product(field, a, b, c, d)
+
+
+# -- the F_p(T) kernel: Henrici's rule on (num, den) index-list pairs --------
+#
+# A pair is two index lists over F_p as ``poly``'s kernel keeps them, in
+# canonical form: gcd(num, den) = 1 and den monic, the zero ([], [1]).  Every
+# input list is shared with a Poly's index view, so nothing here writes to
+# one; outputs may share an input list.
+
+_FF_ZERO = ([], [1])
+
+
+def _ff_quo(a: list[int], g: list[int], p: int) -> list[int]:
+    """a/g for a divisor g of a.  Every division of the rule is exact by
+    construction, so a remainder means the kernel itself is broken."""
+    quo, rem = _fp_divmod(a, g, p)
+    if rem:
+        raise InvariantError(
+            f"F_p(T) cancellation left a remainder: {a} / {g} over F_{p}")
+    return quo
+
+
+def _ff_cancel(a: list[int], b: list[int], p: int):
+    """a/g and b/g for g = gcd(a, b).  The callers skip a unit on either
+    side, which has nothing to cancel, without calling."""
+    g = _fp_gcd(a, b, p)
+    if len(g) == 1:
+        return a, b
+    return _ff_quo(a, g, p), _ff_quo(b, g, p)
+
+
+def _ff_monic(a: list[int], b: list[int], p: int):
+    """a/b scaled so that b is monic."""
+    lcinv = pow(b[-1], -1, p)
+    return _fp_scale(a, lcinv, p), _fp_scale(b, lcinv, p)
+
+
+def _ff_reduced(a: list[int], b: list[int], p: int):
+    """``_reduced``: a/b for nonzero a and b, by one gcd of the whole."""
+    if len(a) > 1 and len(b) > 1:
+        a, b = _ff_cancel(a, b, p)
+    return (a, b) if b[-1] == 1 else _ff_monic(a, b, p)
+
+
+def _ff_sum(a: list[int], b: list[int], c: list[int], d: list[int], p: int):
+    """``_sum``: a/b + c/d for canonical pairs."""
+    if not a:
+        return c, d
+    if not c:
+        return a, b
+    if len(b) == 1 and len(d) == 1:  # monic, so b = d = 1
+        t = _fp_add(a, c, 1, p)
+        return (t, b) if t else _FF_ZERO
+    g = _fp_gcd(b, d, p) if len(b) > 1 and len(d) > 1 else None
+    if g is None or len(g) == 1:
+        den = d if len(b) == 1 else b if len(d) == 1 else _fp_mul(b, d, p)
+        return _fp_add(_fp_mul(a, d, p), _fp_mul(c, b, p), 1, p), den
+    b = _ff_quo(b, g, p)
+    t = _fp_add(_fp_mul(a, _ff_quo(d, g, p), p), _fp_mul(c, b, p), 1, p)
+    if not t:
+        return _FF_ZERO
+    if len(t) > 1:
+        h = _fp_gcd(t, g, p)
+        if len(h) > 1:
+            t, d = _ff_quo(t, h, p), _ff_quo(d, h, p)
+    return t, _fp_mul(b, d, p)
+
+
+def _ff_product(a: list[int], b: list[int], c: list[int], d: list[int],
+                p: int):
+    """``_product``: (a/b)(c/d) with b monic and d monic or not."""
+    if not a or not c:
+        return _FF_ZERO
+    if len(a) > 1 and len(d) > 1:
+        a, d = _ff_cancel(a, d, p)
+    if len(c) > 1 and len(b) > 1:
+        c, b = _ff_cancel(c, b, p)
+    num = _fp_mul(a, c, p)
+    den = b if d == [1] else d if len(b) == 1 else _fp_mul(b, d, p)
+    return (num, den) if den[-1] == 1 else _ff_monic(num, den, p)
+
+
+def _ff_box(field: FracField, a: list[int], b: list[int],
+            dens: tuple = ()) -> RatFun:
+    """The RatFun of a canonical pair, each Poly built once.  A denominator
+    1 is the field's own, and one that is the index view of a Poly in dens
+    (the operands' denominators) is that Poly."""
+    if not a:
+        return field.zero
+    fp, var = field.cring, field.var
+    if len(b) == 1:
+        return RatFun(field, _fp_poly(fp, var, a), field.one.den)
+    for den in dens:
+        if den._ix is b:
+            return RatFun(field, _fp_poly(fp, var, a), den)
+    return RatFun(field, _fp_poly(fp, var, a), _fp_poly(fp, var, b))
 
 
 # -- gcds in F_p(T)[x] by a primitive remainder sequence over A = F_p[T] -----
@@ -264,16 +408,16 @@ def _gcd_ax(a: Poly, b: Poly) -> Poly:
     if not a.coeffs:
         return b.monic()
     F = a.ring
-    fp, p = F.cring, F.cring.p
+    p = F.cring.p
     f, g = _primitive(_cleared(a, p), p), _primitive(_cleared(b, p), p)
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
         r = _prem(f, g, p)
         if not r:
-            lc = _fp_poly(fp, F.var, g[-1])
-            return Poly(F, a.var, [RatFun.make(F, _fp_poly(fp, F.var, c), lc)
-                                   for c in g[:-1]] + [F.one])
+            lc = g[-1]
+            return Poly(F, a.var, [_ff_box(F, *_ff_reduced(c, lc, p)) if c
+                                   else F.zero for c in g[:-1]] + [F.one])
         f, g = g, _primitive(r, p)
     return Poly(F, a.var, [F.one])
 

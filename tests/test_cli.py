@@ -301,6 +301,17 @@ BROKEN_INVARIANTS = {
         "m.l_sequence = lambda fq, n: [d.shift(1) for d in real(fq, n)]\n"
         "m.carlitz_log(m.Fq.get(2), 6)\n",
         "e(log z) != z within precision"),
+    "F_p(T) cancellation": (
+        "import carlitz.ratfun as m\n"
+        "from carlitz.fq import Fq\n"
+        "from carlitz.poly import poly_parse\n"
+        "fq = Fq.get(3)\n"
+        "F = m.base_field(fq)\n"
+        "f = F.coerce(poly_parse('T^2+1', fq))\n"
+        "g = F.one / F.coerce(poly_parse('T^2+2', fq))\n"
+        "m._fp_gcd = lambda a, b, p: [1, 1]  # T+1 does not divide T^2+1\n"
+        "f * g\n",
+        "F_p(T) cancellation left a remainder"),
     "zeta stratum vanishing": (
         "import carlitz.lfun as m\n"
         "m.power_sum = lambda d, k, fq: m.Poly(fq, 'T', [fq.one])\n"

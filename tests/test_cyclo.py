@@ -488,3 +488,79 @@ def test_parent_constructors_share_one_instance_per_key(build, args):
     hits = build.cache_info().hits
     assert build(*args()) is first
     assert build.cache_info().hits == hits + 1
+
+
+# -- evaluation at omega: one reduction mod m_n against Horner ----------------
+
+OMEGA_LEVELS = [(q, n) for q in (2, 3, 5) for n in (1, 2, 3)]
+
+
+def rand_x_fraction_poly(rng, field, deg):
+    """A polynomial in x of degree deg over F, its coefficients small
+    fractions in T."""
+    fq, F = field.fq, field.F
+
+    def small(nonzero):
+        while True:
+            p = Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                               for _ in range(rng.randrange(1, 3))])
+            if p.coeffs or not nonzero:
+                return p
+
+    def coeff(nonzero=False):
+        return RatFun.make(F, small(nonzero), small(True))
+
+    return Poly(F, "x", [coeff() for _ in range(deg)] + [coeff(True)])
+
+
+def horner(p, field):
+    return p.eval(field.omega, field)
+
+
+@pytest.mark.parametrize("q,n", OMEGA_LEVELS)
+def test_eval_at_omega_matches_horner(q, n):
+    from carlitz.coleman import ColemanSeries, eval_at_omega
+    from carlitz.series import TruncSeries
+    fq = Fq.get(q)
+    pi = poly_parse("T", fq)
+    field = CycloField.get(pi, n)
+    F, xf, e = field.F, x_field(fq), field.degree
+    rng = random.Random(100 * q + n)
+    for deg in sorted({0, 1, e - 1, e, e + 2}):  # below and above deg m_n
+        num = rand_x_fraction_poly(rng, field, deg)
+        assert eval_at_omega(ColemanSeries(xf.coerce(num), pi), n) == \
+            horner(num, field)
+        for order in (-1, 0, 2):  # a truncated series, Laurent or not
+            ser = TruncSeries(F, "x", order, num.coeffs, max(order + deg + 1, e))
+            want = horner(Poly(F, "x", ser.coeffs), field) \
+                * field.omega ** ser.order
+            assert eval_at_omega(ColemanSeries(ser, pi), n) == want
+        if e > 20:
+            # at deg m_n = 100 (q = 5, level 3) the inverse of f.den(omega)
+            # is an extended gcd over F taking seconds, and the products
+            # around it more; the smaller fields cover the denominator
+            continue
+        while True:  # a denominator that stays, and is a unit at omega
+            f = xf.from_pair(num, rand_x_fraction_poly(rng, field,
+                                                       rng.randrange(1, 3)))
+            if not f.den.is_one() and not horner(f.den, field).is_zero():
+                break
+        want = horner(f.num, field) * horner(f.den, field) ** -1
+        assert eval_at_omega(ColemanSeries(f, pi), n) == want
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, n in OMEGA_LEVELS if n > 1])
+def test_field_norm_matches_horner(q, n):
+    fq = Fq.get(q)
+    pi = poly_parse("T", fq)
+    field = CycloField.get(pi, n)
+    rng = random.Random(10 * q + n)
+    for m in range(1, n):
+        sub = CycloField.get(pi, m)
+        # the norm h has the degree of e's representative: below deg m_m
+        # and, but for q = 2 at level 2, above it
+        for deg in (1, min(sub.degree + 1, field.degree - 1)):
+            e = field.coerce(rand_x_fraction_poly(rng, field, deg))
+            h = _norm_poly(e.rep, pi ** (n - m))
+            assert h.degree == e.rep.degree == deg
+            assert field_norm(e, m) == horner(h, sub)

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz.fq import Fq, FqElem
+from carlitz.fq import Fq, FqElem, _power
+from carlitz.poly import poly_parse
+from carlitz.quotient import QuotElem, QuotientRing
 
 QS = (2, 3, 4, 9)
 
@@ -126,3 +130,33 @@ def test_field_axioms(case):
             b / a
     else:
         assert a * a ** -1 == one and (b / a) * a == b
+
+
+def test_power_multiplies_only_past_the_first_factor():
+    # base^e takes floor(log2 e) squarings and popcount(e) - 1 products:
+    # no product with the one it would start from, and one only for e = 0
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    one = object()
+    assert _power(3, 0, one, mul) is one and not calls
+    for e in range(1, 70):
+        calls.clear()
+        assert _power(3, e, one, mul) == 3 ** e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+        assert all(one not in pair for pair in calls)
+    # the elements' own powers: a QuotElem inverse is one extended gcd and
+    # no product, and a non-interned F_p element still powers to the table's
+    f3 = Fq.get(3)
+    d = QuotientRing(poly_parse("T^2+1", f3)).coerce(poly_parse("T+1", f3))
+    real, products = QuotElem.__mul__, []
+    with mock.patch.object(QuotElem, "__mul__",
+                           lambda x, y: products.append(1) or real(x, y)):
+        inv = d ** -1
+    assert not products and inv == d.inv() and d * inv == d.ring.one
+    f5 = Fq.get(5)
+    a = FqElem(f5, 2)
+    assert a ** 1 is f5.from_index(2) and a ** 5 is f5.from_index(2)

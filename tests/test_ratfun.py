@@ -5,11 +5,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import ratfun
 from carlitz.coleman import x_field
 from carlitz.cyclo import CycloField
+from carlitz.errors import InvariantError
 from carlitz.fq import Fq, FqElem
-from carlitz.poly import Poly, _gcd_generic, poly_parse
-from carlitz.ratfun import FracField, RatFun, _gcd_ax, base_field
+from carlitz.poly import Poly, _gcd_generic, _ints, poly_parse
+from carlitz.ratfun import (
+    FracField, RatFun, _gcd_ax, _product, _reduced, _sum, base_field,
+)
 
 QS = (2, 3, 4, 9)
 
@@ -368,3 +372,111 @@ def test_nested_field_arithmetic_matches_the_generic_gcd(pair):
         want = [op(f, g) for op in ops]
     for x, y in zip(got, want):
         assert (str(x), x.num, x.den) == (str(y), y.num, y.den)
+
+
+# -- the F_p(T) pair kernel against Henrici's rule on Polys --------------------
+
+KERNEL_PRIMES = (2, 3, 5, 7)
+
+
+def same(x, y):
+    """Equal values, built alike: canonical parts, index views that match
+    the coefficients, and the field's own denominator 1."""
+    assert (x.num, x.den) == (y.num, y.den)
+    for part in (x.num, x.den):
+        assert _ints(part) == [c.i for c in part.coeffs]
+    if x.den.is_one():
+        assert x.den is x.field.one.den
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two canonical elements of F_p(T) and a raw (num, den) pair: zero,
+    constants and non-monic values among them, and factors shared through
+    one small pool so that every cancellation of the rule happens."""
+    fq = Fq.get(draw(st.sampled_from(KERNEL_PRIMES)))
+    coeff = st.integers(0, fq.q - 1).map(fq.from_index)
+    nonzero = st.integers(1, fq.q - 1).map(fq.from_index)
+    polys = draw(factor_products(fq, coeff, nonzero, 2, 6))
+    F = base_field(fq)
+    raw = (polys[4], polys[5] if polys[5].coeffs else F.one.num)
+    return F, fraction_pair(F, polys[:4]), raw
+
+
+@given(kernel_cases())
+@settings(max_examples=300)
+def test_pair_kernel_matches_the_poly_rule(case):
+    F, (f, g), (num, den) = case
+    a, b, c, d = f.num, f.den, g.num, g.den
+    same(f + g, _sum(F, a, b, c, d))
+    same(f - g, _sum(F, a, b, -c, d))
+    same(f * g, _product(F, a, b, c, d))
+    if not g.is_zero():
+        same(f / g, _product(F, a, b, d, c))
+        same(f / g, RatFun.make(F, a * d, b * c))
+    if not num.is_zero():
+        same(RatFun.make(F, num, den), _reduced(F, num, den))
+
+
+def test_pair_kernel_edge_cases():
+    fq = Fq.get(5)
+    F = base_field(fq)
+
+    def r(num, den="1"):
+        return _reduced(F, poly_parse(num, fq), poly_parse(den, fq))
+
+    f, g = r("3*T^2+2", "T+4"), r("2*T+3", "T^2+1")
+    for x, y in ((f, F.zero), (F.zero, f), (F.zero, F.zero), (f, r("3")),
+                 (r("2"), r("4")), (f, f), (f, -f), (g, f), (f, g)):
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(x, y) == RatFun.make(F, *textbook(op, x, y))
+        if not y.is_zero():
+            same(x / y, _product(F, x.num, x.den, y.den, y.num))
+    # division by a non-monic constant and by a non-monic polynomial
+    same(f / r("3"), r("T^2+4", "T+4"))
+    same(F.one / r("2*T+4"), r("3", "T+2"))
+    # a sum cancelling to zero, and one whose shared factor T+1 of the
+    # denominators also divides t = (T+2) + T, so h = T+1
+    assert (f - f) is F.zero
+    same(r("1", "T^2+T") + r("1", "T^2+3*T+2"), r("2", "T^2+2*T"))
+    same(r("T", "T+1") + r("1", "T+1"), F.one)
+    # make: a planted common factor, a non-monic denominator, a zero
+    same(RatFun.make(F, poly_parse("2*T^2+2*T", fq), poly_parse("3*T+3", fq)),
+         r("4*T"))
+    assert RatFun.make(F, Poly(fq, "T", []), poly_parse("2", fq)) is F.zero
+    with pytest.raises(ZeroDivisionError):
+        RatFun.make(F, poly_parse("T", fq), Poly(fq, "T", []))
+
+
+def test_pair_kernel_route_is_chosen_by_the_coefficient_field(monkeypatch):
+    # F_p(T) runs on pairs; F_4(T) and F(x) run the Poly rule, whose F(x)
+    # coefficients are F_p(T) values and so take the pairs in turn
+    seen = []
+    for name in ("_sum", "_product", "_reduced"):
+        def spy(F, *args, real=getattr(ratfun, name)):
+            seen.append(F)
+            return real(F, *args)
+        monkeypatch.setattr(ratfun, name, spy)
+    fp = Fq.get(3)
+    for F in (base_field(fp), base_field(Fq.get(4)), x_field(fp)):
+        t = F.gen()
+        x, y = t / (t + F.one), F.one / (t * t + t + F.one)
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv,
+                   lambda u, v: RatFun.make(F, u.num * v.den, u.den)):
+            seen.clear()
+            op(x, y)
+            assert (F in seen) == (F != base_field(fp)), (F, op)
+
+
+def test_a_broken_cancellation_is_an_invariant_error(monkeypatch):
+    # the rule's divisions are exact by construction: a remainder is a bug
+    # in the kernel, not bad input, so it is no ValueError
+    fq = Fq.get(3)
+    F = base_field(fq)
+    f = F.coerce(poly_parse("T^2+1", fq))
+    g = F.one / F.coerce(poly_parse("T^2+2", fq))
+    monkeypatch.setattr(ratfun, "_fp_gcd", lambda a, b, p: [1, 1])
+    with pytest.raises(InvariantError,
+                       match="F_p.T. cancellation left a remainder"):
+        f * g

@@ -1,11 +1,15 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import series as series_module
+from carlitz.coleman import x_field
 from carlitz.errors import PrecisionError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
+from carlitz.ratfun import RatFun, base_field
 from carlitz.series import TruncSeries
 
 
@@ -209,3 +213,92 @@ def test_compose_knows_exactly_its_declared_precision(pair):
     exact = rep(f).shift(f.order).compose(rep(g).shift(g.order))
     top = got.prec if got.prec is not None else len(exact.coeffs)
     assert agrees_below(got, 0, exact, top)
+
+
+# -- F_p(T) coefficients: the pair loops against the generic ones ------------
+
+def generic_loops():
+    """Run every series product and inverse on RatFun coefficients."""
+    return mock.patch.object(series_module, "_pair_field", lambda ring: 0)
+
+
+@st.composite
+def fpt_series(draw, fq, orders=(-3, 4), unit=False, exact=True):
+    """A series over F = F_p(T) as ``series`` draws one, its coefficients
+    small fractions with shared factors, zero now and then."""
+    F = base_field(fq)
+    small = st.lists(st.integers(0, fq.q - 1), min_size=1, max_size=3).map(
+        lambda ix: Poly(fq, "T", [fq.from_index(i) for i in ix]))
+    coeff = st.tuples(small, small.filter(lambda p: p.coeffs)).map(
+        lambda nd: RatFun.make(F, *nd))
+    order = draw(st.integers(*orders))
+    coeffs = draw(st.lists(coeff, max_size=6))
+    if unit:
+        coeffs = [draw(coeff.filter(bool))] + coeffs
+    slack = draw(st.integers(0, 4) | st.none()) if exact \
+        else draw(st.integers(0, 4))
+    prec = None if slack is None else order + len(coeffs) + slack
+    return TruncSeries(F, "z", order, coeffs, prec)
+
+
+def over_one_fpt(*specs):
+    return st.sampled_from((2, 3, 5, 7)).map(Fq.get).flatmap(
+        lambda fq: st.tuples(*(fpt_series(fq, **spec) for spec in specs)))
+
+
+def same_series(got, want):
+    assert (got.order, got.prec, got.coeffs) == \
+        (want.order, want.prec, want.coeffs)
+    # canonical coefficients, a zero with the denominator 1
+    assert all(c.den.is_monic() and (c.num.coeffs or c.den.is_one())
+               for c in got.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(over_one_fpt({}, {}))
+def test_pair_mul_matches_the_generic_loop(pair):
+    f, g = pair
+    got = f * g
+    with generic_loops():
+        want = f * g
+    same_series(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(over_one_fpt({"unit": True, "exact": False}))
+def test_pair_inverse_matches_the_generic_loop(single):
+    (f,) = single
+    got = f.invert()
+    with generic_loops():
+        want = f.invert()
+    same_series(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(over_one_fpt({"orders": (-2, 3)}, {"orders": (1, 3), "unit": True}))
+def test_pair_compose_matches_the_generic_loop(pair):
+    f, g = pair
+    if f.order < 0 and g.prec is None:
+        g = g.truncate(g.order + len(g.coeffs) + 2)
+    got = f.compose(g)
+    with generic_loops():
+        want = f.compose(g)
+    same_series(got, want)
+
+
+def test_pair_loops_route(monkeypatch):
+    # only F_p(T) takes the pairs; F_4(T), F(x) and F_p keep the generic loops
+    calls = []
+    for name in ("_pair_convolve", "_pair_inverse"):
+        def spy(*args, real=getattr(series_module, name)):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(series_module, name, spy)
+    f3 = Fq.get(3)
+    for ring, paired in ((base_field(f3), True), (base_field(Fq.get(4)), False),
+                         (x_field(f3), False), (f3, False)):
+        calls.clear()
+        s = TruncSeries(ring, "z", 0, [ring.one, ring.one, ring.one], 5)
+        s * s
+        s.invert()
+        assert len(calls) == (2 if paired else 0), ring
