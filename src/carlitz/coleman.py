@@ -257,15 +257,15 @@ def eval_at_omega(f: ColemanSeries, n: int) -> QuotElem:
     Exact input always evaluates (the denominator must stay invertible).  A
     truncated input is evaluated on its representative once its precision
     covers a full power basis of the field, i.e. prec >= deg m_n.  Each
-    polynomial in x is read at omega by one reduction mod m_n
-    (``CycloField.at_omega``), not by Horner's rule."""
+    polynomial in x is read at omega by one reduction mod m_n (the field's
+    ``coerce``), not by Horner's rule."""
     if f.pi is None:
         raise ValueError("evaluation needs the prime attached to the series")
     field = CycloField.get(f.pi, n)
     if isinstance(f.value, RatFun):
         num, den = f.value.num, f.value.den
-        value = field.at_omega(num)
-        return value if den.is_one() else value * field.at_omega(den) ** -1
+        value = field.coerce(num)
+        return value if den.is_one() else value * field.coerce(den) ** -1
     ser = f.value
     if ser.prec is not None and ser.prec < field.degree:
         raise PrecisionError(
@@ -273,5 +273,5 @@ def eval_at_omega(f: ColemanSeries, n: int) -> QuotElem:
             f">= {field.degree}, have {ser.prec}",
             needed=field.degree,
         )
-    value = field.at_omega(Poly(ser.ring, field.var, ser.coeffs))
+    value = field.coerce(Poly(ser.ring, ser.var, ser.coeffs))
     return value * field.omega ** ser.order if ser.order else value

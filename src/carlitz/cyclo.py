@@ -20,9 +20,9 @@ M multiplication by phi_a(y) on A[y]/(r/c), a k x k characteristic
 polynomial over A.  The sign (-1)^(k(Q+1)) is 1: Q + 1 is even for odd q,
 and -1 = 1 for even q.  Otherwise the Q x Q determinant over A[x] is taken.
 The torsion norm h is read at omega_m as h reduced mod m_m
-(``CycloField.at_omega``), one division in place of Horner's rule, which
-stays the path for every other point (``galois_act``).  The norm to F
-itself is the determinant over F.  Each of these is ``det``
+(``coerce``), one division in place of Horner's rule, which stays the path
+for every other point (``galois_act``).  The norm to F itself is the
+determinant over F.  Each of these is ``det``
 or ``charpoly`` of one ``quotient._mult_matrix``.  The extension is
 totally ramified at pi, of degree e = deg m_n, with uniformizer omega_n, so
 the valuation of sum_(i < e) c_i omega^i is the least e val_pi(c_i) + i:
@@ -86,13 +86,6 @@ class CycloField(QuotientRing):
     def get(pi: Poly, n: int) -> "CycloField":
         return CycloField(pi, n)
 
-    def at_omega(self, p: Poly) -> QuotElem:
-        """p(omega) for p over F in any variable: p reduced mod m_n, one
-        division in place of Horner's product and reduction per degree."""
-        if p.var != self.var:
-            p = Poly(self.K, self.var, p.coeffs)
-        return self.coerce(p)
-
     def galois_reps(self) -> list[Poly]:
         """Canonical representatives of (A/pi^n)^* in enumeration order."""
         return self.galois.group_keys()
@@ -153,7 +146,8 @@ def field_norm(e: QuotElem, target_level: int):
     if m == 0:
         return quotient_norm(e)
     sub = CycloField.get(field.pi, m)
-    return sub.at_omega(_norm_poly(e.rep, field.pi ** (n - m)))
+    # h(omega_m) is h mod m_m: one division, not Horner's rule
+    return sub.coerce(_norm_poly(e.rep, field.pi ** (n - m)))
 
 
 @functools.lru_cache(maxsize=128)
