@@ -121,7 +121,8 @@ class RatFun:
             return field.zero
         cring = field.cring
         if _interned(cring):
-            return _ff_box(field, *_ff_reduced(_ints(num), _ints(den), cring.p))
+            return _ff_box(field,
+                           *_ff_reduced(_ints(num), _ints(den), cring.p))
         return _reduced(field, num, den)
 
     def is_zero(self) -> bool:
@@ -214,7 +215,7 @@ class RatFun:
         return self.__str__()
 
 
-# -- Henrici's rule on Poly operands: F_{p^m}(T), F(x), and the oracle ---------
+# -- Henrici's rule on Poly operands: F_{p^m}(T), F(x), and the oracle -------
 
 def _gcd(a: Poly, b: Poly) -> Poly | None:
     """gcd(a, b) for nonzero a and b, or None when it is 1; a unit on either

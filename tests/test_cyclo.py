@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from carlitz import cyclo
 from carlitz.cmod import carlitz_phi
-from carlitz.coleman import x_field
+from carlitz.coleman import ColemanSeries, eval_at_omega, x_field
 from carlitz.cyclo import (
     CycloField, _norm_poly, _torsion_norm, _torsion_quotient, cyclotomic_unit,
     field_norm, galois_act, upsilon, valuation_at_p,
@@ -20,6 +20,7 @@ from carlitz.poly import (
 )
 from carlitz.quotient import QuotElem
 from carlitz.ratfun import RatFun, base_field
+from carlitz.series import TruncSeries
 
 
 def irreducibles(fq, d):
@@ -519,8 +520,6 @@ def horner(p, field):
 
 @pytest.mark.parametrize("q,n", OMEGA_LEVELS)
 def test_eval_at_omega_matches_horner(q, n):
-    from carlitz.coleman import ColemanSeries, eval_at_omega
-    from carlitz.series import TruncSeries
     fq = Fq.get(q)
     pi = poly_parse("T", fq)
     field = CycloField.get(pi, n)
@@ -531,7 +530,8 @@ def test_eval_at_omega_matches_horner(q, n):
         assert eval_at_omega(ColemanSeries(xf.coerce(num), pi), n) == \
             horner(num, field)
         for order in (-1, 0, 2):  # a truncated series, Laurent or not
-            ser = TruncSeries(F, "x", order, num.coeffs, max(order + deg + 1, e))
+            ser = TruncSeries(F, "x", order, num.coeffs,
+                              max(order + deg + 1, e))
             want = horner(Poly(F, "x", ser.coeffs), field) \
                 * field.omega ** ser.order
             assert eval_at_omega(ColemanSeries(ser, pi), n) == want

@@ -374,7 +374,7 @@ def test_nested_field_arithmetic_matches_the_generic_gcd(pair):
         assert (str(x), x.num, x.den) == (str(y), y.num, y.den)
 
 
-# -- the F_p(T) pair kernel against Henrici's rule on Polys --------------------
+# -- the F_p(T) pair kernel against Henrici's rule on Polys ------------------
 
 KERNEL_PRIMES = (2, 3, 5, 7)
 

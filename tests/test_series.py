@@ -295,7 +295,8 @@ def test_pair_loops_route(monkeypatch):
             return real(*args)
         monkeypatch.setattr(series_module, name, spy)
     f3 = Fq.get(3)
-    for ring, paired in ((base_field(f3), True), (base_field(Fq.get(4)), False),
+    for ring, paired in ((base_field(f3), True),
+                         (base_field(Fq.get(4)), False),
                          (x_field(f3), False), (f3, False)):
         calls.clear()
         s = TruncSeries(ring, "z", 0, [ring.one, ring.one, ring.one], 5)
