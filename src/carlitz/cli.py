@@ -216,7 +216,7 @@ def _cmd_charval(args):
     fq = _fq(args)
     _require_prime_field(fq, "charval")
     theta = _theta_from_args(args, fq)
-    gens = {}
+    gens = []  # pairs, so that a repeated --gen reaches the consistency check
     gen_doc = []
     for spec_text in args.gen:
         left, sep, right = spec_text.partition("=")
@@ -227,7 +227,7 @@ def _cmd_charval(args):
             e = int(right)
         except ValueError:
             raise _UsageError(f"exponent {right!r} is not an integer")
-        gens[g] = e
+        gens.append((g, e))
         gen_doc.append({"g": poly_to_str(g), "e": e})
     vals = theta.eval_char(CharSpec(args.order, gens))
     width = max(1, vals.ring.modulus.degree)

@@ -198,13 +198,14 @@ def cyclotomic_poly(m: int) -> Poly:
 class CharSpec:
     """A character of (A/pi^n)^* of order dividing m, given by generator
     images: gens maps a residue (any representative) to the exponent e with
-    chi(class) = zeta_m^e."""
+    chi(class) = zeta_m^e, as a dict or as (residue, e) pairs, in which a
+    residue may repeat; ``character_table`` checks that images agree."""
 
-    def __init__(self, order: int, gens: dict) -> None:
+    def __init__(self, order: int, gens) -> None:
         if order < 1:
             raise ValueError("character order must be >= 1")
         self.order = order
-        self.gens = dict(gens)
+        self.gens = tuple(gens.items() if isinstance(gens, dict) else gens)
 
     def values(self) -> QuotientRing:
         """Z[x]/(Phi_m) for m the order; x is a primitive m-th root of 1."""
@@ -221,7 +222,7 @@ def character_table(ring: GroupRing, spec: CharSpec) -> dict:
     table: dict[Poly, int] = {ring.one().items()[0][0]: 0}
     frontier = list(table.items())
     gen_pairs = []
-    for a, e in spec.gens.items():
+    for a, e in spec.gens:
         k = ring.key(a)
         gen_pairs.append((k, e % m))
     while frontier:

@@ -38,11 +38,14 @@ digits are the A-coefficients (``_mul_packed``).
 Every other coefficient parent, F_{p^m} and F_{p^m}[T] included (the kernel
 reduces indices mod p, which is not F_{p^m} arithmetic), runs the generic
 loops (in the methods and ``_mul_generic``, ``_divmod_generic``,
-``_gcd_generic``), which the tests also use as the oracle for the kernel.
+``_gcd_generic``), which the tests also use as the oracle for the kernel,
+and ``_gcd_generic`` as the oracle for ``ratfun``'s gcds and reductions.
 The one exception is ``gcd`` over F_p(T): that ``FracField``'s ``poly_gcd``
 (``ratfun._gcd_ax``) runs a remainder sequence over A = F_p[T] on the
 kernel, and ``gcd`` takes it; over F_{p^m}(T), F(x) and every other parent
-``poly_gcd`` is absent or None and ``_gcd_generic`` runs.
+``poly_gcd`` is absent or None and ``_gcd_generic`` runs.  Outside this
+module only ``ratfun``'s index kernel for Henrici's rule over F_p(T) sees
+index lists or ``_fp_*`` (``tests/test_exports.py`` pins that).
 ``egcd`` runs ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and
 the self-test take it, so a kernel copy would not pay for itself.
 
@@ -182,7 +185,7 @@ class Poly:
             return self
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_add(_ints(self), _ints(other), 1, ring.p))
+                            _fp_add(_ints(self), _ints(other), ring.p))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -201,7 +204,7 @@ class Poly:
             return self
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_add(_ints(self), _ints(other), -1, ring.p))
+                            _fp_add(_ints(self), _ints(other), ring.p, -1))
         a, b = self.coeffs, other.coeffs
         out = [x - y for x, y in zip(a, b)]
         out += a[len(b):] or [-y for y in b[len(a):]]
@@ -497,7 +500,7 @@ def _fp_strip(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_add(a: list[int], b: list[int], s: int, p: int) -> list[int]:
+def _fp_add(a: list[int], b: list[int], p: int, s: int = 1) -> list[int]:
     """a + s*b for s = 1 or -1, stripped."""
     out = [(x + s * y) % p for x, y in zip(a, b)]
     if len(a) == len(b):
@@ -730,7 +733,7 @@ class _Parser:
 def _int_add(a: list[int], b: list[int], s: int, p: int | None) -> list[int]:
     """a + s*b for s = 1 or -1 on the parser's coefficient lists."""
     if p:
-        return _fp_add(a, b, s, p)
+        return _fp_add(a, b, p, s)
     out = [x + s * y for x, y in zip(a, b)]
     return _fp_strip(out + (a[len(b):] or [s * y for y in b[len(a):]]))
 

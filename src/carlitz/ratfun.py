@@ -5,28 +5,28 @@ Canonical form: gcd(num, den) = 1 and den monic, so equality is componentwise.
 ``FracField(F, "x")`` gives rational functions in x over F, which is how
 logarithmic derivatives of Carlitz ratios are carried around exactly.
 
-``+``, ``*`` and ``/`` follow Henrici's rule (JACM 3, 1956; Knuth, TAOCP
-vol. 2, 4.5.1): with canonical operands a/b and c/d, a common factor can only
-come from the factors themselves, so the gcds run on them, never on the
-assembled product.
-  * (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)), g1 = gcd(a, d) and
-    g2 = gcd(c, b), each skipped when one side is a unit.
-  * a/b + c/d with g = gcd(b, d): (ad + cb)/(bd) when g = 1; otherwise
-    t = a(d/g) + c(b/g), h = gcd(t, g) and the sum is (t/h)/((b/g)(d/h)).
-``RatFun.make`` reduces an arbitrary pair with one gcd of the whole; it
-serves ``from_pair``, ``derivative`` and every caller that assembles a
-fraction from an arbitrary pair.
+``+``, ``*``, ``/`` and ``make`` follow Henrici's rule (JACM 3, 1956; Knuth,
+TAOCP vol. 2, 4.5.1), written once: with canonical operands a/b and c/d, a
+common factor can only come from the factors themselves, so the gcds run on
+them, never on the assembled product.
+  * ``_product``: (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)), g1 =
+    gcd(a, d) and g2 = gcd(c, b), each skipped when one side is a unit.
+  * ``_sum``: a/b + c/d with g = gcd(b, d) is (ad + cb)/(bd) when g = 1;
+    otherwise t = a(d/g) + c(b/g), h = gcd(t, g) and the sum is
+    (t/h)/((b/g)(d/h)).
+  * ``_reduced``: an arbitrary pair by one gcd of the whole.  It serves
+    ``make``, so ``from_pair``, ``derivative`` and every caller that
+    assembles a fraction from an arbitrary pair.
 
-Over F_p(T) on an interned F_p (p <= 256), ``+`` (so ``-``), ``*``, ``/``
-and ``make`` run on ``poly``'s integer kernel: each operand is a pair of
-index lists (num, den), ``_ff_sum``, ``_ff_product`` and ``_ff_reduced``
-take every gcd, cofactor division and product as one ``_fp_*`` call, and
-``_ff_box`` builds the result's two polynomials once.  ``series`` runs its
-products and inverses over F_p(T) on the same pairs.  The rule's divisions
-are exact by construction, so a remainder raises ``InvariantError``.  Over
-F_{p^m}(T), F(x) and every other field the rule runs on Polys (``_sum``,
-``_product``, ``_reduced``), and the tests keep those as the oracle for the
-pairs.
+The rule runs on a kernel (``_Kernel``) that each ``FracField`` picks in
+``__init__``.  Over F_p(T) on an interned F_p (p <= 256), the index kernel
+holds values as ``poly``'s index lists, each operation one ``_fp_*`` call,
+and builds the result's two polynomials once; the rule's divisions are exact
+by construction, so a remainder raises ``InvariantError``.  Over F_{p^m}(T),
+F(x) and every other field, the Poly kernel holds Polys and calls their
+methods.  ``series`` runs its products and inverses over every fraction
+field on the same kernels.  The tests check the index kernel against the
+Poly kernel on F_p(T).
 
 Which gcd a ``Poly`` takes follows its coefficient parent.  Over F_p
 (p <= 256) it is ``poly``'s integer kernel.  Over F = F_p(T) on such an F_p,
@@ -66,8 +66,15 @@ class FracField:
         pone = Poly(cring, var, [cring.one])
         self.zero = RatFun(self, pzero, pone)
         self.one = RatFun(self, pone, pone)
-        # the gcd Poly.gcd takes for polynomials over this field
-        self.poly_gcd = _gcd_ax if _interned(cring) else None
+        # the gcd Poly.gcd takes for polynomials over this field, and the
+        # kernel Henrici's rule runs on for its elements
+        if _interned(cring):
+            self.poly_gcd = _gcd_ax
+            self.kernel = _Kernel(cring.p, len, _ints, _fp_mul, _fp_add,
+                                  _fp_gcd, _fp_quo, _fp_monic, _fp_box)
+        else:
+            self.poly_gcd = None
+            self.kernel = _POLY_KERNEL
 
     def coerce(self, x) -> "RatFun":
         if isinstance(x, RatFun):
@@ -119,11 +126,8 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return field.zero
-        cring = field.cring
-        if _interned(cring):
-            return _ff_box(field,
-                           *_ff_reduced(_ints(num), _ints(den), cring.p))
-        return _reduced(field, num, den)
+        k = field.kernel
+        return k.box(field, _reduced(k, k.view(num), k.view(den)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -146,19 +150,15 @@ class RatFun:
         return hash((self.num, self.den))
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.coeffs:
+        if not self.num.coeffs:
             return other
-        if not c.coeffs:
+        if not other.num.coeffs:
             return self
-        field = self.field
-        if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # monic, so b = d = 1
-            return _canonical(field, a + c, b)
-        cring = field.cring
-        if _interned(cring):
-            return _ff_box(field, *_ff_sum(_ints(a), _ints(b), _ints(c),
-                                           _ints(d), cring.p), (b, d))
-        return _sum(field, a, b, c, d)
+        b, d = self.den, other.den
+        k = self.field.kernel
+        view = k.view
+        return k.box(self.field, _sum(k, view(self.num), view(b),
+                                      view(other.num), view(d)), (b, d))
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -167,12 +167,22 @@ class RatFun:
         return RatFun(self.field, -self.num, self.den)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
-        return _times(self.field, self.num, self.den, other.num, other.den)
+        b, d = self.den, other.den
+        k = self.field.kernel
+        view = k.view
+        return k.box(self.field, _product(k, view(self.num), view(b),
+                                          view(other.num), view(d)), (b, d))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return _times(self.field, self.num, self.den, other.den, other.num)
+        # a/b divided by c/d is (a/b)(d/c), with c made monic first
+        b, c = self.den, other.num
+        k = self.field.kernel
+        view = k.view
+        pair = k.monic(view(other.den), view(c), k.p)
+        return k.box(self.field, _product(k, view(self.num), view(b), *pair),
+                     (b, c))
 
     def inv(self) -> "RatFun":
         return self.field.one / self
@@ -215,97 +225,91 @@ class RatFun:
         return self.__str__()
 
 
-# -- Henrici's rule on Poly operands: F_{p^m}(T), F(x), and the oracle -------
+# -- Henrici's rule, once for every kernel ------------------------------------
 
-def _gcd(a: Poly, b: Poly) -> Poly | None:
-    """gcd(a, b) for nonzero a and b, or None when it is 1; a unit on either
-    side answers without dividing."""
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        return None
-    g = a.gcd(b)
-    return g if len(g.coeffs) > 1 else None
+class _Kernel:
+    """The values the rule holds a numerator or denominator as.  Every
+    operation but size and view takes p last (None on the Poly kernel,
+    which ignores it), so that the index kernel holds the ``_fp_*``
+    functions themselves.  size(a) is 0 for zero and 1 for a unit; view
+    maps a Poly to its value; mul, add, gcd (monic) and quo (a/g for a
+    divisor g of a) work on values; monic(a, b, p) is a/b with b made
+    monic; box(field, pair, dens) is the RatFun of a canonical pair, and
+    may reuse the Polys dens, the operands' denominators.  A zero may carry
+    any denominator, so each entry of the rule tests for zero first.  Input
+    values may be shared with a Poly, so nothing writes to one."""
 
+    __slots__ = ("p", "size", "view", "mul", "add", "gcd", "quo", "monic",
+                 "box")
 
-def _canonical(field: FracField, num: Poly, den: Poly) -> RatFun:
-    # num/den with gcd 1 and den monic; only zero still needs its own form
-    return RatFun(field, num, den) if num.coeffs else field.zero
-
-
-def _reduced(field: FracField, num: Poly, den: Poly) -> RatFun:
-    """num/den for nonzero num and den, by one gcd of the whole."""
-    if not den.is_one():
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        if not den.is_monic():
-            lcinv = den.leading ** -1
-            num = num.mul_scalar(lcinv)
-            den = den.mul_scalar(lcinv)
-    return RatFun(field, num, den)
+    def __init__(self, p, size, view, mul, add, gcd, quo, monic, box):
+        self.p, self.size, self.view = p, size, view
+        self.mul, self.add, self.gcd, self.quo = mul, add, gcd, quo
+        self.monic, self.box = monic, box
 
 
-def _sum(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
-    """a/b + c/d for canonical operands."""
-    if not a.coeffs:
-        return _canonical(field, c, d)
-    if not c.coeffs:
-        return RatFun(field, a, b)
-    if len(b.coeffs) == 1 and len(d.coeffs) == 1:  # monic, so b = d = 1
-        return _canonical(field, a + c, b)
-    g = _gcd(b, d)
-    if g is None:
-        return RatFun(field, a * d + c * b, b * d)
-    b = b.exact_div(g)
-    t = a * d.exact_div(g) + c * b
-    h = _gcd(t, g) if t.coeffs else None
-    if h is not None:
-        t, d = t.exact_div(h), d.exact_div(h)
-    return _canonical(field, t, b * d)
+def _cancel(k: _Kernel, a, b):
+    """a/g and b/g for g = gcd(a, b).  The callers skip a unit on either
+    side, which has nothing to cancel, without calling."""
+    p = k.p
+    g = k.gcd(a, b, p)
+    if k.size(g) == 1:
+        return a, b
+    return k.quo(a, g, p), k.quo(b, g, p)
 
 
-def _product(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
-    """(a/b)(c/d) with gcd(a, b) = gcd(c, d) = 1 and b monic: the cross gcds
-    are the only cancellation left.  d need not be monic (a quotient passes
-    the divisor's numerator), so the denominator is made monic last."""
-    if not a.coeffs or not c.coeffs:
-        return field.zero
-    g1 = _gcd(a, d)
-    if g1 is not None:
-        a, d = a.exact_div(g1), d.exact_div(g1)
-    g2 = _gcd(c, b)
-    if g2 is not None:
-        c, b = c.exact_div(g2), b.exact_div(g2)
-    num, den = a * c, b if d.is_one() else d if b.is_one() else b * d
-    if not den.is_monic():
-        lcinv = den.leading ** -1
-        num, den = num.mul_scalar(lcinv), den.mul_scalar(lcinv)
-    return RatFun(field, num, den)
+def _reduced(k: _Kernel, a, b):
+    """a/b for nonzero a and b, by one gcd of the whole."""
+    size = k.size
+    if size(a) > 1 and size(b) > 1:
+        a, b = _cancel(k, a, b)
+    return k.monic(a, b, k.p)
 
 
-def _times(field: FracField, a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
-    """``_product`` on index-list pairs over F_p(T), on Polys elsewhere; a
-    product of polynomials (b = d = 1) is one product either way."""
-    if len(b.coeffs) == 1 and d.is_one():
-        return _canonical(field, a * c, b) if a.coeffs else field.zero
-    cring = field.cring
-    if _interned(cring):
-        return _ff_box(field, *_ff_product(_ints(a), _ints(b), _ints(c),
-                                           _ints(d), cring.p), (b, d))
-    return _product(field, a, b, c, d)
+def _sum(k: _Kernel, a, b, c, d):
+    """a/b + c/d for canonical pairs."""
+    size, p = k.size, k.p
+    if not size(a):
+        return c, d
+    if not size(c):
+        return a, b
+    if size(b) == 1 and size(d) == 1:  # monic, so b = d = 1
+        return k.add(a, c, p), b
+    mul, add = k.mul, k.add
+    g = k.gcd(b, d, p) if size(b) > 1 and size(d) > 1 else None
+    if g is None or size(g) == 1:
+        den = d if size(b) == 1 else b if size(d) == 1 else mul(b, d, p)
+        return add(mul(a, d, p), mul(c, b, p), p), den
+    quo = k.quo
+    b = quo(b, g, p)
+    t = add(mul(a, quo(d, g, p), p), mul(c, b, p), p)
+    if size(t) > 1:
+        h = k.gcd(t, g, p)
+        if size(h) > 1:
+            t, d = quo(t, h, p), quo(d, h, p)
+    return t, mul(b, d, p)
 
 
-# -- the F_p(T) kernel: Henrici's rule on (num, den) index-list pairs --------
-#
-# A pair is two index lists over F_p as ``poly``'s kernel keeps them, in
-# canonical form: gcd(num, den) = 1 and den monic, the zero ([], [1]).  Every
-# input list is shared with a Poly's index view, so nothing here writes to
-# one; outputs may share an input list.
+def _product(k: _Kernel, a, b, c, d):
+    """(a/b)(c/d) for canonical pairs: the cross gcds are the only
+    cancellation left, and they leave both denominators monic."""
+    size, p = k.size, k.p
+    if not size(a):
+        return a, b
+    if not size(c):
+        return c, d
+    # a denominator is 1 more often than a numerator is a constant
+    if size(d) > 1 and size(a) > 1:
+        a, d = _cancel(k, a, d)
+    if size(b) > 1 and size(c) > 1:
+        c, b = _cancel(k, c, b)
+    return k.mul(a, c, p), (b if size(d) == 1 else d if size(b) == 1
+                            else k.mul(b, d, p))
 
-_FF_ZERO = ([], [1])
 
+# -- the index kernel: F_p(T) on index lists, as poly's _fp_* keep them ------
 
-def _ff_quo(a: list[int], g: list[int], p: int) -> list[int]:
+def _fp_quo(a: list[int], g: list[int], p: int) -> list[int]:
     """a/g for a divisor g of a.  Every division of the rule is exact by
     construction, so a remainder means the kernel itself is broken."""
     quo, rem = _fp_divmod(a, g, p)
@@ -315,71 +319,19 @@ def _ff_quo(a: list[int], g: list[int], p: int) -> list[int]:
     return quo
 
 
-def _ff_cancel(a: list[int], b: list[int], p: int):
-    """a/g and b/g for g = gcd(a, b).  The callers skip a unit on either
-    side, which has nothing to cancel, without calling."""
-    g = _fp_gcd(a, b, p)
-    if len(g) == 1:
+def _fp_monic(a: list[int], b: list[int], p: int):
+    """a/b with b scaled monic."""
+    if b[-1] == 1:
         return a, b
-    return _ff_quo(a, g, p), _ff_quo(b, g, p)
-
-
-def _ff_monic(a: list[int], b: list[int], p: int):
-    """a/b scaled so that b is monic."""
     lcinv = pow(b[-1], -1, p)
     return _fp_scale(a, lcinv, p), _fp_scale(b, lcinv, p)
 
 
-def _ff_reduced(a: list[int], b: list[int], p: int):
-    """``_reduced``: a/b for nonzero a and b, by one gcd of the whole."""
-    if len(a) > 1 and len(b) > 1:
-        a, b = _ff_cancel(a, b, p)
-    return (a, b) if b[-1] == 1 else _ff_monic(a, b, p)
-
-
-def _ff_sum(a: list[int], b: list[int], c: list[int], d: list[int], p: int):
-    """``_sum``: a/b + c/d for canonical pairs."""
-    if not a:
-        return c, d
-    if not c:
-        return a, b
-    if len(b) == 1 and len(d) == 1:  # monic, so b = d = 1
-        t = _fp_add(a, c, 1, p)
-        return (t, b) if t else _FF_ZERO
-    g = _fp_gcd(b, d, p) if len(b) > 1 and len(d) > 1 else None
-    if g is None or len(g) == 1:
-        den = d if len(b) == 1 else b if len(d) == 1 else _fp_mul(b, d, p)
-        return _fp_add(_fp_mul(a, d, p), _fp_mul(c, b, p), 1, p), den
-    b = _ff_quo(b, g, p)
-    t = _fp_add(_fp_mul(a, _ff_quo(d, g, p), p), _fp_mul(c, b, p), 1, p)
-    if not t:
-        return _FF_ZERO
-    if len(t) > 1:
-        h = _fp_gcd(t, g, p)
-        if len(h) > 1:
-            t, d = _ff_quo(t, h, p), _ff_quo(d, h, p)
-    return t, _fp_mul(b, d, p)
-
-
-def _ff_product(a: list[int], b: list[int], c: list[int], d: list[int],
-                p: int):
-    """``_product``: (a/b)(c/d) with b monic and d monic or not."""
-    if not a or not c:
-        return _FF_ZERO
-    if len(a) > 1 and len(d) > 1:
-        a, d = _ff_cancel(a, d, p)
-    if len(c) > 1 and len(b) > 1:
-        c, b = _ff_cancel(c, b, p)
-    num = _fp_mul(a, c, p)
-    den = b if d == [1] else d if len(b) == 1 else _fp_mul(b, d, p)
-    return (num, den) if den[-1] == 1 else _ff_monic(num, den, p)
-
-
-def _ff_box(field: FracField, a: list[int], b: list[int],
-            dens: tuple = ()) -> RatFun:
+def _fp_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
     """The RatFun of a canonical pair, each Poly built once.  A denominator
     1 is the field's own, and one that is the index view of a Poly in dens
-    (the operands' denominators) is that Poly."""
+    is that Poly."""
+    a, b = pair
     if not a:
         return field.zero
     fp, var = field.cring, field.var
@@ -391,6 +343,34 @@ def _ff_box(field: FracField, a: list[int], b: list[int],
     return RatFun(field, _fp_poly(fp, var, a), _fp_poly(fp, var, b))
 
 
+# -- the Poly kernel: F_{p^m}(T), F(x) and every other field ------------------
+
+def _poly_monic(a: Poly, b: Poly, p: None):
+    """a/b with b scaled monic."""
+    if b.is_monic():
+        return a, b
+    lcinv = b.leading ** -1
+    return a.mul_scalar(lcinv), b.mul_scalar(lcinv)
+
+
+def _poly_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
+    a, b = pair
+    return RatFun(field, a, b) if a.coeffs else field.zero
+
+
+_POLY_KERNEL = _Kernel(
+    None,
+    lambda a: len(a.coeffs),
+    lambda a: a,
+    lambda a, b, p: a * b,
+    lambda a, b, p: a + b,
+    lambda a, b, p: a.gcd(b),
+    lambda a, g, p: a.exact_div(g),
+    _poly_monic,
+    _poly_box,
+)
+
+
 # -- gcds in F_p(T)[x] by a primitive remainder sequence over A = F_p[T] -----
 
 def _gcd_ax(a: Poly, b: Poly) -> Poly:
@@ -400,10 +380,10 @@ def _gcd_ax(a: Poly, b: Poly) -> Poly:
     A[x]; by Gauss's lemma their gcd there, made monic over F, is the gcd
     in F[x].  Collins's primitive remainder sequence finds it (Knuth, TAOCP
     vol. 2, 4.6.1) with every A-operation a ``_fp_*`` call on index lists,
-    so the only fractions built are the coefficients of the answer: one
-    ``RatFun.make(c, lc)`` each.  The monic gcd is unique, so this equals
-    ``_gcd_generic``, which runs Euclid on ``RatFun`` coefficients and is
-    the oracle in the tests."""
+    so the only fractions built are the coefficients of the answer, each
+    c/lc by ``_reduced`` on the index kernel.  The monic gcd is unique, so
+    this equals ``_gcd_generic``, which runs Euclid on ``RatFun``
+    coefficients and is the oracle in the tests."""
     if not b.coeffs:
         return a.monic()
     if not a.coeffs:
@@ -417,7 +397,8 @@ def _gcd_ax(a: Poly, b: Poly) -> Poly:
         r = _prem(f, g, p)
         if not r:
             lc = g[-1]
-            return Poly(F, a.var, [_ff_box(F, *_ff_reduced(c, lc, p)) if c
+            k = F.kernel
+            return Poly(F, a.var, [k.box(F, _reduced(k, c, lc)) if c
                                    else F.zero for c in g[:-1]] + [F.one])
         f, g = g, _primitive(r, p)
     return Poly(F, a.var, [F.one])
@@ -464,7 +445,7 @@ def _prem(f: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
         else:
             r = [_fp_mul(c, lc, p) for c in r]
         for j in range(m):
-            r[s + j] = _fp_add(r[s + j], _fp_mul(top, g[j], p), -1, p)
+            r[s + j] = _fp_add(r[s + j], _fp_mul(top, g[j], p), p, -1)
     while r and not r[-1]:
         r.pop()
     return r

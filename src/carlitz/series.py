@@ -16,11 +16,13 @@ makes a product exactly zero):
 Coefficients are tested against zero by truth value, which for ``FqElem``
 and ``RatFun`` is one index or length check instead of a full ``==``.
 
-Over F_p(T) on an interned F_p, ``*`` and ``invert`` (so ``compose`` and
-``**``) run their convolution and recurrence on ``ratfun``'s (num, den)
-index-list pairs, one Henrici step per term, and build only the output
-coefficients.  Every other ring, F_{p^m}(T) and F(x) included, runs the
-generic loops on its elements; the tests keep those as the oracle.
+Over every fraction field, ``*`` and ``invert`` (so ``compose`` and ``**``)
+run their convolution and recurrence on the field's kernel (``ratfun``):
+each coefficient is a (num, den) pair of the kernel's values, index lists
+over F_p(T) and Polys over F_{p^m}(T) and F(x), every term is one step of
+Henrici's rule, and only the output coefficients become ``RatFun``s.  Every
+other ring (F_q series) runs the generic loops on its elements, and the
+tests keep those as the oracle for the kernel loops.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import operator
 
 from .errors import PrecisionError
 from .fq import _power
-from .poly import Poly, _fp_scale, _interned, _ints
-from .ratfun import FracField, _FF_ZERO, _ff_box, _ff_product, _ff_sum
+from .poly import Poly
+from .ratfun import FracField, _product, _sum
 
 __all__ = ["TruncSeries"]
 
@@ -40,50 +42,57 @@ def _min_prec(*precs: int | None) -> int | None:
     return min(vals) if vals else None
 
 
-# -- the F_p(T) loops: coefficients as (num, den) index-list pairs -----------
+# -- the fraction-field loops: coefficients as (num, den) kernel pairs -------
 
-def _pair_field(ring) -> int:
-    """p when ring is F_p(T) over an interned F_p, the domain of ``ratfun``'s
-    pair kernel (the condition its gcd route is chosen by); else 0."""
-    return ring.cring.p if (type(ring) is FracField
-                            and _interned(ring.cring)) else 0
-
-
-def _pair(c) -> tuple[list[int], list[int]]:
-    return _ints(c.num), _ints(c.den)
+def _on_kernel(ring) -> bool:
+    """Whether ring is a fraction field, whose series run the loops below
+    on its kernel; every other ring runs the generic loops."""
+    return isinstance(ring, FracField)
 
 
-def _pairs(coeffs) -> list[tuple[list[int], list[int]]]:
-    return [_pair(c) for c in coeffs]
+def _pairs(k, coeffs) -> list:
+    view = k.view
+    return [(view(c.num), view(c.den)) for c in coeffs]
 
 
-def _pair_convolve(a: list, b: list, width: int, p: int) -> list:
+def _pair_convolve(ring, a, b, width: int) -> list:
     """The first ``width`` coefficients of the product of a and b."""
-    out = [_FF_ZERO] * width
-    for i, (an, ad) in enumerate(a):
-        if not an:
+    k = ring.kernel
+    size = k.size
+    b = _pairs(k, b)
+    out = _pairs(k, [ring.zero]) * width
+    for i, (an, ad) in enumerate(_pairs(k, a)):
+        if not size(an):
             continue
         for j in range(min(len(b), width - i)):
             bn, bd = b[j]
-            if bn:
-                out[i + j] = _ff_sum(*out[i + j],
-                                     *_ff_product(an, ad, bn, bd, p), p)
-    return out
+            if size(bn):
+                sn, sd = out[i + j]
+                tn, td = _product(k, an, ad, bn, bd)
+                out[i + j] = _sum(k, sn, sd, tn, td)
+    box = k.box
+    return [box(ring, c) for c in out]
 
 
-def _pair_inverse(u: list, u0inv: tuple, rel: int, p: int) -> list:
+def _pair_inverse(ring, u, u0inv, rel: int) -> list:
     """The first ``rel`` coefficients of 1/u, u0inv = 1/u[0]: Henrici's
-    rule on every term of w_n = -u0inv * sum_(1 <= j <= n) u_j w_(n-j)."""
-    w = [u0inv]
+    rule on every term of w_n = (-u0inv) * sum_(1 <= j <= n) u_j w_(n-j)."""
+    k = ring.kernel
+    size = k.size
+    u = _pairs(k, u)
+    zero, (mn, md) = _pairs(k, [ring.zero, -u0inv])
+    w = _pairs(k, [u0inv])
     for n in range(1, rel):
-        sn, sd = _FF_ZERO
+        sn, sd = zero
         for j in range(1, min(n, len(u) - 1) + 1):
             un, ud = u[j]
-            if un:
-                sn, sd = _ff_sum(sn, sd, *_ff_product(un, ud, *w[n - j], p), p)
-        tn, td = _ff_product(*u0inv, sn, sd, p)
-        w.append((_fp_scale(tn, p - 1, p), td))
-    return w
+            if size(un):
+                wn, wd = w[n - j]
+                tn, td = _product(k, un, ud, wn, wd)
+                sn, sd = _sum(k, sn, sd, tn, td)
+        w.append(_product(k, mn, md, sn, sd))
+    box = k.box
+    return [box(ring, c) for c in w]
 
 
 class TruncSeries:
@@ -213,12 +222,9 @@ class TruncSeries:
                 width = min(width, len(self.coeffs) + len(other.coeffs) - 1)
         if width <= 0 or not self.coeffs or not other.coeffs:
             return TruncSeries(self.ring, self.var, 0, [], prec)
-        p = _pair_field(self.ring)
-        if p:
-            out = _pair_convolve(_pairs(self.coeffs), _pairs(other.coeffs),
-                                 width, p)
-            return TruncSeries(self.ring, self.var, lo,
-                               [_ff_box(self.ring, *c) for c in out], prec)
+        if _on_kernel(self.ring):
+            out = _pair_convolve(self.ring, self.coeffs, other.coeffs, width)
+            return TruncSeries(self.ring, self.var, lo, out, prec)
         zero = self.ring.zero
         out = [zero] * width
         for i, ai in enumerate(self.coeffs):
@@ -257,12 +263,9 @@ class TruncSeries:
                 return TruncSeries(self.ring, self.var, -v, [u0inv], None)
             raise ValueError("truncate an exact series before inverting")
         rel = self.prec - v
-        p = _pair_field(self.ring)
-        if p:
-            w = _pair_inverse(_pairs(self.coeffs), _pair(u0inv), rel, p)
-            return TruncSeries(self.ring, self.var, -v,
-                               [_ff_box(self.ring, *c) for c in w],
-                               self.prec - 2 * v)
+        if _on_kernel(self.ring):
+            w = _pair_inverse(self.ring, self.coeffs, u0inv, rel)
+            return TruncSeries(self.ring, self.var, -v, w, self.prec - 2 * v)
         u = self.coeffs
         w = [u0inv]
         zero = self.ring.zero

@@ -113,6 +113,25 @@ def test_charval_and_project_payloads():
     assert json.loads(out2)["coeffs"] == json.loads(out1)["coeffs"]
 
 
+def test_charval_repeated_generator_must_agree():
+    argv = ["charval", "--q", "2", "--pi", "T^2+T+1", "--level", "1", "--S",
+            "inf", "--T", "T", "--order", "3", "--gen", "T=1", "--gen"]
+    clash = "error: generator images are inconsistent at [T]: " \
+        "exponent 1 vs 2 mod 3\n"
+    # the same residue again with another exponent, through the same
+    # polynomial or another representative
+    for gen in ("T=2", "T^3+T^2=2"):
+        rc, out, err = run(argv + [gen])
+        assert (rc, out, err) == (2, "", clash), gen
+    # a repeat that agrees mod the order is the character of T=1 alone
+    rc, out, _ = run(argv + ["T=4"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["gens"] == [{"g": "T", "e": 1}, {"g": "T", "e": 4}]
+    _, single, _ = run(argv[:-1])
+    assert doc["values"] == json.loads(single)["values"]
+
+
 def test_okada_csv_and_json():
     rc, out, _ = run(["okada", "--q", "2", "--pi", "T^3+T+1"])
     assert rc == 0
@@ -309,7 +328,7 @@ BROKEN_INVARIANTS = {
         "F = m.base_field(fq)\n"
         "f = F.coerce(poly_parse('T^2+1', fq))\n"
         "g = F.one / F.coerce(poly_parse('T^2+2', fq))\n"
-        "m._fp_gcd = lambda a, b, p: [1, 1]  # T+1 does not divide T^2+1\n"
+        "F.kernel.gcd = lambda a, b, p: [1, 1]  # T+1 does not divide T^2+1\n"
         "f * g\n",
         "F_p(T) cancellation left a remainder"),
     "zeta stratum vanishing": (

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -20,3 +22,29 @@ def test_submodule_exports_resolve(name):
     mod = importlib.import_module(f"carlitz.{name}")
     names = getattr(mod, "__all__", [])
     assert [n for n in names if not hasattr(mod, n)] == []
+
+
+def fp_kernel_names(tree):
+    """The F_p kernel's private names that a module's code refers to: its
+    ``_fp_*`` functions, the index views (``_ints``, ``_ix``) and the test
+    for its domain (``_interned``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name.startswith("_fp_") or name in ("_ints", "_ix", "_interned"):
+            yield name
+
+
+def test_only_poly_and_ratfun_see_the_fp_kernel():
+    # the index-list format stays behind poly's kernel and ratfun's index
+    # kernel of Henrici's rule; every other module goes through those
+    src = pathlib.Path(carlitz.__file__).parent
+    users = {path.name for path in src.glob("*.py")
+             if any(fp_kernel_names(ast.parse(path.read_text())))}
+    assert users == {"poly.py", "ratfun.py"}

@@ -5,14 +5,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import ratfun
 from carlitz.coleman import x_field
 from carlitz.cyclo import CycloField
 from carlitz.errors import InvariantError
 from carlitz.fq import Fq, FqElem
-from carlitz.poly import Poly, _gcd_generic, _ints, poly_parse
+from carlitz.poly import (
+    Poly, _fp_gcd, _fp_mul, _gcd_generic, _ints, poly_parse,
+)
 from carlitz.ratfun import (
-    FracField, RatFun, _gcd_ax, _product, _reduced, _sum, base_field,
+    _POLY_KERNEL, FracField, RatFun, _gcd_ax, _product, _reduced, _sum,
+    base_field,
 )
 
 QS = (2, 3, 4, 9)
@@ -123,7 +125,7 @@ def test_eval_with_a_unit_denominator_skips_the_inverse():
     assert g.eval(field.omega, field) == n * d ** -1
 
 
-# -- Henrici's rule against the one-gcd oracle RatFun.make --------------------
+# -- Henrici's rule against one gcd of the textbook pair ---------------------
 
 def textbook(op, f, g):
     """The unreduced numerator and denominator of f op g."""
@@ -137,6 +139,17 @@ def textbook(op, f, g):
     return a * d, b * c
 
 
+def reduced_by_hand(F, num, den):
+    """num/den in canonical form by a route apart from the rule: Euclid on
+    the coefficients, exact division and a monic denominator."""
+    if num.is_zero():
+        return F.zero
+    g = _gcd_generic(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    lcinv = den.leading ** -1
+    return RatFun(F, num.mul_scalar(lcinv), den.mul_scalar(lcinv))
+
+
 def assert_canonical(r):
     assert r.den.is_monic()
     assert r.num.gcd(r.den).is_one()
@@ -148,6 +161,7 @@ def check_against_oracle(f, g):
         if op is operator.truediv and g.is_zero():
             continue
         got = op(f, g)
+        assert got == reduced_by_hand(F, *textbook(op, f, g)), op
         assert got == RatFun.make(F, *textbook(op, f, g)), op
         assert_canonical(got)
 
@@ -233,7 +247,7 @@ def test_henrici_edge_cases(monkeypatch):
         raise AssertionError("+, -, * and / must not call RatFun.make")
 
     f, g = r("T+1", "T^2"), r("2*T", "T+2")
-    want = {op: RatFun.make(F, *textbook(op, f, g))
+    want = {op: reduced_by_hand(F, *textbook(op, f, g))
             for op in (operator.add, operator.sub, operator.mul,
                        operator.truediv)}
     monkeypatch.setattr(RatFun, "make", staticmethod(boom))
@@ -374,9 +388,21 @@ def test_nested_field_arithmetic_matches_the_generic_gcd(pair):
         assert (str(x), x.num, x.den) == (str(y), y.num, y.den)
 
 
-# -- the F_p(T) pair kernel against Henrici's rule on Polys ------------------
+# -- the F_p(T) index kernel against the Poly kernel, through the one rule ---
 
 KERNEL_PRIMES = (2, 3, 5, 7)
+
+
+def on_polys(F, rule, *polys):
+    """The RatFun that ``rule`` gives on the Poly kernel for Poly operands."""
+    k = _POLY_KERNEL
+    return k.box(F, rule(k, *polys))
+
+
+def quotient_on_polys(x, y):
+    """x/y as (x.num/x.den)(y.den/y.num) on the Poly kernel."""
+    pair = _POLY_KERNEL.monic(y.den, y.num, None)
+    return on_polys(x.field, _product, x.num, x.den, *pair)
 
 
 def same(x, y):
@@ -408,14 +434,14 @@ def kernel_cases(draw):
 def test_pair_kernel_matches_the_poly_rule(case):
     F, (f, g), (num, den) = case
     a, b, c, d = f.num, f.den, g.num, g.den
-    same(f + g, _sum(F, a, b, c, d))
-    same(f - g, _sum(F, a, b, -c, d))
-    same(f * g, _product(F, a, b, c, d))
+    same(f + g, on_polys(F, _sum, a, b, c, d))
+    same(f - g, on_polys(F, _sum, a, b, -c, d))
+    same(f * g, on_polys(F, _product, a, b, c, d))
     if not g.is_zero():
-        same(f / g, _product(F, a, b, d, c))
+        same(f / g, quotient_on_polys(f, g))
         same(f / g, RatFun.make(F, a * d, b * c))
     if not num.is_zero():
-        same(RatFun.make(F, num, den), _reduced(F, num, den))
+        same(RatFun.make(F, num, den), on_polys(F, _reduced, num, den))
 
 
 def test_pair_kernel_edge_cases():
@@ -423,15 +449,15 @@ def test_pair_kernel_edge_cases():
     F = base_field(fq)
 
     def r(num, den="1"):
-        return _reduced(F, poly_parse(num, fq), poly_parse(den, fq))
+        return on_polys(F, _reduced, poly_parse(num, fq), poly_parse(den, fq))
 
     f, g = r("3*T^2+2", "T+4"), r("2*T+3", "T^2+1")
     for x, y in ((f, F.zero), (F.zero, f), (F.zero, F.zero), (f, r("3")),
                  (r("2"), r("4")), (f, f), (f, -f), (g, f), (f, g)):
         for op in (operator.add, operator.sub, operator.mul):
-            assert op(x, y) == RatFun.make(F, *textbook(op, x, y))
+            assert op(x, y) == reduced_by_hand(F, *textbook(op, x, y))
         if not y.is_zero():
-            same(x / y, _product(F, x.num, x.den, y.den, y.num))
+            same(x / y, quotient_on_polys(x, y))
     # division by a non-monic constant and by a non-monic polynomial
     same(f / r("3"), r("T^2+4", "T+4"))
     same(F.one / r("2*T+4"), r("3", "T+2"))
@@ -448,25 +474,15 @@ def test_pair_kernel_edge_cases():
         RatFun.make(F, poly_parse("T", fq), Poly(fq, "T", []))
 
 
-def test_pair_kernel_route_is_chosen_by_the_coefficient_field(monkeypatch):
-    # F_p(T) runs on pairs; F_4(T) and F(x) run the Poly rule, whose F(x)
-    # coefficients are F_p(T) values and so take the pairs in turn
-    seen = []
-    for name in ("_sum", "_product", "_reduced"):
-        def spy(F, *args, real=getattr(ratfun, name)):
-            seen.append(F)
-            return real(F, *args)
-        monkeypatch.setattr(ratfun, name, spy)
-    fp = Fq.get(3)
-    for F in (base_field(fp), base_field(Fq.get(4)), x_field(fp)):
-        t = F.gen()
-        x, y = t / (t + F.one), F.one / (t * t + t + F.one)
-        for op in (operator.add, operator.sub, operator.mul,
-                   operator.truediv,
-                   lambda u, v: RatFun.make(F, u.num * v.den, u.den)):
-            seen.clear()
-            op(x, y)
-            assert (F in seen) == (F != base_field(fp)), (F, op)
+def test_pair_kernel_route_is_chosen_by_the_coefficient_field():
+    # F_p(T) holds the _fp_* functions themselves; F_{p^m}(T), F over the
+    # uninterned F_257 and F(x) share the Poly kernel
+    for q in (2, 3, 5, 7, 251):
+        k = base_field(Fq.get(q)).kernel
+        assert (k.p, k.view, k.mul, k.gcd) == (q, _ints, _fp_mul, _fp_gcd)
+    for F in (base_field(Fq.get(4)), base_field(Fq.get(257)),
+              x_field(Fq.get(3))):
+        assert F.kernel is _POLY_KERNEL
 
 
 def test_a_broken_cancellation_is_an_invariant_error(monkeypatch):
@@ -476,7 +492,7 @@ def test_a_broken_cancellation_is_an_invariant_error(monkeypatch):
     F = base_field(fq)
     f = F.coerce(poly_parse("T^2+1", fq))
     g = F.one / F.coerce(poly_parse("T^2+2", fq))
-    monkeypatch.setattr(ratfun, "_fp_gcd", lambda a, b, p: [1, 1])
+    monkeypatch.setattr(F.kernel, "gcd", lambda a, b, p: [1, 1])
     with pytest.raises(InvariantError,
                        match="F_p.T. cancellation left a remainder"):
         f * g

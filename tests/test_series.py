@@ -9,7 +9,7 @@ from carlitz.coleman import x_field
 from carlitz.errors import PrecisionError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
-from carlitz.ratfun import RatFun, base_field
+from carlitz.ratfun import FracField, RatFun, base_field
 from carlitz.series import TruncSeries
 
 
@@ -215,22 +215,38 @@ def test_compose_knows_exactly_its_declared_precision(pair):
     assert agrees_below(got, 0, exact, top)
 
 
-# -- F_p(T) coefficients: the pair loops against the generic ones ------------
+# -- fraction fields: the kernel loops against the generic ones --------------
+
+KERNEL_FIELDS = [base_field(Fq.get(q)) for q in (2, 3, 5, 7, 4, 9)] + [
+    x_field(Fq.get(3))]
+
 
 def generic_loops():
     """Run every series product and inverse on RatFun coefficients."""
-    return mock.patch.object(series_module, "_pair_field", lambda ring: 0)
+    return mock.patch.object(series_module, "_on_kernel", lambda ring: False)
+
+
+def small_elements(ring, terms=3):
+    """F_q digits, or fractions of polynomials with up to ``terms`` small
+    coefficients over a fraction field (zero now and then); over F(x) the
+    coefficients of those are fractions with up to two terms, and so are
+    the x-polynomials, since nested fractions grow fast under ``compose``."""
+    if isinstance(ring, Fq):
+        return st.integers(0, ring.q - 1).map(ring.from_index)
+    if isinstance(ring.cring, FracField):
+        terms = 2
+    small = st.lists(small_elements(ring.cring, 2), min_size=1,
+                     max_size=terms).map(
+        lambda cs: Poly(ring.cring, ring.var, cs))
+    return st.tuples(small, small.filter(lambda p: p.coeffs)).map(
+        lambda nd: RatFun.make(ring, *nd))
 
 
 @st.composite
-def fpt_series(draw, fq, orders=(-3, 4), unit=False, exact=True):
-    """A series over F = F_p(T) as ``series`` draws one, its coefficients
-    small fractions with shared factors, zero now and then."""
-    F = base_field(fq)
-    small = st.lists(st.integers(0, fq.q - 1), min_size=1, max_size=3).map(
-        lambda ix: Poly(fq, "T", [fq.from_index(i) for i in ix]))
-    coeff = st.tuples(small, small.filter(lambda p: p.coeffs)).map(
-        lambda nd: RatFun.make(F, *nd))
+def fraction_series(draw, F, orders=(-3, 4), unit=False, exact=True):
+    """A series over the fraction field F as ``series`` draws one, its
+    coefficients small fractions with shared factors."""
+    coeff = small_elements(F)
     order = draw(st.integers(*orders))
     coeffs = draw(st.lists(coeff, max_size=6))
     if unit:
@@ -241,9 +257,9 @@ def fpt_series(draw, fq, orders=(-3, 4), unit=False, exact=True):
     return TruncSeries(F, "z", order, coeffs, prec)
 
 
-def over_one_fpt(*specs):
-    return st.sampled_from((2, 3, 5, 7)).map(Fq.get).flatmap(
-        lambda fq: st.tuples(*(fpt_series(fq, **spec) for spec in specs)))
+def over_one_fraction_field(*specs):
+    return st.sampled_from(KERNEL_FIELDS).flatmap(
+        lambda F: st.tuples(*(fraction_series(F, **spec) for spec in specs)))
 
 
 def same_series(got, want):
@@ -255,7 +271,7 @@ def same_series(got, want):
 
 
 @settings(max_examples=100, deadline=None)
-@given(over_one_fpt({}, {}))
+@given(over_one_fraction_field({}, {}))
 def test_pair_mul_matches_the_generic_loop(pair):
     f, g = pair
     got = f * g
@@ -265,7 +281,7 @@ def test_pair_mul_matches_the_generic_loop(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(over_one_fpt({"unit": True, "exact": False}))
+@given(over_one_fraction_field({"unit": True, "exact": False}))
 def test_pair_inverse_matches_the_generic_loop(single):
     (f,) = single
     got = f.invert()
@@ -275,7 +291,8 @@ def test_pair_inverse_matches_the_generic_loop(single):
 
 
 @settings(max_examples=60, deadline=None)
-@given(over_one_fpt({"orders": (-2, 3)}, {"orders": (1, 3), "unit": True}))
+@given(over_one_fraction_field({"orders": (-2, 3)},
+                               {"orders": (1, 3), "unit": True}))
 def test_pair_compose_matches_the_generic_loop(pair):
     f, g = pair
     if f.order < 0 and g.prec is None:
@@ -287,7 +304,7 @@ def test_pair_compose_matches_the_generic_loop(pair):
 
 
 def test_pair_loops_route(monkeypatch):
-    # only F_p(T) takes the pairs; F_4(T), F(x) and F_p keep the generic loops
+    # every fraction field takes the kernel loops; F_3 keeps the generic ones
     calls = []
     for name in ("_pair_convolve", "_pair_inverse"):
         def spy(*args, real=getattr(series_module, name)):
@@ -295,9 +312,7 @@ def test_pair_loops_route(monkeypatch):
             return real(*args)
         monkeypatch.setattr(series_module, name, spy)
     f3 = Fq.get(3)
-    for ring, paired in ((base_field(f3), True),
-                         (base_field(Fq.get(4)), False),
-                         (x_field(f3), False), (f3, False)):
+    for ring, paired in [(F, True) for F in KERNEL_FIELDS] + [(f3, False)]:
         calls.clear()
         s = TruncSeries(ring, "z", 0, [ring.one, ring.one, ring.one], 5)
         s * s
