@@ -45,12 +45,6 @@ def _fq(args) -> Fq:
     return Fq.get(args.q)
 
 
-def _parse_pi(args, fq: Fq) -> Poly:
-    if args.pi is None:
-        raise _UsageError("--pi is required for this subcommand")
-    return poly_parse(args.pi, fq)
-
-
 def _coeff_json(c):
     if c.field.m == 1:
         return c.prime_value()
@@ -94,7 +88,7 @@ def _cmd_phi(args):
 
 def _cmd_torsion(args):
     fq = _fq(args)
-    pi = _parse_pi(args, fq)
+    pi = poly_parse(args.pi, fq)
     p = torsion_poly(pi, args.n)
     doc = {
         "q": fq.q,
@@ -108,7 +102,7 @@ def _cmd_torsion(args):
 
 def _cmd_minpoly(args):
     fq = _fq(args)
-    pi = _parse_pi(args, fq)
+    pi = poly_parse(args.pi, fq)
     m = omega_minpoly(pi, args.n)
     doc = {
         "q": fq.q,
@@ -177,7 +171,7 @@ def _cmd_zetapos(args):
 
 def _cmd_zetavadic(args):
     fq = _fq(args)
-    pi = _parse_pi(args, fq)
+    pi = poly_parse(args.pi, fq)
     v = zeta_v_adic_neg(args.k, pi)
     return {"q": fq.q, "pi": poly_to_str(pi), "k": args.k,
             "value": poly_to_str(v)}, 0
@@ -192,7 +186,7 @@ def _split_places(args, fq: Fq):
 
 
 def _theta_from_args(args, fq: Fq):
-    pi = _parse_pi(args, fq)
+    pi = poly_parse(args.pi, fq)
     s_extra, t_aux = _split_places(args, fq)
     return stickelberger_series(pi, args.level, s_extra, t_aux,
                                 udeg=args.udeg)
@@ -261,7 +255,7 @@ def _cmd_cwverify(args):
 
 def _cmd_okada(args):
     fq = _fq(args)
-    pi = _parse_pi(args, fq)
+    pi = poly_parse(args.pi, fq)
     rep = okada_report(pi)
     if args.format == "csv":
         rows = sorted([(k, "irregular") for k in rep.irregular]

@@ -12,9 +12,9 @@ by every enumeration in the package.
 A field with q <= _TABLE_LIMIT, prime or not, interns its q elements: every
 element it hands out (arithmetic results, ``zero``, ``one``, ``from_int``,
 ``from_index``, ``elements``) is an entry of ``_elems``, and ``+``, ``-``,
-``*`` and inversion are lookups in tables of those entries, each filled on
-first use by the coordinate loops below (the product table through the
-powers of one generator of F_q^*).  A larger field (``Fq(q)`` returns a
+``*`` and inversion are lookups in tables of those entries, built with the
+field by the coordinate loops below (the product table through the powers
+of one generator of F_q^*).  A larger field (``Fq(q)`` returns a
 ``_CoordFq`` there) builds each result by those loops, and inverts by
 a^(q-2).  ``FqElem``s built directly still compare equal by index.
 """
@@ -171,22 +171,6 @@ class FqElem:
         return f"Fq{self.field.q}[{','.join(map(str, self.coords))}]"
 
 
-class _Table:
-    """Stands in for one of a field's tables until its first lookup, which
-    builds the table and puts it in the stand-in's place."""
-
-    __slots__ = ("field", "name", "table")
-
-    def __init__(self, field: "Fq", name: str) -> None:
-        self.field, self.name, self.table = field, name, None
-
-    def __getitem__(self, k):
-        if self.table is None:
-            self.table = getattr(self.field, "_make" + self.name)()
-            setattr(self.field, self.name, self.table)
-        return self.table[k]
-
-
 class Fq:
     """The field F_q.  Use :meth:`Fq.get` so equal q share one instance."""
 
@@ -204,10 +188,13 @@ class Fq:
         self.modulus = _canonical_modulus(p, m)
         if q <= _TABLE_LIMIT:
             self._elems = [FqElem(self, i) for i in range(q)]
-            for name in ("_add", "_neg", "_mul", "_inv"):
-                setattr(self, name, _Table(self, name))
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
+        if q <= _TABLE_LIMIT:  # _make_inv's powers need one and _mul
+            self._add = self._make_add()
+            self._neg = self._make_neg()
+            self._mul = self._make_mul()
+            self._inv = self._make_inv()
 
     @staticmethod
     @functools.cache
@@ -252,10 +239,8 @@ class Fq:
         return [self.from_index(i) for i in range(self.q)]
 
     # -- arithmetic: one lookup each ---------------------------------------
-    # Each table starts as a _Table stand-in whose first lookup fills it by
-    # the method named _make<table> and puts the list in its place, so from
-    # then on the hot path indexes a plain instance attribute and checks
-    # nothing.  The binary tables hold a op b at a.i * q + b.i.
+    # Each table is a plain list built by _make<table> in __init__; the
+    # binary tables hold a op b at a.i * q + b.i.
 
     def _make_add(self) -> list[FqElem]:
         q, elems = self.q, self._elems

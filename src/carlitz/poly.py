@@ -17,16 +17,16 @@ table (see ``fq``).  Over such a prime field F_p, ``+``, ``-``, negation,
 ``*``, ``divmod``, ``gcd`` and ``mul_scalar`` (so ``monic``) are each one
 call into the ``_fp_*`` kernel on plain lists of coefficient indices, and
 no ``FqElem`` is built.  Every F_p ``Poly`` carries its index view
-(``_ix``): the kernel fills it for each result, and ``_ints`` reads it off
-the coefficients once for a polynomial built any other way (parsed, or
-from fresh ``FqElem``s).  A view is shared from then on and never written
-to.  A kernel result is built once (``_fp_poly``), straight from the
-interned elements and without the strip loop of ``Poly.__init__``: every
-kernel output is already stripped, since over a field a product's top
-coefficient is lc * lc != 0 and a quotient's lc(a)/lc(b), and sums,
-remainders and gcds are stripped explicitly; ``tests/test_poly_kernel.py``
-pins that.  On every parent, adding or subtracting the zero polynomial
-returns the left operand itself.  Multiplication is schoolbook while the product of the operand
+(``_ix``) from construction: ``Poly.__init__`` strips on the indices and
+takes its coefficients from the interned elements.  A view is shared and
+never written to: every kernel function copies an input before it changes
+anything.  A kernel result is built once (``_fp_poly``), straight from the
+interned elements and with no strip: every kernel output is already
+stripped, since over a field a product's top coefficient is lc * lc != 0
+and a quotient's lc(a)/lc(b), and sums, remainders and gcds are stripped
+explicitly; ``tests/test_poly_kernel.py`` pins that.  On every parent,
+adding or subtracting the zero polynomial returns the left operand itself.
+Multiplication is schoolbook while the product of the operand
 lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
 the integer product, multiplied once and unpacked mod p (Harvey, "Faster
@@ -113,17 +113,23 @@ ZZ = IntRing()
 
 
 class Poly:
-    # _ix: over an interned prime field, the index view of coeffs once read
-    # (see _ints); None until then and on every other parent
+    # _ix: over an interned prime field, the index view of coeffs, which
+    # are the field's own elements; None on every other parent
     __slots__ = ("ring", "var", "coeffs", "_ix")
 
     def __init__(self, ring, var: str, coeffs) -> None:
+        self.ring = ring
+        self.var = var
+        if _interned(ring):
+            ix = _fp_strip([c.i for c in coeffs])
+            elems = ring._elems
+            self.coeffs = tuple([elems[i] for i in ix])
+            self._ix = ix
+            return
         zero = ring.zero
         cs = list(coeffs)
         while cs and cs[-1] == zero:
             cs.pop()
-        self.ring = ring
-        self.var = var
         self.coeffs = tuple(cs)
         self._ix = None
 
@@ -185,7 +191,7 @@ class Poly:
             return self
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_add(_ints(self), _ints(other), ring.p))
+                            _fp_add(self._ix, other._ix, ring.p))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -204,7 +210,7 @@ class Poly:
             return self
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_add(_ints(self), _ints(other), ring.p, -1))
+                            _fp_add(self._ix, other._ix, ring.p, -1))
         a, b = self.coeffs, other.coeffs
         out = [x - y for x, y in zip(a, b)]
         out += a[len(b):] or [-y for y in b[len(a):]]
@@ -214,7 +220,7 @@ class Poly:
         ring = self.ring
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_scale(_ints(self), ring.p - 1, ring.p))
+                            _fp_scale(self._ix, ring.p - 1, ring.p))
         return Poly(ring, self.var, [-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -223,7 +229,7 @@ class Poly:
             self._check(other)
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_mul(_ints(self), _ints(other), ring.p))
+                            _fp_mul(self._ix, other._ix, ring.p))
         if type(ring) is PolyRing and _interned(ring.cring):
             return _mul_packed(self, other)
         return _mul_generic(self, other)
@@ -233,7 +239,7 @@ class Poly:
         c = ring.coerce(c)
         if _interned(ring):
             return _fp_poly(ring, self.var,
-                            _fp_scale(_ints(self), c.i, ring.p))
+                            _fp_scale(self._ix, c.i, ring.p))
         if c == ring.zero:
             return Poly(ring, self.var, [])
         return Poly(ring, self.var, [a * c for a in self.coeffs])
@@ -260,7 +266,7 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if not _interned(ring):
             return _divmod_generic(self, other)
-        quo, rem = _fp_divmod(_ints(self), _ints(other), ring.p)
+        quo, rem = _fp_divmod(self._ix, other._ix, ring.p)
         return _fp_poly(ring, self.var, quo), _fp_poly(ring, self.var, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -288,7 +294,7 @@ class Poly:
             route = getattr(ring, "poly_gcd", None) or _gcd_generic
             return route(self, other)
         return _fp_poly(ring, self.var,
-                        _fp_gcd(_ints(self), _ints(other), ring.p))
+                        _fp_gcd(self._ix, other._ix, ring.p))
 
     def egcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
         """(g, u, v) with u*self + v*other = g, g monic; (0, 1, 0) when both
@@ -364,8 +370,9 @@ class Poly:
     def __hash__(self) -> int:
         # over an interned F_p the index view: one C-level hash per
         # coefficient instead of a Python-level FqElem.__hash__
-        if _interned(self.ring):
-            return hash((self.var, tuple(_ints(self))))
+        ix = self._ix
+        if ix is not None:
+            return hash((self.var, tuple(ix)))
         return hash((self.var, self.coeffs))
 
     def __str__(self) -> str:
@@ -469,16 +476,6 @@ def _interned(ring) -> bool:
     return type(ring) is Fq and ring.m == 1
 
 
-def _ints(a: Poly) -> list[int]:
-    """a's index view, read from its coefficients on the first call.  The
-    list is shared from then on, so nothing may write to it: every kernel
-    function copies an input before it changes anything."""
-    ix = a._ix
-    if ix is None:
-        ix = a._ix = [c.i for c in a.coeffs]
-    return ix
-
-
 def _fp_poly(ring: Fq, var: str, ints: list[int]) -> Poly:
     """The Poly over ring with the coefficient indices ints, which must be
     reduced and stripped, as every kernel output is; ints becomes its index
@@ -573,8 +570,8 @@ def _mul_packed(a: Poly, b: Poly) -> Poly:
     if not a.coeffs or not b.coeffs:
         return Poly(a.ring, a.var, [])
     cring, tvar = a.ring.cring, a.ring.var
-    ia = [_ints(c) for c in a.coeffs]
-    ib = [_ints(c) for c in b.coeffs]
+    ia = [c._ix for c in a.coeffs]
+    ib = [c._ix for c in b.coeffs]
     D = max(map(len, ia)) + max(map(len, ib)) - 1
     # every digit is below p < 256, so one bytes object holds the product
     # and rstrip drops each block's zero padding in C
@@ -783,7 +780,7 @@ def poly_to_str(poly: Poly) -> str:
     an interned F_p the terms are written straight from the index view."""
     if not _interned(poly.ring):
         return _poly_text(poly, lambda c: str(_coeff_int(c)))
-    ix = _ints(poly)
+    ix = poly._ix
     if not ix:
         return "0"
     var = poly.var

@@ -50,7 +50,7 @@ from .errors import InvariantError
 from .fq import _power
 from .poly import (
     Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
-    _interned, _ints,
+    _interned,
 )
 
 __all__ = ["FracField", "RatFun", "base_field"]
@@ -70,8 +70,9 @@ class FracField:
         # kernel Henrici's rule runs on for its elements
         if _interned(cring):
             self.poly_gcd = _gcd_ax
-            self.kernel = _Kernel(cring.p, len, _ints, _fp_mul, _fp_add,
-                                  _fp_gcd, _fp_quo, _fp_monic, _fp_box)
+            self.kernel = _Kernel(cring.p, len, operator.attrgetter("_ix"),
+                                  _fp_mul, _fp_add, _fp_gcd, _fp_quo,
+                                  _fp_monic, _fp_box)
         else:
             self.poly_gcd = None
             self.kernel = _POLY_KERNEL
@@ -408,13 +409,13 @@ def _cleared(a: Poly, p: int) -> list[list[int]]:
     """The A-coefficients of d a, d the monic lcm of a's denominators."""
     d = [1]
     for c in a.coeffs:
-        den = _ints(c.den)
+        den = c.den._ix
         if len(den) > 1:  # monic, so a constant denominator is 1
             d = den if len(d) == 1 else _fp_mul(
                 d, _fp_divmod(den, _fp_gcd(d, den, p), p)[0], p)
     if len(d) == 1:
-        return [_ints(c.num) for c in a.coeffs]
-    return [_fp_mul(_ints(c.num), _fp_divmod(d, _ints(c.den), p)[0], p)
+        return [c.num._ix for c in a.coeffs]
+    return [_fp_mul(c.num._ix, _fp_divmod(d, c.den._ix, p)[0], p)
             for c in a.coeffs]
 
 

@@ -313,11 +313,14 @@ class TruncSeries:
         cap = None if self.prec is None else v * self.prec
         if self.order < 0:
             j = -self.order
-            pos = TruncSeries(self.ring, self.var, 0, self.coeffs,
-                              None if self.prec is None else self.prec + j)
             if inner.prec is None:
                 raise ValueError("truncate the inner series before composing "
                                  "with a Laurent outer series")
+            if not self.coeffs:
+                # O(z^-j): the product below is a zero known through v * -j
+                return TruncSeries.zero(self.ring, self.var, cap)
+            pos = TruncSeries(self.ring, self.var, 0, self.coeffs,
+                              None if self.prec is None else self.prec + j)
             res = pos.compose(inner) * inner.invert() ** j
         else:
             acc = TruncSeries(self.ring, self.var, 0, [], None)

@@ -10,7 +10,7 @@ from carlitz.cyclo import CycloField
 from carlitz.errors import InvariantError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
-    Poly, _fp_gcd, _fp_mul, _gcd_generic, _ints, poly_parse,
+    Poly, _fp_gcd, _fp_mul, _gcd_generic, poly_parse,
 )
 from carlitz.ratfun import (
     _POLY_KERNEL, FracField, RatFun, _gcd_ax, _product, _reduced, _sum,
@@ -410,7 +410,7 @@ def same(x, y):
     the coefficients, and the field's own denominator 1."""
     assert (x.num, x.den) == (y.num, y.den)
     for part in (x.num, x.den):
-        assert _ints(part) == [c.i for c in part.coeffs]
+        assert part._ix == [c.i for c in part.coeffs]
     if x.den.is_one():
         assert x.den is x.field.one.den
 
@@ -475,11 +475,15 @@ def test_pair_kernel_edge_cases():
 
 
 def test_pair_kernel_route_is_chosen_by_the_coefficient_field():
-    # F_p(T) holds the _fp_* functions themselves; F_{p^m}(T), F over the
-    # uninterned F_257 and F(x) share the Poly kernel
+    # F_p(T) holds the _fp_* functions themselves and reads each Poly's
+    # index view; F_{p^m}(T), F over the uninterned F_257 and F(x) share the
+    # Poly kernel
     for q in (2, 3, 5, 7, 251):
-        k = base_field(Fq.get(q)).kernel
-        assert (k.p, k.view, k.mul, k.gcd) == (q, _ints, _fp_mul, _fp_gcd)
+        F = base_field(Fq.get(q))
+        k = F.kernel
+        assert (k.p, k.mul, k.gcd) == (q, _fp_mul, _fp_gcd)
+        a = F.gen().num
+        assert k.view(a) is a._ix
     for F in (base_field(Fq.get(4)), base_field(Fq.get(257)),
               x_field(Fq.get(3))):
         assert F.kernel is _POLY_KERNEL

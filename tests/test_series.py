@@ -108,6 +108,38 @@ def test_laurent_compose_inverts_through_negative_powers():
     assert got.agrees_with(direct, upto=min(got.prec, direct.prec))
 
 
+def test_laurent_compose_of_a_zero_skips_the_inverse(monkeypatch):
+    # O(z^-j)(g) is the zero known through ord(g) * -j: what the slow route
+    # f(g) = (z^j f)(g) * g^-j gives by the product rule, with no inverse
+    f3 = Fq.get(3)
+    g = TruncSeries(f3, "z", 2, [f3.one, f3.zero, f3.from_int(2)], 8)
+    slow = {j: (TruncSeries.zero(f3, "z", 0).compose(g) * g.invert() ** j)
+            .truncate(-2 * j) for j in (1, 2, 3)}
+    calls = []
+
+    def invert(self, real=TruncSeries.invert):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TruncSeries, "invert", invert)
+    for j, want in slow.items():
+        got = TruncSeries.zero(f3, "z", -j).compose(g)
+        assert (got.order, got.coeffs, got.prec) == \
+            (want.order, want.coeffs, want.prec) == (-2 * j, (), -2 * j)
+    # over F_3(T)(x): a 4-term inner series of order 2 and precision 8
+    F = x_field(f3)
+    x = F.gen()
+    t = F.coerce(Poly.const(F.cring, "x", F.cring.gen()))
+    h = TruncSeries(F, "z", 2, [x, t + F.one, x / (x + t), t * x], 8)
+    got = TruncSeries.zero(F, "z", -2).compose(h)
+    assert got == TruncSeries.zero(F, "z", -4)
+    assert calls == []
+    # an exact inner series is refused first, as before
+    with pytest.raises(ValueError, match="truncate the inner series"):
+        TruncSeries.zero(f3, "z", -1).compose(TruncSeries.monomial(
+            f3, "z", f3.one, 1))
+
+
 def test_derivative_and_shift():
     f5 = Fq.get(5)
     s = TruncSeries(f5, "z", -2, [f5.from_int(3), f5.zero, f5.from_int(1)], 4)

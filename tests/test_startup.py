@@ -4,8 +4,8 @@ Every `python -m carlitz` run pays for the modules `carlitz.cli` imports,
 and a stdlib module without cached bytecode is compiled from source on
 each run.  `dataclasses` alone pulls in inspect, ast, dis and tokenize;
 `typing` is larger still, and `random` loads `_sha512` and `bisect`.
-Nor may the import build a field (a field's tables are filled on first use)
-or fill the torsion-norm cache.
+Nor may the import build a field (a field's tables are built with the
+field) or fill the torsion-norm cache.
 Run under `python -S` so that no `site` hook preloads modules and hides
 what the package itself imports.
 """
