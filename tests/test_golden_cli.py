@@ -65,6 +65,17 @@ INVOCATIONS = [
     ["colemancheck", "--q", "4", "--pi", "T", "--trials", "2"],
     ["colemancheck", "--q", "2", "--pi", "T^3+T+1", "--trials", "2"],
     ["colemancheck", "--q", "3", "--pi", "T^2+1", "--trials", "2"],
+    # deep runs: the norms at Q = q >= 27, the high-degree Henrici
+    # inversion and the F_{p^m}[T] loops
+    ["colemancheck", "--q", "27", "--pi", "T"],
+    ["colemancheck", "--q", "31", "--pi", "T"],
+    ["colemancheck", "--q", "32", "--pi", "T"],
+    ["colemancheck", "--q", "64", "--pi", "T"],
+    ["bc", "--q", "2", "--n", "96"],
+    ["cwverify", "--q", "3", "--a", "T", "--b", "1", "--kmax", "96"],
+    ["cwverify", "--q", "4", "--a", "T", "--b", "1", "--kmax", "96"],
+    ["bc", "--q", "9", "--n", "60"],
+    ["exp", "--q", "8", "--prec", "200"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "1", "--kmax", "8"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "T+1", "--kmax", "12"],
     ["cwverify", "--q", "3", "--a", "T", "--b", "T+1", "--kmax", "8"],
@@ -121,10 +132,21 @@ def test_golden_cli(tmp_path):
 
 
 def regenerate() -> None:
+    """Rewrite the pins; name on stderr each argv whose pin is new or
+    changed, so that a diff adding pins shows that no old pin moved."""
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            old = {json.dumps(p["argv"]): p for p in json.load(fh)}
     with tempfile.TemporaryDirectory() as tmpdir:
         pins = [run_one(argv, tmpdir) for argv in INVOCATIONS]
     with open(GOLDEN, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(p) for p in pins) + "\n]\n")
+    for pin in pins:
+        was = old.get(json.dumps(pin["argv"]))
+        if was != pin:
+            print(f"{'changed' if was else 'added'}: "
+                  f"{' '.join(pin['argv'])}", file=sys.stderr)
     print(f"wrote {len(pins)} pins to {GOLDEN}", file=sys.stderr)
 
 
