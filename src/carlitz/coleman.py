@@ -12,14 +12,15 @@ the torsion u, and the norm of P(y) from K[x][y]/(phi_pi(y) - x) down to
 K[x] -- the determinant of multiplication by P(y) -- is h(x) with
 h(phi_pi(x)) = prod_u P(x + u).  One norm gives N P already written in
 phi_pi(x): no Taylor shift P(x + y) and no decomposition of a product.
-That norm is the resultant Res_y(phi_pi(y) - x, P), taken from the smaller
-side: for deg P <= q^deg pi with a leading coefficient in F_q^* it is a
-deg P x deg P determinant over A, otherwise the q^deg pi x q^deg pi one.
+That norm is the resultant Res_y(phi_pi(y) - x, P): P is reduced mod
+phi_pi(y) - x to degree k < q^deg pi, and the symmetry of the resultant
+makes it one k x k characteristic polynomial.
 
 The coefficient ring K is A = F_q[T]: a polynomial in x over F is first
 scaled by the lcm d of its coefficient denominators, phi_pi is monic with A
 coefficients, so the norm matrix and its determinant need no division, and
-F is touched once at the end, dividing by d^(q^deg pi).
+F is touched once at the end, dividing by d^(q^deg pi) and, when the
+reduced P's leading coefficient c depends on x, by a power of c in F[x].
 
 That norm is ``cyclo._norm_poly`` along phi_a for any monic a: the tower
 norm N_{F_n/F_m} is the same construction along phi_{pi^(n-m)}, read at

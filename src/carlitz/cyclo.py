@@ -14,21 +14,20 @@ pi^(n-m)-torsion, so N_{F_n/F_m}(r(omega_n)) = h(omega_m) with
 h(phi_{pi^(n-m)}(x)) = prod_u r(x + u): one norm in A[x][y]/(phi_a(y) - x)
 with a = pi^(n-m), the same one the Coleman norm takes with a = pi.  That
 norm is the resultant Res_y(phi_a(y) - x, r) with r's denominators cleared,
-and it is taken from the smaller side: with Q = q^deg a, k = deg r <= Q and
-lc(r) = c in F_q^*, the symmetry of the resultant gives c^Q det(x I - M),
-M multiplication by phi_a(y) on A[y]/(r/c), a k x k characteristic
-polynomial over A.  The sign (-1)^(k(Q+1)) is 1: Q + 1 is even for odd q,
-and -1 = 1 for even q.  Otherwise the Q x Q determinant over A[x] is taken.
-The torsion norm h is read at omega_m as h reduced mod m_m
-(``coerce``), one division in place of Horner's rule, which stays the path
-for every other point (``galois_act``).  The norm to F itself is the
-determinant over F.  Each of these is ``det``
-or ``charpoly`` of one ``quotient._mult_matrix``.  The extension is
-totally ramified at pi, of degree e = deg m_n, with uniformizer omega_n, so
-the valuation of sum_(i < e) c_i omega^i is the least e val_pi(c_i) + i:
-these are distinct mod e, so no two terms cancel.  ``valuation_at_p``
-reads it off the power basis and takes no norm; val_pi(N_{F_n/F}(e)), the
-same number, is its oracle in the tests.
+and it has one route: r is reduced mod phi_a(y) - x to degree k < Q =
+q^deg a, and the symmetry of the resultant makes it one k x k
+characteristic polynomial, over A when no coefficient of the reduced r
+depends on x and over A[x] otherwise (``_resultant_norm``).  The Q x Q
+determinant over A[x] is the tests' oracle.  The torsion norm h is read at
+omega_m as h reduced mod m_m (``coerce``), one division in place of
+Horner's rule, which stays the path for every other point
+(``galois_act``).  The norm to F itself is the determinant over F.  Each
+of these is ``det`` or ``charpoly`` of one ``quotient._mult_matrix``.  The
+extension is totally ramified at pi, of degree e = deg m_n, with
+uniformizer omega_n, so the valuation of sum_(i < e) c_i omega^i is the
+least e val_pi(c_i) + i: these are distinct mod e, so no two terms cancel.
+``valuation_at_p`` reads it off the power basis and takes no norm;
+val_pi(N_{F_n/F}(e)), the same number, is its oracle in the tests.
 
 Two caches keep a warm process from redoing the same work.  The torsion
 norm ``_norm_poly`` is memoized on (p, a) in an LRU cache of 128 entries:
@@ -157,13 +156,10 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     p has coefficients in F; with d the monic lcm of their denominators,
     P = d p lies in A[y], and N(p) = N(P)/d^Q with Q = q^deg a.  N(P) is
     the norm of P(y) in A[x][y]/(phi_a(y) - x), which lands in A[x]
-    already written in phi_a(x); dividing its coefficients by d^Q in F is
-    the only fraction work.
-
-    That norm is the resultant Res_y(phi_a(y) - x, P), and it is taken from
-    the smaller side: when k = deg P <= Q and lc(P) = c lies in F_q^*,
-    ``_resultant_norm`` swaps the arguments and takes a k x k determinant
-    over A; otherwise ``_torsion_norm`` takes the Q x Q one over A[x].
+    already written in phi_a(x).  ``_resultant_norm`` gives it as h/e in
+    A[x].  An e free of x joins d^Q in each coefficient's denominator;
+    otherwise h/d^Q is divided by e in F[x], and a remainder is an
+    ``InvariantError``.
 
     Memoized (128 entries, least recently used out): the Coleman norm
     meets the same few factors again and again.  Equal keys have equal
@@ -178,47 +174,74 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     for c in p.coeffs:
         if not c.den.is_one():
             d = d * c.den.exact_div(d.gcd(c.den))
-    P = [c.num * d.exact_div(c.den) for c in p.coeffs]
-    if len(P) - 1 <= qr.degree and P[-1].degree == 0:
-        h = _resultant_norm(P, qr)
-    else:
-        h = _torsion_norm(P, qr)
-    if d.is_one():
-        return Poly(F, p.var, [F.coerce(c) for c in h])
-    dn = d ** qr.degree
-    return Poly(F, p.var, [RatFun.make(F, c, dn) for c in h])
+    h, e = _resultant_norm([c.num * d.exact_div(c.den) for c in p.coeffs],
+                           qr)
+    den = d ** qr.degree
+    if e.degree == 0:
+        den = den * e.constant
+    norm = Poly(F, p.var, [F.coerce(c) if den.is_one()
+                           else RatFun.make(F, c, den) for c in h.coeffs])
+    if e.degree == 0:
+        return norm
+    norm, rem = norm.divmod(Poly(F, p.var, [F.coerce(c) for c in e.coeffs]))
+    if not rem.is_zero():
+        raise InvariantError(f"torsion norm of {p!r} along {a!r} leaves "
+                             f"the remainder {rem!r}")
+    return norm
 
 
-def _torsion_norm(P: list, qr: QuotientRing) -> list:
-    """Coefficients in A of N(P) for P in A[y] (coefficients low first):
-    the Q x Q determinant of multiplication by P(y) in the torsion quotient
-    qr = A[x][y]/(phi_a(y) - x)."""
+def _resultant_norm(P: list, qr: QuotientRing) -> tuple[Poly, Poly]:
+    """(h, e) in A[x] with N(P) = h/e, for P in A[y] (coefficients low
+    first) and N(P) its norm in qr = A[x][y]/(m), m = phi_a(y) - x, by one
+    characteristic polynomial of side below Q = q^deg a.
+
+    N(P) is the resultant Res_y(m, P).  P is first reduced mod m to Pbar
+    of degree k < Q, with leading coefficient c; its coefficients lie in
+    A[x], or in A when none depends on x.  With beta over the roots of
+    Pbar, Res_y(m, Pbar) = (-1)^(kQ) c^Q prod_beta m(beta).  Put z = c y:
+    Pt(z) = c^(k-1) Pbar(z/c) is monic, and c^Q m(z/c) = M'(z) - c^Q x,
+    M' the y^j terms of m (j >= 1) times c^(Q-j).  So N(P) =
+    (-1)^(kQ) det(M'(zbar) - c^Q x) / c^(Q(k-1)) on A[x][z]/(Pt), and
+    det(M'(zbar) - t) = (-1)^k chi(t), chi the ``charpoly`` of the
+    ``_mult_matrix`` of -M'(zbar).  The sign (-1)^(k(Q+1)) is 1: Q + 1 is
+    even for odd q, and -1 = 1 for even q.  For c = 1 nothing is scaled
+    and e = 1."""
     R = qr.K
-    elem = Poly(R, qr.var, [Poly(R.cring, R.var, [c]) for c in P])
-    return list(quotient_norm(qr.coerce(elem)).coeffs)
-
-
-def _resultant_norm(P: list, qr: QuotientRing) -> list:
-    """N(P) as in ``_torsion_norm``, for deg P = k <= Q and lc(P) = c in
-    F_q^*, by a k x k characteristic polynomial over A.
-
-    By the symmetry of the resultant, with beta over the roots of P,
-    Res_y(phi_a(y) - x, P) = (-1)^(kQ) c^Q prod_beta (phi_a(beta) - x)
-    = (-1)^(k(Q+1)) c^Q det(x I - M), where M is multiplication by
-    phi_a(ybar) on A[y]/(P/c).  The sign is 1: Q + 1 is even for odd q, and
-    -1 = 1 for even q.  c^Q = c, as c lies in F_q.  det(x I - M) is
-    ``charpoly`` of -M, the ``_mult_matrix`` of -phi_a(ybar)."""
-    A = qr.K.cring
+    A = R.cring
+    Q = qr.degree
+    K = A
+    if len(P) > Q:
+        P = list(qr.coerce(Poly(R, qr.var, [Poly(A, R.var, [b])
+                                            for b in P])).rep.coeffs)
+        if any(b.degree > 0 for b in P):
+            K = R
+        else:
+            P = [b.constant for b in P]
+    # M'(y) = phi_a(y): the modulus without its -x term, over K
+    mod = [K.zero] + [b if K is R else b.constant
+                      for b in qr.modulus.coeffs[1:]]
+    k = len(P) - 1
     c = P[-1]
-    if len(P) == 1:
-        return [c]
-    ring = QuotientRing(Poly(A, qr.var, [b.mul_scalar(c.constant ** -1)
-                                         for b in P]))
-    # -phi_a(y): the modulus phi_a(y) - x of qr without its -x term, negated
-    neg = Poly(A, qr.var,
-               [A.zero] + [-m.coeff(0) for m in qr.modulus.coeffs[1:]])
-    chi = charpoly(_mult_matrix(ring.coerce(neg)))
-    return [b.mul_scalar(c.constant) for b in reversed(chi)] + [c]
+    if k == 0:
+        terms, e = [c ** Q], K.one
+    else:
+        monic = c.is_one()
+        if not monic:
+            P = [b * c ** (k - 1 - i) for i, b in enumerate(P[:-1])] + [K.one]
+            mod = [b if b.is_zero() else b * c ** (Q - j)
+                   for j, b in enumerate(mod)]
+        ring = QuotientRing(Poly(K, qr.var, P))
+        chi = charpoly(_mult_matrix(ring.coerce(
+            Poly(K, qr.var, [-b for b in mod]))))
+        # chi(c^Q x), low first: the coefficient of x^i is chi_(k-i) c^(Qi)
+        terms, e = chi[::-1] + [K.one], K.one
+        if not monic:
+            cq = c ** Q
+            terms = [b * cq ** i for i, b in enumerate(terms)]
+            e = cq ** (k - 1)
+    if K is A:
+        return Poly(A, R.var, terms), Poly(A, R.var, [e])
+    return sum((t.shift(i) for i, t in enumerate(terms)), R.zero), e
 
 
 @functools.cache

@@ -13,16 +13,17 @@ inverts a coefficient, so R may be a field or not.  It serves
   representatives alone);
 * A[x] = F_q[T][x] (``PolyRing`` over ``PolyRing``): the torsion quotient
   A[x][y]/(phi_a(y) - x) of the Coleman and tower norms
-  (``cyclo._norm_poly``), whose norm matrix has A[x] entries multiplied on
-  the packed kernel of ``poly``.
+  (``cyclo._norm_poly``), which reduces their P, and the quotient by the
+  monic P of degree k they become, whose norm matrix has A[x] entries
+  multiplied on the packed kernel of ``poly``.
 
 The norm of an element u of R[y]/(m) is the determinant of multiplication by
 u on the power basis 1, y, ..., y^(deg m - 1) (``_mult_matrix``); each
 column is y times the one before, reduced by the nonzero coefficients of m
 alone.  Every norm in the package is ``det`` or ``charpoly`` of that one
-matrix: the norm to F of a cyclotomic field element, the Q x Q torsion norm
-over A[x] and the k x k torsion norm of a small P over A
-(``cyclo._resultant_norm``).  Berkowitz's recurrence never divides, so
+matrix: the norm to F of a cyclotomic field element and the k x k torsion
+norm over A or A[x] (``cyclo._resultant_norm``), whose oracle in the tests
+is the Q x Q determinant over A[x].  Berkowitz's recurrence never divides, so
 entries in a field, in A or in A[x] take the same path.  It builds the whole
 characteristic polynomial det(t I + M) on its way (``charpoly``); ``det``
 keeps the constant term.

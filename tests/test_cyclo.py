@@ -5,20 +5,21 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import cyclo
+from carlitz import cyclo, quotient
 from carlitz.cmod import carlitz_phi
 from carlitz.coleman import ColemanSeries, eval_at_omega, x_field
 from carlitz.cyclo import (
-    CycloField, _norm_poly, _torsion_norm, _torsion_quotient, cyclotomic_unit,
+    CycloField, _norm_poly, _torsion_quotient, cyclotomic_unit,
     field_norm, galois_act, upsilon, valuation_at_p,
 )
 from carlitz.errors import InvariantError
 from carlitz.fq import Fq
 from carlitz.groupring import cyclotomic_poly
 from carlitz.poly import (
-    Poly, all_residues, is_irreducible, monic_enumerate, poly_parse,
+    Poly, PolyRing, all_residues, is_irreducible, monic_enumerate,
+    poly_parse,
 )
-from carlitz.quotient import QuotElem
+from carlitz.quotient import QuotElem, quotient_norm
 from carlitz.ratfun import RatFun, base_field
 from carlitz.series import TruncSeries
 
@@ -171,8 +172,26 @@ def torsion_route(p, a):
     for c in p.coeffs:
         d = d * F.coerce(c.den)
     qr = _torsion_quotient(a)
-    h = _torsion_norm([(c * d).num for c in p.coeffs], qr)
+    R = qr.K
+    elem = Poly(R, qr.var, [Poly(R.cring, R.var, [(c * d).num])
+                            for c in p.coeffs])
+    h = quotient_norm(qr.coerce(elem)).coeffs
     return Poly(F, p.var, [F.coerce(c) / d ** qr.degree for c in h])
+
+
+def norm_sides(p, a):
+    """The uncached _norm_poly(p, a) and, for every matrix it hands to
+    ``charpoly`` (directly or through ``det``), its side and whether its
+    entries lie in A[x] rather than in A."""
+    real = quotient.charpoly
+    sides = []
+
+    def spy(mat):
+        sides.append((len(mat), isinstance(mat[0][0].ring, PolyRing)))
+        return real(mat)
+    with mock.patch.object(cyclo, "charpoly", spy), \
+            mock.patch.object(quotient, "charpoly", spy):
+        return _norm_poly.__wrapped__(p, a), sides
 
 
 def grid_poly(rng, fq, k, lead, with_dens):
@@ -193,12 +212,15 @@ def grid_poly(rng, fq, k, lead, with_dens):
     (2, "T"), (2, "T^2"), (3, "T"), (3, "T^2"), (4, "T"), (5, "T"),
     (9, "T")])
 def test_norm_poly_matches_torsion_route(q, a_text):
-    # the uncached norm, so that every p takes its route here.  deg p from
-    # 0 to Q + 1, exact and over T-denominators.  Once the denominators are
-    # cleared, d p has a unit leading coefficient for the
-    # first two variants (T and T + 1 divide T^2 + T, so d = T^2 + T) and
-    # not for the last two: the k x k route serves exactly the first two
-    # with k <= Q, and the Q x Q route everything else
+    # the uncached norm against the Q x Q oracle, exact and over
+    # T-denominators.  Once the denominators are cleared, d p has a leading
+    # coefficient in F_q^* for the first two variants (T and T + 1 divide
+    # T^2 + T, so d = T^2 + T) and outside it for the other three.  Every
+    # p takes one characteristic polynomial of side below Q, whose entries
+    # lie in A[x] exactly when reducing mod phi_a(y) - x leaves a
+    # coefficient that depends on x.  deg p runs from 0 to 2Q + 1; at
+    # Q = 9, where one p of degree past Q + 1 takes seconds, it stops at
+    # Q + 1 with one variant per degree
     fq = Fq.get(q)
     F = base_field(fq)
     a = poly_parse(a_text, fq)
@@ -208,22 +230,60 @@ def test_norm_poly_matches_torsion_route(q, a_text):
     non_unit = F.coerce(poly_parse("T+1", fq))
     over_d = unit / F.coerce(poly_parse("T^2+T", fq))
     variants = [(unit, False), (over_d, True), (non_unit, False),
-                (non_unit, True)]
-    expect = []
-    with mock.patch.object(cyclo, "_resultant_norm",
-                           wraps=cyclo._resultant_norm) as small:
-        for k in range(Q + 2):
-            # the Q x Q oracle over F_9 is slow: one variant per degree there
-            for v, (lead, with_dens) in enumerate(variants):
-                if Q > 5 and v != k % len(variants):
-                    continue
-                p = grid_poly(rng, fq, k, lead, with_dens)
-                assert _norm_poly.__wrapped__(p, a) == torsion_route(p, a), \
-                    (k, p)
-                if k <= Q and v < 2:
-                    expect.append(k)
-    got = [len(c.args[0]) - 1 for c in small.call_args_list]
-    assert got == expect and Q in got
+                (non_unit, True), (non_unit / over_d, True)]
+    kinds = set()
+    for k in range(Q + 2 if Q > 5 else 2 * Q + 2):
+        for v, (lead, with_dens) in enumerate(variants):
+            if Q > 5 and v != k % len(variants):
+                continue
+            p = grid_poly(rng, fq, k, lead, with_dens)
+            got, sides = norm_sides(p, a)
+            assert got == torsion_route(p, a), (k, p)
+            assert len(sides) <= 1 and all(n < Q for n, _ in sides), \
+                (k, p, sides)
+            kinds.update(over_x for _, over_x in sides)
+    assert kinds == {False, True}
+
+
+def test_norm_poly_pins_a_leading_coefficient_in_x():
+    # q = 2, a = T: y^2 = x + T y mod phi_T(y) - x, so p = x^3 + T x^2 +
+    # T x + 1 reduces to (x + T) y + 1, whose leading coefficient
+    # depends on x; the norm divides by c^(Q(k - 1)) = 1 here
+    f2 = Fq.get(2)
+    F = base_field(f2)
+    a = poly_parse("T", f2)
+    T = F.coerce(a)
+    p = Poly(F, "x", [F.one, T, T, F.one])
+    qr = _torsion_quotient(a)
+    R = qr.K
+    A = R.cring
+    pbar = qr.coerce(Poly(R, qr.var, [Poly(A, R.var, [c.num])
+                                      for c in p.coeffs])).rep
+    assert pbar == Poly(R, qr.var, [R.one, Poly(A, R.var, [a, A.one])])
+    want = Poly(F, "x", [T * T + F.one, T * T + T, F.zero, F.one])
+    got, sides = norm_sides(p, a)
+    assert got == want == torsion_route(p, a)
+    assert sides == [(1, True)]
+
+
+def test_norm_poly_certifies_its_division(monkeypatch):
+    # q = 3, a = T: y^5 + 1 reduces to x y^2 + T^2 y - T x + 1, so
+    # c = x and k = 2: the determinant must be divisible by c^Q in F[x].
+    # One changed coefficient of the characteristic polynomial breaks that
+    f3 = Fq.get(3)
+    F = base_field(f3)
+    a = poly_parse("T", f3)
+    p = Poly(F, "x", [F.one] + [F.zero] * 4 + [F.one])
+    assert _norm_poly.__wrapped__(p, a) == torsion_route(p, a)
+    real = quotient.charpoly
+
+    def perturbed(mat):
+        chi = real(mat)
+        last = chi[-1]
+        return chi[:-1] + [last + Poly(last.ring, last.var, [last.ring.one])]
+    monkeypatch.setattr(cyclo, "charpoly", perturbed)
+    with pytest.raises(InvariantError):
+        _norm_poly.__wrapped__(p, a)
 
 
 def test_norm_memo_matches_the_uncached_norm():
@@ -255,9 +315,10 @@ def test_norm_memo_matches_the_uncached_norm():
 
 @st.composite
 def split_products(draw):
-    """p on the k x k side of the size rule (deg p <= Q, a unit leading
-    coefficient once denominators are cleared) and r with deg(p r) > Q,
-    over F with T-denominators, a monic linear, q in {2, 3, 4}."""
+    """p with deg p <= Q, its leading coefficient in F_q^* or T + 1 once
+    denominators are cleared, and r with deg(p r) > Q, so that p r is
+    reduced mod phi_a(y) - x first; over F with T-denominators, a monic
+    linear, q in {2, 3, 4}."""
     q = draw(st.sampled_from((2, 3, 4)))
     fq = Fq.get(q)
     F = base_field(fq)
@@ -272,6 +333,8 @@ def split_products(draw):
                 / draw(st.sampled_from(dens)) for _ in range(n)]
     low = coeffs(draw(st.integers(0, q)))
     lead = F.coerce(fq.from_index(draw(st.integers(1, q - 1))))
+    if draw(st.booleans()):
+        lead = lead * F.coerce(poly_parse("T+1", fq))
     if any(not c.den.is_one() for c in low):
         lead = lead / F.coerce(poly_parse("T^2+T", fq))  # d = T^2 + T
     r = Poly(F, "x", coeffs(q - len(low) + 1) + [F.one])
@@ -281,15 +344,16 @@ def split_products(draw):
 @settings(max_examples=25)
 @given(case=split_products())
 def test_norm_is_multiplicative_across_the_size_rule(case):
+    # the size rule is now only where P is reduced first: at deg P >= Q
     p, r, a = case
     Q = a.ring.q ** a.degree
     assert p.degree <= Q < (p * r).degree
-    norm = _norm_poly.__wrapped__  # uncached: each call takes its route
-    with mock.patch.object(cyclo, "_resultant_norm",
-                           wraps=cyclo._resultant_norm) as small:
-        assert norm(p * r, a) == norm(p, a) * norm(r, a)
-    # p * r took the Q x Q route, p the k x k one
-    assert len(small.call_args_list[0].args[0]) == p.degree + 1
+    whole, sides = norm_sides(p * r, a)
+    part, more = norm_sides(p, a)
+    assert whole == part * norm_sides(r, a)[0]
+    # each norm, reduced or not, is one characteristic polynomial of
+    # side below Q
+    assert all(n < Q for n, _ in sides + more), (sides, more)
 
 
 def test_galois_action_is_an_action():
