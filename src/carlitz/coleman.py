@@ -13,7 +13,8 @@ K[x] -- the determinant of multiplication by P(y) -- is h(x) with
 h(phi_pi(x)) = prod_u P(x + u).  One norm gives N P already written in
 phi_pi(x): no Taylor shift P(x + y) and no decomposition of a product.
 That norm is the resultant Res_y(phi_pi(y) - x, P): P is reduced mod
-phi_pi(y) - x to degree k < q^deg pi, and the symmetry of the resultant
+phi_pi(y) - x to degree k < q^deg pi (or kept at k = q^deg pi when it
+is led by F_q^* and its reduction is not), and the symmetry of the resultant
 makes it one k x k characteristic polynomial.
 
 The coefficient ring K is A = F_q[T]: a polynomial in x over F is first

@@ -15,7 +15,8 @@ h(phi_{pi^(n-m)}(x)) = prod_u r(x + u): one norm in A[x][y]/(phi_a(y) - x)
 with a = pi^(n-m), the same one the Coleman norm takes with a = pi.  That
 norm is the resultant Res_y(phi_a(y) - x, r) with r's denominators cleared,
 and it has one route: r is reduced mod phi_a(y) - x to degree k < Q =
-q^deg a, and the symmetry of the resultant makes it one k x k
+q^deg a (kept at k = Q when it is led by F_q^* and its reduction is
+not), and the symmetry of the resultant makes it one k x k
 characteristic polynomial, over A when no coefficient of the reduced r
 depends on x and over A[x] otherwise (``_resultant_norm``).  The Q x Q
 determinant over A[x] is the tests' oracle.  The torsion norm h is read at
@@ -193,12 +194,14 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
 def _resultant_norm(P: list, qr: QuotientRing) -> tuple[Poly, Poly]:
     """(h, e) in A[x] with N(P) = h/e, for P in A[y] (coefficients low
     first) and N(P) its norm in qr = A[x][y]/(m), m = phi_a(y) - x, by one
-    characteristic polynomial of side below Q = q^deg a.
+    characteristic polynomial of side at most Q = q^deg a.
 
     N(P) is the resultant Res_y(m, P).  P is first reduced mod m to Pbar
-    of degree k < Q, with leading coefficient c; its coefficients lie in
-    A[x], or in A when none depends on x.  With beta over the roots of
-    Pbar, Res_y(m, Pbar) = (-1)^(kQ) c^Q prod_beta m(beta).  Put z = c y:
+    of degree k < Q, with leading coefficient c.  A P of degree Q led by
+    F_q^* is kept as Pbar (k = Q, its matrix free of x) unless the reduced
+    one is constant or led by F_q^* too: otherwise reducing it would only
+    fill the matrix with powers of c.  With beta over the roots of Pbar,
+    Res_y(m, Pbar) = (-1)^(kQ) c^Q prod_beta m(beta).  Put z = c y:
     Pt(z) = c^(k-1) Pbar(z/c) is monic, and c^Q m(z/c) = M'(z) - c^Q x,
     M' the y^j terms of m (j >= 1) times c^(Q-j).  So N(P) =
     (-1)^(kQ) det(M'(zbar) - c^Q x) / c^(Q(k-1)) on A[x][z]/(Pt), and
@@ -209,17 +212,20 @@ def _resultant_norm(P: list, qr: QuotientRing) -> tuple[Poly, Poly]:
     R = qr.K
     A = R.cring
     Q = qr.degree
-    K = A
-    if len(P) > Q:
-        P = list(qr.coerce(Poly(R, qr.var, [Poly(A, R.var, [b])
-                                            for b in P])).rep.coeffs)
-        if any(b.degree > 0 for b in P):
-            K = R
-        else:
-            P = [b.constant for b in P]
-    # M'(y) = phi_a(y): the modulus without its -x term, over K
-    mod = [K.zero] + [b if K is R else b.constant
-                      for b in qr.modulus.coeffs[1:]]
+    P = Poly(R, qr.var, [Poly(A, R.var, [b]) for b in P])
+    if P.degree >= Q:
+        Pbar = qr.coerce(P).rep
+        if (P.degree > Q or not _unit_led(P) or _unit_led(Pbar)
+                or Pbar.degree == 0):
+            P = Pbar
+    # M'(y) = phi_a(y): the modulus without its -x term
+    mod = [R.zero] + list(qr.modulus.coeffs[1:])
+    P = list(P.coeffs)
+    K = R
+    if all(b.degree <= 0 for b in P):
+        # no entry depends on x: the same matrix over A, which is cheaper
+        K = A
+        P, mod = [b.constant for b in P], [b.constant for b in mod]
     k = len(P) - 1
     c = P[-1]
     if k == 0:
@@ -240,8 +246,13 @@ def _resultant_norm(P: list, qr: QuotientRing) -> tuple[Poly, Poly]:
             terms = [b * cq ** i for i, b in enumerate(terms)]
             e = cq ** (k - 1)
     if K is A:
-        return Poly(A, R.var, terms), Poly(A, R.var, [e])
+        terms, e = [Poly(A, R.var, [t]) for t in terms], Poly(A, R.var, [e])
     return sum((t.shift(i) for i, t in enumerate(terms)), R.zero), e
+
+
+def _unit_led(P: Poly) -> bool:
+    """Whether P in A[x][y] has its leading coefficient in F_q^*."""
+    return P.leading.degree == 0 and P.leading.constant.degree == 0
 
 
 @functools.cache

@@ -181,13 +181,15 @@ def torsion_route(p, a):
 
 def norm_sides(p, a):
     """The uncached _norm_poly(p, a) and, for every matrix it hands to
-    ``charpoly`` (directly or through ``det``), its side and whether its
-    entries lie in A[x] rather than in A."""
+    ``charpoly`` (directly or through ``det``), its side and whether an
+    entry depends on x."""
     real = quotient.charpoly
     sides = []
 
     def spy(mat):
-        sides.append((len(mat), isinstance(mat[0][0].ring, PolyRing)))
+        sides.append((len(mat), any(isinstance(b.ring, PolyRing)
+                                    and b.degree > 0
+                                    for row in mat for b in row)))
         return real(mat)
     with mock.patch.object(cyclo, "charpoly", spy), \
             mock.patch.object(quotient, "charpoly", spy):
@@ -216,9 +218,9 @@ def test_norm_poly_matches_torsion_route(q, a_text):
     # T-denominators.  Once the denominators are cleared, d p has a leading
     # coefficient in F_q^* for the first two variants (T and T + 1 divide
     # T^2 + T, so d = T^2 + T) and outside it for the other three.  Every
-    # p takes one characteristic polynomial of side below Q, whose entries
-    # lie in A[x] exactly when reducing mod phi_a(y) - x leaves a
-    # coefficient that depends on x.  deg p runs from 0 to 2Q + 1; at
+    # p takes one characteristic polynomial of side below Q, or of side Q
+    # with entries free of x when deg p = Q, that leading coefficient lies
+    # in F_q^* and p is kept unreduced.  deg p runs from 0 to 2Q + 1; at
     # Q = 9, where one p of degree past Q + 1 takes seconds, it stops at
     # Q + 1 with one variant per degree
     fq = Fq.get(q)
@@ -231,7 +233,6 @@ def test_norm_poly_matches_torsion_route(q, a_text):
     over_d = unit / F.coerce(poly_parse("T^2+T", fq))
     variants = [(unit, False), (over_d, True), (non_unit, False),
                 (non_unit, True), (non_unit / over_d, True)]
-    kinds = set()
     for k in range(Q + 2 if Q > 5 else 2 * Q + 2):
         for v, (lead, with_dens) in enumerate(variants):
             if Q > 5 and v != k % len(variants):
@@ -239,10 +240,9 @@ def test_norm_poly_matches_torsion_route(q, a_text):
             p = grid_poly(rng, fq, k, lead, with_dens)
             got, sides = norm_sides(p, a)
             assert got == torsion_route(p, a), (k, p)
-            assert len(sides) <= 1 and all(n < Q for n, _ in sides), \
+            assert len(sides) <= 1 and all(
+                n < Q or n == Q and not over_x for n, over_x in sides), \
                 (k, p, sides)
-            kinds.update(over_x for _, over_x in sides)
-    assert kinds == {False, True}
 
 
 def test_norm_poly_pins_a_leading_coefficient_in_x():
@@ -264,6 +264,23 @@ def test_norm_poly_pins_a_leading_coefficient_in_x():
     got, sides = norm_sides(p, a)
     assert got == want == torsion_route(p, a)
     assert sides == [(1, True)]
+
+
+def test_norm_poly_keeps_p_of_degree_q_when_reducing_does_not_pay():
+    # q = 3, a = T, Q = 3: y^3 = x - T y mod phi_T(y) - x.  y^3 + T y^2 + 1
+    # reduces to T y^2 - T y + x + 1, led by T, so it is kept: one 3 x 3
+    # matrix free of x.  y^3 + (T + 1) y reduces to y + x, led by 1: one
+    # 1 x 1 matrix in x
+    f3 = Fq.get(3)
+    F = base_field(f3)
+    a = poly_parse("T", f3)
+    T = F.coerce(a)
+    for p, want in ((Poly(F, "x", [F.one, F.zero, T, F.one]), [(3, False)]),
+                    (Poly(F, "x", [F.zero, T + F.one, F.zero, F.one]),
+                     [(1, True)])):
+        got, sides = norm_sides(p, a)
+        assert got == torsion_route(p, a)
+        assert sides == want
 
 
 def test_norm_poly_certifies_its_division(monkeypatch):
@@ -344,7 +361,8 @@ def split_products(draw):
 @settings(max_examples=25)
 @given(case=split_products())
 def test_norm_is_multiplicative_across_the_size_rule(case):
-    # the size rule is now only where P is reduced first: at deg P >= Q
+    # the size rule is now only where P is reduced first: past deg P = Q,
+    # and at it unless P is led by F_q^* and its reduction is not
     p, r, a = case
     Q = a.ring.q ** a.degree
     assert p.degree <= Q < (p * r).degree
@@ -352,8 +370,9 @@ def test_norm_is_multiplicative_across_the_size_rule(case):
     part, more = norm_sides(p, a)
     assert whole == part * norm_sides(r, a)[0]
     # each norm, reduced or not, is one characteristic polynomial of
-    # side below Q
-    assert all(n < Q for n, _ in sides + more), (sides, more)
+    # side below Q, or of side Q with entries free of x
+    assert all(n < Q or n == Q and not over_x
+               for n, over_x in sides + more), (sides, more)
 
 
 def test_galois_action_is_an_action():
