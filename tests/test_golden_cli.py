@@ -57,6 +57,11 @@ INVOCATIONS = [
     ["stickelberger", "--q", "2", "--level", "1", "--udeg", "12"] + THETA,
     ["stickelberger", "--q", "3", "--pi", "T", "--level", "2", "--S", "inf",
      "--S", "T+1", "--T", "T+2", "--udeg", "9"],
+    # an auxiliary place of degree 2, and two places applied in turn
+    ["stickelberger", "--q", "2", "--pi", "T", "--level", "2", "--S", "inf",
+     "--T", "T^2+T+1", "--udeg", "10"],
+    ["stickelberger", "--q", "3", "--pi", "T^2+1", "--level", "1", "--S",
+     "inf", "--T", "T", "--T", "T+1", "--udeg", "10"],
     ["project", "--q", "2", "--level", "2", "--m", "1"] + THETA,
     ["charval", "--q", "2", "--level", "1", "--order", "3", "--gen", "T=1"]
     + THETA,
