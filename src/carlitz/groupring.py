@@ -8,6 +8,10 @@ below n deg pi; group-ring elements are coefficient maps on those keys, and
 multiplication is convolution with the product of two keys reduced mod pi^n.
 A ``GroupRing`` enumerates its unit keys on the first ``group_keys`` call
 and keeps them, so the q^(n deg pi) residues are run through once per ring.
+``translation`` turns left translation by a class into one permutation of
+those keys and ``projection`` turns the push-down to a lower level into one
+key map, so an element is translated or projected by dictionary lookups
+and a series of elements pays the |G| reductions once.
 Characters take values in Z[x]/(Phi_m), a ``quotient.QuotientRing`` over Z
 with Phi_m the classical m-th cyclotomic polynomial, so every comparison
 stays exact.
@@ -55,6 +59,17 @@ class GroupRing:
     def mul_key(self, a: Poly, b: Poly) -> Poly:
         """Key of the product of the classes keyed a and b."""
         return (a * b) % self.modulus
+
+    def translation(self, a: Poly) -> dict:
+        """Left translation by the class of a as a permutation of the keys,
+        k -> key(a k) for every key k of G; a must be a unit."""
+        ka = self.key(a)
+        return {k: self.mul_key(ka, k) for k in self.group_keys()}
+
+    def projection(self, target: "GroupRing") -> dict:
+        """The push-down to target = GroupRing(pi, m) as a key map,
+        k -> target.key(k) for every key k of G."""
+        return {k: target.key(k) for k in self.group_keys()}
 
     def zero(self) -> "GroupRingElem":
         return GroupRingElem(self, {})
@@ -146,18 +161,25 @@ class GroupRingElem:
 
     def act(self, a: Poly) -> "GroupRingElem":
         """Left translation by the class of a."""
-        return self.ring.element(a) * self
+        perm = self.ring.translation(a)
+        return GroupRingElem(self.ring,
+                             {perm[k]: c for k, c in self.coeffs.items()})
 
-    def project(self, m: int, target: GroupRing | None = None) -> "GroupRingElem":
+    def project(self, m: int, target: GroupRing | None = None,
+                keymap: dict | None = None) -> "GroupRingElem":
         """Push down along (A/pi^n)^* -> (A/pi^m)^*, m <= n.  target is
-        GroupRing(pi, m) when the caller has built it already."""
+        GroupRing(pi, m) and keymap is ring.projection(target) when the
+        caller has built them already, as ThetaPoly.project does for all
+        of its coefficients."""
         if m > self.ring.n:
             raise ValueError("projection target above current level")
         if target is None:
             target = GroupRing(self.ring.pi, m)
+        if keymap is None:
+            keymap = {k: target.key(k) for k in self.coeffs}
         out: dict[Poly, int] = {}
         for k, c in self.coeffs.items():
-            km = target.key(k)
+            km = keymap[k]
             out[km] = out.get(km, 0) + c
         return GroupRingElem(target, out)
 

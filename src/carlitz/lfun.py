@@ -215,13 +215,29 @@ def stickelberger_coefficient(pi: Poly, level: int, s_finite, n: int,
         s_finite = _distinct_places(s_finite, "S")
     if pi not in s_finite:
         raise ValueError("s_finite must contain pi")
+    return _raw_coefficients(ring, s_finite, [n])[0]
+
+
+def _raw_coefficients(ring: GroupRing, s_finite, degrees) -> list[GroupRingElem]:
+    """stickelberger_coefficient for each n in degrees, with M, its degree,
+    the unit count of the other places and the keys of G found once."""
+    pi, level = ring.pi, ring.n
+    q = pi.ring.q
     extra = [v for v in s_finite if v != pi]
     deg_m = level * pi.degree + sum(v.degree for v in extra)
-    if n < deg_m:
-        return stickelberger_coefficient_enum(pi, level, s_finite, n, ring)
-    q = pi.ring.q
-    count = q ** (n - deg_m) * math.prod(q ** v.degree - 1 for v in extra)
-    return GroupRingElem(ring, dict.fromkeys(ring.group_keys(), count))
+    units = math.prod(q ** v.degree - 1 for v in extra)
+    keys = None  # enumerated at the first counted coefficient
+    out = []
+    for n in degrees:
+        if n < deg_m:
+            out.append(stickelberger_coefficient_enum(pi, level, s_finite, n,
+                                                      ring))
+            continue
+        if keys is None:
+            keys = ring.group_keys()
+        count = q ** (n - deg_m) * units
+        out.append(GroupRingElem(ring, dict.fromkeys(keys, count)))
+    return out
 
 
 def stickelberger_coefficient_enum(pi: Poly, level: int, s_finite, n: int,
@@ -279,8 +295,9 @@ class ThetaPoly:
     def project(self, m: int) -> "ThetaPoly":
         """Push every coefficient down to Z[(A/pi^m)^*]."""
         target = GroupRing(self.pi, m)
+        keymap = self.ring.projection(target)
         return ThetaPoly(target, self.s_finite, self.t_aux,
-                         [c.project(m, target) for c in self.coeffs])
+                         [c.project(m, target, keymap) for c in self.coeffs])
 
     def eval_char(self, spec: CharSpec) -> Poly:
         """Apply a character coefficientwise; the result is a polynomial in u
@@ -336,7 +353,11 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
     S consists of pi, the infinite place, and any extra finite places; the
     raw series sums [a mod pi^level] u^{deg a} over monic a prime to the
     finite part of S.  Multiplying by (1 - [v] q^{deg v} u^{deg v}) for each
-    auxiliary place v in t_aux turns the series into a polynomial.  The last
+    auxiliary place v in t_aux turns the series into a polynomial.  Each
+    factor is one pass: the translation k -> key(v k) is built once per place
+    as a permutation of the keys of G, and the coefficients are rewritten
+    from u^udeg down, c_n - q^{deg v} (c_{n - deg v} translated), so that
+    c_{n - deg v} is still the unmodified one when c_n reads it.  The last
     B = level deg(pi) + sum deg(v) + 2 coefficients through degree udeg must
     come out zero; anything else raises TailError (the bound udeg is too
     small to certify termination, or the input does not terminate).
@@ -368,19 +389,17 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
             f"degree bound {udeg} is below the tail window {tail}; raise it")
 
     ring = GroupRing(pi, level)
-    coeffs = [stickelberger_coefficient(pi, level, s_finite, n, ring)
-              for n in range(udeg + 1)]
+    coeffs = _raw_coefficients(ring, s_finite, range(udeg + 1))
 
     for v in t_list:
-        qd = fq.q ** v.degree
-        gv = ring.element(v)
-        out = []
-        for n in range(udeg + 1):
-            c = coeffs[n]
-            if n >= v.degree:
-                c = c - (gv * coeffs[n - v.degree]).scale(qd)
-            out.append(c)
-        coeffs = out
+        d, qd = v.degree, fq.q ** v.degree
+        perm = ring.translation(v)
+        for n in range(udeg, d - 1, -1):
+            out = dict(coeffs[n].coeffs)
+            for k, c in coeffs[n - d].coeffs.items():
+                k = perm[k]
+                out[k] = out.get(k, 0) - qd * c
+            coeffs[n] = GroupRingElem(ring, out)
 
     for n in range(udeg - tail + 1, udeg + 1):
         if not coeffs[n].is_zero():

@@ -82,6 +82,31 @@ def test_projection_to_lower_levels():
         z1.project(2)
 
 
+def test_translation_and_projection_are_key_maps():
+    f3 = Fq.get(3)
+    pi = poly_parse("T^2+1", f3)
+    G, G1 = GroupRing(pi, 2), GroupRing(pi, 1)
+    keys = G.group_keys()
+    x = G.zero()
+    for i, k in enumerate(keys[::7]):
+        x = x + G.element(k, i - 3)
+    for a in ("T", "2*T+1", "T^3+T+2", "T^5"):
+        a = poly_parse(a, f3)
+        perm = G.translation(a)
+        assert perm == {k: G.mul_key(G.key(a), k) for k in keys}
+        assert sorted(perm.values(), key=Poly.sort_key) == \
+            sorted(keys, key=Poly.sort_key)
+        assert x.act(a) == G.element(a) * x
+    for bad in ("T^2+1", "0", "T^4+2*T^2+1"):
+        with pytest.raises(ValueError, match="is not prime to"):
+            G.translation(poly_parse(bad, f3))
+        with pytest.raises(ValueError, match="is not prime to"):
+            x.act(poly_parse(bad, f3))
+    keymap = G.projection(G1)
+    assert keymap == {k: G1.key(k) for k in keys}
+    assert x.project(1, G1, keymap) == x.project(1)
+
+
 def test_items_are_sorted_and_sparse():
     f3 = Fq.get(3)
     pi = poly_parse("T", f3)

@@ -240,6 +240,114 @@ def test_theta_terminates_far_beyond_enumeration():
     assert deep.degree == 3
 
 
+def oracle_series(pi, level, s_extra=(), t_aux=(), udeg=12):
+    """The modified coefficients by group-ring products, one per coefficient
+    and place, with stickelberger_series's tail check: the route that the
+    one-pass translation replaced."""
+    fq = pi.ring
+    G = GroupRing(pi, level)
+    s_finite = sorted({pi, *s_extra}, key=lambda v: v.sort_key())
+    t_list = sorted(set(t_aux), key=lambda v: v.sort_key())
+    coeffs = [stickelberger_coefficient(pi, level, s_finite, n)
+              for n in range(udeg + 1)]
+    for v in t_list:
+        gv, qd = G.element(v), fq.q ** v.degree
+        coeffs = [c - (gv * coeffs[n - v.degree]).scale(qd)
+                  if n >= v.degree else c for n, c in enumerate(coeffs)]
+    tail = level * pi.degree + sum(v.degree for v in t_list) + 2
+    for n in range(udeg - tail + 1, udeg + 1):
+        if not coeffs[n].is_zero():
+            raise TailError(
+                f"coefficient of u^{n} is nonzero inside the tail window; "
+                f"the series does not terminate by degree {udeg}")
+    return coeffs
+
+
+def monic_primes(fq, d):
+    return [v for v in monic_enumerate(fq, d) if is_irreducible(v)]
+
+
+def one_pass_grid(q):
+    """(pi, level, auxiliary places) over pi of degree 1-2, every level
+    1-3 with |G| <= 200, and one or two places of degree 1-2."""
+    fq = Fq.get(q)
+    for pi in (monic_primes(fq, 1)[0], monic_primes(fq, 2)[0]):
+        lines = [v for v in monic_primes(fq, 1) if v != pi][:1]
+        quads = [v for v in monic_primes(fq, 2) if v != pi][:1]
+        places = [(v,) for v in lines + quads] + [
+            (a, b) for a in lines for b in quads]
+        for level in (1, 2, 3):
+            if GroupRing(pi, level).group_order() <= 200:
+                for t_aux in places:
+                    yield pi, level, t_aux
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_one_pass_series_matches_group_ring_products(q):
+    # udeg from the tail window to the window + 3, where most inputs still
+    # fail the tail check, and at the window + 7, past every degree here
+    cases = 0
+    for pi, level, t_aux in one_pass_grid(q):
+        cases += 1
+        tail = level * pi.degree + sum(v.degree for v in t_aux) + 2
+        for udeg in (*range(tail, tail + 4), tail + 7):
+            args = (pi, level, (), t_aux, udeg)
+            try:
+                want = oracle_series(*args)
+            except TailError as exc:
+                assert udeg < tail + 7, args
+                with pytest.raises(TailError) as got:
+                    stickelberger_series(*args)
+                assert str(got.value) == str(exc)
+                continue
+            theta = stickelberger_series(*args)
+            assert theta.coeffs == want[:theta.degree + 1], args
+            assert all(c.is_zero() for c in want[theta.degree + 1:])
+    assert cases >= 12
+
+
+def test_one_pass_series_with_extra_places_of_s():
+    f3 = Fq.get(3)
+    pi, t, t1, t2 = (poly_parse(x, f3) for x in ("T^2+1", "T", "T+1", "T+2"))
+    for s_extra, t_aux in (((t,), (t1,)), ((t, t2), (t1,)),
+                           ((t2,), (t, t1))):
+        for udeg in (10, 13):
+            args = (pi, 1, s_extra, t_aux, udeg)
+            theta = stickelberger_series(*args)
+            want = oracle_series(*args)
+            assert theta.coeffs == want[:theta.degree + 1], args
+
+
+def test_nonterminating_series_fails_on_both_routes():
+    f2 = Fq.get(2)
+    pi = poly_parse("T", f2)
+    t_aux = (poly_parse("T+1", f2), poly_parse("T^2+T+1", f2))
+    with pytest.raises(TailError, match="u\\^5 is nonzero") as exc:
+        oracle_series(pi, 3, (), t_aux, 12)
+    with pytest.raises(TailError) as got:
+        stickelberger_series(pi, 3, t_aux=t_aux, udeg=12)
+    assert str(got.value) == str(exc.value)
+
+
+def test_series_translates_each_key_once_per_place(monkeypatch):
+    # one permutation of the |G| keys per auxiliary place, however many
+    # coefficients it is applied to
+    f3 = Fq.get(3)
+    pi = poly_parse("T^2+1", f3)
+    t_aux = (poly_parse("T", f3), poly_parse("T+1", f3), poly_parse("T^2+T+2", f3))
+    calls = []
+    mul_key = GroupRing.mul_key
+
+    def counted(self, a, b):
+        calls.append(self)
+        return mul_key(self, a, b)
+
+    monkeypatch.setattr(GroupRing, "mul_key", counted)
+    theta = stickelberger_series(pi, 1, t_aux=t_aux, udeg=24)
+    assert theta.degree > 0
+    assert 0 < len(calls) <= len(t_aux) * theta.ring.group_order()
+
+
 def test_theta_character_values():
     f2 = Fq.get(2)
     t = poly_parse("T", f2)
