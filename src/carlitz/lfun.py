@@ -206,7 +206,9 @@ def stickelberger_coefficient(pi: Poly, level: int, s_finite, n: int,
     prod_v (q^deg v - 1) units mod M.  So the coefficient is that count on
     every class, with no enumeration; below deg M the monic polynomials are
     enumerated.  ring is GroupRing(pi, level) with s_finite already checked,
-    as stickelberger_series passes them; without it both are checked here.
+    when the caller has them; without it both are checked here.
+    stickelberger_series takes all of its coefficients through
+    _raw_coefficients, which finds M and the keys of G once per series.
     """
     if ring is None:
         if level < 1:
