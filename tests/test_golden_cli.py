@@ -81,6 +81,11 @@ INVOCATIONS = [
     ["cwverify", "--q", "4", "--a", "T", "--b", "1", "--kmax", "96"],
     ["bc", "--q", "9", "--n", "60"],
     ["exp", "--q", "8", "--prec", "200"],
+    # the series loops over F_q(T) with nested denominators
+    ["cwverify", "--q", "5", "--a", "T", "--b", "1", "--kmax", "128"],
+    ["cwverify", "--q", "2", "--a", "T", "--b", "T+1", "--kmax", "64"],
+    ["bc", "--q", "7", "--n", "200"],
+    ["log", "--q", "3", "--prec", "81"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "1", "--kmax", "8"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "T+1", "--kmax", "12"],
     ["cwverify", "--q", "3", "--a", "T", "--b", "T+1", "--kmax", "8"],
