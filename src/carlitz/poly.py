@@ -189,6 +189,8 @@ class Poly:
             self._check(other)
         if not other.coeffs:
             return self
+        if not self.coeffs:
+            return other
         if _interned(ring):
             return _fp_poly(ring, self.var,
                             _fp_add(self._ix, other._ix, ring.p))
@@ -498,11 +500,14 @@ def _fp_strip(a: list[int]) -> list[int]:
 
 
 def _fp_add(a: list[int], b: list[int], p: int, s: int = 1) -> list[int]:
-    """a + s*b for s = 1 or -1, stripped."""
+    """a + s*b for s = 1 or -1, stripped.  The longer operand's tail is
+    taken by one slice unless it is negated."""
     out = [(x + s * y) % p for x, y in zip(a, b)]
     if len(a) == len(b):
         return _fp_strip(out)
-    return out + (a[len(b):] or [s * y % p for y in b[len(a):]])
+    if len(a) > len(b):
+        return out + a[len(b):]
+    return out + (b[len(a):] if s == 1 else [-y % p for y in b[len(a):]])
 
 
 def _fp_scale(a: list[int], c: int, p: int) -> list[int]:

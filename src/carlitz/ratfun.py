@@ -71,8 +71,8 @@ class FracField:
         if _interned(cring):
             self.poly_gcd = _gcd_ax
             self.kernel = _Kernel(cring.p, len, operator.attrgetter("_ix"),
-                                  _fp_mul, _fp_add, _fp_gcd, _fp_quo,
-                                  _fp_monic, _fp_box)
+                                  _fp_mul, _fp_add, _fp_divmod, _fp_gcd,
+                                  _fp_quo, _fp_monic, _fp_box)
         else:
             self.poly_gcd = None
             self.kernel = _POLY_KERNEL
@@ -236,16 +236,18 @@ class _Kernel:
     maps a Poly to its value; mul, add, gcd (monic) and quo (a/g for a
     divisor g of a) work on values; monic(a, b, p) is a/b with b made
     monic; box(field, pair, dens) is the RatFun of a canonical pair, and
-    may reuse the Polys dens, the operands' denominators.  A zero may carry
-    any denominator, so each entry of the rule tests for zero first.  Input
+    may reuse the Polys dens, the operands' denominators; divmod(a, b, p)
+    is the quotient and remainder of a by nonzero b.  A zero may carry any
+    denominator, so each entry of the rule tests for zero first.  Input
     values may be shared with a Poly, so nothing writes to one."""
 
-    __slots__ = ("p", "size", "view", "mul", "add", "gcd", "quo", "monic",
-                 "box")
+    __slots__ = ("p", "size", "view", "mul", "add", "divmod", "gcd", "quo",
+                 "monic", "box")
 
-    def __init__(self, p, size, view, mul, add, gcd, quo, monic, box):
+    def __init__(self, p, size, view, mul, add, divmod, gcd, quo, monic, box):
         self.p, self.size, self.view = p, size, view
-        self.mul, self.add, self.gcd, self.quo = mul, add, gcd, quo
+        self.mul, self.add, self.divmod = mul, add, divmod
+        self.gcd, self.quo = gcd, quo
         self.monic, self.box = monic, box
 
 
@@ -308,6 +310,49 @@ def _product(k: _Kernel, a, b, c, d):
                             else k.mul(b, d, p))
 
 
+def _dot(k: _Kernel, xs, ys):
+    """The sum of x*y over the canonical pairs x of xs and y of ys, None
+    for a zero (zip's length): a canonical pair, or None when the sum is
+    zero.  Each term a*c/(b*d) joins the sum n/l unreduced.  The running
+    denominator l grows by one exact quotient when one of l and e = b*d
+    divides the other, and otherwise becomes their lcm, through one gcd
+    with the remainder that test left.  The sum is reduced once, by
+    ``_reduced``, so a coefficient of a series product or inverse costs one
+    gcd where Henrici's rule took several per term."""
+    size, mul, add, p = k.size, k.mul, k.add, k.p
+    n = l = None
+    for x, y in zip(xs, ys):
+        if not (x and y):
+            continue
+        (a, b), (c, d) = x, y
+        t = mul(a, c, p)
+        e = b if size(d) == 1 else d if size(b) == 1 else mul(b, d, p)
+        if n is None or not size(n):
+            n, l = t, e
+        elif size(e) == 1:  # monic, so e = 1
+            n = add(n, t if size(l) == 1 else mul(t, l, p), p)
+        elif size(l) == 1:
+            n, l = add(mul(n, e, p), t, p), e
+        else:
+            big, small = (l, e) if size(e) <= size(l) else (e, l)
+            q, r = k.divmod(big, small, p)
+            if not size(r):
+                if big is l:
+                    n = add(n, mul(t, q, p), p)
+                else:
+                    n, l = add(mul(n, q, p), t, p), e
+                continue
+            g = k.gcd(small, r, p)  # = gcd(l, e)
+            if size(g) > 1:
+                lg, eg = k.quo(l, g, p), k.quo(e, g, p)
+            else:
+                lg, eg = l, e
+            n, l = add(mul(n, eg, p), mul(t, lg, p), p), mul(l, eg, p)
+    if n is None or not size(n):
+        return None
+    return _reduced(k, n, l)
+
+
 # -- the index kernel: F_p(T) on index lists, as poly's _fp_* keep them ------
 
 def _fp_quo(a: list[int], g: list[int], p: int) -> list[int]:
@@ -354,6 +399,15 @@ def _poly_monic(a: Poly, b: Poly, p: None):
     return a.mul_scalar(lcinv), b.mul_scalar(lcinv)
 
 
+def _poly_quo(a: Poly, g: Poly, p: None) -> Poly:
+    """a/g for a divisor g of a, exact as on the index kernel."""
+    quo, rem = a.divmod(g)
+    if rem.coeffs:
+        raise InvariantError(
+            f"{a.ring!r}[{a.var}] cancellation left a remainder: {a} / {g}")
+    return quo
+
+
 def _poly_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
     a, b = pair
     return RatFun(field, a, b) if a.coeffs else field.zero
@@ -365,8 +419,9 @@ _POLY_KERNEL = _Kernel(
     lambda a: a,
     lambda a, b, p: a * b,
     lambda a, b, p: a + b,
+    lambda a, b, p: a.divmod(b),
     lambda a, b, p: a.gcd(b),
-    lambda a, g, p: a.exact_div(g),
+    _poly_quo,
     _poly_monic,
     _poly_box,
 )

@@ -27,12 +27,13 @@ tests keep those as the oracle for the kernel loops.
 
 from __future__ import annotations
 
+import collections
 import operator
 
 from .errors import PrecisionError
 from .fq import _power
 from .poly import Poly
-from .ratfun import FracField, _product, _sum
+from .ratfun import FracField, _dot, _product
 
 __all__ = ["TruncSeries"]
 
@@ -40,6 +41,63 @@ __all__ = ["TruncSeries"]
 def _min_prec(*precs: int | None) -> int | None:
     vals = [p for p in precs if p is not None]
     return min(vals) if vals else None
+
+
+# -- windows: the precision rules of * and +, shared with compose ------------
+#
+# A window is a series or a _Window: coefficients stored from ``order`` on,
+# known through ``prec``.  The rules below read nothing else, so the pair
+# loops of ``compose`` keep their windows exactly as ``*`` and ``+`` would.
+
+_Window = collections.namedtuple("_Window", "order coeffs prec")
+
+
+def _trim(order: int, cs: list, prec: int | None):
+    """(order, cs, prec) as a series holds it: the zero ends of cs (zero by
+    truth value) stripped, order moved past the leading ones, and an empty
+    window the zero known through prec (order 0 when exact)."""
+    while cs and not cs[-1]:
+        cs.pop()
+    lead = 0
+    while lead < len(cs) and not cs[lead]:
+        lead += 1
+    if lead:
+        cs = cs[lead:]
+        order += lead
+    if prec is not None and cs and order + len(cs) > prec:
+        raise ValueError("stored coefficients exceed declared precision")
+    if not cs:
+        order = 0 if prec is None else prec
+    return order, cs, prec
+
+
+def _mul_window(f, g):
+    """(order, width, prec) of f*g, neither an exact zero: the product's
+    first width terms from order on, known through prec.  width <= 0 when
+    nothing is stored there."""
+    precs = []
+    if g.prec is not None:
+        precs.append(f.order + g.prec)
+    if f.prec is not None:
+        precs.append(g.order + f.prec)
+    prec = min(precs) if precs else None
+    lo = f.order + g.order
+    if not f.coeffs or not g.coeffs:
+        return lo, 0, prec
+    width = len(f.coeffs) + len(g.coeffs) - 1
+    if prec is not None:
+        width = min(width, prec - lo)
+    return lo, width, prec
+
+
+def _add_window(f, g):
+    """(lo, hi, prec) of f + g, neither an exact zero: the sum's terms
+    lo <= n < hi, known through prec."""
+    prec = _min_prec(f.prec, g.prec)
+    hi = max(f.order + len(f.coeffs), g.order + len(g.coeffs))
+    if prec is not None:
+        hi = min(hi, prec)
+    return min(f.order, g.order), hi, prec
 
 
 # -- the fraction-field loops: coefficients as (num, den) kernel pairs -------
@@ -51,68 +109,85 @@ def _on_kernel(ring) -> bool:
 
 
 def _pairs(k, coeffs) -> list:
+    """The kernel pairs of coeffs, None for a zero."""
     view = k.view
-    return [(view(c.num), view(c.den)) for c in coeffs]
+    return [(view(c.num), view(c.den)) if c else None for c in coeffs]
+
+
+def _boxed(ring, pairs) -> list:
+    box = ring.kernel.box
+    return [box(ring, c) if c else ring.zero for c in pairs]
+
+
+def _convolve(k, a, b, width: int) -> list:
+    """The first ``width`` coefficients of the product of the pair lists a
+    and b, each one ``_dot``: c_m = sum a_i b_(m-i), from the lowest i that
+    b reaches."""
+    lb = len(b)
+    out = []
+    for m in range(width):
+        i0 = max(0, m - lb + 1)
+        out.append(_dot(k, a[i0:m + 1], b[m - i0::-1]))
+    return out
 
 
 def _pair_convolve(ring, a, b, width: int) -> list:
     """The first ``width`` coefficients of the product of a and b."""
     k = ring.kernel
-    size = k.size
-    b = _pairs(k, b)
-    out = _pairs(k, [ring.zero]) * width
-    for i, (an, ad) in enumerate(_pairs(k, a)):
-        if not size(an):
-            continue
-        for j in range(min(len(b), width - i)):
-            bn, bd = b[j]
-            if size(bn):
-                sn, sd = out[i + j]
-                tn, td = _product(k, an, ad, bn, bd)
-                out[i + j] = _sum(k, sn, sd, tn, td)
-    box = k.box
-    return [box(ring, c) for c in out]
+    return _boxed(ring, _convolve(k, _pairs(k, a), _pairs(k, b), width))
 
 
 def _pair_inverse(ring, u, u0inv, rel: int) -> list:
-    """The first ``rel`` coefficients of 1/u, u0inv = 1/u[0]: Henrici's
-    rule on every term of w_n = (-u0inv) * sum_(1 <= j <= n) u_j w_(n-j)."""
+    """The first ``rel`` coefficients of 1/u, u0inv = 1/u[0]: with
+    v_j = -u0inv u_j, taken once each, w_n = sum_(1 <= j <= n) v_j w_(n-j)
+    is one ``_dot``."""
     k = ring.kernel
-    size = k.size
-    u = _pairs(k, u)
-    zero, (mn, md) = _pairs(k, [ring.zero, -u0inv])
+    (mn, md), *us = _pairs(k, [-u0inv, *u[1:]])
+    v = [_product(k, mn, md, *x) if x else None for x in us]
     w = _pairs(k, [u0inv])
     for n in range(1, rel):
-        sn, sd = zero
-        for j in range(1, min(n, len(u) - 1) + 1):
-            un, ud = u[j]
-            if size(un):
-                wn, wd = w[n - j]
-                tn, td = _product(k, un, ud, wn, wd)
-                sn, sd = _sum(k, sn, sd, tn, td)
-        w.append(_product(k, mn, md, sn, sd))
-    box = k.box
-    return [box(ring, c) for c in w]
+        jmax = min(n, len(v))
+        w.append(_dot(k, v[:jmax], reversed(w[n - jmax:n])))
+    return _boxed(ring, w)
+
+
+def _pair_compose(ring, outer, inner, cap: int | None) -> "TruncSeries":
+    """outer(inner) for ord(outer) >= 0 by Horner's rule, acc -> acc*inner
+    + c, on kernel pairs: the windows of ``*`` and ``+``, each coefficient
+    of acc*inner one ``_dot``, and only the result's coefficients boxed."""
+    k = ring.kernel
+    g = _pairs(k, inner.coeffs)
+    acc = _Window(0, [], None)
+    for c in reversed([None] * outer.order + _pairs(k, outer.coeffs)):
+        if acc.coeffs or acc.prec is not None:
+            lo, width, prec = _mul_window(acc, inner)
+            acc = _Window(*_trim(lo, _convolve(k, acc.coeffs, g, width),
+                                 prec))
+        if c:
+            const = _Window(0, [c], None)
+            if not acc.coeffs and acc.prec is None:
+                acc = const
+            else:
+                lo, hi, prec = _add_window(acc, const)
+                out = [None] * (hi - lo)
+                for i, x in enumerate(acc.coeffs, acc.order - lo):
+                    out[i] = x
+                # acc*inner starts at ord(inner) >= 1 or is a zero known
+                # through prec >= 1, so the slot of z^0 is c's alone
+                out[-lo] = c
+                acc = _Window(*_trim(lo, out, prec))
+        if cap is not None and acc.prec is None:
+            acc = _Window(*_trim(acc.order,
+                                 acc.coeffs[:max(0, cap - acc.order)], cap))
+    return TruncSeries(ring, inner.var, acc.order, _boxed(ring, acc.coeffs),
+                       acc.prec)
 
 
 class TruncSeries:
     __slots__ = ("ring", "var", "order", "coeffs", "prec")
 
     def __init__(self, ring, var: str, order: int, coeffs, prec: int | None) -> None:
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        lead = 0
-        while lead < len(cs) and not cs[lead]:
-            lead += 1
-        if lead:
-            cs = cs[lead:]
-            order += lead
-        # an empty window is a zero known through prec, wherever order was
-        if prec is not None and cs and order + len(cs) > prec:
-            raise ValueError("stored coefficients exceed declared precision")
-        if not cs:
-            order = 0 if prec is None else prec
+        order, cs, prec = _trim(order, list(coeffs), prec)
         self.ring = ring
         self.var = var
         self.order = order
@@ -176,13 +251,7 @@ class TruncSeries:
             return other
         if not other.coeffs and other.prec is None:
             return self
-        prec = _min_prec(self.prec, other.prec)
-        lo = min(self.order, other.order)
-        hi_self = self.order + len(self.coeffs)
-        hi_other = other.order + len(other.coeffs)
-        hi = max(hi_self, hi_other)
-        if prec is not None:
-            hi = min(hi, prec)
+        lo, hi, prec = _add_window(self, other)
         zero = self.ring.zero
         out = [zero] * max(0, hi - lo)
         for k, c in enumerate(self.coeffs):
@@ -207,20 +276,8 @@ class TruncSeries:
         if (not self.coeffs and self.prec is None) or (
                 not other.coeffs and other.prec is None):
             return TruncSeries(self.ring, self.var, 0, [], None)
-        precs = []
-        if other.prec is not None:
-            precs.append(self.order + other.prec)
-        if self.prec is not None:
-            precs.append(other.order + self.prec)
-        prec = min(precs) if precs else None
-        lo = self.order + other.order
-        if prec is None:
-            width = len(self.coeffs) + len(other.coeffs) - 1 if self.coeffs and other.coeffs else 0
-        else:
-            width = prec - lo
-            if self.coeffs and other.coeffs:
-                width = min(width, len(self.coeffs) + len(other.coeffs) - 1)
-        if width <= 0 or not self.coeffs or not other.coeffs:
+        lo, width, prec = _mul_window(self, other)
+        if width <= 0:
             return TruncSeries(self.ring, self.var, 0, [], prec)
         if _on_kernel(self.ring):
             out = _pair_convolve(self.ring, self.coeffs, other.coeffs, width)
@@ -248,8 +305,7 @@ class TruncSeries:
 
     def truncate(self, prec: int) -> "TruncSeries":
         new_prec = _min_prec(self.prec, prec)
-        keep = [c for k, c in enumerate(self.coeffs)
-                if self.order + k < new_prec]
+        keep = self.coeffs[:max(0, new_prec - self.order)]
         return TruncSeries(self.ring, self.var, self.order, keep, new_prec)
 
     def invert(self) -> "TruncSeries":
@@ -322,6 +378,8 @@ class TruncSeries:
             pos = TruncSeries(self.ring, self.var, 0, self.coeffs,
                               None if self.prec is None else self.prec + j)
             res = pos.compose(inner) * inner.invert() ** j
+        elif _on_kernel(self.ring):
+            res = _pair_compose(self.ring, self, inner, cap)
         else:
             acc = TruncSeries(self.ring, self.var, 0, [], None)
             top = self.order + len(self.coeffs) - 1

@@ -155,6 +155,41 @@ def test_kernel_results_are_built_once(op, case, scalar):
         check_view(r)
 
 
+@st.composite
+def unequal_fp_polys(draw):
+    """(fq, a, b) over one F_p: a zero, short or long, and b of another
+    length, zero among them."""
+    fq = Fq.get(draw(st.sampled_from(PRIMES)))
+    length = st.one_of(st.just(0), st.integers(1, 3), st.integers(8, 40))
+    la = draw(length)
+    lb = draw(length.filter(lambda n: n != la))
+
+    def poly(n):
+        ints = draw(st.lists(st.integers(0, fq.q - 1), min_size=n,
+                             max_size=n))
+        if n:
+            ints[-1] = draw(st.integers(1, fq.q - 1))
+        return fresh_poly(fq, ints)
+
+    return fq, poly(la), poly(lb)
+
+
+@KERNEL
+@given(unequal_fp_polys())
+def test_add_and_sub_of_unequal_lengths_match_generic(case):
+    _, a, b = case
+    for x, y in ((a, b), (b, a)):
+        for op in (FP_OPS["+"], FP_OPS["-"]):
+            before = snapshot((x, y))
+            got = op(x, y, None)
+            check_untouched((x, y), before)
+            assert got == generic(op, x, y, None)
+            check_view(got)
+    # a zero operand of + gives the other operand itself
+    zero, x = Poly(a.ring, "T", []), a if a.coeffs else b
+    assert zero + x is x and x + zero is x
+
+
 @KERNEL
 @given(case=fp_polys(max_deg=30), scalar=st.integers(0, 6),
        k=st.integers(0, 3))

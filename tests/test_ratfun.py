@@ -500,3 +500,16 @@ def test_a_broken_cancellation_is_an_invariant_error(monkeypatch):
     with pytest.raises(InvariantError,
                        match="F_p.T. cancellation left a remainder"):
         f * g
+
+
+@pytest.mark.parametrize("q", (3, 4))
+def test_kernel_quo_of_a_non_divisor_is_an_invariant_error(q):
+    # both kernels: the index kernel over F_3(T), the Poly kernel over
+    # F_4(T); an exact division that leaves a remainder is no usage error
+    fq = Fq.get(q)
+    k = base_field(fq).kernel
+    a, g = poly_parse("T^2+T+1", fq), poly_parse("T+1", fq)
+    assert not (a % g).is_zero()
+    with pytest.raises(InvariantError, match="cancellation left a remainder"):
+        k.quo(k.view(a), k.view(g), k.p)
+    assert k.quo(k.view(a * g), k.view(g), k.p) == k.view(a)

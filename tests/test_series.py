@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import series as series_module
-from carlitz.coleman import x_field
+from carlitz.cmod import carlitz_exp, carlitz_log
+from carlitz.coleman import cyclotomic_unit_series, x_field
+from carlitz.cw import dlog_exp_series
 from carlitz.errors import PrecisionError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import Poly, poly_parse
@@ -254,7 +256,8 @@ KERNEL_FIELDS = [base_field(Fq.get(q)) for q in (2, 3, 5, 7, 4, 9)] + [
 
 
 def generic_loops():
-    """Run every series product and inverse on RatFun coefficients."""
+    """Run every series product, inverse and composition on RatFun
+    coefficients."""
     return mock.patch.object(series_module, "_on_kernel", lambda ring: False)
 
 
@@ -338,7 +341,7 @@ def test_pair_compose_matches_the_generic_loop(pair):
 def test_pair_loops_route(monkeypatch):
     # every fraction field takes the kernel loops; F_3 keeps the generic ones
     calls = []
-    for name in ("_pair_convolve", "_pair_inverse"):
+    for name in ("_pair_convolve", "_pair_inverse", "_pair_compose"):
         def spy(*args, real=getattr(series_module, name)):
             calls.append(args)
             return real(*args)
@@ -349,4 +352,129 @@ def test_pair_loops_route(monkeypatch):
         s = TruncSeries(ring, "z", 0, [ring.one, ring.one, ring.one], 5)
         s * s
         s.invert()
-        assert len(calls) == (2 if paired else 0), ring
+        s.compose(s.shift(1))
+        assert len(calls) == (3 if paired else 0), ring
+
+
+# -- nested denominators: chains D_i | D_(i+1), as in e(z), log z and dlog ---
+
+NESTED_QS = (2, 3, 4, 5, 7)
+
+
+def nested_prec(q):
+    """A precision that reaches z^(q^2), the third term of e(z)."""
+    return max(24, q * q + 3)
+
+
+@pytest.mark.parametrize("q", NESTED_QS)
+def test_exp_and_log_series_match_the_generic_loops(q):
+    fq = Fq.get(q)
+    P = nested_prec(q)
+    e, lam = carlitz_exp(fq, P), carlitz_log(fq, P)
+    got = (e.invert(), e.compose(lam))
+    with generic_loops():
+        want = (e.invert(), e.compose(lam))
+    for g, w in zip(got, want):
+        same_series(g, w)
+    assert got[1].coeffs == (e.ring.one,) and got[1].order == 1
+
+
+@pytest.mark.parametrize("q", NESTED_QS)
+def test_dlog_exp_series_matches_the_generic_loops(q):
+    fq = Fq.get(q)
+    t = Poly.gen(fq, "T")
+    u = cyclotomic_unit_series(t, Poly.const(fq, "T", 1))
+    k = nested_prec(q)
+    got = dlog_exp_series(u, k)
+    with generic_loops():
+        want = dlog_exp_series(u, k)
+    same_series(got, want)
+
+
+def monic_polys(ring, var, degrees=(1, 2)):
+    """Monic polynomials over ring of the given degrees, small coefficients."""
+    return st.integers(*degrees).flatmap(lambda d: st.lists(
+        small_elements(ring, 2), min_size=d, max_size=d)).map(
+        lambda cs: Poly(ring, var, [*cs, ring.one]))
+
+
+@st.composite
+def chain_series_pair(draw):
+    """Two series over one kernel field, the second of order 1-2 with a
+    unit lead, whose coefficient denominators are drawn from one chain
+    d | de | def and one factor c coprime to def, so that the running
+    denominator both divides and takes lcms."""
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    monic = monic_polys(F.cring, F.var)
+    d, e, f = draw(monic), draw(monic), draw(monic)
+    c = draw(monic.filter(lambda c: c.gcd(d * e * f).is_one()))
+    den = st.sampled_from((F.one.num, d, d * e, d * e * f, c))
+    num = st.lists(small_elements(F.cring, 2), min_size=1, max_size=3).map(
+        lambda cs: Poly(F.cring, F.var, cs))
+    coeff = st.tuples(num, den).map(lambda nd: RatFun.make(F, *nd))
+
+    def one_series(orders, unit):
+        coeffs = draw(st.lists(coeff, min_size=1, max_size=5))
+        if unit:
+            coeffs[0] = draw(coeff.filter(bool))
+        order = draw(st.integers(*orders))
+        prec = order + len(coeffs) + draw(st.integers(0, 2))
+        return TruncSeries(F, "z", order, coeffs, prec)
+
+    return one_series((0, 3), False), one_series((1, 2), True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain_series_pair())
+def test_chained_denominators_match_the_generic_loops(pair):
+    f, g = pair
+    ops = (lambda: f * f, lambda: f * g, lambda: g.invert(),
+           lambda: f.compose(g))
+    got = [op() for op in ops]
+    with generic_loops():
+        want = [op() for op in ops]
+    for x, y in zip(got, want):
+        same_series(x, y)
+
+
+def test_running_denominator_divides_and_takes_lcms(monkeypatch):
+    # over the index kernel (F_3(T)) and the Poly kernel (F_4(T)): a sum
+    # whose denominators are T, T^2 and T + 1 goes through the divides
+    # branch (T | T^2) and the lcm branch (T^2 and T + 1)
+    for q in (3, 4):
+        F = base_field(Fq.get(q))
+        k = F.kernel
+        remainders = []
+
+        def divmod_spy(a, b, p, real=k.divmod):
+            quo, rem = real(a, b, p)
+            remainders.append(bool(k.size(rem)))
+            return quo, rem
+
+        monkeypatch.setattr(k, "divmod", divmod_spy)
+        t = F.gen()
+        f = TruncSeries(F, "z", 0, [F.one, F.one / t, F.one / (t * t),
+                                    F.one / (t + F.one)], 6)
+        got = f * f
+        with generic_loops():
+            want = f * f
+        same_series(got, want)
+        assert False in remainders and True in remainders, q
+
+
+def test_series_invert_reduces_each_coefficient_once(monkeypatch):
+    # one gcd per output coefficient at most: Henrici's rule on every term
+    # took 552 here
+    F = base_field(Fq.get(3))
+    real = F.kernel.gcd
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(F.kernel, "gcd", counted)
+    rel = 160 - 1
+    inv = carlitz_exp(Fq.get(3), 160).invert()
+    assert inv.prec - inv.order == rel
+    assert 0 < len(calls) <= rel
