@@ -24,9 +24,15 @@ holds values as ``poly``'s index lists, each operation one ``_fp_*`` call,
 and builds the result's two polynomials once; the rule's divisions are exact
 by construction, so a remainder raises ``InvariantError``.  Over F_{p^m}(T),
 F(x) and every other field, the Poly kernel holds Polys and calls their
-methods.  ``series`` runs its products and inverses over every fraction
-field on the same kernels.  The tests check the index kernel against the
-Poly kernel on F_p(T).
+methods.  A division the rule makes exact that leaves a remainder raises
+``InvariantError`` on both kernels.  The tests check the index kernel
+against the Poly kernel on F_p(T).
+
+``series`` runs its products, inverses and compositions over every fraction
+field on the same kernels, but not term by term through the rule: ``_dot``
+sums a whole coefficient sum(a_i c_i / (b_i d_i)) over a running
+denominator, with the kernel's ``divmod`` deciding whether one denominator
+divides the other, and reduces it by one gcd at the end.
 
 Which gcd a ``Poly`` takes follows its coefficient parent.  Over F_p
 (p <= 256) it is ``poly``'s integer kernel.  Over F = F_p(T) on such an F_p,
@@ -311,20 +317,21 @@ def _product(k: _Kernel, a, b, c, d):
 
 
 def _dot(k: _Kernel, xs, ys):
-    """The sum of x*y over the canonical pairs x of xs and y of ys, None
-    for a zero (zip's length): a canonical pair, or None when the sum is
-    zero.  Each term a*c/(b*d) joins the sum n/l unreduced.  The running
-    denominator l grows by one exact quotient when one of l and e = b*d
-    divides the other, and otherwise becomes their lcm, through one gcd
-    with the remainder that test left.  The sum is reduced once, by
-    ``_reduced``, so a coefficient of a series product or inverse costs one
-    gcd where Henrici's rule took several per term."""
+    """The sum of x*y over x of xs and y of ys taken in step, each a
+    canonical pair or None for a zero: a canonical pair, or None when the
+    sum is zero.  A single term is a product, whose cross gcds skip a unit
+    side (``_product``).  Otherwise each term a*c/(b*d) joins the sum n/l
+    unreduced.  The running denominator l grows by one exact quotient when
+    one of l and e = b*d divides the other, and otherwise becomes their
+    lcm, through one gcd with the remainder that test left.  The sum is
+    reduced once, by ``_reduced``, so a coefficient of a series product or
+    inverse costs one gcd where Henrici's rule took several per term."""
+    terms = [(x, y) for x, y in zip(xs, ys) if x and y]
+    if len(terms) < 2:
+        return _product(k, *terms[0][0], *terms[0][1]) if terms else None
     size, mul, add, p = k.size, k.mul, k.add, k.p
     n = l = None
-    for x, y in zip(xs, ys):
-        if not (x and y):
-            continue
-        (a, b), (c, d) = x, y
+    for (a, b), (c, d) in terms:
         t = mul(a, c, p)
         e = b if size(d) == 1 else d if size(b) == 1 else mul(b, d, p)
         if n is None or not size(n):
@@ -348,9 +355,7 @@ def _dot(k: _Kernel, xs, ys):
             else:
                 lg, eg = l, e
             n, l = add(mul(n, eg, p), mul(t, lg, p), p), mul(l, eg, p)
-    if n is None or not size(n):
-        return None
-    return _reduced(k, n, l)
+    return _reduced(k, n, l) if size(n) else None
 
 
 # -- the index kernel: F_p(T) on index lists, as poly's _fp_* keep them ------

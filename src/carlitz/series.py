@@ -16,13 +16,16 @@ makes a product exactly zero):
 Coefficients are tested against zero by truth value, which for ``FqElem``
 and ``RatFun`` is one index or length check instead of a full ``==``.
 
-Over every fraction field, ``*`` and ``invert`` (so ``compose`` and ``**``)
-run their convolution and recurrence on the field's kernel (``ratfun``):
-each coefficient is a (num, den) pair of the kernel's values, index lists
-over F_p(T) and Polys over F_{p^m}(T) and F(x), every term is one step of
-Henrici's rule, and only the output coefficients become ``RatFun``s.  Every
-other ring (F_q series) runs the generic loops on its elements, and the
-tests keep those as the oracle for the kernel loops.
+Over every fraction field, ``*``, ``invert`` and ``compose`` (so ``**``)
+run their convolution, recurrence and Horner steps on the field's kernel
+(``ratfun``): each coefficient is a (num, den) pair of the kernel's values,
+index lists over F_p(T) and Polys over F_{p^m}(T) and F(x), None for a zero.
+Each output coefficient is one ``ratfun._dot``: its terms are summed over a
+running denominator and reduced by one gcd, and only the result's
+coefficients become ``RatFun``s.  ``compose`` keeps its windows by the same
+functions as ``*`` and ``+``.  Every other ring (F_q series) runs the generic
+loops on its elements, and the tests keep those as the oracle for the
+kernel loops.
 """
 
 from __future__ import annotations
