@@ -86,6 +86,12 @@ INVOCATIONS = [
     ["cwverify", "--q", "2", "--a", "T", "--b", "T+1", "--kmax", "64"],
     ["bc", "--q", "7", "--n", "200"],
     ["log", "--q", "3", "--prec", "81"],
+    # Coates-Wiles rows over F_9(T) on the Poly kernel, with gcd(a, b) = T,
+    # with an index of degree 2, and for a constant unit (dlog 0)
+    ["cwverify", "--q", "9", "--a", "T", "--b", "1", "--kmax", "40"],
+    ["cwverify", "--q", "2", "--a", "T^2", "--b", "T", "--kmax", "24"],
+    ["cwverify", "--q", "3", "--a", "T^2+1", "--b", "T+2", "--kmax", "24"],
+    ["cwverify", "--q", "3", "--a", "2", "--b", "1", "--kmax", "12"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "1", "--kmax", "8"],
     ["cwverify", "--q", "2", "--a", "T", "--b", "T+1", "--kmax", "12"],
     ["cwverify", "--q", "3", "--a", "T", "--b", "T+1", "--kmax", "8"],
