@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import InvariantError
 from .fq import Fq
-from .poly import Poly, PolyRing, is_monic_prime
+from .poly import Poly, PolyRing, _poly_quo, is_monic_prime
 from .ratfun import RatFun, base_field
 from .series import TruncSeries
 
@@ -166,7 +166,7 @@ def omega_minpoly(pi: Poly, n: int) -> Poly:
     if n == 1:
         m = Poly(tn.ring, tn.var, tn.coeffs[1:])
     else:
-        m = tn.exact_div(torsion_poly(pi, n - 1))
+        m = _poly_quo(tn, torsion_poly(pi, n - 1))
     if not m.is_monic():
         raise InvariantError("torsion quotient failed to be monic")
     const = m.constant

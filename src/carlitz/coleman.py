@@ -142,7 +142,7 @@ class ColemanSeries:
         a, b = _x_order(num), _x_order(den)
         nu = TruncSeries(num.ring, num.var, 0, num.coeffs[a:], prec - a + b)
         de = TruncSeries(den.ring, den.var, 0, den.coeffs[b:], prec - a + b)
-        return (nu * de.invert()).shift(a - b).truncate(prec)
+        return (nu / de).shift(a - b).truncate(prec)
 
     def _merge_pi(self, other: "ColemanSeries") -> Poly | None:
         if self.pi is None:
@@ -165,8 +165,7 @@ class ColemanSeries:
         if isinstance(a, RatFun) and isinstance(b, RatFun):
             return ColemanSeries(a / b, pi)
         prec = _finite_prec(a, b)
-        return ColemanSeries(
-            self.as_series(prec) * other.as_series(prec).invert(), pi)
+        return ColemanSeries(self.as_series(prec) / other.as_series(prec), pi)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ColemanSeries) and other.value == self.value

@@ -9,9 +9,12 @@ phi_a(x)/phi_b(x)).  The verifier compares, exactly in F = F_q(T),
 for k = 1..kmax.  Both sides are prime-free and read the same Carlitz
 exponential, which is certified by its functional equation
 phi_T(e(z)) = e(Tz) when it is built.  Past that shared input they are
-independent: the left substitutes e(z) into dlog c(a, b), inverting its own
-series; the right reads BC_k/Pi(k) = [z^(k-1)] 1/e(z) off the cached copy,
-with no Pi(k) multiplied in or divided out, and uses a, b only via a^k - b^k.
+independent: the left substitutes e(z) into dlog c(a, b) and divides by its
+own series, never reading the cached 1/e(z); the right reads
+BC_k/Pi(k) = [z^(k-1)] 1/e(z) off the cached copy, with no Pi(k) multiplied
+in or divided out, and uses a, b only via a^k - b^k.  Each row compares the
+two by cross products in A = F_q[T], and only a row that disagrees builds
+its reduced right side.
 """
 
 from __future__ import annotations
@@ -94,12 +97,37 @@ def dlog(f):
     if isinstance(f, RatFun):
         if f.is_zero():
             raise ZeroDivisionError("dlog of zero")
-        return f.derivative() / f
+        return _dlog_rational(f)
     if isinstance(f, TruncSeries):
         if f.is_zero():
             raise ZeroDivisionError("dlog of zero")
-        return f.derivative() * f.invert()
+        return f.derivative() / f
     raise TypeError(f"cannot take dlog of {f!r}")
+
+
+def _dlog_rational(f: RatFun) -> RatFun:
+    """f'/f = (n'd - nd')/(nd) for f = n/d in canonical form, on the
+    field's kernel.  n and d are coprime, so gcd(n'd - nd', n) = gcd(n', n)
+    and gcd(n'd - nd', d) = gcd(d', d): the fraction is reduced by
+    g1 = gcd(n, n') and g2 = gcd(d, d') alone (gcd(a, 0) is a made monic),
+    each division exact by construction."""
+    field = f.field
+    k = field.kernel
+    p, size, view, mul, quo = k.p, k.size, k.view, k.mul, k.quo
+    n, dn = view(f.num), view(f.num.derivative())
+    d, dd = view(f.den), view(-f.den.derivative())  # d and -d'
+    if size(n) > 1:
+        g1 = k.gcd(n, dn, p)
+        if size(g1) > 1:
+            n, dn = quo(n, g1, p), quo(dn, g1, p)
+    if size(d) > 1:
+        g2 = k.gcd(d, dd, p)
+        if size(g2) > 1:
+            d, dd = quo(d, g2, p), quo(dd, g2, p)
+    num = k.add(mul(dn, d, p), mul(n, dd, p), p)
+    if not size(num):
+        return field.zero
+    return k.box(field, k.monic(num, mul(n, d, p), p))
 
 
 def _exp_in_x(fq: Fq, prec: int) -> TruncSeries:
@@ -133,7 +161,7 @@ def dlog_exp_series(f, prec: int) -> TruncSeries:
         e = _exp_in_x(fq, max(prec + margin, 2))
         num = TruncSeries.from_poly(d.num).compose(e)
         den = TruncSeries.from_poly(d.den).compose(e)
-        out = num * den.invert()
+        out = num / den
     else:
         fq = _fq_of(d.ring)
         # d(e) is known through min(prec d, P - 2j), j = -ord d <= 1 for a dlog
@@ -199,6 +227,11 @@ def cw_verify(a: Poly, b: Poly, kmax: int) -> CWReport:
     for k in range(1, kmax + 1):
         ak, bk = ak * a, bk * b
         lhs = ser.coefficient(k - 1)
-        rhs = F.coerce(ak - bk) * _bc_over_factorial(k, recip, fq)
-        rows.append(CWRow(k, lhs, rhs, lhs == rhs))
+        c, diff = _bc_over_factorial(k, recip, fq), ak - bk
+        # n/d = diff cn/cd iff n cd = diff cn d; both sides are canonical,
+        # so an equal row's rhs is lhs itself
+        if lhs.num * c.den == diff * c.num * lhs.den:
+            rows.append(CWRow(k, lhs, lhs, True))
+        else:
+            rows.append(CWRow(k, lhs, F.coerce(diff) * c, False))
     return CWReport(q=fq.q, a=a, b=b, rows=rows)

@@ -49,7 +49,7 @@ from .cmod import carlitz_phi, omega_minpoly
 from .errors import InvariantError
 from .fq import Fq
 from .groupring import GroupRing
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, _poly_quo
 from .quotient import (
     QuotElem, QuotientRing, _mult_matrix, charpoly, quotient_norm,
 )
@@ -174,8 +174,8 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     d = A.one
     for c in p.coeffs:
         if not c.den.is_one():
-            d = d * c.den.exact_div(d.gcd(c.den))
-    h, e = _resultant_norm([c.num * d.exact_div(c.den) for c in p.coeffs],
+            d = d * _poly_quo(c.den, d.gcd(c.den))
+    h, e = _resultant_norm([c.num * _poly_quo(d, c.den) for c in p.coeffs],
                            qr)
     den = d ** qr.degree
     if e.degree == 0:

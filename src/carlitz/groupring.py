@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CharacterError
-from .poly import Poly, ZZ, all_residues, is_monic_prime
+from .poly import Poly, ZZ, _poly_quo, all_residues, is_monic_prime
 from .quotient import QuotientRing
 
 __all__ = [
@@ -211,7 +211,7 @@ def cyclotomic_poly(m: int) -> Poly:
     xm1 = Poly(ZZ, "x", [-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
-            xm1 = xm1.exact_div(cyclotomic_poly(d))
+            xm1 = _poly_quo(xm1, cyclotomic_poly(d))
     return xm1
 
 

@@ -70,7 +70,7 @@ import operator
 import sys
 from array import array
 
-from .errors import ParseError
+from .errors import InvariantError, ParseError
 from .fq import Fq, FqElem, _power, _prime_divisors
 
 __all__ = [
@@ -275,6 +275,9 @@ class Poly:
         return self.divmod(other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
+        """self/other for a caller's own operands: a remainder is bad input
+        (ValueError).  A division the library makes exact by construction
+        goes through ``_poly_quo`` instead."""
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ValueError(f"inexact polynomial division: remainder {r!r}")
@@ -459,6 +462,17 @@ def _egcd_generic(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         return r0, u0, v0
     lc = r0.leading ** -1
     return r0.mul_scalar(lc), u0.mul_scalar(lc), v0.mul_scalar(lc)
+
+
+def _poly_quo(a: Poly, g: Poly, p: None = None) -> Poly:
+    """a/g for a divisor g of a that the library's own construction makes
+    exact, so a remainder is an ``InvariantError``, a bug rather than bad
+    input.  p is ignored: this is also the Poly kernel's ``quo``."""
+    quo, rem = a.divmod(g)
+    if rem.coeffs:
+        raise InvariantError(
+            f"{a.ring!r}[{a.var}] cancellation left a remainder: {a} / {g}")
+    return quo
 
 
 # -- the F_p kernel: coefficient indices, low degree first, no trailing 0 ----

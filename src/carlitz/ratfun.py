@@ -28,7 +28,7 @@ methods.  A division the rule makes exact that leaves a remainder raises
 ``InvariantError`` on both kernels.  The tests check the index kernel
 against the Poly kernel on F_p(T).
 
-``series`` runs its products, inverses and compositions over every fraction
+``series`` runs its products, quotients and compositions over every fraction
 field on the same kernels, but not term by term through the rule: ``_dot``
 sums a whole coefficient sum(a_i c_i / (b_i d_i)) over a running
 denominator, with the kernel's ``divmod`` deciding whether one denominator
@@ -56,7 +56,7 @@ from .errors import InvariantError
 from .fq import _power
 from .poly import (
     Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
-    _interned,
+    _interned, _poly_quo,
 )
 
 __all__ = ["FracField", "RatFun", "base_field"]
@@ -325,7 +325,7 @@ def _dot(k: _Kernel, xs, ys):
     one of l and e = b*d divides the other, and otherwise becomes their
     lcm, through one gcd with the remainder that test left.  The sum is
     reduced once, by ``_reduced``, so a coefficient of a series product or
-    inverse costs one gcd where Henrici's rule took several per term."""
+    quotient costs one gcd where Henrici's rule took several per term."""
     terms = [(x, y) for x, y in zip(xs, ys) if x and y]
     if len(terms) < 2:
         return _product(k, *terms[0][0], *terms[0][1]) if terms else None
@@ -402,15 +402,6 @@ def _poly_monic(a: Poly, b: Poly, p: None):
         return a, b
     lcinv = b.leading ** -1
     return a.mul_scalar(lcinv), b.mul_scalar(lcinv)
-
-
-def _poly_quo(a: Poly, g: Poly, p: None) -> Poly:
-    """a/g for a divisor g of a, exact as on the index kernel."""
-    quo, rem = a.divmod(g)
-    if rem.coeffs:
-        raise InvariantError(
-            f"{a.ring!r}[{a.var}] cancellation left a remainder: {a} / {g}")
-    return quo
 
 
 def _poly_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:

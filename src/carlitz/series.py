@@ -11,15 +11,18 @@ Precision rules (a zero series has ord = prec, and an exactly zero factor
 makes a product exactly zero):
   * ``f*g``    knows through  min(ord(f)+prec(g), ord(g)+prec(f))
   * ``f**-1``  knows through  prec(f) - 2*ord(f)
+  * ``f/g``    knows what ``f * g**-1`` knows: the same order, window and
+    exceptions, by one recurrence instead of an inverse and a product
   * ``f(g)``   (ord(g) >= 1)  knows through  min(ord(g)*prec(f), Horner)
 
 Coefficients are tested against zero by truth value, which for ``FqElem``
 and ``RatFun`` is one index or length check instead of a full ``==``.
 
-Over every fraction field, ``*``, ``invert`` and ``compose`` (so ``**``)
-run their convolution, recurrence and Horner steps on the field's kernel
-(``ratfun``): each coefficient is a (num, den) pair of the kernel's values,
-index lists over F_p(T) and Polys over F_{p^m}(T) and F(x), None for a zero.
+Over every fraction field, ``*``, ``/`` and ``compose`` (so ``invert``,
+which is 1/f, and ``**``) run their convolution, recurrence and Horner steps
+on the field's kernel (``ratfun``): each coefficient is a (num, den) pair of
+the kernel's values, index lists over F_p(T) and Polys over F_{p^m}(T) and
+F(x), None for a zero.
 Each output coefficient is one ``ratfun._dot``: its terms are summed over a
 running denominator and reduced by one gcd, and only the result's
 coefficients become ``RatFun``s.  ``compose`` keeps its windows by the same
@@ -31,6 +34,7 @@ kernel loops.
 from __future__ import annotations
 
 import collections
+import itertools
 import operator
 
 from .errors import PrecisionError
@@ -140,18 +144,19 @@ def _pair_convolve(ring, a, b, width: int) -> list:
     return _boxed(ring, _convolve(k, _pairs(k, a), _pairs(k, b), width))
 
 
-def _pair_inverse(ring, u, u0inv, rel: int) -> list:
-    """The first ``rel`` coefficients of 1/u, u0inv = 1/u[0]: with
-    v_j = -u0inv u_j, taken once each, w_n = sum_(1 <= j <= n) v_j w_(n-j)
-    is one ``_dot``."""
+def _pair_quotient(ring, a, u, u0inv, width: int) -> list:
+    """The first ``width`` coefficients of a/u, u0inv = 1/u[0]: with
+    v_j = -u0inv u_j, taken once each, q_m = u0inv a_m + sum_(1 <= j <= m)
+    v_j q_(m-j) is one ``_dot``."""
     k = ring.kernel
-    (mn, md), *us = _pairs(k, [-u0inv, *u[1:]])
-    v = [_product(k, mn, md, *x) if x else None for x in us]
-    w = _pairs(k, [u0inv])
-    for n in range(1, rel):
-        jmax = min(n, len(v))
-        w.append(_dot(k, v[:jmax], reversed(w[n - jmax:n])))
-    return _boxed(ring, w)
+    r, (mn, md), *us = _pairs(k, [u0inv, -u0inv, *u[1:]])
+    rv = [r] + [_product(k, mn, md, *x) if x else None for x in us]
+    a = _pairs(k, a)
+    q = []
+    for m in range(width):
+        am = a[m] if m < len(a) else None
+        q.append(_dot(k, rv, itertools.chain((am,), reversed(q))))
+    return _boxed(ring, q)
 
 
 def _pair_compose(ring, outer, inner, cap: int | None) -> "TruncSeries":
@@ -311,31 +316,45 @@ class TruncSeries:
         keep = self.coeffs[:max(0, new_prec - self.order)]
         return TruncSeries(self.ring, self.var, self.order, keep, new_prec)
 
+    def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
+        """self * other.invert(), with its order, window and exceptions, by
+        one recurrence: q_m = u0^-1 a_m + sum_(j >= 1) v_j q_(m-j) for
+        a = self and u = other, each v_j = -u0^-1 u_j taken once."""
+        if not other.coeffs:
+            raise ZeroDivisionError("dividing by a series with no known terms")
+        v = other.order
+        u0inv = other.coeffs[0] ** -1
+        if other.prec is None and len(other.coeffs) > 1:
+            raise ValueError("truncate an exact series before dividing by it")
+        self._check(other)
+        if not self.coeffs and self.prec is None:
+            return TruncSeries(self.ring, self.var, 0, [], None)
+        # the window of self * other**-1, where other**-1 has order -v and
+        # is known through prec(other) - 2v, or exactly for a monomial
+        lo = self.order - v
+        prec = _min_prec(
+            None if other.prec is None else self.order + other.prec - 2 * v,
+            None if self.prec is None else self.prec - v)
+        a, u = self.coeffs, other.coeffs
+        width = len(a) if prec is None else prec - lo  # <= 0 for a zero
+        if _on_kernel(self.ring):
+            q = _pair_quotient(self.ring, a, u, u0inv, width)
+            return TruncSeries(self.ring, self.var, lo, q, prec)
+        zero = self.ring.zero
+        vs = [-(u0inv * uj) for uj in u[1:]]
+        q = []
+        for m in range(width):
+            s = u0inv * a[m] if m < len(a) and a[m] else zero
+            for j in range(1, min(m, len(vs)) + 1):
+                vj = vs[j - 1]
+                if vj:
+                    s = s + vj * q[m - j]
+            q.append(s)
+        return TruncSeries(self.ring, self.var, lo, q, prec)
+
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; lowest coefficient must be invertible."""
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a series with no known terms")
-        v = self.order
-        u0inv = self.coeffs[0] ** -1
-        if self.prec is None:
-            if len(self.coeffs) == 1:
-                return TruncSeries(self.ring, self.var, -v, [u0inv], None)
-            raise ValueError("truncate an exact series before inverting")
-        rel = self.prec - v
-        if _on_kernel(self.ring):
-            w = _pair_inverse(self.ring, self.coeffs, u0inv, rel)
-            return TruncSeries(self.ring, self.var, -v, w, self.prec - 2 * v)
-        u = self.coeffs
-        w = [u0inv]
-        zero = self.ring.zero
-        for n in range(1, rel):
-            s = zero
-            for j in range(1, min(n, len(u) - 1) + 1):
-                uj = u[j]
-                if uj:
-                    s = s + uj * w[n - j]
-            w.append(-(u0inv * s))
-        return TruncSeries(self.ring, self.var, -v, w, self.prec - 2 * v)
+        return TruncSeries.one(self.ring, self.var) / self
 
     def __pow__(self, e: int) -> "TruncSeries":
         if e < 0:

@@ -9,6 +9,8 @@ import pytest
 
 import carlitz
 import carlitz.cli as climod
+import carlitz.cmod as cmodmod
+import carlitz.cw as cwmod
 import carlitz.lfun as lfunmod
 import carlitz.poly as polymod
 from carlitz.cli import main
@@ -251,6 +253,42 @@ def test_internal_errors_exit_3():
                         "--udeg", "3"])
     assert rc == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_inexact_internal_division_exits_3(monkeypatch):
+    # omega_minpoly divides phi_(pi^n) by phi_(pi^(n-1)), exact by
+    # construction: a remainder there is an internal failure, not bad input
+    real = cmodmod.torsion_poly
+
+    def wrong(pi, n):
+        t = real(pi, n)
+        return t + Poly.const(t.ring, t.var, t.ring.one) if n == 1 else t
+
+    monkeypatch.setattr(cmodmod, "torsion_poly", wrong)
+    rc, out, err = run(["minpoly", "--q", "2", "--pi", "T", "--n", "2"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cancellation left a remainder" in err
+
+
+def test_an_inexact_dlog_division_exits_3(monkeypatch):
+    # the dlog's two gcds divide n, n', d and d' exactly by construction;
+    # a wrong divisor (x + 1, which divides none of them) is exit 3
+    real = cwmod.dlog
+
+    def broken(f):
+        k = f.field.kernel
+        with monkeypatch.context() as m:
+            m.setattr(k, "gcd", lambda a, b, p: Poly(
+                a.ring, a.var, [a.ring.one, a.ring.one]))
+            return real(f)
+
+    monkeypatch.setattr(cwmod, "dlog", broken)
+    rc, out, err = run(["cwverify", "--q", "3", "--a", "T", "--b", "1",
+                        "--kmax", "4"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cancellation left a remainder" in err
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), RecursionError(

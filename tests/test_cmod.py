@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import cmod, poly
+from carlitz import cmod, cw, poly
 from carlitz.cmod import (
     SkewPoly, bernoulli_carlitz, bernoulli_carlitz_table, bracket, carlitz_exp,
     carlitz_factorial, carlitz_log, carlitz_phi, d_sequence, l_sequence,
@@ -268,13 +268,41 @@ def test_warm_bernoulli_values_invert_nothing(monkeypatch):
 
 def test_cw_verify_left_side_inverts_its_own_series(monkeypatch):
     # the right side reads the cached 1/e(z); the left side must not, or
-    # the two sides of the law would share more than the certified e(z)
+    # the two sides of the law would share more than the certified e(z):
+    # it makes exactly one series division of its own and never reads
+    # cmod._RECIP_CACHE
     f2 = Fq.get(2)
     a, b = poly_parse("T", f2), poly_parse("T+1", f2)
     cw_verify(a, b, 10)  # warm every cache
-    calls = count_inversions(monkeypatch)
+    left, divisions, reads = [], [], []
+    real_div, real_left = TruncSeries.__truediv__, cw.dlog_exp_series
+
+    def divide(self, other):
+        divisions.append(bool(left))
+        return real_div(self, other)
+
+    def left_side(*args):
+        left.append(True)
+        try:
+            return real_left(*args)
+        finally:
+            left.pop()
+
+    class ReadSpy(dict):
+        def get(self, *args):
+            reads.append(bool(left))
+            return super().get(*args)
+
+        def __getitem__(self, key):
+            reads.append(bool(left))
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(TruncSeries, "__truediv__", divide)
+    monkeypatch.setattr(cw, "dlog_exp_series", left_side)
+    monkeypatch.setattr(cmod, "_RECIP_CACHE", ReadSpy(cmod._RECIP_CACHE))
     assert cw_verify(a, b, 10).passed
-    assert len(calls) == 1
+    assert divisions == [True]
+    assert reads and not any(reads)  # the right side's reads only
 
 
 def test_minpoly_rejects_reducible_modulus():

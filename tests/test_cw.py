@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import cw
+from carlitz.cli import main
 from carlitz.cmod import bernoulli_carlitz
 from carlitz.coleman import (
     ColemanSeries, _fq_of, _x_order, cyclotomic_unit_series, star_action,
@@ -296,3 +297,91 @@ def test_dlog_exp_series_reaches_exactly_the_asked_precision(f, p):
     assert before in (p, None) or (before > p and exp_precs == [2])
     assert got.prec == p
     assert got == dlog_exp_series(f, p + 3).truncate(p)
+
+
+# -- dlog by two small gcds, against the full quotient f'/f --------------------
+
+@settings(max_examples=100, deadline=None)
+@given(rational_f())
+def test_dlog_matches_the_derivative_over_f(f):
+    assert dlog(f) == f.derivative() / f
+
+
+def x_constant(F, text):
+    """The polynomial in T given by text, as a constant of F = F_q(T)(x)."""
+    t = F.cring.coerce(poly_parse(text, _fq_of(F)))
+    return F.coerce(Poly.const(F.cring, "x", t))
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_dlog_of_p_th_powers_matches_the_derivative_over_f(q):
+    # P = x^q + T has P' = 0, so one of gcd(n, n') and gcd(d, d') is the
+    # whole of n or d made monic; over F_q(T) on the index kernel T^q + 1
+    # does the same
+    fq = Fq.get(q)
+    for F, var in ((x_field(fq), "x"), (base_field(fq), "T")):
+        z = F.gen()
+        c = x_constant(F, "T") if var == "x" else F.one
+        P, Q = z ** q + c, z * z + z + F.one
+        for f in (P, F.one / P, P / Q, Q / P, P / (z + F.one),
+                  (z + F.one) / P, P * P / Q, c * F.one / P):
+            assert dlog(f) == f.derivative() / f, (F, f)
+
+
+def test_dlog_of_a_constant_unit_is_zero():
+    F = x_field(Fq.get(3))
+    f = x_constant(F, "T^2+1")
+    assert dlog(f) == F.zero == f.derivative() / f
+
+
+# -- rows compared by cross products --------------------------------------------
+
+def wrong_bc_over_factorial(monkeypatch):
+    real = cw._bc_over_factorial
+
+    def wrong(k, recip, fq):
+        return real(k, recip, fq) + base_field(fq).one
+
+    monkeypatch.setattr(cw, "_bc_over_factorial", wrong)
+    return wrong
+
+
+def test_unequal_rows_hold_the_reduced_rhs(monkeypatch):
+    f3 = Fq.get(3)
+    F = base_field(f3)
+    a, b = poly_parse("T", f3), poly_parse("1", f3)
+    recip = cw._exp_reciprocal(f3, 8)
+    wrong = wrong_bc_over_factorial(monkeypatch)
+    rep = cw_verify(a, b, 6)
+    assert not rep.passed
+    for row in rep.rows:
+        want = F.coerce(a ** row.k - b ** row.k) * wrong(row.k, recip, f3)
+        assert row.rhs == want and row.rhs != row.lhs and not row.equal
+        assert row.rhs.den.is_monic() and row.rhs.num.gcd(
+            row.rhs.den).is_one()
+    assert main(["cwverify", "--q", "3", "--a", "T", "--b", "1",
+                 "--kmax", "6"]) == 1
+
+
+def test_agreeing_rows_take_no_kernel_gcd(monkeypatch):
+    # the left side is fixed in advance and the reciprocal is warm, so
+    # cw_verify's own work is its rows: three A-products each, no gcd
+    fq = Fq.get(3)
+    a, b = poly_parse("T+1", fq), poly_parse("T", fq)
+    ser = dlog_exp_series(cyclotomic_unit_series(a, b), 12)
+    cw_verify(a, b, 12)
+    monkeypatch.setattr(cw, "dlog_exp_series", lambda f, prec: ser)
+    k = base_field(fq).kernel
+    calls = []
+
+    def counted(x, y, p, real=k.gcd):
+        calls.append(p)
+        return real(x, y, p)
+
+    monkeypatch.setattr(k, "gcd", counted)
+    assert cw_verify(a, b, 12).passed
+    assert calls == []
+    # the spy sees the gcds of Henrici's rule once the rows disagree
+    wrong_bc_over_factorial(monkeypatch)
+    assert not cw_verify(a, b, 12).passed
+    assert calls

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carlitz.poly as polymod
-from carlitz.errors import ParseError
+from carlitz.errors import InvariantError, ParseError
 from carlitz.fq import Fq, FqElem
 from carlitz.poly import (
     MAX_PARSE_DEGREE, Poly, ZZ, all_residues, is_irreducible, monic_enumerate,
@@ -283,3 +283,17 @@ def test_an_equal_field_instance_on_the_right(op, p):
         for r in got if isinstance(got, tuple) else (got,):
             assert r.ring is fq
             assert all(c is fq._elems[c.i] for c in r.coeffs)
+
+
+def test_internal_quotient_of_a_non_divisor_is_an_invariant_error():
+    # _poly_quo serves divisions the library makes exact by construction:
+    # a remainder is a bug (exit 3); exact_div keeps ValueError for a
+    # caller's own operands (exit 2)
+    f3 = Fq.get(3)
+    a, g = poly_parse("T^2+1", f3), poly_parse("T+1", f3)
+    with pytest.raises(InvariantError, match="cancellation left a remainder"):
+        polymod._poly_quo(a, g)
+    with pytest.raises(ValueError) as ei:
+        a.exact_div(g)
+    assert not isinstance(ei.value, InvariantError)
+    assert polymod._poly_quo(a * g, g) == a

@@ -341,7 +341,7 @@ def test_pair_compose_matches_the_generic_loop(pair):
 def test_pair_loops_route(monkeypatch):
     # every fraction field takes the kernel loops; F_3 keeps the generic ones
     calls = []
-    for name in ("_pair_convolve", "_pair_inverse", "_pair_compose"):
+    for name in ("_pair_convolve", "_pair_quotient", "_pair_compose"):
         def spy(*args, real=getattr(series_module, name)):
             calls.append(args)
             return real(*args)
@@ -354,6 +354,59 @@ def test_pair_loops_route(monkeypatch):
         s.invert()
         s.compose(s.shift(1))
         assert len(calls) == (3 if paired else 0), ring
+
+
+# -- a / u: one recurrence, against a * u.invert() ---------------------------
+
+QUOTIENT_RINGS = [base_field(Fq.get(q)) for q in (2, 3, 4, 9)] + [
+    Fq.get(q) for q in (2, 3, 4, 9)]
+
+
+@st.composite
+def divisor(draw, ring):
+    """A truncated series with a unit lead, or an exact monomial."""
+    if draw(st.booleans()):
+        return draw(fraction_series(ring, unit=True, exact=False))
+    c = draw(small_elements(ring).filter(bool))
+    return TruncSeries.monomial(ring, "z", c, draw(st.integers(-3, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUOTIENT_RINGS).flatmap(
+    lambda R: st.tuples(fraction_series(R), divisor(R))))
+def test_quotient_matches_the_product_with_the_inverse(pair):
+    # exact, truncated and Laurent numerators; truncated and monomial
+    # divisors; F_q(T) on both kernels and F_q on the generic loop
+    a, u = pair
+    got, want = a / u, a * u.invert()
+    assert (got.order, got.prec, got.coeffs) == \
+        (want.order, want.prec, want.coeffs)
+
+
+@pytest.mark.parametrize("ring", [base_field(Fq.get(3)), base_field(
+    Fq.get(4)), x_field(Fq.get(2)), Fq.get(3)], ids=repr)
+def test_quotient_raises_as_the_inverse_does(ring):
+    no_terms = (TruncSeries.zero(ring, "z", 4), TruncSeries.zero(ring, "z"))
+    not_monomial = TruncSeries(ring, "z", 1, [ring.one, ring.one], None)
+    for a in (TruncSeries(ring, "z", 0, [ring.one, ring.one], 6),
+              TruncSeries.zero(ring, "z")):
+        for u, exc in [(u, ZeroDivisionError) for u in no_terms] + [
+                (not_monomial, ValueError)]:
+            with pytest.raises(exc):
+                a / u
+            with pytest.raises(exc):
+                a * u.invert()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(
+    lambda F: st.tuples(fraction_series(F), divisor(F))))
+def test_pair_quotient_matches_the_generic_loop(pair):
+    a, u = pair
+    got = a / u
+    with generic_loops():
+        want = a / u
+    same_series(got, want)
 
 
 # -- nested denominators: chains D_i | D_(i+1), as in e(z), log z and dlog ---
