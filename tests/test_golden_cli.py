@@ -70,6 +70,10 @@ INVOCATIONS = [
     ["colemancheck", "--q", "4", "--pi", "T", "--trials", "2"],
     ["colemancheck", "--q", "2", "--pi", "T^3+T+1", "--trials", "2"],
     ["colemancheck", "--q", "3", "--pi", "T^2+1", "--trials", "2"],
+    # the torsion norm at Q = 5, and at Q = 25 through a degree-2 pi, so
+    # past deg p = Q on the reduction path
+    ["colemancheck", "--q", "5", "--pi", "T", "--trials", "3"],
+    ["colemancheck", "--q", "5", "--pi", "T^2+2", "--trials", "2"],
     # deep runs: the norms at Q = q >= 27, the high-degree Henrici
     # inversion and the F_{p^m}[T] loops
     ["colemancheck", "--q", "27", "--pi", "T"],
@@ -99,6 +103,8 @@ INVOCATIONS = [
     ["okada", "--q", "2", "--pi", "T^3+T+1"],
     ["okada", "--q", "3", "--pi", "T^3+2*T+1", "--format", "csv"],
     ["selftest", "--q", "2"],
+    ["selftest", "--q", "3"],
+    ["selftest", "--q", "5"],
     # exit 2: usage errors worded by the program
     ["bc", "--q", "2", "--n", "-1"],
     ["bc", "--q", "6", "--n", "2"],
