@@ -19,9 +19,11 @@ makes it one k x k characteristic polynomial.
 
 The coefficient ring K is A = F_q[T]: a polynomial in x over F is first
 scaled by the lcm d of its coefficient denominators, phi_pi is monic with A
-coefficients, so the norm matrix and its determinant need no division, and
-F is touched once at the end, dividing by d^(q^deg pi) and, when the
-reduced P's leading coefficient c depends on x, by a power of c in F[x].
+coefficients, so the norm matrix and its determinant need no division.
+When the reduced P's leading coefficient c depends on x, the norm is
+divided by a power of c exactly in A[x].  F is touched once at the end:
+each coefficient is put over d^(q^deg pi) by one gcd.  All of it runs on
+F's kernel values, index lists over F_p, with no Poly over A or A[x].
 
 That norm is ``cyclo._norm_poly`` along phi_a for any monic a: the tower
 norm N_{F_n/F_m} is the same construction along phi_{pi^(n-m)}, read at

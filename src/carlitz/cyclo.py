@@ -18,26 +18,41 @@ and it has one route: r is reduced mod phi_a(y) - x to degree k < Q =
 q^deg a (kept at k = Q when it is led by F_q^* and its reduction is
 not), and the symmetry of the resultant makes it one k x k
 characteristic polynomial, over A when no coefficient of the reduced r
-depends on x and over A[x] otherwise (``_resultant_norm``).  The Q x Q
-determinant over A[x] is the tests' oracle.  The torsion norm h is read at
-omega_m as h reduced mod m_m (``coerce``), one division in place of
-Horner's rule, which stays the path for every other point
-(``galois_act``).  The norm to F itself is the determinant over F.  Each
-of these is ``det`` or ``charpoly`` of one ``quotient._mult_matrix``.  The
-extension is totally ramified at pi, of degree e = deg m_n, with
+depends on x and over A[x] otherwise (``_resultant_norm``).  The route
+runs on the kernel values of F (``ratfun``'s kernel) from the cleared
+coefficients to the answer: an A-value is an index list over F_p and a
+Poly over F_{p^m}, an A[x]-value a plain list of them, multiplied over
+F_p by the kernel's packed product; phi_a(y) - x is kept per a as its
+taps, A-constants and the -x at y^0 (``_torsion``).  No Poly over A or
+A[x] is built, and each coefficient of the answer is boxed once, by
+``ratfun._reduced``.  The same route on Polys and a QuotientRing over A[x],
+and the Q x Q determinant there, are the tests' oracles.  The torsion norm
+h is read at omega_m as h reduced mod m_m (``coerce``), one division in
+place of Horner's rule, which stays the path for every other point
+(``galois_act``).  The norm to F itself is taken over A too: with d the
+lcm of e's denominators it is the determinant of multiplication by d e mod
+m_n over A, divided by d^deg once (``_norm_to_base``); the determinant
+over F, ``quotient_norm``, is its oracle.  Each of these is ``det`` or
+``charpoly`` of one multiplication matrix (``quotient._mult_rows``), on the
+entry ring's own operations.
+
+The extension is totally ramified at pi, of degree e = deg m_n, with
 uniformizer omega_n, so the valuation of sum_(i < e) c_i omega^i is the
 least e val_pi(c_i) + i: these are distinct mod e, so no two terms cancel.
 ``valuation_at_p`` reads it off the power basis and takes no norm;
 val_pi(N_{F_n/F}(e)), the same number, is its oracle in the tests.
 
-Two caches keep a warm process from redoing the same work.  The torsion
+Caches keep a warm process from redoing the same work.  The torsion
 norm ``_norm_poly`` is memoized on (p, a) in an LRU cache of 128 entries:
 its keys are values rather than parents, so an unbounded cache would grow
 with every new input, and 256 entries cost twice the memory for about 7%
 more hits.  Each CycloField keeps, per reduced Galois key b, the
 image phi_b(omega) and its inverse, so ``cyclotomic_unit`` multiplies by a
 stored inverse instead of running one extended gcd per call; a field has
-only |(A/pi^n)^*| keys, so these need no bound.
+only |(A/pi^n)^*| keys, so these need no bound.  Like ``CycloField.get``,
+the taps of each phi_a(y) - x (``_torsion``) and the rings A and A[x] on
+each field's kernel (``_rings``) are built once and kept: they grow with
+the moduli and fields a process meets, not with its inputs.
 """
 
 from __future__ import annotations
@@ -47,13 +62,13 @@ import math
 
 from .cmod import carlitz_phi, omega_minpoly
 from .errors import InvariantError
-from .fq import Fq
+from .fq import Fq, _power
 from .groupring import GroupRing
-from .poly import Poly, PolyRing, _poly_quo
+from .poly import Poly
 from .quotient import (
-    QuotElem, QuotientRing, _mult_matrix, charpoly, quotient_norm,
+    QuotElem, QuotientRing, _mult_rows, _reduce, _taps, charpoly, det,
 )
-from .ratfun import RatFun, base_field
+from .ratfun import RatFun, _cleared, _reduced, base_field
 
 __all__ = [
     "CycloField",
@@ -144,10 +159,28 @@ def field_norm(e: QuotElem, target_level: int):
     if m == n:
         return e
     if m == 0:
-        return quotient_norm(e)
+        return _norm_to_base(e)
     sub = CycloField.get(field.pi, m)
     # h(omega_m) is h mod m_m: one division, not Horner's rule
     return sub.coerce(_norm_poly(e.rep, field.pi ** (n - m)))
+
+
+def _norm_to_base(e: QuotElem) -> RatFun:
+    """N_{F_n/F}(e) over A: with d the monic lcm of the denominators of
+    e's coefficients, d e has A-coefficients and m_n is monic over A, so
+    the norm is det(M)/d^deg, M the multiplication matrix of d e mod m_n,
+    with one ``_reduced`` at the end."""
+    field = e.ring
+    F = field.F
+    k, A, _ = _rings(field.fq)
+    d, P = _cleared(F, e.rep.coeffs)
+    n = field.degree
+    taps = _taps([k.view(c) for c in field.minpoly_A.coeffs], A.zero)
+    norm = det(_mult_rows(P + [A.zero] * (n - len(P)), taps, A.zero, A.sub,
+                          A.mul), A.add, A.mul, A.neg)
+    if not k.size(norm):
+        return F.zero
+    return k.box(F, _reduced(k, norm, _power(d, n, A.one, A.mul)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -158,9 +191,10 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     P = d p lies in A[y], and N(p) = N(P)/d^Q with Q = q^deg a.  N(P) is
     the norm of P(y) in A[x][y]/(phi_a(y) - x), which lands in A[x]
     already written in phi_a(x).  ``_resultant_norm`` gives it as h/e in
-    A[x].  An e free of x joins d^Q in each coefficient's denominator;
-    otherwise h/d^Q is divided by e in F[x], and a remainder is an
-    ``InvariantError``.
+    A[x], on F's kernel values.  An e free of x joins d^Q in each
+    coefficient's denominator; otherwise h is divided by e in A[x] first,
+    and a remainder is an ``InvariantError``.  Each coefficient is boxed
+    over its denominator by one ``_reduced``.
 
     Memoized (128 entries, least recently used out): the Coleman norm
     meets the same few factors again and again.  Equal keys have equal
@@ -169,32 +203,24 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     if p.is_zero():
         return p
     F = p.ring
-    qr = _torsion_quotient(a)
-    A = qr.K.cring
-    d = A.one
-    for c in p.coeffs:
-        if not c.den.is_one():
-            d = d * _poly_quo(c.den, d.gcd(c.den))
-    h, e = _resultant_norm([c.num * _poly_quo(d, c.den) for c in p.coeffs],
-                           qr)
-    den = d ** qr.degree
-    if e.degree == 0:
-        den = den * e.constant
-    norm = Poly(F, p.var, [F.coerce(c) if den.is_one()
-                           else RatFun.make(F, c, den) for c in h.coeffs])
-    if e.degree == 0:
-        return norm
-    norm, rem = norm.divmod(Poly(F, p.var, [F.coerce(c) for c in e.coeffs]))
-    if not rem.is_zero():
-        raise InvariantError(f"torsion norm of {p!r} along {a!r} leaves "
-                             f"the remainder {rem!r}")
-    return norm
+    k, A, AX = _rings(a.ring)
+    d, P = _cleared(F, p.coeffs)
+    h, e = _resultant_norm(P, a)
+    den = d if d == A.one else _power(d, _torsion(a)[0], A.one, A.mul)
+    if len(e) == 1:
+        if e != AX.one:
+            den = A.mul(den, e[0])
+    else:
+        h = _exact_quo(h, e, k)
+    return Poly(F, p.var, [k.box(F, _reduced(k, c, den)) if k.size(c)
+                           else F.zero for c in h])
 
 
-def _resultant_norm(P: list, qr: QuotientRing) -> tuple[Poly, Poly]:
+def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     """(h, e) in A[x] with N(P) = h/e, for P in A[y] (coefficients low
-    first) and N(P) its norm in qr = A[x][y]/(m), m = phi_a(y) - x, by one
-    characteristic polynomial of side at most Q = q^deg a.
+    first) and N(P) its norm in A[x][y]/(m), m = phi_a(y) - x, by one
+    characteristic polynomial of side at most Q = q^deg a.  A-values are
+    kernel values and A[x]-values lists of them (``_rings``).
 
     N(P) is the resultant Res_y(m, P).  P is first reduced mod m to Pbar
     of degree k < Q, with leading coefficient c.  A P of degree Q led by
@@ -204,71 +230,166 @@ def _resultant_norm(P: list, qr: QuotientRing) -> tuple[Poly, Poly]:
     Res_y(m, Pbar) = (-1)^(kQ) c^Q prod_beta m(beta).  Put z = c y:
     Pt(z) = c^(k-1) Pbar(z/c) is monic, and c^Q m(z/c) = M'(z) - c^Q x,
     M' the y^j terms of m (j >= 1) times c^(Q-j).  So N(P) =
-    (-1)^(kQ) det(M'(zbar) - c^Q x) / c^(Q(k-1)) on A[x][z]/(Pt), and
-    det(M'(zbar) - t) = (-1)^k chi(t), chi the ``charpoly`` of the
-    ``_mult_matrix`` of -M'(zbar).  The sign (-1)^(k(Q+1)) is 1: Q + 1 is
-    even for odd q, and -1 = 1 for even q.  For c = 1 nothing is scaled
+    (-1)^(kQ) det(M'(zbar) - c^Q x) / c^(Q(k-1)) on K[z]/(Pt), and
+    det(M'(zbar) - t) = (-1)^k chi(t), chi the ``charpoly`` of
+    multiplication by -M'(zbar).  The sign (-1)^(k(Q+1)) is 1: Q + 1 is
+    even for odd q, and -1 = 1 for even q.  K is A when no coefficient of
+    Pbar depends on x and A[x] otherwise.  For c = 1 nothing is scaled
     and e = 1."""
-    R = qr.K
-    A = R.cring
-    Q = qr.degree
-    P = Poly(R, qr.var, [Poly(A, R.var, [b]) for b in P])
-    if P.degree >= Q:
-        Pbar = qr.coerce(P).rep
-        if (P.degree > Q or not _unit_led(P) or _unit_led(Pbar)
-                or Pbar.degree == 0):
-            P = Pbar
-    # M'(y) = phi_a(y): the modulus without its -x term
-    mod = [R.zero] + list(qr.modulus.coeffs[1:])
-    P = list(P.coeffs)
-    K = R
-    if all(b.degree <= 0 for b in P):
-        # no entry depends on x: the same matrix over A, which is cheaper
-        K = A
-        P, mod = [b.constant for b in P], [b.constant for b in mod]
+    Q, taps = _torsion(a)
+    kern, A, AX = rings = _rings(a.ring)
+    size = kern.size
+    K = A
+    if len(P) > Q:
+        Pbar = _reduce_torsion(P, Q, taps, rings)
+        top = Pbar[-1]
+        if (len(P) > Q + 1 or size(P[-1]) != 1 or len(Pbar) == 1
+                or len(top) == 1 and size(top[0]) == 1):
+            if all(len(b) <= 1 for b in Pbar):
+                P = [b[0] if b else A.zero for b in Pbar]
+            else:
+                P, K = Pbar, AX
+    zero, one, mul = K.zero, K.one, K.mul
     k = len(P) - 1
     c = P[-1]
     if k == 0:
-        terms, e = [c ** Q], K.one
+        terms, e = [_power(c, Q, one, mul)], one
     else:
-        monic = c.is_one()
+        # M'(y) = phi_a(y): the modulus without its -x term
+        mod = [zero] * Q + [one]
+        for j, phi in taps:
+            mod[j] = phi if K is A else [phi]
+        monic = c == one
         if not monic:
-            P = [b * c ** (k - 1 - i) for i, b in enumerate(P[:-1])] + [K.one]
-            mod = [b if b.is_zero() else b * c ** (Q - j)
+            P = [mul(b, _power(c, k - 1 - i, one, mul))
+                 for i, b in enumerate(P[:-1])] + [one]
+            mod = [b if b == zero else mul(b, _power(c, Q - j, one, mul))
                    for j, b in enumerate(mod)]
-        ring = QuotientRing(Poly(K, qr.var, P))
-        chi = charpoly(_mult_matrix(ring.coerce(
-            Poly(K, qr.var, [-b for b in mod]))))
+        ptaps = _taps(P, zero)
+        col = [K.neg(b) for b in _reduce(mod, ptaps, k, zero, K.sub, mul)]
+        chi = charpoly(_mult_rows(col, ptaps, zero, K.sub, mul),
+                       K.add, mul, K.neg)
         # chi(c^Q x), low first: the coefficient of x^i is chi_(k-i) c^(Qi)
-        terms, e = chi[::-1] + [K.one], K.one
+        terms, e = chi[::-1] + [one], one
         if not monic:
-            cq = c ** Q
-            terms = [b * cq ** i for i, b in enumerate(terms)]
-            e = cq ** (k - 1)
+            cq = _power(c, Q, one, mul)
+            terms = [mul(b, _power(cq, i, one, mul))
+                     for i, b in enumerate(terms)]
+            e = _power(cq, k - 1, one, mul)
     if K is A:
-        terms, e = [Poly(A, R.var, [t]) for t in terms], Poly(A, R.var, [e])
-    return sum((t.shift(i) for i, t in enumerate(terms)), R.zero), e
+        return terms, [e]
+    h = AX.zero
+    for i, t in enumerate(terms):
+        if t:
+            h = AX.add(h, [A.zero] * i + t)
+    return h, e
 
 
-def _unit_led(P: Poly) -> bool:
-    """Whether P in A[x][y] has its leading coefficient in F_q^*."""
-    return P.leading.degree == 0 and P.leading.constant.degree == 0
+def _reduce_torsion(P: list, Q: int, taps: list, rings: tuple) -> list:
+    """P in A[y] mod phi_a(y) - x, as A[x]-values: below y^Q, each y^i
+    (i >= Q) is y^(i-Q) (x - sum_j phi_j y^j) over the taps of
+    ``_torsion``.  P is nonzero and free of x, and phi_a(y) - x has
+    x-degree 1, so no multiple of it is P and the result is nonzero."""
+    k, A, AX = rings
+    size, mul = k.size, A.mul
+    r = [[c] if size(c) else [] for c in P]
+    for i in range(len(r) - 1, Q - 1, -1):
+        top = r.pop()
+        if top:
+            r[i - Q] = AX.add(r[i - Q], [A.zero] + top)
+            for j, phi in taps:
+                r[i - Q + j] = AX.sub(r[i - Q + j],
+                                      [mul(t, phi) for t in top])
+    while not r[-1]:
+        r.pop()
+    return r
+
+
+def _exact_quo(h: list, e: list, k) -> list:
+    """h/e in A[x] on lists of kernel values, for an e that divides h by
+    construction: a remainder in A or in A[x] is an ``InvariantError``."""
+    size, p = k.size, k.p
+    n = len(e) - 1
+    r = list(h)
+    quo = []
+    for i in range(len(r) - 1, n - 1, -1):
+        c, rem = k.divmod(r.pop(), e[-1], p)
+        if size(rem):
+            break
+        quo.append(c)
+        if size(c):
+            for j in range(n):
+                r[i - n + j] = k.sub(r[i - n + j], k.mul(c, e[j], p), p)
+    else:
+        if not any(map(size, r)):
+            return quo[::-1]
+    raise InvariantError(f"the torsion norm {h} is not divisible by {e} "
+                         f"in A[x]")
+
+
+class _Ring:
+    """A = F_q[T] on the kernel values of F = F_q(T), or A[x] on plain
+    lists of them (x low first, no trailing zero): its zero and one and
+    the add, sub, mul and neg that ``charpoly``, ``_mult_rows`` and
+    ``_reduce`` take."""
+
+    __slots__ = ("zero", "one", "add", "sub", "mul")
+
+    def __init__(self, zero, one, add, sub, mul) -> None:
+        self.zero, self.one = zero, one
+        self.add, self.sub, self.mul = add, sub, mul
+
+    def neg(self, b):
+        return self.sub(self.zero, b)
 
 
 @functools.cache
-def _torsion_quotient(a: Poly) -> QuotientRing:
-    """A[x][y]/(phi_a(y) - x) over A = F_q[T], for a monic a.
+def _rings(fq: Fq) -> tuple:
+    """(k, A, A[x]) for k = base_field(fq).kernel, so over F_p index lists
+    with the packed A[x] product, and over F_{p^m} Polys."""
+    F = base_field(fq)
+    k = F.kernel
+    p, size = k.p, k.size
+    add = functools.partial(k.add, p=p)
+    sub = functools.partial(k.sub, p=p)
+    zero = k.view(F.zero.num)
+
+    def add_x(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = [add(x, y) for x, y in zip(a, b)] + a[len(b):]
+        while out and not size(out[-1]):
+            out.pop()
+        return out
+
+    def sub_x(a, b):
+        out = [sub(x, y) for x, y in zip(a, b)]
+        out += a[len(b):] or [sub(zero, y) for y in b[len(a):]]
+        while out and not size(out[-1]):
+            out.pop()
+        return out
+
+    one = k.view(F.one.num)
+    return (k, _Ring(zero, one, add, sub, functools.partial(k.mul, p=p)),
+            _Ring([], [one], add_x, sub_x,
+                  functools.partial(k.mul_ax, p=p)))
+
+
+@functools.cache
+def _torsion(a: Poly) -> tuple[int, list]:
+    """(Q, taps) for phi_a(y) - x, a monic in A = F_q[T]: Q = q^deg a and
+    taps the pairs (j, phi_j) of the nonzero coefficients of y^j in phi_a
+    below y^Q, as kernel values.
 
     phi_a is monic and F_q-linear, so phi_a(y) - phi_a(x) is the product
     of y - x - u over the a-torsion u: the norm of P(y) is h(x) with
     h(phi_a(x)) = prod_u P(x + u).  The modulus is monic in y, so reducing
-    by it needs no inverse."""
+    by it needs no inverse, and its one coefficient that depends on x is
+    -x at y^0."""
     phi = carlitz_phi(a).as_additive(var="y")
-    A = phi.ring
-    R = PolyRing(A, "x")
-    coeffs = [Poly(A, R.var, [c]) for c in phi.coeffs]
-    coeffs[0] = -R.gen()
-    return QuotientRing(Poly(R, phi.var, coeffs))
+    view = base_field(a.ring).kernel.view
+    return phi.degree, [(j, view(c)) for j, c in enumerate(phi.coeffs[:-1])
+                        if c.coeffs]
 
 
 def valuation_at_p(e: QuotElem):

@@ -31,21 +31,23 @@ lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
 the integer product, multiplied once and unpacked mod p (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC 2009).
-Over A = F_p[T] (a ``PolyRing`` on such a field) ``*`` packs too: T = z^D,
-with D the longest T-length in one factor plus the longest in the other
-minus 1, turns a product in A[x] into one F_p[z] product whose blocks of D
-digits are the A-coefficients (``_mul_packed``).
-Every other coefficient parent, F_{p^m} and F_{p^m}[T] included (the kernel
-reduces indices mod p, which is not F_{p^m} arithmetic), runs the generic
-loops (in the methods and ``_mul_generic``, ``_divmod_generic``,
-``_gcd_generic``), which the tests also use as the oracle for the kernel,
+The kernel packs products in A[x], A = F_p[T], too, on lists of index
+lists, the form the torsion norms of ``cyclo`` hold them in: T = z^D, with
+D the longest T-length in one factor plus the longest in the other minus 1,
+turns a product in A[x] into one F_p[z] product whose blocks of D digits
+are the A-coefficients (``_fp_mul_ax``).  Every other coefficient parent,
+A itself, F_{p^m} and F_{p^m}[T] included (the kernel reduces indices mod
+p, which is not F_{p^m} arithmetic), runs the generic loops (in the
+methods and ``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``),
+which the tests also use as the oracle for the kernel,
 and ``_gcd_generic`` as the oracle for ``ratfun``'s gcds and reductions.
 The one exception is ``gcd`` over F_p(T): that ``FracField``'s ``poly_gcd``
 (``ratfun._gcd_ax``) runs a remainder sequence over A = F_p[T] on the
 kernel, and ``gcd`` takes it; over F_{p^m}(T), F(x) and every other parent
 ``poly_gcd`` is absent or None and ``_gcd_generic`` runs.  Outside this
-module only ``ratfun``'s index kernel for Henrici's rule over F_p(T) sees
-index lists or ``_fp_*`` (``tests/test_exports.py`` pins that).
+module only ``ratfun``'s index kernel names index lists or ``_fp_*``
+(``tests/test_exports.py`` pins that): Henrici's rule over F_p(T) runs on
+it, and the torsion norms of ``cyclo`` reach the kernel only through it.
 ``egcd`` runs ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and
 the self-test take it, so a kernel copy would not pay for itself.
 
@@ -232,8 +234,6 @@ class Poly:
         if _interned(ring):
             return _fp_poly(ring, self.var,
                             _fp_mul(self._ix, other._ix, ring.p))
-        if type(ring) is PolyRing and _interned(ring.cring):
-            return _mul_packed(self, other)
         return _mul_generic(self, other)
 
     def mul_scalar(self, c) -> "Poly":
@@ -582,22 +582,22 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [x * lc % p for x in a]
 
 
-def _mul_packed(a: Poly, b: Poly) -> Poly:
-    """Product in F_p[T][x] through one F_p[z] product: T = z^D with D the
+def _fp_mul_ax(a: list[list[int]], b: list[list[int]],
+               p: int) -> list[list[int]]:
+    """a*b in F_p[T][x] on lists of index lists (x-coefficients low first,
+    no trailing zero), through one F_p[z] product: T = z^D with D the
     longest T-length in a plus the longest in b minus 1, so each coefficient
     of the product (T-degree below D) fills its own block of D digits."""
-    if not a.coeffs or not b.coeffs:
-        return Poly(a.ring, a.var, [])
-    cring, tvar = a.ring.cring, a.ring.var
-    ia = [c._ix for c in a.coeffs]
-    ib = [c._ix for c in b.coeffs]
-    D = max(map(len, ia)) + max(map(len, ib)) - 1
+    if not a or not b:
+        return []
+    if len(b) == 1 or len(a) == 1:  # a constant in x: no packing
+        (c,), a = (b, a) if len(b) == 1 else (a, b)
+        return [_fp_mul(x, c, p) for x in a]
+    D = max(map(len, a)) + max(map(len, b)) - 1
     # every digit is below p < 256, so one bytes object holds the product
     # and rstrip drops each block's zero padding in C
-    prod = bytes(_fp_mul(_pack(ia, D), _pack(ib, D), cring.p))
-    return Poly(a.ring, a.var, [
-        _fp_poly(cring, tvar, list(prod[k:k + D].rstrip(b"\0")))
-        for k in range(0, len(prod), D)])
+    prod = bytes(_fp_mul(_pack(a, D), _pack(b, D), p))
+    return [list(prod[k:k + D].rstrip(b"\0")) for k in range(0, len(prod), D)]
 
 
 def _pack(rows: list[list[int]], D: int) -> list[int]:

@@ -11,22 +11,23 @@ inverts a coefficient, so R may be a field or not.  It serves
 * F_q: A/pi^n as a ring of elements, with inverses by the extended gcd
   (``groupring.GroupRing`` keys its unit group by the reduced
   representatives alone);
-* A[x] = F_q[T][x] (``PolyRing`` over ``PolyRing``): the torsion quotient
-  A[x][y]/(phi_a(y) - x) of the Coleman and tower norms
-  (``cyclo._norm_poly``), which reduces their P, and the quotient by the
-  monic P of degree k they become, whose norm matrix has A[x] entries
-  multiplied on the packed kernel of ``poly``.
+* A[x] = F_q[T][x] (``PolyRing`` over ``PolyRing``): in the tests only,
+  the torsion quotient A[x][y]/(phi_a(y) - x) of the norm oracles.
 
 The norm of an element u of R[y]/(m) is the determinant of multiplication by
 u on the power basis 1, y, ..., y^(deg m - 1) (``_mult_matrix``); each
 column is y times the one before, reduced by the nonzero coefficients of m
 alone.  Every norm in the package is ``det`` or ``charpoly`` of that one
-matrix: the norm to F of a cyclotomic field element and the k x k torsion
-norm over A or A[x] (``cyclo._resultant_norm``), whose oracle in the tests
-is the Q x Q determinant over A[x].  Berkowitz's recurrence never divides, so
-entries in a field, in A or in A[x] take the same path.  It builds the whole
-characteristic polynomial det(t I + M) on its way (``charpoly``); ``det``
-keeps the constant term.
+matrix, built by ``_mult_rows`` from its first column and m's nonzero
+coefficients on any entry ring.  The torsion norms (``cyclo._norm_poly``)
+and the norm to F (``cyclo.field_norm`` at level 0) build it on A or A[x]
+as the fraction-field kernel's plain values, reduce by a monic modulus
+with ``_reduce``, and hand ``charpoly`` that ring's add, mul and neg, as
+``fq._power`` takes a mul; ``quotient_norm``, the norm of any QuotElem,
+builds it on the element's coefficients and takes their own operators.
+Berkowitz's recurrence never divides, so entries in a field, in A or in
+A[x] take the same path.  It builds the whole characteristic polynomial
+det(t I + M) on its way (``charpoly``); ``det`` keeps the constant term.
 """
 
 from __future__ import annotations
@@ -150,11 +151,13 @@ class QuotElem:
 
 # -- determinants -------------------------------------------------------------
 
-def charpoly(mat: list[list]) -> list:
+def charpoly(mat: list[list], add=operator.add, mul=operator.mul,
+             neg=operator.neg) -> list:
     """Coefficients of det(t I + mat) below the leading 1, highest first, by
     Berkowitz's division-free recurrence (Berkowitz, IPL 18, 1984); O(n^4)
     ring operations using only +, - and *, so it serves field entries and
-    polynomial entries alike.
+    polynomial entries alike.  add, mul and neg are the entry ring's, by
+    default the entries' own operators.
 
     With A_k the leading k x k block, A_(k+1) = [[A_k, u], [r, a]] and
     chi_k(t) = det(t I + A_k), the coefficients of chi_(k+1) are those of
@@ -173,23 +176,25 @@ def charpoly(mat: list[list]) -> list:
         col = [mat[k][k]]
         for j in range(k):
             if j:
-                v = [_dot(brow, v) for brow in block]
-            w = _dot(r, v)
-            col.append(w if j % 2 else -w)
-        c = [reduce(operator.add, [col[i]]
-                    + [col[i - 1 - j] * c[j] for j in range(i)] + c[i:i + 1])
+                v = [_dot(brow, v, add, mul) for brow in block]
+            w = _dot(r, v, add, mul)
+            col.append(w if j % 2 else neg(w))
+        c = [reduce(add, [col[i]]
+                    + [mul(col[i - 1 - j], c[j]) for j in range(i)]
+                    + c[i:i + 1])
              for i in range(k + 1)]
     return c
 
 
-def det(mat: list[list]):
+def det(mat: list[list], add=operator.add, mul=operator.mul,
+        neg=operator.neg):
     """Determinant: the constant term chi_n(0) of ``charpoly``."""
-    return charpoly(mat)[-1]
+    return charpoly(mat, add, mul, neg)[-1]
 
 
-def _dot(a: list, b: list):
+def _dot(a: list, b: list, add, mul):
     """a[0] b[0] + a[1] b[1] + ...; a and b nonempty."""
-    return reduce(operator.add, map(operator.mul, a, b))
+    return reduce(add, map(mul, a, b))
 
 
 # -- multiplication-matrix norms ----------------------------------------------
@@ -202,20 +207,45 @@ def quotient_norm(u: QuotElem):
 
 
 def _mult_matrix(u: QuotElem) -> list[list]:
-    """Rows of multiplication by u on the power basis 1, ybar, ...: column
-    j + 1 is ybar times column j, shifted up by one and reduced by
-    subtracting top * m_i over the nonzero m_i below the top of the monic m
-    only, so no product of residue classes and no division is taken."""
+    """Rows of multiplication by u on the power basis 1, ybar, ...."""
     qr = u.ring
     zero = qr.K.zero
-    taps = [(i, m) for i, m in enumerate(qr.modulus.coeffs[:-1]) if m != zero]
     col = list(u.rep.coeffs) + [zero] * (qr.degree - len(u.rep.coeffs))
+    return _mult_rows(col, _taps(qr.modulus.coeffs, zero), zero,
+                      operator.sub, operator.mul)
+
+
+def _taps(m: list, zero) -> list:
+    """(i, m_i) for the nonzero coefficients of the monic m below its top."""
+    return [(i, c) for i, c in enumerate(m[:-1]) if c != zero]
+
+
+def _mult_rows(col: list, taps: list, zero, sub, mul) -> list[list]:
+    """Rows of multiplication on the power basis 1, ybar, ... of R[y]/(m),
+    for m monic of degree len(col) with the ``_taps`` taps: col is the
+    first column, and column j + 1 is ybar times column j, shifted up by
+    one and reduced by subtracting top * m_i over the taps only, so no
+    product of residue classes and no division is taken.  sub and mul are
+    R's; zero is R's zero, which only the taps' positions ever leave."""
     cols = [col]
-    for _ in range(qr.degree - 1):
+    for _ in range(len(col) - 1):
         top = col[-1]
         col = [zero] + col[:-1]
         if top != zero:
             for i, m in taps:
-                col[i] = col[i] - top * m
+                col[i] = sub(col[i], mul(top, m))
         cols.append(col)
     return [list(row) for row in zip(*cols)]
+
+
+def _reduce(r: list, taps: list, n: int, zero, sub, mul) -> list:
+    """r mod a monic m of degree n >= 1 with the ``_taps`` taps, for r
+    low first over any ring with sub and mul: the n coefficients below
+    y^n.  r itself is left as it was."""
+    r = list(r)
+    for i in range(len(r) - 1, n - 1, -1):
+        top = r.pop()
+        if top != zero:
+            for j, m in taps:
+                r[i - n + j] = sub(r[i - n + j], mul(top, m))
+    return r + [zero] * (n - len(r))

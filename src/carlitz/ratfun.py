@@ -55,8 +55,8 @@ import operator
 from .errors import InvariantError
 from .fq import _power
 from .poly import (
-    Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
-    _interned, _poly_quo,
+    Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_mul_ax, _fp_poly,
+    _fp_scale, _interned, _poly_quo,
 )
 
 __all__ = ["FracField", "RatFun", "base_field"]
@@ -77,8 +77,9 @@ class FracField:
         if _interned(cring):
             self.poly_gcd = _gcd_ax
             self.kernel = _Kernel(cring.p, len, operator.attrgetter("_ix"),
-                                  _fp_mul, _fp_add, _fp_divmod, _fp_gcd,
-                                  _fp_quo, _fp_monic, _fp_box)
+                                  _fp_mul, _fp_add, _FP_SUB, _fp_divmod,
+                                  _fp_gcd, _fp_quo, _fp_monic, _fp_box,
+                                  _fp_mul_ax)
         else:
             self.poly_gcd = None
             self.kernel = _POLY_KERNEL
@@ -239,22 +240,26 @@ class _Kernel:
     operation but size and view takes p last (None on the Poly kernel,
     which ignores it), so that the index kernel holds the ``_fp_*``
     functions themselves.  size(a) is 0 for zero and 1 for a unit; view
-    maps a Poly to its value; mul, add, gcd (monic) and quo (a/g for a
-    divisor g of a) work on values; monic(a, b, p) is a/b with b made
-    monic; box(field, pair, dens) is the RatFun of a canonical pair, and
-    may reuse the Polys dens, the operands' denominators; divmod(a, b, p)
-    is the quotient and remainder of a by nonzero b.  A zero may carry any
-    denominator, so each entry of the rule tests for zero first.  Input
-    values may be shared with a Poly, so nothing writes to one."""
+    maps a Poly to its value; mul, add, sub (a - b), gcd (monic) and quo
+    (a/g for a divisor g of a) work on values; monic(a, b, p) is a/b with
+    b made monic; box(field, pair, dens) is the RatFun of a canonical
+    pair, and may reuse the Polys dens, the operands' denominators;
+    divmod(a, b, p) is the quotient and remainder of a by nonzero b.  A
+    zero may carry any denominator, so each entry of the rule tests for
+    zero first.  mul_ax multiplies in A[x] on plain lists of values (x
+    low first, no trailing zero), the form the torsion norms of ``cyclo``
+    take.  Input values may be shared with a Poly, so nothing writes to
+    one."""
 
-    __slots__ = ("p", "size", "view", "mul", "add", "divmod", "gcd", "quo",
-                 "monic", "box")
+    __slots__ = ("p", "size", "view", "mul", "add", "sub", "divmod", "gcd",
+                 "quo", "monic", "box", "mul_ax")
 
-    def __init__(self, p, size, view, mul, add, divmod, gcd, quo, monic, box):
+    def __init__(self, p, size, view, mul, add, sub, divmod, gcd, quo, monic,
+                 box, mul_ax):
         self.p, self.size, self.view = p, size, view
-        self.mul, self.add, self.divmod = mul, add, divmod
+        self.mul, self.add, self.sub, self.divmod = mul, add, sub, divmod
         self.gcd, self.quo = gcd, quo
-        self.monic, self.box = monic, box
+        self.monic, self.box, self.mul_ax = monic, box, mul_ax
 
 
 def _cancel(k: _Kernel, a, b):
@@ -370,6 +375,10 @@ def _fp_quo(a: list[int], g: list[int], p: int) -> list[int]:
     return quo
 
 
+# a - b, stripped
+_FP_SUB = functools.partial(_fp_add, s=-1)
+
+
 def _fp_monic(a: list[int], b: list[int], p: int):
     """a/b with b scaled monic."""
     if b[-1] == 1:
@@ -409,17 +418,31 @@ def _poly_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
     return RatFun(field, a, b) if a.coeffs else field.zero
 
 
+def _poly_mul_ax(a: list, b: list, p: None) -> list:
+    """a*b in A[x] on lists of Polys, by the schoolbook rule."""
+    if not a or not b:
+        return []
+    out = [Poly(a[-1].ring, a[-1].var, [])] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.coeffs:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
 _POLY_KERNEL = _Kernel(
     None,
     lambda a: len(a.coeffs),
     lambda a: a,
     lambda a, b, p: a * b,
     lambda a, b, p: a + b,
+    lambda a, b, p: a - b,
     lambda a, b, p: a.divmod(b),
     lambda a, b, p: a.gcd(b),
     _poly_quo,
     _poly_monic,
     _poly_box,
+    _poly_mul_ax,
 )
 
 
@@ -442,7 +465,8 @@ def _gcd_ax(a: Poly, b: Poly) -> Poly:
         return b.monic()
     F = a.ring
     p = F.cring.p
-    f, g = _primitive(_cleared(a, p), p), _primitive(_cleared(b, p), p)
+    f = _primitive(_cleared(F, a.coeffs)[1], p)
+    g = _primitive(_cleared(F, b.coeffs)[1], p)
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
@@ -456,18 +480,20 @@ def _gcd_ax(a: Poly, b: Poly) -> Poly:
     return Poly(F, a.var, [F.one])
 
 
-def _cleared(a: Poly, p: int) -> list[list[int]]:
-    """The A-coefficients of d a, d the monic lcm of a's denominators."""
-    d = [1]
-    for c in a.coeffs:
-        den = c.den._ix
-        if len(den) > 1:  # monic, so a constant denominator is 1
-            d = den if len(d) == 1 else _fp_mul(
-                d, _fp_divmod(den, _fp_gcd(d, den, p), p)[0], p)
-    if len(d) == 1:
-        return [c.num._ix for c in a.coeffs]
-    return [_fp_mul(c.num._ix, _fp_divmod(d, c.den._ix, p)[0], p)
-            for c in a.coeffs]
+def _cleared(F: FracField, cs) -> tuple:
+    """(d, [c d for c in cs]) on F's kernel values, for fractions cs over
+    F: d is the monic lcm of their denominators, 1 when they have none."""
+    k = F.kernel
+    size, view, p = k.size, k.view, k.p
+    d = view(F.one.den)
+    for c in cs:
+        den = view(c.den)
+        if size(den) > 1:  # monic, so a constant denominator is 1
+            d = den if size(d) == 1 else k.mul(
+                d, k.quo(den, k.gcd(d, den, p), p), p)
+    if size(d) == 1:
+        return d, [view(c.num) for c in cs]
+    return d, [k.mul(view(c.num), k.quo(d, view(c.den), p), p) for c in cs]
 
 
 def _primitive(f: list[list[int]], p: int) -> list[list[int]]:

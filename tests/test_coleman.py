@@ -159,7 +159,8 @@ def test_norm_with_leading_coefficient_divisible_by_pi(q):
 
 
 def test_norm_over_f4_takes_the_generic_loops():
-    # F_4 is not a prime field: no interned elements, no packed A[x] product
+    # F_4 is not a prime field: no interned elements, so the norm runs on
+    # Polys over F_4 (the Poly kernel) with schoolbook A[x] products
     fq = Fq.get(4)
     F = x_field(fq).cring
     w = F.coerce(fq.from_index(2))

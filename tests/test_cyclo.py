@@ -5,12 +5,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import cyclo, quotient
+from carlitz import cyclo, poly as poly_mod, quotient
 from carlitz.cmod import carlitz_phi
 from carlitz.coleman import ColemanSeries, eval_at_omega, x_field
 from carlitz.cyclo import (
-    CycloField, _norm_poly, _torsion_quotient, cyclotomic_unit,
-    field_norm, galois_act, upsilon, valuation_at_p,
+    CycloField, _norm_poly, _torsion, cyclotomic_unit, field_norm,
+    galois_act, upsilon, valuation_at_p,
 )
 from carlitz.errors import InvariantError
 from carlitz.fq import Fq
@@ -22,6 +22,7 @@ from carlitz.poly import (
 from carlitz.quotient import QuotElem, quotient_norm
 from carlitz.ratfun import RatFun, base_field
 from carlitz.series import TruncSeries
+from norm_oracle import poly_route, torsion_quotient, torsion_route
 
 
 def irreducibles(fq, d):
@@ -163,20 +164,11 @@ def test_torsion_norm_is_transitive(case):
     assert _norm_poly(p, a ** 0) == p
 
 
-def torsion_route(p, a):
-    """Oracle for _norm_poly: the Q x Q determinant over A[x] of
-    multiplication by d p(y) in A[x][y]/(phi_a(y) - x), divided by d^Q,
-    with d the plain product of the coefficient denominators."""
-    F = p.ring
-    d = F.one
-    for c in p.coeffs:
-        d = d * F.coerce(c.den)
-    qr = _torsion_quotient(a)
-    R = qr.K
-    elem = Poly(R, qr.var, [Poly(R.cring, R.var, [(c * d).num])
-                            for c in p.coeffs])
-    h = quotient_norm(qr.coerce(elem)).coeffs
-    return Poly(F, p.var, [F.coerce(c) / d ** qr.degree for c in h])
+def over_x(b):
+    """Whether a matrix entry of the torsion norm depends on x: an A-value
+    is an index list of ints over F_p and a Poly over F_{p^m}, an
+    A[x]-value a list of A-values, x low first."""
+    return isinstance(b, list) and len(b) > 1 and not isinstance(b[0], int)
 
 
 def norm_sides(p, a):
@@ -186,11 +178,9 @@ def norm_sides(p, a):
     real = quotient.charpoly
     sides = []
 
-    def spy(mat):
-        sides.append((len(mat), any(isinstance(b.ring, PolyRing)
-                                    and b.degree > 0
-                                    for row in mat for b in row)))
-        return real(mat)
+    def spy(mat, *ops):
+        sides.append((len(mat), any(over_x(b) for row in mat for b in row)))
+        return real(mat, *ops)
     with mock.patch.object(cyclo, "charpoly", spy), \
             mock.patch.object(quotient, "charpoly", spy):
         return _norm_poly.__wrapped__(p, a), sides
@@ -254,7 +244,7 @@ def test_norm_poly_pins_a_leading_coefficient_in_x():
     a = poly_parse("T", f2)
     T = F.coerce(a)
     p = Poly(F, "x", [F.one, T, T, F.one])
-    qr = _torsion_quotient(a)
+    qr = torsion_quotient(a)
     R = qr.K
     A = R.cring
     pbar = qr.coerce(Poly(R, qr.var, [Poly(A, R.var, [c.num])
@@ -293,14 +283,129 @@ def test_norm_poly_certifies_its_division(monkeypatch):
     p = Poly(F, "x", [F.one] + [F.zero] * 4 + [F.one])
     assert _norm_poly.__wrapped__(p, a) == torsion_route(p, a)
     real = quotient.charpoly
+    one = cyclo._rings(f3)[2].one  # the matrix is over A[x]
 
-    def perturbed(mat):
-        chi = real(mat)
-        last = chi[-1]
-        return chi[:-1] + [last + Poly(last.ring, last.var, [last.ring.one])]
+    def perturbed(mat, add, mul, neg):
+        chi = real(mat, add, mul, neg)
+        return chi[:-1] + [add(chi[-1], one)]
     monkeypatch.setattr(cyclo, "charpoly", perturbed)
     with pytest.raises(InvariantError):
         _norm_poly.__wrapped__(p, a)
+
+
+# (q, deg a): every q of the differential test, and a of degree 2 where Q
+# stays small enough for the oracles
+NORM_FIELDS = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1), (7, 1),
+               (9, 1))
+
+
+@st.composite
+def norm_cases(draw):
+    """(p, a, shape): a monic a of degree 1 or 2, Q = q^deg a, and p over F
+    with small coefficients over the T-denominators 1, T and T + 1, of
+    degree below Q, at Q or above it, led by 1, by another unit, by T + 1
+    or by a fraction; or p = r(phi_a(x)) with deg r in {1, 2}, whose
+    reduction mod phi_a(y) - x is the constant r(x)."""
+    q, deg_a = draw(st.sampled_from(NORM_FIELDS))
+    fq = Fq.get(q)
+    F = base_field(fq)
+    a = draw(st.sampled_from(monic_enumerate(fq, deg_a)))
+    Q = q ** deg_a
+    T = F.coerce(poly_parse("T", fq))
+    digit = st.integers(0, q - 1).map(fq.from_index)
+
+    def coeff(nonzero=False):
+        while True:
+            c = F.coerce(Poly(fq, "T", [draw(digit), draw(digit)]))
+            if c or not nonzero:
+                return c / draw(st.sampled_from((F.one, T, T + F.one)))
+    # past Q = 9 one norm takes seconds over F_9 (the generic loops), and
+    # test_norm_poly_matches_torsion_route covers it
+    shape = draw(st.sampled_from(("below", "at", "constant") if Q >= 9
+                                 else ("below", "at", "above", "constant")))
+    if shape == "constant":
+        phi = Poly(F, "x", [F.coerce(c) for c in carlitz_phi(a)
+                            .as_additive(var="x").coeffs])
+        r = [coeff() for _ in range(draw(st.integers(1, 2)))]
+        p = Poly(F, "x", [coeff(True)])
+        for c in r:
+            p = p * phi + Poly(F, "x", [c])
+        return p, a, shape
+    k = {"below": st.integers(0, Q - 1), "at": st.just(Q),
+         "above": st.integers(Q + 1, Q + 2)}[shape]
+    lead = draw(st.sampled_from((
+        F.one, F.coerce(fq.from_index(q - 1)), T + F.one,
+        F.coerce(fq.from_index(q - 1)) / (T * T + T))))
+    return Poly(F, "x", [coeff() for _ in range(draw(k))] + [lead]), a, shape
+
+
+@settings(max_examples=60)
+@given(case=norm_cases())
+def test_norm_poly_matches_the_poly_route_and_the_torsion_route(case):
+    # the kernel route against the same route on Polys over A and A[x]
+    # and, where Q x Q stays cheap, against the determinant
+    p, a, shape = case
+    Q = a.ring.q ** a.degree
+    got, sides = norm_sides(p, a)
+    assert got == poly_route(p, a), (p, a)
+    if Q <= 5:
+        assert got == torsion_route(p, a), (p, a)
+    assert all(n < Q or n == Q and not x for n, x in sides), sides
+    if shape == "constant":
+        assert sides == []
+    if shape == "above":
+        assert sides == [] or sides[0][0] < Q
+
+
+def norm_route_calls(fn, *args):
+    """fn(*args) and what it did among: a Poly built over A or A[x] (a
+    PolyRing parent), Poly.__mul__, Poly.divmod and _divmod_generic."""
+    seen = []
+    init, mul, divmod_ = Poly.__init__, Poly.__mul__, Poly.divmod
+    generic = poly_mod._divmod_generic
+
+    def spy_init(self, ring, var, coeffs):
+        if isinstance(ring, PolyRing):
+            seen.append(("Poly", ring))
+        init(self, ring, var, coeffs)
+
+    def spy(name, real):
+        def wrapped(*a):
+            seen.append(name)
+            return real(*a)
+        return wrapped
+    with mock.patch.object(Poly, "__init__", spy_init), \
+            mock.patch.object(Poly, "__mul__", spy("mul", mul)), \
+            mock.patch.object(Poly, "divmod", spy("divmod", divmod_)), \
+            mock.patch.object(poly_mod, "_divmod_generic",
+                              spy("_divmod_generic", generic)):
+        return fn(*args), seen
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_norm_poly_over_fp_takes_no_poly_over_a(q):
+    # over F_p(T) the torsion norm runs on index lists from the cleared
+    # coefficients to the boxed answer: reduction, matrix, Berkowitz and
+    # the division by e build no Poly over A or A[x], multiply no Poly and
+    # divide none
+    fq = Fq.get(q)
+    F = base_field(fq)
+    T = F.coerce(poly_parse("T", fq))
+    rng = random.Random(q)
+    for a_text in ("T", "T+1") + (("T^2",) if q == 2 else ()):
+        a = poly_parse(a_text, fq)
+        Q = q ** a.degree
+        cyclo._torsion(a), cyclo._rings(fq)  # built once per a and field
+        cases = [grid_poly(rng, fq, k, lead, True)
+                 for k in (1, Q - 1, Q, Q + 1, Q + 3)
+                 for lead in (F.one, T + F.one, F.one / (T * T + T))]
+        if q == 3 and a_text == "T":
+            # reduces to x y^2 + ...: a matrix over A[x] and e = x^3
+            cases.append(Poly(F, "x", [F.one] + [F.zero] * 4 + [F.one]))
+        for p in cases:
+            got, seen = norm_route_calls(_norm_poly.__wrapped__, p, a)
+            assert seen == [], (p, a, seen)
+            assert got == poly_route(p, a)
 
 
 def test_norm_memo_matches_the_uncached_norm():
@@ -497,6 +602,27 @@ def test_valuation_closed_form_matches_the_norm(q, pi_text, n):
         assert want is None or got == want
 
 
+@pytest.mark.parametrize("q,pi_text,n", [(2, "T", 2), (3, "T", 1),
+                                          (4, "T", 1), (2, "T^2+T+1", 1),
+                                          (5, "T", 1)])
+def test_norm_to_f_over_a_matches_the_determinant_over_f(q, pi_text, n):
+    # field_norm(e, 0) takes the determinant over A of d e mod m_n and
+    # divides by d^deg once: no fraction arithmetic before that one gcd.
+    # The determinant over F of e's own matrix is its oracle
+    field = CycloField.get(poly_parse(pi_text, Fq.get(q)), n)
+    rng = random.Random(q + n)
+    elems = [field.zero, field.one, field.omega]
+    elems += [pi_power_elem(rng, field) for _ in range(4)]
+    for e in elems:
+        with mock.patch.object(RatFun, "make", side_effect=AssertionError), \
+                mock.patch.object(RatFun, "__mul__",
+                                  side_effect=AssertionError), \
+                mock.patch.object(RatFun, "__add__",
+                                  side_effect=AssertionError):
+            got = field_norm(e, 0)
+        assert got == quotient_norm(e), e
+
+
 def test_valuation_refuses_an_unreduced_representative():
     field = CycloField.get(poly_parse("T", Fq.get(3)), 1)
     rep = Poly(field.F, "x", [field.F.one] * (field.degree + 1))
@@ -561,9 +687,9 @@ def test_rejected_inputs():
     (base_field, lambda: (Fq(3),)),
     (x_field, lambda: (Fq(3),)),
     (CycloField.get, lambda: (poly_parse("T^2+T+1", Fq.get(2)), 2)),
-    (_torsion_quotient, lambda: (poly_parse("T+1", Fq.get(3)),)),
+    (_torsion, lambda: (poly_parse("T+1", Fq.get(3)),)),
     (cyclotomic_poly, lambda: (12,)),
-], ids=["Fq", "base_field", "x_field", "CycloField", "torsion_quotient",
+], ids=["Fq", "base_field", "x_field", "CycloField", "torsion",
         "cyclotomic_poly"])
 def test_parent_constructors_share_one_instance_per_key(build, args):
     """Equal keys built afresh (a new Fq or Poly object) reach one instance,

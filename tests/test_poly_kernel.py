@@ -1,9 +1,10 @@
 """The F_p polynomial kernel against the generic loops it replaces.
 
 Over an interned prime field ``Poly`` runs ``+``, ``-``, negation, ``*``,
-``divmod``, ``gcd`` and ``mul_scalar`` on coefficient-index lists, and over
-A = F_p[T] it multiplies A[x] polynomials by one packed F_p product; the
-generic loops, which F_{p^m} still runs, are the oracle.
+``divmod``, ``gcd`` and ``mul_scalar`` on coefficient-index lists, and the
+kernel multiplies A[x] = F_p[T][x] on lists of index lists by one packed
+F_p product; the generic loops, which F_{p^m} and ``Poly`` over A[x] still
+run, are the oracle.
 """
 
 import hashlib
@@ -13,11 +14,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz import poly as poly_mod
+from carlitz import poly as poly_mod, ratfun as ratfun_mod
 from carlitz.fq import Fq, FqElem, _power
 from carlitz.poly import (
-    _KRONECKER_MIN, Poly, PolyRing, _divmod_generic, _fp_mul, _gcd_generic,
-    _interned, _mul_generic, monic_enumerate, poly_parse, poly_to_str,
+    _KRONECKER_MIN, Poly, PolyRing, _divmod_generic, _fp_mul, _fp_mul_ax,
+    _fp_strip, _gcd_generic, _interned, _mul_generic, monic_enumerate,
+    poly_parse, poly_to_str,
 )
 from carlitz.ratfun import base_field
 
@@ -250,30 +252,38 @@ def ax_polys(draw, fields=PRIMES):
 @KERNEL
 @given(ax_polys())
 def test_packed_ax_mul_matches_generic(case):
+    # the list-level A[x] product on index lists, packed unless one side
+    # is constant in x, against the generic loops on Polys over A
     A, a, b = case
+    p = A.cring.p
     before = snapshot(a.coeffs + b.coeffs)
-    got = a * b
+    ia, ib = ([c._ix for c in x.coeffs] for x in (a, b))
+    got = _fp_mul_ax(ia, ib, p)
     check_untouched(a.coeffs + b.coeffs, before)
-    assert got == _mul_generic(a, b)
-    assert b * a == _mul_generic(b, a)
-    assert not got.coeffs or not got.coeffs[-1].is_zero()
-    for r in got.coeffs:
-        check_view(r)
+    assert got == [c._ix for c in _mul_generic(a, b).coeffs]
+    assert _fp_mul_ax(ib, ia, p) == got
+    assert not got or got[-1]
+    for r in got:
+        assert r == _fp_strip(list(r)) and all(0 <= c < p for c in r)
 
 
 def test_ax_mul_path_is_chosen_by_the_coefficient_field(monkeypatch):
+    # A[x] products on lists of kernel values: the packed product over an
+    # interned F_p, the schoolbook rule on Polys over F_{p^m}; Poly itself
+    # multiplies A[x] by the generic loops on every field
     calls = []
-    packed = poly_mod._mul_packed
+    packed = ratfun_mod._fp_mul_ax
 
-    def spy(a, b):
-        calls.append(a.ring)
-        return packed(a, b)
+    def spy(a, b, p):
+        calls.append(p)
+        return packed(a, b, p)
 
-    monkeypatch.setattr(poly_mod, "_mul_packed", spy)
+    monkeypatch.setattr(ratfun_mod, "_fp_mul_ax", spy)
     rng = random.Random(11)
     for q in (2, 3, 4, 5, 7, 9):
         fq = Fq.get(q)
         A = PolyRing(fq, "T")
+        k = ratfun_mod.FracField(fq, "T").kernel
 
         def rand_ax():
             return Poly(A, "x", [
@@ -283,9 +293,14 @@ def test_ax_mul_path_is_chosen_by_the_coefficient_field(monkeypatch):
 
         for _ in range(5):
             a, b = rand_ax(), rand_ax()
+            want = _mul_generic(a, b)
             calls.clear()
-            assert a * b == _mul_generic(a, b)
-            assert calls == ([A] if _interned(fq) else []), q
+            assert a * b == want
+            assert calls == []
+            got = k.mul_ax([k.view(c) for c in a.coeffs],
+                           [k.view(c) for c in b.coeffs], k.p)
+            assert got == [k.view(c) for c in want.coeffs]
+            assert calls == ([q] if _interned(fq) else []), q
 
 
 def test_mul_both_sides_of_the_kronecker_cutoff():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.cmod import carlitz_phi
-from carlitz.cyclo import CycloField, _torsion_quotient
+from carlitz.cyclo import CycloField
 from carlitz.fq import Fq, FqElem
 from carlitz.groupring import CharSpec, GroupRing
 from carlitz.poly import Poly, PolyRing, ZZ, poly_parse
@@ -13,6 +13,7 @@ from carlitz.quotient import (
     QuotientRing, _mult_matrix, charpoly, det, quotient_norm,
 )
 from carlitz.ratfun import base_field
+from norm_oracle import torsion_quotient
 
 PROPERTY = settings(max_examples=40)
 
@@ -285,12 +286,12 @@ def integral_elems(draw):
 
 @st.composite
 def torsion_elems(draw):
-    """A[x]: the Coleman torsion quotient A[x][y]/(phi_pi(y) - x), on the
-    prime field (packed A[x] products) and on F_4 (generic loops)."""
+    """A[x]: the torsion quotient A[x][y]/(phi_pi(y) - x) of the norm
+    oracles, on prime fields and on F_4."""
     q, pitxt = draw(st.sampled_from(
         ((2, "T"), (2, "T^2+T+1"), (3, "T"), (3, "T+1"), (4, "T"))))
     fq = Fq.get(q)
-    ring = _torsion_quotient(poly_parse(pitxt, fq))
+    ring = torsion_quotient(poly_parse(pitxt, fq))
     R = ring.K
 
     def elem():
