@@ -23,7 +23,8 @@ coefficients, so the norm matrix and its determinant need no division.
 When the reduced P's leading coefficient c depends on x, the norm is
 divided by a power of c exactly in A[x].  F is touched once at the end:
 each coefficient is put over d^(q^deg pi) by one gcd.  All of it runs on
-F's kernel values, index lists over F_p, with no Poly over A or A[x].
+F's kernel values (index lists over F_p, Polys over F_{p^m}), and no Poly
+has A or A[x] as its coefficient ring.
 
 That norm is ``cyclo._norm_poly`` along phi_a for any monic a: the tower
 norm N_{F_n/F_m} is the same construction along phi_{pi^(n-m)}, read at

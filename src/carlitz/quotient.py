@@ -226,7 +226,7 @@ def _mult_rows(col: list, taps: list, zero, sub, mul) -> list[list]:
     first column, and column j + 1 is ybar times column j, shifted up by
     one and reduced by subtracting top * m_i over the taps only, so no
     product of residue classes and no division is taken.  sub and mul are
-    R's; zero is R's zero, which only the taps' positions ever leave."""
+    R's, and zero, R's zero, enters at the foot of each new column."""
     cols = [col]
     for _ in range(len(col) - 1):
         top = col[-1]

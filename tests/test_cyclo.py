@@ -299,53 +299,69 @@ NORM_FIELDS = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1), (7, 1),
                (9, 1))
 
 
+def norm_shapes(q, Q):
+    """The shapes of ``norm_case`` taken at q and Q = q^deg a.  Over F_9 a
+    norm of degree Q takes seconds (the generic loops), and
+    test_norm_poly_matches_torsion_route covers it."""
+    shapes = ["below", "constant"]
+    if q != 9:
+        shapes += ["at", "above"]
+    if Q >= 3:
+        shapes.append("x_lead")
+    return shapes
+
+
 @st.composite
-def norm_cases(draw):
-    """(p, a, shape): a monic a of degree 1 or 2, Q = q^deg a, and p over F
-    with small coefficients over the T-denominators 1, T and T + 1, of
-    degree below Q, at Q or above it, led by 1, by another unit, by T + 1
-    or by a fraction; or p = r(phi_a(x)) with deg r in {1, 2}, whose
-    reduction mod phi_a(y) - x is the constant r(x)."""
-    q, deg_a = draw(st.sampled_from(NORM_FIELDS))
+def norm_case(draw, q, deg_a, shape):
+    """(p, a): a monic a of degree deg_a, Q = q^deg a, and p over F with
+    small coefficients over the T-denominators 1, T and T + 1.  By shape:
+    p of degree below Q, at Q or above it, led by 1, by another unit, by
+    T + 1 or by a fraction; p = r(phi_a(x)) with deg r in {1, 2}, whose
+    reduction mod phi_a(y) - x is the constant r(x); or p = c x^m phi_a(x)
+    + r(x) with 2 <= m <= min(3, Q - 1) and deg r < m, which reduces to
+    c x y^m + r(y), led by c x: a matrix over A[x] and an e that depends
+    on x."""
     fq = Fq.get(q)
     F = base_field(fq)
     a = draw(st.sampled_from(monic_enumerate(fq, deg_a)))
     Q = q ** deg_a
     T = F.coerce(poly_parse("T", fq))
-    digit = st.integers(0, q - 1).map(fq.from_index)
 
     def coeff(nonzero=False):
-        while True:
-            c = F.coerce(Poly(fq, "T", [draw(digit), draw(digit)]))
-            if c or not nonzero:
-                return c / draw(st.sampled_from((F.one, T, T + F.one)))
-    # past Q = 9 one norm takes seconds over F_9 (the generic loops), and
-    # test_norm_poly_matches_torsion_route covers it
-    shape = draw(st.sampled_from(("below", "at", "constant") if Q >= 9
-                                 else ("below", "at", "above", "constant")))
+        low = draw(st.integers(int(nonzero), q - 1))
+        c = F.coerce(Poly(fq, "T", [fq.from_index(low),
+                                    fq.from_index(draw(st.integers(0, q - 1)))]))
+        return c / draw(st.sampled_from((F.one, T, T + F.one)))
+    phi = Poly(F, "x", [F.coerce(c) for c in carlitz_phi(a)
+                        .as_additive(var="x").coeffs])
     if shape == "constant":
-        phi = Poly(F, "x", [F.coerce(c) for c in carlitz_phi(a)
-                            .as_additive(var="x").coeffs])
         r = [coeff() for _ in range(draw(st.integers(1, 2)))]
         p = Poly(F, "x", [coeff(True)])
         for c in r:
             p = p * phi + Poly(F, "x", [c])
-        return p, a, shape
+        return p, a
+    if shape == "x_lead":
+        m = draw(st.integers(2, min(3, Q - 1)))
+        lead = Poly(F, "x", [F.zero] * m + [coeff(True)])
+        return lead * phi + Poly(F, "x", [coeff() for _ in range(m)]), a
     k = {"below": st.integers(0, Q - 1), "at": st.just(Q),
          "above": st.integers(Q + 1, Q + 2)}[shape]
     lead = draw(st.sampled_from((
         F.one, F.coerce(fq.from_index(q - 1)), T + F.one,
         F.coerce(fq.from_index(q - 1)) / (T * T + T))))
-    return Poly(F, "x", [coeff() for _ in range(draw(k))] + [lead]), a, shape
+    return Poly(F, "x", [coeff() for _ in range(draw(k))] + [lead]), a
 
 
-@settings(max_examples=60)
-@given(case=norm_cases())
-def test_norm_poly_matches_the_poly_route_and_the_torsion_route(case):
+@pytest.mark.parametrize("q,deg_a,shape", [
+    (q, d, shape) for q, d in NORM_FIELDS for shape in norm_shapes(q, q ** d)])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_norm_poly_matches_the_poly_route_and_the_torsion_route(
+        q, deg_a, shape, data):
     # the kernel route against the same route on Polys over A and A[x]
     # and, where Q x Q stays cheap, against the determinant
-    p, a, shape = case
-    Q = a.ring.q ** a.degree
+    Q = q ** deg_a
+    p, a = data.draw(norm_case(q, deg_a, shape))
     got, sides = norm_sides(p, a)
     assert got == poly_route(p, a), (p, a)
     if Q <= 5:
@@ -353,6 +369,8 @@ def test_norm_poly_matches_the_poly_route_and_the_torsion_route(case):
     assert all(n < Q or n == Q and not x for n, x in sides), sides
     if shape == "constant":
         assert sides == []
+    if shape == "x_lead":
+        assert sides == [(p.degree - Q, True)]
     if shape == "above":
         assert sides == [] or sides[0][0] < Q
 
