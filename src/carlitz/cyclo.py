@@ -23,18 +23,17 @@ runs on the kernel values of F (``ratfun``'s kernel) from the cleared
 coefficients to the answer: an A-value is an index list over F_p and a
 Poly over F_{p^m}, an A[x]-value a plain list of them, multiplied over
 F_p by the kernel's packed product; phi_a(y) - x is kept per a as its
-taps, A-constants and the -x at y^0 (``_torsion``).  No Poly over A or
+taps over A[x], -x at y^0 and A-constants above (``_torsion``), and r is
+reduced by them with ``quotient._reduce``.  No Poly over A or
 A[x] is built, and each coefficient of the answer is boxed once, by
 ``ratfun._reduced``.  The same route on Polys and a QuotientRing over A[x],
 and the Q x Q determinant there, are the tests' oracles.  The torsion norm
 h is read at omega_m as h reduced mod m_m (``coerce``), one division in
 place of Horner's rule, which stays the path for every other point
-(``galois_act``).  The norm to F itself is taken over A too: with d the
-lcm of e's denominators it is the determinant of multiplication by d e mod
-m_n over A, divided by d^deg once (``_norm_to_base``); the determinant
-over F, ``quotient_norm``, is its oracle.  Each of these is ``det`` or
-``charpoly`` of one multiplication matrix (``quotient._mult_rows``), on the
-entry ring's own operations.
+(``galois_act``).  The norm to F itself is the determinant over F
+(``quotient_norm``).  Each of these is ``det`` or ``charpoly`` of one
+multiplication matrix (``quotient._mult_rows``), on the entry ring's own
+operations.
 
 The extension is totally ramified at pi, of degree e = deg m_n, with
 uniformizer omega_n, so the valuation of sum_(i < e) c_i omega^i is the
@@ -66,9 +65,10 @@ from .fq import Fq, _power
 from .groupring import GroupRing
 from .poly import Poly
 from .quotient import (
-    QuotElem, QuotientRing, _mult_rows, _reduce, _taps, charpoly, det,
+    QuotElem, QuotientRing, _mult_rows, _reduce, _taps, charpoly,
+    quotient_norm,
 )
-from .ratfun import RatFun, _cleared, _reduced, base_field
+from .ratfun import _cleared, _reduced, base_field
 
 __all__ = [
     "CycloField",
@@ -159,28 +159,10 @@ def field_norm(e: QuotElem, target_level: int):
     if m == n:
         return e
     if m == 0:
-        return _norm_to_base(e)
+        return quotient_norm(e)
     sub = CycloField.get(field.pi, m)
     # h(omega_m) is h mod m_m: one division, not Horner's rule
     return sub.coerce(_norm_poly(e.rep, field.pi ** (n - m)))
-
-
-def _norm_to_base(e: QuotElem) -> RatFun:
-    """N_{F_n/F}(e) over A: with d the monic lcm of the denominators of
-    e's coefficients, d e has A-coefficients and m_n is monic over A, so
-    the norm is det(M)/d^deg, M the multiplication matrix of d e mod m_n,
-    with one ``_reduced`` at the end."""
-    field = e.ring
-    F = field.F
-    k, A, _ = _rings(field.fq)
-    d, P = _cleared(F, e.rep.coeffs)
-    n = field.degree
-    taps = _taps([k.view(c) for c in field.minpoly_A.coeffs], A.zero)
-    norm = det(_mult_rows(P + [A.zero] * (n - len(P)), taps, A.zero, A.sub,
-                          A.mul), A.add, A.mul, A.neg)
-    if not k.size(norm):
-        return F.zero
-    return k.box(F, _reduced(k, norm, _power(d, n, A.one, A.mul)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -237,11 +219,16 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     Pbar depends on x and A[x] otherwise.  For c = 1 nothing is scaled
     and e = 1."""
     Q, taps = _torsion(a)
-    kern, A, AX = rings = _rings(a.ring)
+    kern, A, AX = _rings(a.ring)
     size = kern.size
     K = A
     if len(P) > Q:
-        Pbar = _reduce_torsion(P, Q, taps, rings)
+        # P is nonzero and free of x, and phi_a(y) - x has x-degree 1, so
+        # no multiple of it is P and Pbar is nonzero
+        Pbar = _reduce([[c] if size(c) else [] for c in P], taps, Q,
+                       AX.zero, AX.sub, AX.mul)
+        while not Pbar[-1]:
+            Pbar.pop()
         top = Pbar[-1]
         if (len(P) > Q + 1 or size(P[-1]) != 1 or len(Pbar) == 1
                 or len(top) == 1 and size(top[0]) == 1):
@@ -255,10 +242,12 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     if k == 0:
         terms, e = [_power(c, Q, one, mul)], one
     else:
-        # M'(y) = phi_a(y): the modulus without its -x term
+        # M'(y) = phi_a(y): the modulus without its -x, its only tap at
+        # y^0 (phi_a has no y^0 term)
         mod = [zero] * Q + [one]
         for j, phi in taps:
-            mod[j] = phi if K is A else [phi]
+            if j:
+                mod[j] = phi[0] if K is A else phi
         monic = c == one
         if not monic:
             P = [mul(b, _power(c, k - 1 - i, one, mul))
@@ -283,26 +272,6 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
         if t:
             h = AX.add(h, [A.zero] * i + t)
     return h, e
-
-
-def _reduce_torsion(P: list, Q: int, taps: list, rings: tuple) -> list:
-    """P in A[y] mod phi_a(y) - x, as A[x]-values: below y^Q, each y^i
-    (i >= Q) is y^(i-Q) (x - sum_j phi_j y^j) over the taps of
-    ``_torsion``.  P is nonzero and free of x, and phi_a(y) - x has
-    x-degree 1, so no multiple of it is P and the result is nonzero."""
-    k, A, AX = rings
-    size, mul = k.size, A.mul
-    r = [[c] if size(c) else [] for c in P]
-    for i in range(len(r) - 1, Q - 1, -1):
-        top = r.pop()
-        if top:
-            r[i - Q] = AX.add(r[i - Q], [A.zero] + top)
-            for j, phi in taps:
-                r[i - Q + j] = AX.sub(r[i - Q + j],
-                                      [mul(t, phi) for t in top])
-    while not r[-1]:
-        r.pop()
-    return r
 
 
 def _exact_quo(h: list, e: list, k) -> list:
@@ -377,19 +346,19 @@ def _rings(fq: Fq) -> tuple:
 
 @functools.cache
 def _torsion(a: Poly) -> tuple[int, list]:
-    """(Q, taps) for phi_a(y) - x, a monic in A = F_q[T]: Q = q^deg a and
-    taps the pairs (j, phi_j) of the nonzero coefficients of y^j in phi_a
-    below y^Q, as kernel values.
+    """(Q, taps) for m = phi_a(y) - x, a monic in A = F_q[T]: Q = q^deg a
+    and taps the ``_taps`` of m over A[x], as lists of kernel values: -x
+    at y^0 and the A-constants phi_j of phi_a below y^Q.
 
     phi_a is monic and F_q-linear, so phi_a(y) - phi_a(x) is the product
     of y - x - u over the a-torsion u: the norm of P(y) is h(x) with
     h(phi_a(x)) = prod_u P(x + u).  The modulus is monic in y, so reducing
-    by it needs no inverse, and its one coefficient that depends on x is
-    -x at y^0."""
+    by it needs no inverse."""
     phi = carlitz_phi(a).as_additive(var="y")
-    view = base_field(a.ring).kernel.view
-    return phi.degree, [(j, view(c)) for j, c in enumerate(phi.coeffs[:-1])
-                        if c.coeffs]
+    k, A, AX = _rings(a.ring)
+    m = [[k.view(c)] if c.coeffs else AX.zero for c in phi.coeffs]
+    m[0] = AX.sub(m[0], [A.zero, A.one])
+    return phi.degree, _taps(m, AX.zero)
 
 
 def valuation_at_p(e: QuotElem):

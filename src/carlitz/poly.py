@@ -587,17 +587,21 @@ def _fp_mul_ax(a: list[list[int]], b: list[list[int]],
     """a*b in F_p[T][x] on lists of index lists (x-coefficients low first,
     no trailing zero), through one F_p[z] product: T = z^D with D the
     longest T-length in a plus the longest in b minus 1, so each coefficient
-    of the product (T-degree below D) fills its own block of D digits."""
+    of the product (T-degree below D) fills its own block of D digits.  A
+    side that is a monomial c x^s in x (s = 0: a constant) is not packed."""
     if not a or not b:
         return []
-    if len(b) == 1 or len(a) == 1:  # a constant in x: no packing
-        (c,), a = (b, a) if len(b) == 1 else (a, b)
-        return [_fp_mul(x, c, p) for x in a]
-    D = max(map(len, a)) + max(map(len, b)) - 1
-    # every digit is below p < 256, so one bytes object holds the product
-    # and rstrip drops each block's zero padding in C
-    prod = bytes(_fp_mul(_pack(a, D), _pack(b, D), p))
-    return [list(prod[k:k + D].rstrip(b"\0")) for k in range(0, len(prod), D)]
+    if any(b[:-1]):
+        if any(a[:-1]):
+            D = max(map(len, a)) + max(map(len, b)) - 1
+            # every digit is below p < 256, so one bytes object holds the
+            # product and rstrip drops each block's zero padding in C
+            prod = bytes(_fp_mul(_pack(a, D), _pack(b, D), p))
+            return [list(prod[k:k + D].rstrip(b"\0"))
+                    for k in range(0, len(prod), D)]
+        a, b = b, a
+    c = b[-1]
+    return [[]] * (len(b) - 1) + [_fp_mul(x, c, p) for x in a]
 
 
 def _pack(rows: list[list[int]], D: int) -> list[int]:

@@ -26,10 +26,10 @@ by construction, so a remainder raises ``InvariantError``.  Over F_{p^m}(T),
 F(x) and every other field, the Poly kernel holds Polys and calls their
 methods.  A division the rule makes exact that leaves a remainder raises
 ``InvariantError`` on both kernels.  The tests check the index kernel
-against the Poly kernel on F_p(T).  The torsion norms of ``cyclo`` and
-its norm to F run on the same kernels: ``_cleared`` clears a polynomial's
-T-denominators into kernel values, and the kernel's ``sub`` and ``mul_ax``
-(A[x] on lists of values) serve their matrices.
+against the Poly kernel on F_p(T).  The torsion norms of ``cyclo`` run
+on the same kernels: ``_cleared`` clears a polynomial's T-denominators
+into kernel values, and the kernel's ``sub`` and ``mul_ax`` (A[x] on
+lists of values) serve their reductions and matrices.
 
 ``series`` runs its products, quotients and compositions over every fraction
 field on the same kernels, but not term by term through the rule: ``_dot``

@@ -19,7 +19,7 @@ from carlitz.poly import (
     Poly, PolyRing, all_residues, is_irreducible, monic_enumerate,
     poly_parse,
 )
-from carlitz.quotient import QuotElem, quotient_norm
+from carlitz.quotient import QuotElem
 from carlitz.ratfun import RatFun, base_field
 from carlitz.series import TruncSeries
 from norm_oracle import poly_route, torsion_quotient, torsion_route
@@ -618,27 +618,6 @@ def test_valuation_closed_form_matches_the_norm(q, pi_text, n):
         got = valuation_at_p(e)
         assert got == field_norm(e, 0).valuation(pi), e
         assert want is None or got == want
-
-
-@pytest.mark.parametrize("q,pi_text,n", [(2, "T", 2), (3, "T", 1),
-                                          (4, "T", 1), (2, "T^2+T+1", 1),
-                                          (5, "T", 1)])
-def test_norm_to_f_over_a_matches_the_determinant_over_f(q, pi_text, n):
-    # field_norm(e, 0) takes the determinant over A of d e mod m_n and
-    # divides by d^deg once: no fraction arithmetic before that one gcd.
-    # The determinant over F of e's own matrix is its oracle
-    field = CycloField.get(poly_parse(pi_text, Fq.get(q)), n)
-    rng = random.Random(q + n)
-    elems = [field.zero, field.one, field.omega]
-    elems += [pi_power_elem(rng, field) for _ in range(4)]
-    for e in elems:
-        with mock.patch.object(RatFun, "make", side_effect=AssertionError), \
-                mock.patch.object(RatFun, "__mul__",
-                                  side_effect=AssertionError), \
-                mock.patch.object(RatFun, "__add__",
-                                  side_effect=AssertionError):
-            got = field_norm(e, 0)
-        assert got == quotient_norm(e), e
 
 
 def test_valuation_refuses_an_unreduced_representative():

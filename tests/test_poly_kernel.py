@@ -253,7 +253,7 @@ def ax_polys(draw, fields=PRIMES):
 @given(ax_polys())
 def test_packed_ax_mul_matches_generic(case):
     # the list-level A[x] product on index lists, packed unless one side
-    # is constant in x, against the generic loops on Polys over A
+    # is a monomial in x, against the generic loops on Polys over A
     A, a, b = case
     p = A.cring.p
     before = snapshot(a.coeffs + b.coeffs)
