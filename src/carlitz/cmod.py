@@ -173,8 +173,7 @@ def omega_minpoly(pi: Poly, n: int) -> Poly:
     if const != pi:
         raise InvariantError(f"constant term {const!r} != {pi!r}")
     for i in range(m.degree):
-        c = m.coeff(i)
-        if not c.is_zero() and (c % pi).degree >= 0 and not (c % pi).is_zero():
+        if not (m.coeff(i) % pi).is_zero():
             raise InvariantError(f"coefficient {i} not divisible by {pi!r}")
     return m
 

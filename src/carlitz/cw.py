@@ -113,21 +113,21 @@ def _dlog_rational(f: RatFun) -> RatFun:
     each division exact by construction."""
     field = f.field
     k = field.kernel
-    p, size, view, mul, quo = k.p, k.size, k.view, k.mul, k.quo
+    size, view, mul, quo = k.size, k.view, k.mul, k.quo
     n, dn = view(f.num), view(f.num.derivative())
     d, dd = view(f.den), view(-f.den.derivative())  # d and -d'
     if size(n) > 1:
-        g1 = k.gcd(n, dn, p)
+        g1 = k.gcd(n, dn)
         if size(g1) > 1:
-            n, dn = quo(n, g1, p), quo(dn, g1, p)
+            n, dn = quo(n, g1), quo(dn, g1)
     if size(d) > 1:
-        g2 = k.gcd(d, dd, p)
+        g2 = k.gcd(d, dd)
         if size(g2) > 1:
-            d, dd = quo(d, g2, p), quo(dd, g2, p)
-    num = k.add(mul(dn, d, p), mul(n, dd, p), p)
+            d, dd = quo(d, g2), quo(dd, g2)
+    num = k.add(mul(dn, d), mul(n, dd))
     if not size(num):
         return field.zero
-    return k.box(field, k.monic(num, mul(n, d, p), p))
+    return k.box(field, k.monic(num, mul(n, d)))
 
 
 def _exp_in_x(fq: Fq, prec: int) -> TruncSeries:

@@ -19,17 +19,19 @@ q^deg a (kept at k = Q when it is led by F_q^* and its reduction is
 not), and the symmetry of the resultant makes it one k x k
 characteristic polynomial, over A when no coefficient of the reduced r
 depends on x and over A[x] otherwise (``_resultant_norm``).  The route
-runs on the kernel values of F (``ratfun``'s kernel) from the cleared
-coefficients to the answer: an A-value is an index list over F_p and a
-Poly over F_{p^m}, an A[x]-value a plain list of them, multiplied over
-F_p by the kernel's packed product; phi_a(y) - x is kept per a as its
-taps over A[x], -x at y^0 and A-constants above (``_torsion``), and r is
-reduced by them with ``quotient._reduce``.  No Poly over A or
-A[x] is built, and each coefficient of the answer is boxed once, by
-``ratfun._reduced``.  The same route on Polys and a QuotientRing over A[x],
-and the Q x Q determinant there, are the tests' oracles.  The torsion norm
-h is read at omega_m as h reduced mod m_m (``coerce``), one division in
-place of Horner's rule, which stays the path for every other point
+runs on F's kernel (``ratfun._Kernel``), which is the ring A and owns
+A[x], from the cleared coefficients to the answer: an A-value is an index
+list over F_p and a Poly over F_{p^m}, an A[x]-value a plain list of them
+(the kernel's ``x``), multiplied over F_p by the packed product;
+phi_a(y) - x is kept per a as its taps over A[x], -x at y^0 and
+A-constants above (``_torsion``), r is reduced by them with
+``quotient._reduce``, and a division by e in A[x] is the kernel's
+``ratfun._exact_quo``.  No Poly over A or A[x] is built, and each
+coefficient of the answer is boxed once, by ``ratfun._reduced``.  The
+same route on Polys and a QuotientRing over A[x], and the Q x Q
+determinant there, are the tests' oracles.  The torsion norm h is read at
+omega_m as h reduced mod m_m (``coerce``), one division in place of
+Horner's rule, which stays the path for every other point
 (``galois_act``).  The norm to F itself is the determinant over F
 (``quotient_norm``).  Each of these is ``det`` or ``charpoly`` of one
 multiplication matrix (``quotient._mult_rows``), on the entry ring's own
@@ -49,9 +51,10 @@ more hits.  Each CycloField keeps, per reduced Galois key b, the
 image phi_b(omega) and its inverse, so ``cyclotomic_unit`` multiplies by a
 stored inverse instead of running one extended gcd per call; a field has
 only |(A/pi^n)^*| keys, so these need no bound.  Like ``CycloField.get``,
-the taps of each phi_a(y) - x (``_torsion``) and the rings A and A[x] on
-each field's kernel (``_rings``) are built once and kept: they grow with
-the moduli and fields a process meets, not with its inputs.
+the taps of each phi_a(y) - x (``_torsion``) are built once and kept:
+they grow with the moduli a process meets, not with its inputs.  The
+rings A and A[x] need no cache of their own: they are the kernel that
+``base_field(fq)``, itself cached, built with F.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .quotient import (
     QuotElem, QuotientRing, _mult_rows, _reduce, _taps, charpoly,
     quotient_norm,
 )
-from .ratfun import _cleared, _reduced, base_field
+from .ratfun import _cleared, _exact_quo, _reduced, base_field
 
 __all__ = [
     "CycloField",
@@ -185,15 +188,15 @@ def _norm_poly(p: Poly, a: Poly) -> Poly:
     if p.is_zero():
         return p
     F = p.ring
-    k, A, AX = _rings(a.ring)
+    k = F.kernel
     d, P = _cleared(F, p.coeffs)
     h, e = _resultant_norm(P, a)
-    den = d if d == A.one else _power(d, _torsion(a)[0], A.one, A.mul)
+    den = d if d == k.one else _power(d, _torsion(a)[0], k.one, k.mul)
     if len(e) == 1:
-        if e != AX.one:
-            den = A.mul(den, e[0])
+        if e != k.x.one:
+            den = k.mul(den, e[0])
     else:
-        h = _exact_quo(h, e, k)
+        h = _exact_quo(k, h, e)
     return Poly(F, p.var, [k.box(F, _reduced(k, c, den)) if k.size(c)
                            else F.zero for c in h])
 
@@ -202,7 +205,7 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     """(h, e) in A[x] with N(P) = h/e, for P in A[y] (coefficients low
     first) and N(P) its norm in A[x][y]/(m), m = phi_a(y) - x, by one
     characteristic polynomial of side at most Q = q^deg a.  A-values are
-    kernel values and A[x]-values lists of them (``_rings``).
+    kernel values and A[x]-values lists of them (the kernel's ``x``).
 
     N(P) is the resultant Res_y(m, P).  P is first reduced mod m to Pbar
     of degree k < Q, with leading coefficient c.  A P of degree Q led by
@@ -219,8 +222,8 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     Pbar depends on x and A[x] otherwise.  For c = 1 nothing is scaled
     and e = 1."""
     Q, taps = _torsion(a)
-    kern, A, AX = _rings(a.ring)
-    size = kern.size
+    A = base_field(a.ring).kernel
+    AX, size = A.x, A.size
     K = A
     if len(P) > Q:
         # P is nonzero and free of x, and phi_a(y) - x has x-degree 1, so
@@ -274,76 +277,6 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     return h, e
 
 
-def _exact_quo(h: list, e: list, k) -> list:
-    """h/e in A[x] on lists of kernel values, for an e that divides h by
-    construction: a remainder in A or in A[x] is an ``InvariantError``."""
-    size, p = k.size, k.p
-    n = len(e) - 1
-    r = list(h)
-    quo = []
-    for i in range(len(r) - 1, n - 1, -1):
-        c, rem = k.divmod(r.pop(), e[-1], p)
-        if size(rem):
-            break
-        quo.append(c)
-        if size(c):
-            for j in range(n):
-                r[i - n + j] = k.sub(r[i - n + j], k.mul(c, e[j], p), p)
-    else:
-        if not any(map(size, r)):
-            return quo[::-1]
-    raise InvariantError(f"the torsion norm {h} is not divisible by {e} "
-                         f"in A[x]")
-
-
-class _Ring:
-    """A = F_q[T] on the kernel values of F = F_q(T), or A[x] on plain
-    lists of them (x low first, no trailing zero): its zero and one and
-    the add, sub, mul and neg that ``charpoly``, ``_mult_rows`` and
-    ``_reduce`` take."""
-
-    __slots__ = ("zero", "one", "add", "sub", "mul")
-
-    def __init__(self, zero, one, add, sub, mul) -> None:
-        self.zero, self.one = zero, one
-        self.add, self.sub, self.mul = add, sub, mul
-
-    def neg(self, b):
-        return self.sub(self.zero, b)
-
-
-@functools.cache
-def _rings(fq: Fq) -> tuple:
-    """(k, A, A[x]) for k = base_field(fq).kernel, so over F_p index lists
-    with the packed A[x] product, and over F_{p^m} Polys."""
-    F = base_field(fq)
-    k = F.kernel
-    p, size = k.p, k.size
-    add = functools.partial(k.add, p=p)
-    sub = functools.partial(k.sub, p=p)
-    zero = k.view(F.zero.num)
-
-    def add_x(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = [add(x, y) for x, y in zip(a, b)] + a[len(b):]
-        while out and not size(out[-1]):
-            out.pop()
-        return out
-
-    def sub_x(a, b):
-        out = [sub(x, y) for x, y in zip(a, b)]
-        out += a[len(b):] or [sub(zero, y) for y in b[len(a):]]
-        while out and not size(out[-1]):
-            out.pop()
-        return out
-
-    one = k.view(F.one.num)
-    return (k, _Ring(zero, one, add, sub, functools.partial(k.mul, p=p)),
-            _Ring([], [one], add_x, sub_x,
-                  functools.partial(k.mul_ax, p=p)))
-
-
 @functools.cache
 def _torsion(a: Poly) -> tuple[int, list]:
     """(Q, taps) for m = phi_a(y) - x, a monic in A = F_q[T]: Q = q^deg a
@@ -355,10 +288,10 @@ def _torsion(a: Poly) -> tuple[int, list]:
     h(phi_a(x)) = prod_u P(x + u).  The modulus is monic in y, so reducing
     by it needs no inverse."""
     phi = carlitz_phi(a).as_additive(var="y")
-    k, A, AX = _rings(a.ring)
-    m = [[k.view(c)] if c.coeffs else AX.zero for c in phi.coeffs]
-    m[0] = AX.sub(m[0], [A.zero, A.one])
-    return phi.degree, _taps(m, AX.zero)
+    k = base_field(a.ring).kernel
+    m = [[k.view(c)] if c.coeffs else [] for c in phi.coeffs]
+    m[0] = k.x.sub(m[0], [k.zero, k.one])
+    return phi.degree, _taps(m, [])
 
 
 def valuation_at_p(e: QuotElem):

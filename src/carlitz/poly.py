@@ -25,7 +25,8 @@ interned elements and with no strip: every kernel output is already
 stripped, since over a field a product's top coefficient is lc * lc != 0
 and a quotient's lc(a)/lc(b), and sums, remainders and gcds are stripped
 explicitly; ``tests/test_poly_kernel.py`` pins that.  On every parent,
-adding or subtracting the zero polynomial returns the left operand itself.
+adding or subtracting the zero polynomial returns the left operand itself,
+and negating it returns it.
 Multiplication is schoolbook while the product of the operand
 lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
@@ -41,13 +42,14 @@ p, which is not F_{p^m} arithmetic), runs the generic loops (in the
 methods and ``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``),
 which the tests also use as the oracle for the kernel,
 and ``_gcd_generic`` as the oracle for ``ratfun``'s gcds and reductions.
-The one exception is ``gcd`` over F_p(T): that ``FracField``'s ``poly_gcd``
-(``ratfun._gcd_ax``) runs a remainder sequence over A = F_p[T] on the
-kernel, and ``gcd`` takes it; over F_{p^m}(T), F(x) and every other parent
-``poly_gcd`` is absent or None and ``_gcd_generic`` runs.  Outside this
-module only ``ratfun``'s index kernel names index lists or ``_fp_*``
-(``tests/test_exports.py`` pins that): Henrici's rule over F_p(T) runs on
-it, and the torsion norms of ``cyclo`` reach the kernel only through it.
+The one exception is ``gcd`` over F_q(T), prime q or not: that
+``FracField``'s ``poly_gcd`` (``ratfun._gcd_ax``) runs a remainder sequence
+over A = F_q[T] on the field's kernel, and ``gcd`` takes it; over F(x) and
+every other parent ``poly_gcd`` is absent or None and ``_gcd_generic``
+runs.  Outside this module only ``ratfun``'s index kernel names index lists
+or ``_fp_*`` (``tests/test_exports.py`` pins that): Henrici's rule over
+F_p(T) runs on it, and the torsion norms of ``cyclo`` reach the kernel only
+through it.
 ``egcd`` runs ``_egcd_generic`` on every parent: only ``QuotElem.inv`` and
 the self-test take it, so a kernel copy would not pay for itself.
 
@@ -221,6 +223,8 @@ class Poly:
         return Poly(ring, self.var, out)
 
     def __neg__(self) -> "Poly":
+        if not self.coeffs:
+            return self
         ring = self.ring
         if _interned(ring):
             return _fp_poly(ring, self.var,
@@ -464,10 +468,10 @@ def _egcd_generic(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.mul_scalar(lc), u0.mul_scalar(lc), v0.mul_scalar(lc)
 
 
-def _poly_quo(a: Poly, g: Poly, p: None = None) -> Poly:
+def _poly_quo(a: Poly, g: Poly) -> Poly:
     """a/g for a divisor g of a that the library's own construction makes
     exact, so a remainder is an ``InvariantError``, a bug rather than bad
-    input.  p is ignored: this is also the Poly kernel's ``quo``."""
+    input.  This is also the Poly kernel's ``quo``."""
     quo, rem = a.divmod(g)
     if rem.coeffs:
         raise InvariantError(

@@ -20,15 +20,16 @@ column is y times the one before, reduced by the nonzero coefficients of m
 alone.  Every norm in the package is ``det`` or ``charpoly`` of that one
 matrix, built by ``_mult_rows`` from its first column and m's nonzero
 coefficients on any entry ring.  The torsion norms (``cyclo._norm_poly``)
-build it on A or A[x] as the fraction-field kernel's plain values, reduce
-by a monic modulus with ``_reduce``, and hand ``charpoly`` that ring's
-add, mul and neg, as ``fq._power`` takes a mul; ``quotient_norm``, the
-norm of any QuotElem (the norm to F, ``cyclo.field_norm`` at level 0,
-among them), builds it on the element's coefficients and takes their own
-operators.
-Berkowitz's recurrence never divides, so entries in a field, in A or in
-A[x] take the same path.  It builds the whole characteristic polynomial
-det(t I + M) on its way (``charpoly``); ``det`` keeps the constant term.
+build it on A or A[x]: the fraction field's kernel (``ratfun._Kernel``)
+is A, and its ``x`` is A[x], each with its zero, one, add, sub, mul and
+neg.  They reduce by a monic modulus with ``_reduce`` and hand
+``charpoly`` that ring's add, mul and neg, as ``fq._power`` takes its one
+and mul.  ``quotient_norm``, the norm of any QuotElem (the norm to F,
+``cyclo.field_norm`` at level 0, among them), builds it on the element's
+coefficients and takes their own operators.  Berkowitz's recurrence never
+divides, so entries in a field, in A or in A[x] take the same path.  It
+builds the whole characteristic polynomial det(t I + M) on its way
+(``charpoly``); ``det`` keeps the constant term.
 """
 
 from __future__ import annotations

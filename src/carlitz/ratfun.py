@@ -18,18 +18,21 @@ them, never on the assembled product.
     ``make``, so ``from_pair``, ``derivative`` and every caller that
     assembles a fraction from an arbitrary pair.
 
-The rule runs on a kernel (``_Kernel``) that each ``FracField`` picks in
+The rule runs on a kernel (``_Kernel``), the one adapter for the ring A of
+numerators and denominators, which each ``FracField`` builds in
 ``__init__``.  Over F_p(T) on an interned F_p (p <= 256), the index kernel
-holds values as ``poly``'s index lists, each operation one ``_fp_*`` call,
-and builds the result's two polynomials once; the rule's divisions are exact
-by construction, so a remainder raises ``InvariantError``.  Over F_{p^m}(T),
-F(x) and every other field, the Poly kernel holds Polys and calls their
-methods.  A division the rule makes exact that leaves a remainder raises
-``InvariantError`` on both kernels.  The tests check the index kernel
-against the Poly kernel on F_p(T).  The torsion norms of ``cyclo`` run
-on the same kernels: ``_cleared`` clears a polynomial's T-denominators
-into kernel values, and the kernel's ``sub`` and ``mul_ax`` (A[x] on
-lists of values) serve their reductions and matrices.
+holds values as ``poly``'s index lists, each operation a closure over one
+``_fp_*`` call with p bound, and builds the result's two polynomials once.
+Over F_{p^m}(T), F(x) and every other field, the Poly kernel holds Polys
+and calls their methods.  A division the rule makes exact that leaves a
+remainder raises ``InvariantError`` on both kernels.  The tests check the
+index kernel against the Poly kernel on F_p(T).  A kernel carries zero,
+one and neg, so it is a ring as ``fq._power`` and ``quotient.charpoly``
+take one, and it owns A[x] on plain lists of its values (its ``x``: add,
+sub and, over F_p, the packed product), with ``_exact_quo``,
+``_primitive`` and ``_prem`` written once on it.  The torsion norms of
+``cyclo`` run on it: ``_cleared`` clears a polynomial's T-denominators
+into kernel values, and A and A[x] serve their reductions and matrices.
 
 ``series`` runs its products, quotients and compositions over every fraction
 field on the same kernels, but not term by term through the rule: ``_dot``
@@ -38,15 +41,15 @@ denominator, with the kernel's ``divmod`` deciding whether one denominator
 divides the other, and reduces it by one gcd at the end.
 
 Which gcd a ``Poly`` takes follows its coefficient parent.  Over F_p
-(p <= 256) it is ``poly``'s integer kernel.  Over F = F_p(T) on such an F_p,
-the parent's ``poly_gcd`` is ``_gcd_ax``: each operand is cleared of its
-T-denominators into A[x], A = F_p[T], and a primitive remainder sequence
-runs there on the kernel's index lists, so the only fractions built are the
-coefficients of the monic answer.  That serves the numerators and
-denominators of F(x), the rational functions of the Coleman norm.  Over
-F_{p^m}(T), over F(x) itself and over every other field, ``poly_gcd`` is
-None and Euclid runs on the field's elements (``poly._gcd_generic``, the
-oracle for ``_gcd_ax`` in the tests).
+(p <= 256) it is ``poly``'s integer kernel.  Over every F = F_q(T), the
+parent's ``poly_gcd`` is ``_gcd_ax``: each operand is cleared of its
+T-denominators into A[x], A = F_q[T], and a primitive remainder sequence
+runs there on F's kernel, so the only fractions built are the coefficients
+of the monic answer.  That serves the numerators and denominators of F(x),
+the rational functions of the Coleman norm.  Over F(x) itself and over
+every other field, ``poly_gcd`` is None and Euclid runs on the field's
+elements (``poly._gcd_generic``, the oracle for ``_gcd_ax`` in the
+tests).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import math
 import operator
 
 from .errors import InvariantError
-from .fq import _power
+from .fq import Fq, _power
 from .poly import (
     Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_mul_ax, _fp_poly,
     _fp_scale, _interned, _poly_quo,
@@ -77,15 +80,9 @@ class FracField:
         self.one = RatFun(self, pone, pone)
         # the gcd Poly.gcd takes for polynomials over this field, and the
         # kernel Henrici's rule runs on for its elements
-        if _interned(cring):
-            self.poly_gcd = _gcd_ax
-            self.kernel = _Kernel(cring.p, len, operator.attrgetter("_ix"),
-                                  _fp_mul, _fp_add, _FP_SUB, _fp_divmod,
-                                  _fp_gcd, _fp_quo, _fp_monic, _fp_box,
-                                  _fp_mul_ax)
-        else:
-            self.poly_gcd = None
-            self.kernel = _POLY_KERNEL
+        self.poly_gcd = _gcd_ax if isinstance(cring, Fq) else None
+        self.kernel = (_index_kernel(cring.p) if _interned(cring)
+                       else _poly_kernel(pzero, pone))
 
     def coerce(self, x) -> "RatFun":
         if isinstance(x, RatFun):
@@ -191,7 +188,7 @@ class RatFun:
         b, c = self.den, other.num
         k = self.field.kernel
         view = k.view
-        pair = k.monic(view(other.den), view(c), k.p)
+        pair = k.monic(view(other.den), view(c))
         return k.box(self.field, _product(k, view(self.num), view(b), *pair),
                      (b, c))
 
@@ -238,41 +235,80 @@ class RatFun:
 
 # -- Henrici's rule, once for every kernel ------------------------------------
 
-class _Kernel:
-    """The values the rule holds a numerator or denominator as.  Every
-    operation but size and view takes p last (None on the Poly kernel,
-    which ignores it), so that the index kernel holds the ``_fp_*``
-    functions themselves.  size(a) is 0 for zero and 1 for a unit; view
-    maps a Poly to its value; mul, add, sub (a - b), gcd (monic) and quo
-    (a/g for a divisor g of a) work on values; monic(a, b, p) is a/b with
-    b made monic; box(field, pair, dens) is the RatFun of a canonical
-    pair, and may reuse the Polys dens, the operands' denominators;
-    divmod(a, b, p) is the quotient and remainder of a by nonzero b.  A
-    zero may carry any denominator, so each entry of the rule tests for
-    zero first.  mul_ax multiplies in A[x] on plain lists of values (x
-    low first, no trailing zero), the form the torsion norms of ``cyclo``
-    take.  Input values may be shared with a Poly, so nothing writes to
-    one."""
+class _Ring:
+    """A commutative ring as the generic loops take one (``fq._power``,
+    ``quotient.charpoly``, ``_reduce`` and ``_mult_rows``): its zero and
+    one, and add, sub (a - b), mul and neg on its values."""
 
-    __slots__ = ("p", "size", "view", "mul", "add", "sub", "divmod", "gcd",
-                 "quo", "monic", "box", "mul_ax")
+    __slots__ = ("zero", "one", "add", "sub", "mul", "neg")
 
-    def __init__(self, p, size, view, mul, add, sub, divmod, gcd, quo, monic,
-                 box, mul_ax):
-        self.p, self.size, self.view = p, size, view
-        self.mul, self.add, self.sub, self.divmod = mul, add, sub, divmod
-        self.gcd, self.quo = gcd, quo
-        self.monic, self.box, self.mul_ax = monic, box, mul_ax
+    def __init__(self, zero, one, add, sub, mul, neg) -> None:
+        self.zero, self.one = zero, one
+        self.add, self.sub, self.mul, self.neg = add, sub, mul, neg
+
+
+class _Kernel(_Ring):
+    """A, the ring a numerator or denominator lies in, on the values the
+    rule holds it as: a ``_Ring`` whose operations take values alone (the
+    index kernel binds p in them).  size(a) is 0 for zero and 1 for a
+    unit; view maps a Poly to its value; gcd is monic; quo(a, g) is a/g
+    for a divisor g of a, and a remainder is an ``InvariantError``;
+    divmod(a, b) is the quotient and remainder by nonzero b; monic(a, b)
+    is a/b with b made monic; box(field, pair, dens) is the RatFun of a
+    canonical pair, and may reuse the Polys dens, the operands'
+    denominators.  A zero may carry any denominator, so each
+    entry of the rule tests for zero first.  x is the ``_Ring`` A[x] on
+    plain lists of values (x low first, no trailing zero), the form the
+    gcds below and the torsion norms of ``cyclo`` take: add, sub and neg
+    coefficientwise, and mul_x for its product, by default schoolbook on
+    the kernel's own operations.  Input values may be shared with a Poly,
+    so nothing writes to one."""
+
+    __slots__ = ("size", "view", "divmod", "gcd", "quo", "monic", "box",
+                 "x")
+
+    def __init__(self, zero, one, size, view, add, sub, neg, mul, divmod,
+                 gcd, quo, monic, box, mul_x=None) -> None:
+        super().__init__(zero, one, add, sub, mul, neg)
+        self.size, self.view, self.divmod = size, view, divmod
+        self.gcd, self.quo, self.monic, self.box = gcd, quo, monic, box
+
+        def add_x(a, b):
+            if len(a) < len(b):
+                a, b = b, a
+            out = [add(u, v) for u, v in zip(a, b)] + a[len(b):]
+            while out and not size(out[-1]):
+                out.pop()
+            return out
+
+        def sub_x(a, b):
+            out = [sub(u, v) for u, v in zip(a, b)]
+            out += a[len(b):] or [neg(v) for v in b[len(a):]]
+            while out and not size(out[-1]):
+                out.pop()
+            return out
+
+        def schoolbook(a, b):
+            if not a or not b:
+                return []
+            out = [zero] * (len(a) + len(b) - 1)
+            for i, u in enumerate(a):
+                if size(u):
+                    for j, v in enumerate(b):
+                        out[i + j] = add(out[i + j], mul(u, v))
+            return out
+
+        self.x = _Ring([], [one], add_x, sub_x, mul_x or schoolbook,
+                       lambda a: [neg(c) for c in a])
 
 
 def _cancel(k: _Kernel, a, b):
     """a/g and b/g for g = gcd(a, b).  The callers skip a unit on either
     side, which has nothing to cancel, without calling."""
-    p = k.p
-    g = k.gcd(a, b, p)
+    g = k.gcd(a, b)
     if k.size(g) == 1:
         return a, b
-    return k.quo(a, g, p), k.quo(b, g, p)
+    return k.quo(a, g), k.quo(b, g)
 
 
 def _reduced(k: _Kernel, a, b):
@@ -280,37 +316,37 @@ def _reduced(k: _Kernel, a, b):
     size = k.size
     if size(a) > 1 and size(b) > 1:
         a, b = _cancel(k, a, b)
-    return k.monic(a, b, k.p)
+    return k.monic(a, b)
 
 
 def _sum(k: _Kernel, a, b, c, d):
     """a/b + c/d for canonical pairs."""
-    size, p = k.size, k.p
+    size = k.size
     if not size(a):
         return c, d
     if not size(c):
         return a, b
     if size(b) == 1 and size(d) == 1:  # monic, so b = d = 1
-        return k.add(a, c, p), b
+        return k.add(a, c), b
     mul, add = k.mul, k.add
-    g = k.gcd(b, d, p) if size(b) > 1 and size(d) > 1 else None
+    g = k.gcd(b, d) if size(b) > 1 and size(d) > 1 else None
     if g is None or size(g) == 1:
-        den = d if size(b) == 1 else b if size(d) == 1 else mul(b, d, p)
-        return add(mul(a, d, p), mul(c, b, p), p), den
+        den = d if size(b) == 1 else b if size(d) == 1 else mul(b, d)
+        return add(mul(a, d), mul(c, b)), den
     quo = k.quo
-    b = quo(b, g, p)
-    t = add(mul(a, quo(d, g, p), p), mul(c, b, p), p)
+    b = quo(b, g)
+    t = add(mul(a, quo(d, g)), mul(c, b))
     if size(t) > 1:
-        h = k.gcd(t, g, p)
+        h = k.gcd(t, g)
         if size(h) > 1:
-            t, d = quo(t, h, p), quo(d, h, p)
-    return t, mul(b, d, p)
+            t, d = quo(t, h), quo(d, h)
+    return t, mul(b, d)
 
 
 def _product(k: _Kernel, a, b, c, d):
     """(a/b)(c/d) for canonical pairs: the cross gcds are the only
     cancellation left, and they leave both denominators monic."""
-    size, p = k.size, k.p
+    size = k.size
     if not size(a):
         return a, b
     if not size(c):
@@ -320,8 +356,8 @@ def _product(k: _Kernel, a, b, c, d):
         a, d = _cancel(k, a, d)
     if size(b) > 1 and size(c) > 1:
         c, b = _cancel(k, c, b)
-    return k.mul(a, c, p), (b if size(d) == 1 else d if size(b) == 1
-                            else k.mul(b, d, p))
+    return k.mul(a, c), (b if size(d) == 1 else d if size(b) == 1
+                         else k.mul(b, d))
 
 
 def _dot(k: _Kernel, xs, ys):
@@ -337,57 +373,64 @@ def _dot(k: _Kernel, xs, ys):
     terms = [(x, y) for x, y in zip(xs, ys) if x and y]
     if len(terms) < 2:
         return _product(k, *terms[0][0], *terms[0][1]) if terms else None
-    size, mul, add, p = k.size, k.mul, k.add, k.p
+    size, mul, add = k.size, k.mul, k.add
     n = l = None
     for (a, b), (c, d) in terms:
-        t = mul(a, c, p)
-        e = b if size(d) == 1 else d if size(b) == 1 else mul(b, d, p)
+        t = mul(a, c)
+        e = b if size(d) == 1 else d if size(b) == 1 else mul(b, d)
         if n is None or not size(n):
             n, l = t, e
         elif size(e) == 1:  # monic, so e = 1
-            n = add(n, t if size(l) == 1 else mul(t, l, p), p)
+            n = add(n, t if size(l) == 1 else mul(t, l))
         elif size(l) == 1:
-            n, l = add(mul(n, e, p), t, p), e
+            n, l = add(mul(n, e), t), e
         else:
             big, small = (l, e) if size(e) <= size(l) else (e, l)
-            q, r = k.divmod(big, small, p)
+            q, r = k.divmod(big, small)
             if not size(r):
                 if big is l:
-                    n = add(n, mul(t, q, p), p)
+                    n = add(n, mul(t, q))
                 else:
-                    n, l = add(mul(n, q, p), t, p), e
+                    n, l = add(mul(n, q), t), e
                 continue
-            g = k.gcd(small, r, p)  # = gcd(l, e)
+            g = k.gcd(small, r)  # = gcd(l, e)
             if size(g) > 1:
-                lg, eg = k.quo(l, g, p), k.quo(e, g, p)
+                lg, eg = k.quo(l, g), k.quo(e, g)
             else:
                 lg, eg = l, e
-            n, l = add(mul(n, eg, p), mul(t, lg, p), p), mul(l, eg, p)
+            n, l = add(mul(n, eg), mul(t, lg)), mul(l, eg)
     return _reduced(k, n, l) if size(n) else None
 
 
 # -- the index kernel: F_p(T) on index lists, as poly's _fp_* keep them ------
 
-def _fp_quo(a: list[int], g: list[int], p: int) -> list[int]:
-    """a/g for a divisor g of a.  Every division of the rule is exact by
-    construction, so a remainder means the kernel itself is broken."""
-    quo, rem = _fp_divmod(a, g, p)
-    if rem:
-        raise InvariantError(
-            f"F_p(T) cancellation left a remainder: {a} / {g} over F_{p}")
-    return quo
+def _index_kernel(p: int) -> _Kernel:
+    """A = F_p[T] on poly's index lists, each operation one ``_fp_*`` call
+    with p bound."""
 
+    def quo(a: list[int], g: list[int]) -> list[int]:
+        q, rem = _fp_divmod(a, g, p)
+        if rem:
+            raise InvariantError(
+                f"F_p(T) cancellation left a remainder: {a} / {g} over F_{p}")
+        return q
 
-# a - b, stripped
-_FP_SUB = functools.partial(_fp_add, s=-1)
+    def monic(a: list[int], b: list[int]):
+        if b[-1] == 1:
+            return a, b
+        lcinv = pow(b[-1], -1, p)
+        return _fp_scale(a, lcinv, p), _fp_scale(b, lcinv, p)
 
-
-def _fp_monic(a: list[int], b: list[int], p: int):
-    """a/b with b scaled monic."""
-    if b[-1] == 1:
-        return a, b
-    lcinv = pow(b[-1], -1, p)
-    return _fp_scale(a, lcinv, p), _fp_scale(b, lcinv, p)
+    return _Kernel(
+        [], [1], len, operator.attrgetter("_ix"),
+        lambda a, b: _fp_add(a, b, p),
+        lambda a, b: _fp_add(a, b, p, -1),
+        lambda a: _fp_scale(a, p - 1, p),
+        lambda a, b: _fp_mul(a, b, p),
+        lambda a, b: _fp_divmod(a, b, p),
+        lambda a, b: _fp_gcd(a, b, p),
+        quo, monic, _fp_box,
+        lambda a, b: _fp_mul_ax(a, b, p))
 
 
 def _fp_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
@@ -408,7 +451,16 @@ def _fp_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
 
 # -- the Poly kernel: F_{p^m}(T), F(x) and every other field ------------------
 
-def _poly_monic(a: Poly, b: Poly, p: None):
+def _poly_kernel(zero: Poly, one: Poly) -> _Kernel:
+    """The ring of the Polys zero and one on their own methods."""
+    return _Kernel(
+        zero, one, lambda a: len(a.coeffs), lambda a: a, operator.add,
+        operator.sub, operator.neg, operator.mul,
+        lambda a, b: a.divmod(b), lambda a, b: a.gcd(b), _poly_quo,
+        _poly_monic, _poly_box)
+
+
+def _poly_monic(a: Poly, b: Poly):
     """a/b with b scaled monic."""
     if b.is_monic():
         return a, b
@@ -421,65 +473,88 @@ def _poly_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
     return RatFun(field, a, b) if a.coeffs else field.zero
 
 
-def _poly_mul_ax(a: list, b: list, p: None) -> list:
-    """a*b in A[x] on lists of Polys, by the schoolbook rule."""
-    if not a or not b:
-        return []
-    out = [Poly(a[-1].ring, a[-1].var, [])] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.coeffs:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return out
+# -- A[x] on kernel values: exact quotients and gcds in F_q(T)[x] -----------
+
+def _exact_quo(k: _Kernel, h: list, e: list) -> list:
+    """h/e in A[x] for an e that divides h by construction: a remainder
+    in A (``k.quo``) or in A[x] is an ``InvariantError``."""
+    size, sub, mul = k.size, k.sub, k.mul
+    n = len(e) - 1
+    r = list(h)
+    quo = []
+    for i in range(len(r) - 1, n - 1, -1):
+        c = k.quo(r.pop(), e[-1])
+        quo.append(c)
+        if size(c):
+            for j in range(n):
+                r[i - n + j] = sub(r[i - n + j], mul(c, e[j]))
+    if any(map(size, r)):
+        raise InvariantError(f"{h} is not divisible by {e} in A[x]")
+    return quo[::-1]
 
 
-_POLY_KERNEL = _Kernel(
-    None,
-    lambda a: len(a.coeffs),
-    lambda a: a,
-    lambda a, b, p: a * b,
-    lambda a, b, p: a + b,
-    lambda a, b, p: a - b,
-    lambda a, b, p: a.divmod(b),
-    lambda a, b, p: a.gcd(b),
-    _poly_quo,
-    _poly_monic,
-    _poly_box,
-    _poly_mul_ax,
-)
+def _primitive(k: _Kernel, f: list) -> list:
+    """Nonzero f in A[x] divided by the gcd of its coefficients."""
+    size, gcd = k.size, k.gcd
+    content = None
+    for c in f:
+        if size(c):
+            content = c if content is None else gcd(content, c)
+            if size(content) == 1:
+                return f
+    return [k.quo(c, content) for c in f]
 
 
-# -- gcds in F_p(T)[x] by a primitive remainder sequence over A = F_p[T] -----
+def _prem(k: _Kernel, f: list, g: list) -> list:
+    """f mod g in A[x] for deg f >= deg g >= 1, up to a factor in A: each
+    step cancels the top term of f with lc(g) f - top x^s g, or with
+    f - (top/lc(g)) x^s g when lc(g) is a unit.  Stripped."""
+    size, mul, sub = k.size, k.mul, k.sub
+    lc, m = g[-1], len(g) - 1
+    unit = size(lc) == 1
+    r = list(f)
+    for s in range(len(r) - 1 - m, -1, -1):
+        top = r.pop()
+        if not size(top):
+            continue
+        if unit:
+            top = k.monic(top, lc)[0]  # top/lc
+        else:
+            r = [mul(c, lc) for c in r]
+        for j in range(m):
+            r[s + j] = sub(r[s + j], mul(top, g[j]))
+    while r and not size(r[-1]):
+        r.pop()
+    return r
+
 
 def _gcd_ax(a: Poly, b: Poly) -> Poly:
-    """The monic gcd of a and b in F[x], F = F_p(T) over an interned F_p.
+    """The monic gcd of a and b in F[x], F = F_q(T).
 
     Each operand is cleared of its T-denominators and made primitive in
     A[x]; by Gauss's lemma their gcd there, made monic over F, is the gcd
     in F[x].  Collins's primitive remainder sequence finds it (Knuth, TAOCP
-    vol. 2, 4.6.1) with every A-operation a ``_fp_*`` call on index lists,
-    so the only fractions built are the coefficients of the answer, each
-    c/lc by ``_reduced`` on the index kernel.  The monic gcd is unique, so
-    this equals ``_gcd_generic``, which runs Euclid on ``RatFun``
-    coefficients and is the oracle in the tests."""
+    vol. 2, 4.6.1) on F's kernel values, so the only fractions built are
+    the coefficients of the answer, each c/lc by ``_reduced``.  The monic
+    gcd is unique, so this equals ``_gcd_generic``, which runs Euclid on
+    ``RatFun`` coefficients and is the oracle in the tests."""
     if not b.coeffs:
         return a.monic()
     if not a.coeffs:
         return b.monic()
     F = a.ring
-    p = F.cring.p
-    f = _primitive(_cleared(F, a.coeffs)[1], p)
-    g = _primitive(_cleared(F, b.coeffs)[1], p)
+    k = F.kernel
+    f = _primitive(k, _cleared(F, a.coeffs)[1])
+    g = _primitive(k, _cleared(F, b.coeffs)[1])
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
-        r = _prem(f, g, p)
+        r = _prem(k, f, g)
         if not r:
             lc = g[-1]
-            k = F.kernel
-            return Poly(F, a.var, [k.box(F, _reduced(k, c, lc)) if c
+            return Poly(F, a.var, [k.box(F, _reduced(k, c, lc)) if k.size(c)
                                    else F.zero for c in g[:-1]] + [F.one])
-        f, g = g, _primitive(r, p)
+        f, g = g, _primitive(k, r)
     return Poly(F, a.var, [F.one])
 
 
@@ -487,49 +562,15 @@ def _cleared(F: FracField, cs) -> tuple:
     """(d, [c d for c in cs]) on F's kernel values, for fractions cs over
     F: d is the monic lcm of their denominators, 1 when they have none."""
     k = F.kernel
-    size, view, p = k.size, k.view, k.p
+    size, view = k.size, k.view
     d = view(F.one.den)
     for c in cs:
         den = view(c.den)
         if size(den) > 1:  # monic, so a constant denominator is 1
-            d = den if size(d) == 1 else k.mul(
-                d, k.quo(den, k.gcd(d, den, p), p), p)
+            d = den if size(d) == 1 else k.mul(d, k.quo(den, k.gcd(d, den)))
     if size(d) == 1:
         return d, [view(c.num) for c in cs]
-    return d, [k.mul(view(c.num), k.quo(d, view(c.den), p), p) for c in cs]
-
-
-def _primitive(f: list[list[int]], p: int) -> list[list[int]]:
-    """Nonzero f in A[x] divided by the gcd of its coefficients."""
-    content = None
-    for c in f:
-        if c:
-            content = c if content is None else _fp_gcd(content, c, p)
-            if len(content) == 1:
-                return f
-    return [_fp_divmod(c, content, p)[0] for c in f]
-
-
-def _prem(f: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
-    """f mod g in A[x] for deg f >= deg g >= 1, up to a factor in A: each
-    step cancels the top term of f with lc(g) f - top x^s g, or with
-    f - (top/lc(g)) x^s g when lc(g) is a unit.  Stripped."""
-    lc, m = g[-1], len(g) - 1
-    linv = pow(lc[0], -1, p) if len(lc) == 1 else 0
-    r = list(f)
-    for s in range(len(r) - 1 - m, -1, -1):
-        top = r.pop()
-        if not top:
-            continue
-        if linv:
-            top = _fp_scale(top, linv, p)
-        else:
-            r = [_fp_mul(c, lc, p) for c in r]
-        for j in range(m):
-            r[s + j] = _fp_add(r[s + j], _fp_mul(top, g[j], p), p, -1)
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return d, [k.mul(view(c.num), k.quo(d, view(c.den))) for c in cs]
 
 
 def _wrap(s: str) -> str:

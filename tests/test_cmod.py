@@ -11,10 +11,13 @@ from carlitz.cmod import (
 )
 from carlitz.coleman import ColemanSeries
 from carlitz.cw import cw_verify
+from carlitz.errors import InvariantError
 from carlitz.fq import Fq, FqElem
 from carlitz.groupring import GroupRing
 from carlitz.lfun import stickelberger_series
-from carlitz.poly import Poly, is_irreducible, monic_enumerate, poly_parse
+from carlitz.poly import (
+    Poly, PolyRing, is_irreducible, monic_enumerate, poly_parse,
+)
 from carlitz.ratfun import base_field
 from carlitz.series import TruncSeries
 
@@ -311,6 +314,20 @@ def test_minpoly_rejects_reducible_modulus():
         omega_minpoly(poly_parse("T^2+1", f2), 1)  # (T+1)^2
     with pytest.raises(ValueError):
         torsion_poly(poly_parse("T^2", f2), 1)
+
+
+def test_minpoly_checks_eisenstein_coefficients(monkeypatch):
+    # one remainder mod pi per coefficient: phi_T(x) + x^2 over F_3 gives
+    # m = x^2 + x + T, monic with constant T but x-coefficient 1
+    f3 = Fq.get(3)
+    pi = poly_parse("T", f3)
+    real = cmod.torsion_poly
+    A = PolyRing(f3, "T")
+    x2 = Poly(A, "x", [A.zero, A.zero, A.one])
+    monkeypatch.setattr(cmod, "torsion_poly", lambda p, n: real(p, n) + x2)
+    with pytest.raises(InvariantError,
+                       match=r"coefficient 1 not divisible by T"):
+        omega_minpoly(pi, 1)
 
 
 def test_bc_value_record_contract():

@@ -152,7 +152,7 @@ def test_kernel_results_are_built_once(op, case, scalar):
     check_untouched((a, b), before)
     assert got == generic(FP_OPS[op], a, b, c)
     for r in got if op == "divmod" else (got,):
-        if r is a:  # a + 0, a - 0 and monic of a monic a are a itself
+        if r is a:  # a + 0, a - 0, -0 and monic of a monic a are a itself
             continue
         check_view(r)
 
@@ -190,6 +190,7 @@ def test_add_and_sub_of_unequal_lengths_match_generic(case):
     # a zero operand of + gives the other operand itself
     zero, x = Poly(a.ring, "T", []), a if a.coeffs else b
     assert zero + x is x and x + zero is x
+    assert -zero is zero  # and negating the zero polynomial gives itself
 
 
 @KERNEL
@@ -297,8 +298,8 @@ def test_ax_mul_path_is_chosen_by_the_coefficient_field(monkeypatch):
             calls.clear()
             assert a * b == want
             assert calls == []
-            got = k.mul_ax([k.view(c) for c in a.coeffs],
-                           [k.view(c) for c in b.coeffs], k.p)
+            got = k.x.mul([k.view(c) for c in a.coeffs],
+                          [k.view(c) for c in b.coeffs])
             assert got == [k.view(c) for c in want.coeffs]
             assert calls == ([q] if _interned(fq) else []), q
 

@@ -13,8 +13,8 @@ from carlitz.poly import (
     Poly, _fp_gcd, _fp_mul, _gcd_generic, poly_parse,
 )
 from carlitz.ratfun import (
-    _POLY_KERNEL, FracField, RatFun, _gcd_ax, _product, _reduced, _sum,
-    base_field,
+    FracField, RatFun, _exact_quo, _gcd_ax, _poly_kernel, _prem, _primitive,
+    _product, _reduced, _sum, base_field,
 )
 
 QS = (2, 3, 4, 9)
@@ -275,42 +275,60 @@ def test_henrici_edge_cases(monkeypatch):
         f / F.zero
 
 
-# -- gcds in F_p(T)[x]: the A[x] route against the generic Euclid -------------
+# -- gcds in F_q(T)[x]: the A[x] route against the generic Euclid -----------
 
-GCD_PRIMES = (2, 3, 5, 7)
+# prime fields on the index kernel and F_4, F_8, F_9 on the Poly kernel
+GCD_FIELDS = (2, 3, 4, 5, 8, 9)
+# how the coefficients of a random x-polynomial are drawn (``rand_x_poly``)
+LEADS = ("frac", "unit", "poly")
+
+
+def rand_a(rng, fq, deg):
+    """An element of A = F_q[T] of degree at most deg, zero now and then."""
+    return Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                          for _ in range(deg + 1)])
 
 
 def rand_coeff(rng, F):
-    """An element of F = F_p(T): zero now and then, and often with a
+    """An element of F = F_q(T): zero now and then, and often with a
     T-denominator."""
     fq = F.cring
-
-    def poly(d):
-        return Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
-                              for _ in range(d + 1)])
-
-    den = poly(rng.randrange(3))
-    return RatFun.make(F, poly(rng.randrange(-1, 4)),
+    den = rand_a(rng, fq, rng.randrange(3))
+    return RatFun.make(F, rand_a(rng, fq, rng.randrange(-1, 4)),
                        den if den.coeffs else F.one.num)
 
 
-def rand_x_poly(rng, F, deg):
-    """A polynomial in x over F of degree at most deg (zero for deg -1)."""
-    return Poly(F, "x", [rand_coeff(rng, F) for _ in range(deg + 1)])
+def rand_x_poly(rng, F, deg, lead="frac"):
+    """A polynomial in x over F of degree at most deg (zero for deg -1).
+    Its coefficients are fractions ("frac"), or elements of A led by a
+    nonzero constant ("unit") or by a polynomial of positive degree
+    ("poly"), so that cleared of denominators it is led by a unit or by a
+    non-unit of A."""
+    if lead == "frac" or deg < 0:
+        return Poly(F, "x", [rand_coeff(rng, F) for _ in range(deg + 1)])
+    fq = F.cring
+    top = Poly(fq, "T", [fq.from_index(rng.randrange(1, fq.q))])
+    if lead == "poly":
+        top = top * Poly(fq, "T", [fq.from_index(rng.randrange(fq.q)),
+                                   fq.one])
+    return Poly(F, "x", [F.coerce(rand_a(rng, fq, rng.randrange(-1, 3)))
+                         for _ in range(deg)] + [F.coerce(top)])
 
 
 @st.composite
 def fx_gcd_pairs(draw):
-    """(F, a, b) over F = F_p(T), of x-degree up to 6: each operand zero,
-    constant or not, and half the time both times one planted common
-    factor of degree 1-3."""
-    F = base_field(Fq.get(draw(st.sampled_from(GCD_PRIMES))))
+    """(F, a, b) over F = F_q(T), of x-degree up to 6: each operand zero,
+    constant or not, with T-denominators or led by a unit or a non-unit of
+    A, and half the time both times one planted common factor of degree
+    1-3 (otherwise they are coprime but for chance)."""
+    F = base_field(Fq.get(draw(st.sampled_from(GCD_FIELDS))))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     planted = draw(st.integers(1, 3)) if draw(st.booleans()) else 0
-    a, b = (rand_x_poly(rng, F, draw(st.integers(-1, 6 - planted)))
+    a, b = (rand_x_poly(rng, F, draw(st.integers(-1, 6 - planted)),
+                        draw(st.sampled_from(LEADS)))
             for _ in range(2))
     if planted:
-        c = rand_x_poly(rng, F, planted)
+        c = rand_x_poly(rng, F, planted, draw(st.sampled_from(LEADS)))
         a, b = a * c, b * c
     return F, a, b
 
@@ -348,11 +366,12 @@ def test_ax_gcd_edge_cases():
 
 
 def test_gcd_route_is_chosen_by_the_coefficient_field():
-    for q in (2, 3, 5, 7, 251):
+    # every F_q(T) takes the A[x] route, on either kernel; F(x), whose
+    # coefficients are no F_q, keeps Euclid
+    for q in (2, 3, 4, 5, 7, 9, 251, 257):
         assert base_field(Fq.get(q)).poly_gcd is _gcd_ax
-    for q in (4, 9, 257):  # F_{p^m} and the uninterned F_257: generic
-        assert base_field(Fq.get(q)).poly_gcd is None
-    assert x_field(Fq.get(3)).poly_gcd is None  # F(x) is not over F_p
+    for q in (3, 4):
+        assert x_field(Fq.get(q)).poly_gcd is None
     F = base_field(Fq.get(5))
     calls = []
 
@@ -366,12 +385,51 @@ def test_gcd_route_is_chosen_by_the_coefficient_field():
     assert calls == [(a, a)]
 
 
+def rand_ax(rng, k, fq, deg):
+    """A nonzero element of A[x] of x-degree deg on k's values, each the
+    view of a Poly over fq, so shared with it."""
+    cs = [rand_a(rng, fq, rng.randrange(-1, 3)) for _ in range(deg)]
+    top = rand_a(rng, fq, rng.randrange(3))
+    while not top.coeffs:
+        top = rand_a(rng, fq, rng.randrange(3))
+    return [k.view(c) for c in cs + [top]]
+
+
+def frozen(v):
+    """A copy of an A[x]-value down to its A-values' index lists."""
+    return [list(c) if isinstance(c, list) else c for c in v]
+
+
+@pytest.mark.parametrize("q", (3, 4))
+def test_ax_operations_write_to_no_input(q):
+    # a kernel value may be shared with a Poly, so nothing writes to one:
+    # A[x] add, sub and neg, _prem, _primitive and _exact_quo on the index
+    # kernel (F_3(T)) and the Poly kernel (F_4(T)) leave their inputs as
+    # they were
+    fq = Fq.get(q)
+    k = base_field(fq).kernel
+    rng = random.Random(q)
+    for _ in range(30):
+        f = rand_ax(rng, k, fq, rng.randrange(1, 5))
+        g = rand_ax(rng, k, fq, rng.randrange(1, len(f)))
+        h = k.x.mul(f, g)
+        inputs = [f, g, h]
+        before = [frozen(v) for v in inputs]
+        k.x.add(f, g), k.x.sub(f, g), k.x.sub(g, f), k.x.neg(f)
+        _prem(k, f, g), _prem(k, h, f)
+        _primitive(k, f), _primitive(k, h)
+        assert _exact_quo(k, h, g) == f
+        assert [frozen(v) for v in inputs] == before
+        with pytest.raises(InvariantError):  # deg g >= 1 does not divide 1
+            _exact_quo(k, k.x.add(h, [k.one]), g)
+
+
 def generic_gcds(F):
     """Switch F's polynomials over to the generic gcd."""
     return mock.patch.object(F, "poly_gcd", None)
 
 
-@given(nested_pairs(GCD_PRIMES))
+@given(nested_pairs(GCD_FIELDS))
 @settings(max_examples=40, deadline=None)
 def test_nested_field_arithmetic_matches_the_generic_gcd(pair):
     # RatFun *, / and make over F(x) give the bytes the generic route gave
@@ -393,15 +451,20 @@ def test_nested_field_arithmetic_matches_the_generic_gcd(pair):
 KERNEL_PRIMES = (2, 3, 5, 7)
 
 
+def poly_kernel(F):
+    """A Poly kernel for F's elements, whatever F's own kernel is."""
+    return _poly_kernel(F.zero.num, F.one.num)
+
+
 def on_polys(F, rule, *polys):
     """The RatFun that ``rule`` gives on the Poly kernel for Poly operands."""
-    k = _POLY_KERNEL
+    k = poly_kernel(F)
     return k.box(F, rule(k, *polys))
 
 
 def quotient_on_polys(x, y):
     """x/y as (x.num/x.den)(y.den/y.num) on the Poly kernel."""
-    pair = _POLY_KERNEL.monic(y.den, y.num, None)
+    pair = poly_kernel(x.field).monic(y.den, y.num)
     return on_polys(x.field, _product, x.num, x.den, *pair)
 
 
@@ -475,18 +538,25 @@ def test_pair_kernel_edge_cases():
 
 
 def test_pair_kernel_route_is_chosen_by_the_coefficient_field():
-    # F_p(T) holds the _fp_* functions themselves and reads each Poly's
-    # index view; F_{p^m}(T), F over the uninterned F_257 and F(x) share the
-    # Poly kernel
+    # F_p(T) reads each Poly's index view and runs the _fp_* functions on
+    # it with p bound; F_{p^m}(T), F over the uninterned F_257 and F(x)
+    # hold Polys.  Each field builds its own kernel
+    a, b = [1, 2, 1], [2, 0, 1]
     for q in (2, 3, 5, 7, 251):
         F = base_field(Fq.get(q))
         k = F.kernel
-        assert (k.p, k.mul, k.gcd) == (q, _fp_mul, _fp_gcd)
-        a = F.gen().num
-        assert k.view(a) is a._ix
+        assert (k.zero, k.one) == ([], [1])
+        assert k.mul(a, b) == _fp_mul(a, b, q)
+        assert k.gcd(a, b) == _fp_gcd(a, b, q)
+        t = F.gen().num
+        assert k.view(t) is t._ix
     for F in (base_field(Fq.get(4)), base_field(Fq.get(257)),
               x_field(Fq.get(3))):
-        assert F.kernel is _POLY_KERNEL
+        k = F.kernel
+        t = F.gen().num
+        assert k.view(t) is t and (k.zero, k.one) == (F.zero.num, F.one.num)
+    assert base_field(Fq.get(3)).kernel is not FracField(Fq.get(3),
+                                                         "T").kernel
 
 
 def test_a_broken_cancellation_is_an_invariant_error(monkeypatch):
@@ -496,7 +566,7 @@ def test_a_broken_cancellation_is_an_invariant_error(monkeypatch):
     F = base_field(fq)
     f = F.coerce(poly_parse("T^2+1", fq))
     g = F.one / F.coerce(poly_parse("T^2+2", fq))
-    monkeypatch.setattr(F.kernel, "gcd", lambda a, b, p: [1, 1])
+    monkeypatch.setattr(F.kernel, "gcd", lambda a, b: [1, 1])
     with pytest.raises(InvariantError,
                        match="F_p.T. cancellation left a remainder"):
         f * g
@@ -511,5 +581,5 @@ def test_kernel_quo_of_a_non_divisor_is_an_invariant_error(q):
     a, g = poly_parse("T^2+T+1", fq), poly_parse("T+1", fq)
     assert not (a % g).is_zero()
     with pytest.raises(InvariantError, match="cancellation left a remainder"):
-        k.quo(k.view(a), k.view(g), k.p)
-    assert k.quo(k.view(a * g), k.view(g), k.p) == k.view(a)
+        k.quo(k.view(a), k.view(g))
+    assert k.quo(k.view(a * g), k.view(g)) == k.view(a)
