@@ -289,7 +289,7 @@ def test_norm_poly_certifies_its_division(monkeypatch):
         chi = real(mat, add, mul, neg)
         return chi[:-1] + [add(chi[-1], one)]
     monkeypatch.setattr(cyclo, "charpoly", perturbed)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"not divisible .* A\[x\]"):
         _norm_poly.__wrapped__(p, a)
 
 

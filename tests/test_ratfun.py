@@ -278,7 +278,7 @@ def test_henrici_edge_cases(monkeypatch):
 # -- gcds in F_q(T)[x]: the A[x] route against the generic Euclid -----------
 
 # prime fields on the index kernel and F_4, F_8, F_9 on the Poly kernel
-GCD_FIELDS = (2, 3, 4, 5, 8, 9)
+GCD_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 # how the coefficients of a random x-polynomial are drawn (``rand_x_poly``)
 LEADS = ("frac", "unit", "poly")
 
@@ -420,8 +420,13 @@ def test_ax_operations_write_to_no_input(q):
         _primitive(k, f), _primitive(k, h)
         assert _exact_quo(k, h, g) == f
         assert [frozen(v) for v in inputs] == before
-        with pytest.raises(InvariantError):  # deg g >= 1 does not divide 1
+        # a remainder in A[x] (deg g >= 1 does not divide 1), and one in A
+        # (T does not divide 1): both name the division in A[x]
+        with pytest.raises(InvariantError, match=r"not divisible .* A\[x\]"):
             _exact_quo(k, k.x.add(h, [k.one]), g)
+    t = k.view(Poly(fq, "T", [fq.zero, fq.one]))
+    with pytest.raises(InvariantError, match=r"not divisible .* A\[x\]"):
+        _exact_quo(k, [k.one], [t])
 
 
 def generic_gcds(F):
