@@ -3,8 +3,8 @@
 Every subcommand maps onto one library operation, prints a deterministic
 JSON document (or CSV for the flat tables) to stdout or --out, and exits
 0 on success, 1 on verification failure, 2 on usage or parse errors, 3 on
-internal failures (a broken invariant, or running out of memory or
-recursion depth).
+internal failures (a broken invariant, running out of memory or recursion
+depth, or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -368,8 +368,9 @@ def main(argv=None) -> int:
         return _fail(str(ex), 2)
     except (TailError, AssertionError) as ex:
         return _fail(str(ex) or "internal assertion failed", 3)
-    except (MemoryError, RecursionError) as ex:
-        # a resource ran out: an internal failure, not a failed verification
+    except Exception as ex:
+        # anything else (a resource ran out, an unforeseen error) is an
+        # internal failure, not a failed verification
         return _fail(f"{type(ex).__name__}: {ex}" if str(ex)
                      else type(ex).__name__, 3)
 

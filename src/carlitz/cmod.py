@@ -309,7 +309,8 @@ def bernoulli_carlitz(n: int, fq: Fq) -> BCValue:
     q - 1 does not divide n > 0."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _bc_value(n, _exp_reciprocal(fq, n + 2), fq)
+    return _bc_value(n, _exp_reciprocal(fq, n + 2), carlitz_factorial(n, fq),
+                     fq)
 
 
 def bernoulli_carlitz_table(nmax: int, fq: Fq) -> list[BCValue]:
@@ -317,11 +318,27 @@ def bernoulli_carlitz_table(nmax: int, fq: Fq) -> list[BCValue]:
     if nmax < 0:
         raise ValueError("index must be >= 0")
     recip = _exp_reciprocal(fq, nmax + 2)
-    return [_bc_value(n, recip, fq) for n in range(nmax + 1)]
+    return [_bc_value(n, recip, fact, fq)
+            for n, fact in enumerate(_factorial_table(nmax, fq))]
 
 
-def _bc_value(n: int, recip: TruncSeries, fq: Fq) -> BCValue:
-    fact = carlitz_factorial(n, fq)
+def _factorial_table(nmax: int, fq: Fq) -> list[Poly]:
+    """[Pi(0), ..., Pi(nmax)] from one D-sequence: Pi(n) = Pi(n - q^k) D_k,
+    q^k the place of the lowest nonzero base-q digit of n."""
+    q, count = fq.q, 1
+    while q ** count <= nmax:
+        count += 1
+    ds = d_sequence(fq, count)
+    out = [Poly(fq, "T", [fq.one])]
+    for n in range(1, nmax + 1):
+        k, w = 0, n
+        while not w % q:
+            k, w = k + 1, w // q
+        out.append(out[n - q ** k] * ds[k])
+    return out
+
+
+def _bc_value(n: int, recip: TruncSeries, fact: Poly, fq: Fq) -> BCValue:
     value = _bc_over_factorial(n, recip, fq) * recip.ring.coerce(fact)
     return BCValue(n, value, fact)
 

@@ -37,10 +37,13 @@ sibling in ``cyclo``, the inverse of each Galois image phi_b(omega) that a
 ``CycloField`` keeps for ``cyclotomic_unit``, is bounded by the field's
 |(A/pi^n)^*| classes.
 
-Exact inputs are ratios of polynomials in x and stay exact.  Truncated
-inputs are handled on their stored representative: the leading x-power is
-split off (N x = x), the unit part is normed exactly, and the result keeps
-the input's precision tag.
+A Coleman series is exact: a ratio of polynomials in x, which every
+series the paper norms or evaluates is (phi_a(x)/phi_b(x) and its
+products).  A truncated series is refused with a ``PrecisionError``: the
+translates x + u and the point omega are not small x-adically, so every
+coefficient of f reaches the low terms of N f and the value f(omega), and
+no truncation determines either.  ``as_series`` expands an exact series at
+x = 0 when a truncation is wanted.
 """
 
 from __future__ import annotations
@@ -77,70 +80,41 @@ def phi_poly(a: Poly, var: str = "x") -> Poly:
 
 
 class ColemanSeries:
-    """A series-with-provenance: either an exact ratio of polynomials in x
-    over F, or a truncated Laurent series.  ``pi`` is the prime the norm
-    operator (and torsion evaluation) is taken at; it may be left unset for
-    the operations that never use it."""
+    """An exact ratio of polynomials in x over F, with provenance: ``pi``
+    is the prime the norm operator (and torsion evaluation) is taken at;
+    it may be left unset for the operations that never use it."""
 
-    __slots__ = ("fq", "value", "pi")
+    __slots__ = ("value", "pi")
 
     def __init__(self, value, pi: Poly | None = None) -> None:
-        if isinstance(value, (Poly, TruncSeries)) and isinstance(value.ring, Fq):
-            F = base_field(value.ring)
-            if isinstance(value, Poly):
-                value = value.map_coeffs(F.coerce, ring=F)
-            else:
-                value = TruncSeries(F, value.var, value.order,
-                                    [F.coerce(c) for c in value.coeffs],
-                                    value.prec)
-        if isinstance(value, (Poly, TruncSeries)) and value.var != "x":
-            raise ValueError(f"the series variable must be x, got {value.var}")
-        if isinstance(value, TruncSeries) and value.prec is None:
-            # exact Laurent polynomial: fold into the rational form
-            F = value.ring
-            xf = x_field(_fq_of(F))
-            num = Poly(F, "x", value.coeffs)
-            if value.order >= 0:
-                value = xf.from_pair(num.shift(value.order), xf.one.den)
-            else:
-                den = Poly(F, "x", [F.zero] * (-value.order) + [F.one])
-                value = xf.from_pair(num, den)
         if isinstance(value, Poly):
+            if value.var != "x":
+                raise ValueError(
+                    f"the series variable must be x, got {value.var}")
+            if isinstance(value.ring, Fq):
+                F = base_field(value.ring)
+                value = value.map_coeffs(F.coerce, ring=F)
             value = x_field(_fq_of(value.ring)).coerce(value)
-        if isinstance(value, RatFun):
-            self.fq = _fq_of(value.field.cring)
-        elif isinstance(value, TruncSeries):
-            self.fq = _fq_of(value.ring)
-        else:
+        elif isinstance(value, TruncSeries) and value.prec is not None:
+            raise PrecisionError(
+                f"a Coleman series must be exact, not truncated at "
+                f"O(x^{value.prec}): its norm and torsion values read "
+                "every coefficient")
+        elif not isinstance(value, RatFun):
             raise TypeError(f"cannot build a Coleman series from {value!r}")
         if pi is not None:
             _require_prime(pi)
         self.value = value
         self.pi = pi
 
-    @property
-    def tag(self) -> str:
-        if isinstance(self.value, RatFun):
-            return "exact"
-        return f"truncated at {self.value.prec}"
-
-    def is_exact(self) -> bool:
-        return isinstance(self.value, RatFun)
-
     def order(self) -> int:
         """x-adic order of the leading term."""
-        if isinstance(self.value, TruncSeries):
-            if not self.value.coeffs:
-                raise ValueError("order of a series with no known terms")
-            return self.value.order
         if self.value.is_zero():
             raise ValueError("order of the zero function")
         return _x_order(self.value.num) - _x_order(self.value.den)
 
     def as_series(self, prec: int) -> TruncSeries:
         """Expand at x = 0 through O(x^prec)."""
-        if isinstance(self.value, TruncSeries):
-            return self.value.truncate(prec)
         num, den = self.value.num, self.value.den
         if num.is_zero():
             return TruncSeries.zero(num.ring, num.var, prec)
@@ -157,20 +131,10 @@ class ColemanSeries:
         raise ValueError("mixed primes in Coleman series arithmetic")
 
     def __mul__(self, other: "ColemanSeries") -> "ColemanSeries":
-        pi = self._merge_pi(other)
-        a, b = self.value, other.value
-        if isinstance(a, RatFun) and isinstance(b, RatFun):
-            return ColemanSeries(a * b, pi)
-        prec = _finite_prec(a, b)
-        return ColemanSeries(self.as_series(prec) * other.as_series(prec), pi)
+        return ColemanSeries(self.value * other.value, self._merge_pi(other))
 
     def __truediv__(self, other: "ColemanSeries") -> "ColemanSeries":
-        pi = self._merge_pi(other)
-        a, b = self.value, other.value
-        if isinstance(a, RatFun) and isinstance(b, RatFun):
-            return ColemanSeries(a / b, pi)
-        prec = _finite_prec(a, b)
-        return ColemanSeries(self.as_series(prec) / other.as_series(prec), pi)
+        return ColemanSeries(self.value / other.value, self._merge_pi(other))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ColemanSeries) and other.value == self.value
@@ -180,7 +144,7 @@ class ColemanSeries:
         return hash(("ColemanSeries", self.value))
 
     def __repr__(self) -> str:
-        return f"ColemanSeries({self.value!r}; {self.tag})"
+        return f"ColemanSeries({self.value!r})"
 
 
 def _fq_of(ring) -> Fq:
@@ -199,14 +163,6 @@ def _x_order(p: Poly) -> int:
     return 0
 
 
-def _finite_prec(a, b) -> int:
-    precs = [v.prec for v in (a, b)
-             if isinstance(v, TruncSeries) and v.prec is not None]
-    if not precs:
-        raise ValueError("no finite precision on either operand")
-    return min(precs)
-
-
 def cyclotomic_unit_series(a: Poly, b: Poly, pi: Poly | None = None) -> ColemanSeries:
     """phi_a(x)/phi_b(x): evaluating at a torsion generator gives the
     cyclotomic unit c(a, b)."""
@@ -221,22 +177,14 @@ def cyclotomic_unit_series(a: Poly, b: Poly, pi: Poly | None = None) -> ColemanS
 def coleman_norm(f: ColemanSeries) -> ColemanSeries:
     """N f, with (N f)(phi_pi(x)) = prod over pi-torsion u of f(x + u).
 
-    Multiplicative; fixes phi_a for a prime to pi; on truncated input the
-    stored representative is normed exactly and the precision tag carried."""
+    Multiplicative, and fixes phi_a for a prime to pi; num and den are
+    normed separately."""
     if f.pi is None:
         raise ValueError("Coleman norm needs the prime attached to the series")
     pi = f.pi
-    if isinstance(f.value, RatFun):
-        num = _norm_poly(f.value.num, pi)
-        den = _norm_poly(f.value.den, pi)
-        return ColemanSeries(RatFun.make(f.value.field, num, den), pi)
-    ser = f.value
-    if not ser.coeffs:
-        raise ZeroDivisionError("norm of a series with no known terms")
-    unit = Poly(ser.ring, ser.var, ser.coeffs)
-    normed = _norm_poly(unit, pi)
-    return ColemanSeries(
-        TruncSeries(ser.ring, ser.var, ser.order, normed.coeffs, ser.prec), pi)
+    num = _norm_poly(f.value.num, pi)
+    den = _norm_poly(f.value.den, pi)
+    return ColemanSeries(RatFun.make(f.value.field, num, den), pi)
 
 
 # -- Galois twisting and torsion evaluation ------------------------------------
@@ -245,39 +193,19 @@ def star_action(a: Poly, f: ColemanSeries) -> ColemanSeries:
     """(a * f)(x) = f(phi_a(x)); the series-level Galois action."""
     if a.is_zero():
         raise ValueError("the acting element must be nonzero")
-    if isinstance(f.value, RatFun):
-        pa = phi_poly(a, var=f.value.num.var)
-        return ColemanSeries(
-            RatFun.make(f.value.field, f.value.num.compose(pa),
-                        f.value.den.compose(pa)), f.pi)
-    ser = f.value
-    inner = TruncSeries.from_poly(phi_poly(a, var=ser.var))
-    if ser.order < 0:
-        inner = inner.truncate(ser.prec + 2 * (-ser.order) + 2)
-    return ColemanSeries(ser.compose(inner), f.pi)
+    pa = phi_poly(a, var=f.value.num.var)
+    return ColemanSeries(
+        RatFun.make(f.value.field, f.value.num.compose(pa),
+                    f.value.den.compose(pa)), f.pi)
 
 
 def eval_at_omega(f: ColemanSeries, n: int) -> QuotElem:
-    """f(omega_n) in the level-n cyclotomic field.
-
-    Exact input always evaluates (the denominator must stay invertible).  A
-    truncated input is evaluated on its representative once its precision
-    covers a full power basis of the field, i.e. prec >= deg m_n.  Each
-    polynomial in x is read at omega by one reduction mod m_n (the field's
-    ``coerce``), not by Horner's rule."""
+    """f(omega_n) in the level-n cyclotomic field; the denominator must
+    stay invertible there.  Each polynomial in x is read at omega by one
+    reduction mod m_n (the field's ``coerce``), not by Horner's rule."""
     if f.pi is None:
         raise ValueError("evaluation needs the prime attached to the series")
     field = CycloField.get(f.pi, n)
-    if isinstance(f.value, RatFun):
-        num, den = f.value.num, f.value.den
-        value = field.coerce(num)
-        return value if den.is_one() else value * field.coerce(den) ** -1
-    ser = f.value
-    if ser.prec is not None and ser.prec < field.degree:
-        raise PrecisionError(
-            f"evaluating at a level-{n} torsion point needs precision "
-            f">= {field.degree}, have {ser.prec}",
-            needed=field.degree,
-        )
-    value = field.coerce(Poly(ser.ring, ser.var, ser.coeffs))
-    return value * field.omega ** ser.order if ser.order else value
+    num, den = f.value.num, f.value.den
+    value = field.coerce(num)
+    return value if den.is_one() else value * field.coerce(den) ** -1

@@ -162,11 +162,10 @@ class RatFun:
             return other
         if not other.num.coeffs:
             return self
-        b, d = self.den, other.den
         k = self.field.kernel
         view = k.view
-        return k.box(self.field, _sum(k, view(self.num), view(b),
-                                      view(other.num), view(d)), (b, d))
+        return k.box(self.field, _sum(k, view(self.num), view(self.den),
+                                      view(other.num), view(other.den)))
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -175,22 +174,20 @@ class RatFun:
         return RatFun(self.field, -self.num, self.den)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
-        b, d = self.den, other.den
         k = self.field.kernel
         view = k.view
-        return k.box(self.field, _product(k, view(self.num), view(b),
-                                          view(other.num), view(d)), (b, d))
+        return k.box(self.field, _product(k, view(self.num), view(self.den),
+                                          view(other.num), view(other.den)))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         # a/b divided by c/d is (a/b)(d/c), with c made monic first
-        b, c = self.den, other.num
         k = self.field.kernel
         view = k.view
-        pair = k.monic(view(other.den), view(c))
-        return k.box(self.field, _product(k, view(self.num), view(b), *pair),
-                     (b, c))
+        pair = k.monic(view(other.den), view(other.num))
+        return k.box(self.field,
+                     _product(k, view(self.num), view(self.den), *pair))
 
     def inv(self) -> "RatFun":
         return self.field.one / self
@@ -254,9 +251,8 @@ class _Kernel(_Ring):
     unit; view maps a Poly to its value; gcd is monic; quo(a, g) is a/g
     for a divisor g of a, and a remainder is an ``InvariantError``;
     divmod(a, b) is the quotient and remainder by nonzero b; monic(a, b)
-    is a/b with b made monic; box(field, pair, dens) is the RatFun of a
-    canonical pair, and may reuse the Polys dens, the operands'
-    denominators.  A zero may carry any denominator, so each
+    is a/b with b made monic; box(field, pair) is the RatFun of a
+    canonical pair.  A zero may carry any denominator, so each
     entry of the rule tests for zero first.  x is the ``_Ring`` A[x] on
     plain lists of values (x low first, no trailing zero), the form the
     gcds below and the torsion norms of ``cyclo`` take: add, sub and neg
@@ -433,19 +429,15 @@ def _index_kernel(p: int) -> _Kernel:
         lambda a, b: _fp_mul_ax(a, b, p))
 
 
-def _fp_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
-    """The RatFun of a canonical pair, each Poly built once.  A denominator
-    1 is the field's own, and one that is the index view of a Poly in dens
-    is that Poly."""
+def _fp_box(field: FracField, pair: tuple) -> RatFun:
+    """The RatFun of a canonical pair, each Poly built once; a denominator
+    1 is the field's own."""
     a, b = pair
     if not a:
         return field.zero
     fp, var = field.cring, field.var
     if len(b) == 1:
         return RatFun(field, _fp_poly(fp, var, a), field.one.den)
-    for den in dens:
-        if den._ix is b:
-            return RatFun(field, _fp_poly(fp, var, a), den)
     return RatFun(field, _fp_poly(fp, var, a), _fp_poly(fp, var, b))
 
 
@@ -468,7 +460,7 @@ def _poly_monic(a: Poly, b: Poly):
     return a.mul_scalar(lcinv), b.mul_scalar(lcinv)
 
 
-def _poly_box(field: FracField, pair: tuple, dens: tuple = ()) -> RatFun:
+def _poly_box(field: FracField, pair: tuple) -> RatFun:
     a, b = pair
     return RatFun(field, a, b) if a.coeffs else field.zero
 

@@ -13,9 +13,11 @@ import carlitz.cmod as cmodmod
 import carlitz.cw as cwmod
 import carlitz.lfun as lfunmod
 import carlitz.poly as polymod
+import carlitz.selfcheck as selfcheckmod
 from carlitz.cli import main
 from carlitz.cmod import carlitz_factorial
 from carlitz.cw import CWReport, CWRow
+from carlitz.errors import InvariantError
 from carlitz.fq import Fq
 from carlitz.poly import MAX_PARSE_DEGREE, Poly, poly_parse, poly_to_str
 from carlitz.ratfun import base_field
@@ -306,6 +308,14 @@ def test_exhausted_resources_exit_3(monkeypatch, exc):
     assert type(exc).__name__ in err
 
 
+def test_unexpected_exception_exits_3():
+    # a --prec too large for an index overflows before anything is
+    # allocated; an unforeseen exception is an internal failure too
+    rc, out, err = run(["exp", "--q", "2", "--prec", "100000000000000000000"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q,pi", [("7", "T"), ("2", "T^3+T+1"), ("5", "T")])
 def test_colemancheck_beyond_six_by_six(q, pi):
     # norm matrix sides 7 and 8, and side 5 as the control
@@ -337,6 +347,18 @@ def test_selftest_reports_disagreeing_v_adic_routes(monkeypatch):
     rows = {name: ok for name, ok, _ in suite_lfun()}
     assert rows["v-adic zeta dual routes agree"] is False
     assert rows["trivial zeros of zeta at negative integers"] is True
+
+
+def test_selftest_broken_invariant_exits_3(monkeypatch):
+    # an InvariantError inside a suite is an internal failure (exit 3), not
+    # a failed row (exit 1)
+    def broken(k, pi):
+        raise InvariantError("v-adic zeta invariant broken")
+
+    monkeypatch.setattr(selfcheckmod, "zeta_v_adic_neg", broken)
+    rc, out, err = run(["selftest", "--q", "2"])
+    assert (rc, out) == (3, "")
+    assert err == "error: v-adic zeta invariant broken\n"
 
 
 BROKEN_INVARIANTS = {

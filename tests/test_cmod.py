@@ -230,6 +230,14 @@ def test_bernoulli_vanishing_and_factorials():
             if n % (q - 1) != 0:
                 assert bc.value.is_zero()
             assert bc.factorial == carlitz_factorial(n, fq)
+    # the table's factorials come from one recurrence, the per-n digit
+    # products are its oracle: past the carry into the third base-q digit
+    for q in (2, 3, 4, 5, 9):
+        fq = Fq.get(q)
+        nmax = q * q + q + 1
+        table = bernoulli_carlitz_table(nmax, fq)
+        assert [bc.factorial for bc in table] == [
+            carlitz_factorial(n, fq) for n in range(nmax + 1)]
     with pytest.raises(ValueError):
         bernoulli_carlitz_table(-1, Fq.get(2))
 

@@ -100,24 +100,15 @@ def test_integral_norm_matches_fraction_field_route(q, pi_text):
         den = Poly(F, "x", [F.one, F.one])
         got = coleman_norm(ColemanSeries(xf.from_pair(p, den), pi)).value
         assert got == xf.from_pair(want, norm_over_fraction_field(den, pi))
-        # truncated input: the stored representative is normed exactly
-        if p.constant == F.zero:
-            continue
-        trunc = ColemanSeries(TruncSeries(F, "x", 0, p.coeffs, 6), pi)
-        assert coleman_norm(trunc).value == TruncSeries(F, "x", 0,
-                                                        want.coeffs, 6)
 
 
-def assert_norm_matches_oracle(p, pi, order=0, prec=7):
-    """coleman_norm of p as exact input, and of x^order p truncated at prec,
-    against the F_q(T) route; returns the oracle's N(p)."""
+def assert_norm_matches_oracle(p, pi):
+    """coleman_norm of p against the F_q(T) route; returns the oracle's
+    N(p)."""
     want = norm_over_fraction_field(p, pi)
     xf = x_field(pi.ring)
     assert coleman_norm(ColemanSeries(xf.coerce(p), pi)).value == \
         xf.coerce(want)
-    trunc = ColemanSeries(TruncSeries(p.ring, "x", order, p.coeffs, prec), pi)
-    assert coleman_norm(trunc).value == TruncSeries(p.ring, "x", order,
-                                                    want.coeffs, prec)
     return want
 
 
@@ -143,7 +134,7 @@ def test_norm_of_input_at_least_as_long_as_the_modulus(q, pi_text, a_texts):
         a = poly_parse(a_text, fq)
         p = phi_poly(a)
         assert p.degree >= q ** pi.degree
-        want = assert_norm_matches_oracle(p, pi, order=1, prec=12)
+        want = assert_norm_matches_oracle(p, pi)
         assert (want == p) == (not (a % pi).is_zero())
 
 
@@ -154,8 +145,7 @@ def test_norm_with_leading_coefficient_divisible_by_pi(q):
     F = x_field(fq).cring
     t = F.coerce(pi)
     assert_norm_matches_oracle(Poly(F, "x", [F.one, F.zero, t]), pi)
-    assert_norm_matches_oracle(Poly(F, "x", [F.one / t, t, t * t]), pi,
-                               order=2)
+    assert_norm_matches_oracle(Poly(F, "x", [F.one / t, t, t * t]), pi)
 
 
 def test_norm_over_f4_takes_the_generic_loops():
@@ -167,7 +157,7 @@ def test_norm_over_f4_takes_the_generic_loops():
     den = F.coerce(poly_parse("T^2+T+1", fq))
     p = Poly(F, "x", [w, F.one / den, w * w, F.one])
     for pi_text in ("T", "T+1"):
-        assert_norm_matches_oracle(p, poly_parse(pi_text, fq), order=1)
+        assert_norm_matches_oracle(p, poly_parse(pi_text, fq))
 
 
 def test_norm_takes_no_taylor_shift_and_no_decomposition(monkeypatch):
@@ -249,17 +239,55 @@ def test_norm_splits_off_x_powers():
     assert lhs == rhs
 
 
-def test_norm_on_truncated_series_keeps_precision():
+def test_truncated_series_is_refused():
     f2 = Fq.get(2)
     pi = poly_parse("T", f2)
     g = phi_poly(poly_parse("T+1", f2))
-    exact = coleman_norm(ColemanSeries(g, pi))
-    trunc = ColemanSeries(TruncSeries.from_poly(g).truncate(8), pi)
-    out = coleman_norm(trunc)
-    assert not out.is_exact()
-    assert out.value.prec == 8
-    assert exact.value.num.degree <= 8  # tail actually visible at this prec
-    assert out.value.agrees_with(exact.as_series(8))
+    with pytest.raises(PrecisionError, match="read every coefficient"):
+        ColemanSeries(TruncSeries.from_poly(g).truncate(8), pi)
+    # an exact TruncSeries is not one of the two accepted forms either
+    with pytest.raises(TypeError):
+        ColemanSeries(TruncSeries.from_poly(g), pi)
+    with pytest.raises(ValueError):
+        ColemanSeries(phi_poly(poly_parse("T+1", f2), var="y"), pi)
+
+
+def test_no_truncation_determines_norm_or_torsion_value():
+    # 1 + x and 1 + x + x^2 agree through x^1, yet their norms differ at
+    # x^0 (the constant term is the product of f(u) over all the torsion
+    # u); 1 and 1 + x agree at x^0, yet differ at omega_1 = T: no
+    # truncation fixes either
+    f2 = Fq.get(2)
+    pi = poly_parse("T", f2)
+    xf = x_field(f2)
+    F = xf.cring
+    one, t = F.one, F.coerce(pi)
+    short = ColemanSeries(Poly(F, "x", [one, one]), pi)
+    longer = ColemanSeries(Poly(F, "x", [one, one, one]), pi)
+    assert coleman_norm(short).value == xf.coerce(
+        Poly(F, "x", [t + one, one]))
+    assert coleman_norm(longer).value == xf.coerce(
+        Poly(F, "x", [t * t + t + one, t + one, one]))
+    assert eval_at_omega(short, 1) == CycloField.get(pi, 1).coerce(
+        poly_parse("T+1", f2))
+    assert eval_at_omega(ColemanSeries(Poly(F, "x", [one]), pi), 1) == \
+        CycloField.get(pi, 1).one
+
+
+def test_as_series_expands_at_zero():
+    # the exact series, expanded through O(x^prec), times its denominator
+    # gives back its numerator; a pole at 0 gives a negative order
+    f2 = Fq.get(2)
+    pi = poly_parse("T", f2)
+    xf = x_field(f2)
+    x = Poly.gen(xf.cring, "x")
+    f = ColemanSeries(xf.from_pair(phi_poly(poly_parse("T+1", f2)),
+                                   x ** 2 * phi_poly(pi)), pi)
+    s = f.as_series(6)
+    assert (s.order, s.prec) == (f.order(), 6) == (-2, 6)
+    back = s * TruncSeries.from_poly(f.value.den)
+    assert back.agrees_with(TruncSeries.from_poly(f.value.num))
+    assert back.prec is not None and back.prec > f.value.num.degree
 
 
 def test_star_action_composes_phi():
@@ -270,16 +298,6 @@ def test_star_action_composes_phi():
     f = cyclotomic_unit_series(poly_parse("T", f2), poly_parse("1", f2), pi)
     ab = star_action(a, star_action(b, f))
     assert ab == star_action(a * b, f)
-
-
-def test_star_action_on_truncated_series():
-    f2 = Fq.get(2)
-    pi = poly_parse("T", f2)
-    a = poly_parse("T+1", f2)
-    g = phi_poly(poly_parse("T^2+T+1", f2))
-    exact = star_action(a, ColemanSeries(g, pi))
-    trunc = star_action(a, ColemanSeries(TruncSeries.from_poly(g).truncate(9), pi))
-    assert trunc.value.agrees_with(exact.as_series(trunc.value.prec))
 
 
 def test_eval_at_omega_gives_cyclotomic_units():
@@ -308,35 +326,15 @@ def test_eval_at_omega_precision_gate():
     pi = poly_parse("T^2+T+1", f2)
     field = CycloField.get(pi, 1)
     g = phi_poly(poly_parse("T+1", f2))
-    short = ColemanSeries(TruncSeries.from_poly(g).truncate(field.degree - 1), pi)
-    with pytest.raises(PrecisionError):
-        eval_at_omega(short, 1)
-    enough = ColemanSeries(TruncSeries.from_poly(g).truncate(field.degree), pi)
-    exact = ColemanSeries(g, pi)
-    # the representative is a polynomial of degree < deg m_1, so truncation
-    # at the field degree loses nothing
+    # a power basis of the field's length is no certificate either: every
+    # truncation is refused, and the exact series evaluates
     assert g.degree < field.degree
-    assert eval_at_omega(enough, 1) == eval_at_omega(exact, 1)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_eval_at_omega_of_truncated_laurent_series(q):
-    # a negative order multiplies by a power of 1/omega; the sum is taken
-    # term by term as the oracle
-    rng = random.Random(40 + q)
-    fq = Fq.get(q)
-    pi = poly_parse("T", fq)
-    F = x_field(fq).cring
-    for n in (1, 2):
-        field = CycloField.get(pi, n)
-        for order in (-3, -1, 0, 2):
-            coeffs = rand_frac_xpoly(rng, fq, field.degree + 1).coeffs
-            ser = TruncSeries(F, "x", order, coeffs,
-                              order + len(coeffs) + 1)
-            want = field.zero
-            for k, c in ser.items():
-                want = want + field.coerce(c) * field.omega ** k
-            assert eval_at_omega(ColemanSeries(ser, pi), n) == want
+    for prec in (field.degree - 1, field.degree, field.degree + 4):
+        with pytest.raises(PrecisionError):
+            ColemanSeries(TruncSeries.from_poly(g).truncate(prec), pi)
+    assert eval_at_omega(ColemanSeries(g, pi), 1) == \
+        field.coerce(poly_parse("T+1", f2)) * field.omega \
+        + field.omega ** 2
 
 
 def test_mixed_prime_arithmetic_rejected():

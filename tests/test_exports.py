@@ -88,3 +88,13 @@ def test_field_tables_are_built_with_the_field():
         for name in ("_add", "_neg", "_mul", "_inv"):
             assert type(getattr(field, name)) is list, (q, name)
     assert type(Fq.get(4)._mul) is list
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants are explicit exceptions (InvariantError), which python -O
+    # keeps; an assert statement would vanish under it
+    src = pathlib.Path(carlitz.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
