@@ -288,8 +288,8 @@ def build_parser() -> _Parser:
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def cmd(name, handler, **flags):
-        p = sub.add_parser(name, parents=[common])
+    def cmd(name, handler, description=None, **flags):
+        p = sub.add_parser(name, parents=[common], description=description)
         for flag, spec in flags.items():
             p.add_argument(f"--{flag}", **spec)
         p.set_defaults(handler=handler)
@@ -331,7 +331,8 @@ def build_parser() -> _Parser:
     cmd("cwverify", _cmd_cwverify, a={"required": True}, b={"required": True},
         kmax={"type": int, "required": True})
     cmd("okada", _cmd_okada, pi={"required": True})
-    cmd("selftest", _cmd_selftest)
+    cmd("selftest", _cmd_selftest, description="Run the check suites on "
+        "fixed fields of their own; --q is required but not read.")
     return top
 
 

@@ -5,8 +5,8 @@ presented concretely as F[x]/(m_n) where m_n is the minimal polynomial of a
 torsion generator omega_n.  CycloField is the QuotientRing on m_n, so its
 elements are plain QuotElems.  Gal(F_n/F) = (A/pi^n)^* acts through the
 module: the class of a sends omega_n to phi_a(omega_n).  The field holds
-that group as the ``groupring.GroupRing`` ``galois``, whose reduced keys
-are the Galois representatives, the same keys Stickelberger elements use.
+that group as ``galois``, the ``groupring.GroupRing.get(pi, n)`` whose keys
+the Stickelberger elements of level pi^n use: one instance for both.
 
 Norms down the tower are torsion norms.  The conjugates of omega_n over F_m
 (1 <= m < n) are omega_n + phi[pi^(n-m)], the translates by the
@@ -31,11 +31,11 @@ coefficient of the answer is boxed once, by ``ratfun._reduced``.  The
 same route on Polys and a QuotientRing over A[x], and the Q x Q
 determinant there, are the tests' oracles.  The torsion norm h is read at
 omega_m as h reduced mod m_m (``coerce``), one division in place of
-Horner's rule, which stays the path for every other point
-(``galois_act``).  The norm to F itself is the determinant over F
-(``quotient_norm``).  Each of these is ``det`` or ``charpoly`` of one
-multiplication matrix (``quotient._mult_rows``), on the entry ring's own
-operations.
+Horner's rule, and so is phi_a(x) at omega_n; Horner's rule stays the path
+for every other point (``galois_act``).  The norm to F itself is the
+determinant over F (``quotient_norm``).  Each of these is ``det`` or
+``charpoly`` of one multiplication matrix (``quotient._mult_rows``), on the
+entry ring's own operations.
 
 The extension is totally ramified at pi, of degree e = deg m_n, with
 uniformizer omega_n, so the valuation of sum_(i < e) c_i omega^i is the
@@ -47,13 +47,14 @@ Caches keep a warm process from redoing the same work.  The torsion
 norm ``_norm_poly`` is memoized on (p, a) in an LRU cache of 128 entries:
 its keys are values rather than parents, so an unbounded cache would grow
 with every new input, and 256 entries cost twice the memory for about 7%
-more hits.  Each CycloField keeps, per reduced Galois key b, the
-image phi_b(omega) and its inverse, so ``cyclotomic_unit`` multiplies by a
-stored inverse instead of running one extended gcd per call; a field has
-only |(A/pi^n)^*| keys, so these need no bound.  Like ``CycloField.get``,
-the taps of each phi_a(y) - x (``_torsion``) are built once and kept:
-they grow with the moduli a process meets, not with its inputs.  The
-rings A and A[x] need no cache of their own: they are the kernel that
+more hits.  Each CycloField keeps, per reduced Galois key b, the image
+phi_b(omega) and its inverse, so ``cyclotomic_unit`` and ``upsilon``
+multiply by a stored inverse instead of running one extended gcd per call;
+a field has only |(A/pi^n)^*| keys, so these need no bound.  Like the
+``get`` of CycloField and GroupRing, the taps of each phi_a(y) - x
+(``_torsion``) are built once and kept: they grow with the moduli a
+process meets, not with its inputs.  The rings A and A[x] need no cache
+of their own: they are the kernel that
 ``base_field(fq)``, itself cached, built with F.
 """
 
@@ -91,7 +92,7 @@ class CycloField(QuotientRing):
         self.pi = pi
         self.n = n
         self.minpoly_A = omega_minpoly(pi, n)  # x-poly, F_q[T] coefficients
-        self.galois = GroupRing(pi, n)
+        self.galois = GroupRing.get(pi, n)
         F = base_field(self.fq)
         self.F = F
         super().__init__(self.minpoly_A.map_coeffs(F.coerce, ring=F))
@@ -111,7 +112,8 @@ class CycloField(QuotientRing):
     def _omega_image(self, a_red: Poly) -> QuotElem:
         img = self._act_images.get(a_red)
         if img is None:
-            img = carlitz_phi(a_red).eval(self.omega, self)
+            # phi_a(omega) is phi_a(x) mod m_n: one division, as field_norm
+            img = self.coerce(carlitz_phi(a_red).as_additive(self.F))
             self._act_images[a_red] = img
         return img
 
@@ -322,8 +324,9 @@ def upsilon(field: CycloField, exponents) -> QuotElem:
     for a, c in items:
         if c == 0:
             continue
-        base = galois_act(a, field.omega)
-        acc = acc * base ** c
+        k = _unit_rep(field, a)
+        base = field._omega_image(k) if c > 0 else field._omega_image_inverse(k)
+        acc = acc * base ** abs(c)
     return acc
 
 

@@ -1,17 +1,17 @@
 """Integral group rings Z[(A/pi^n)^*], cyclotomic polynomials over Z, and
 character specifications.
 
-(A/pi^n)^* is Gal(F_n/F), so one ``GroupRing`` serves both the
-Stickelberger elements and the Galois action of ``cyclo.CycloField``.  Its
-classes are keyed by their reduced representatives, polynomials of degree
-below n deg pi; group-ring elements are coefficient maps on those keys, and
-multiplication is convolution with the product of two keys reduced mod pi^n.
-A ``GroupRing`` enumerates its unit keys on the first ``group_keys`` call
-and keeps them, so the q^(n deg pi) residues are run through once per ring.
-``translation`` turns left translation by a class into one permutation of
-those keys and ``projection`` turns the push-down to a lower level into one
-key map, so an element is translated or projected by dictionary lookups
-and a series of elements pays the |G| reductions once.
+(A/pi^n)^* is Gal(F_n/F), so one ``GroupRing.get(pi, n)`` serves the
+Stickelberger series, their projections and the Galois action of
+``cyclo.CycloField``.  Its classes are keyed by their reduced
+representatives, polynomials of degree below n deg pi; group-ring elements
+are coefficient maps on those keys, and multiplication is convolution with
+the product of two keys reduced mod pi^n.  A ``GroupRing`` enumerates its
+unit keys on the first ``group_keys`` call and keeps them.  ``translation``
+turns left translation by a class into one permutation of those keys and
+``projection`` the push-down to a lower level into one key map, kept per
+level, so an element is translated or projected by dictionary lookups and
+the |G| reductions of a push-down are paid once per ring and level.
 Characters take values in Z[x]/(Phi_m), a ``quotient.QuotientRing`` over Z
 with Phi_m the classical m-th cyclotomic polynomial, so every comparison
 stays exact.
@@ -48,6 +48,13 @@ class GroupRing:
         self.n = n
         self.modulus = pi ** n
         self._keys = None  # the unit keys, once group_keys enumerates them
+        self._projections: dict[int, dict] = {}  # level m -> projection
+
+    @staticmethod
+    @functools.cache
+    def get(pi: Poly, n: int) -> "GroupRing":
+        """The one GroupRing for (pi, n) that the package builds."""
+        return GroupRing(pi, n)
 
     def key(self, a: Poly) -> Poly:
         """Canonical dictionary key for the class of a; must be a unit."""
@@ -67,9 +74,13 @@ class GroupRing:
         return {k: self.mul_key(ka, k) for k in self.group_keys()}
 
     def projection(self, target: "GroupRing") -> dict:
-        """The push-down to target = GroupRing(pi, m) as a key map,
-        k -> target.key(k) for every key k of G."""
-        return {k: target.key(k) for k in self.group_keys()}
+        """The push-down to target, the ring of (pi, m), as a key map
+        k -> target.key(k) on the keys of G; kept per m, so read only."""
+        keymap = self._projections.get(target.n)
+        if keymap is None:
+            keymap = {k: target.key(k) for k in self.group_keys()}
+            self._projections[target.n] = keymap
+        return keymap
 
     def zero(self) -> "GroupRingElem":
         return GroupRingElem(self, {})
@@ -165,18 +176,16 @@ class GroupRingElem:
         return GroupRingElem(self.ring,
                              {perm[k]: c for k, c in self.coeffs.items()})
 
-    def project(self, m: int, target: GroupRing | None = None,
-                keymap: dict | None = None) -> "GroupRingElem":
-        """Push down along (A/pi^n)^* -> (A/pi^m)^*, m <= n.  target is
-        GroupRing(pi, m) and keymap is ring.projection(target) when the
-        caller has built them already, as ThetaPoly.project does for all
-        of its coefficients."""
-        if m > self.ring.n:
+    def project(self, m: int) -> "GroupRingElem":
+        """Push down along (A/pi^n)^* -> (A/pi^m)^*, m <= n, into
+        GroupRing.get(pi, m) through the ring's kept key map."""
+        ring = self.ring
+        if m > ring.n:
             raise ValueError("projection target above current level")
-        if target is None:
-            target = GroupRing(self.ring.pi, m)
-        if keymap is None:
-            keymap = {k: target.key(k) for k in self.coeffs}
+        if m == ring.n:
+            return self
+        target = GroupRing.get(ring.pi, m)
+        keymap = ring.projection(target)
         out: dict[Poly, int] = {}
         for k, c in self.coeffs.items():
             km = keymap[k]
@@ -243,10 +252,7 @@ def character_table(ring: GroupRing, spec: CharSpec) -> dict:
     m = spec.order
     table: dict[Poly, int] = {ring.one().items()[0][0]: 0}
     frontier = list(table.items())
-    gen_pairs = []
-    for a, e in spec.gens:
-        k = ring.key(a)
-        gen_pairs.append((k, e % m))
+    gen_pairs = [(ring.key(a), e % m) for a, e in spec.gens]
     while frontier:
         nxt = []
         for k, e in frontier:

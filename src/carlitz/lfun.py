@@ -8,8 +8,9 @@ For A = F_q[T] the zeta values at negative integers are the finite sums
 which lie in A because S_d(k) = 0 once d(q-1) > k.  The v-adic variant
 removes the Euler factor at a finite prime, and the positive-k values are
 expanded as series in t = 1/T.  Stickelberger-type elements live in the
-integral group ring Z[(A/pi^n)^*] and are assembled degree by degree from
-the classes of monic polynomials prime to a finite set of places.
+integral group ring Z[(A/pi^n)^*], ``GroupRing.get(pi, n)``, and are
+assembled degree by degree from the classes of monic polynomials prime to
+a finite set of places.
 
 Neither family is enumerated where counting already gives the answer.  In
 S_d(k) a multinomial that is 0 mod p kills every term below it.  The monic
@@ -29,7 +30,7 @@ from .cmod import bernoulli_carlitz_table
 from .errors import CharacterError, InvariantError, PrecisionError, TailError
 from .fq import Fq
 from .groupring import CharSpec, GroupRing, GroupRingElem, character_table
-from .poly import Poly, is_monic_prime, monic_enumerate, poly_to_str
+from .poly import ZZ, Poly, is_monic_prime, monic_enumerate, poly_to_str
 from .series import TruncSeries
 
 
@@ -193,8 +194,8 @@ def _distinct_places(places, label: str) -> list[Poly]:
     return out
 
 
-def stickelberger_coefficient(pi: Poly, level: int, s_finite, n: int,
-                              ring: GroupRing | None = None) -> GroupRingElem:
+def stickelberger_coefficient(pi: Poly, level: int, s_finite,
+                              n: int) -> GroupRingElem:
     """Degree-n coefficient before any auxiliary-place modification: the sum
     of [a mod pi^level] over monic a of degree n prime to every member of
     s_finite, the finite places of S (pi among them).
@@ -205,49 +206,41 @@ def stickelberger_coefficient(pi: Poly, level: int, s_finite, n: int,
     by the Chinese remainder theorem each unit class mod pi^level lifts to
     prod_v (q^deg v - 1) units mod M.  So the coefficient is that count on
     every class, with no enumeration; below deg M the monic polynomials are
-    enumerated.  ring is GroupRing(pi, level) with s_finite already checked,
-    when the caller has them; without it both are checked here.
-    stickelberger_series takes all of its coefficients through
-    _raw_coefficients, which finds M and the keys of G once per series.
+    enumerated.  stickelberger_series takes all of its coefficients through
+    _raw_coefficients, which finds M once per series.
     """
-    if ring is None:
-        if level < 1:
-            raise ValueError("need level >= 1")
-        ring = GroupRing(pi, level)
-        s_finite = _distinct_places(s_finite, "S")
+    if level < 1:
+        raise ValueError("need level >= 1")
+    ring = GroupRing.get(pi, level)
+    s_finite = _distinct_places(s_finite, "S")
     if pi not in s_finite:
         raise ValueError("s_finite must contain pi")
     return _raw_coefficients(ring, s_finite, [n])[0]
 
 
 def _raw_coefficients(ring: GroupRing, s_finite, degrees) -> list[GroupRingElem]:
-    """stickelberger_coefficient for each n in degrees, with M, its degree,
-    the unit count of the other places and the keys of G found once."""
+    """stickelberger_coefficient for each n in degrees, with M, its degree
+    and the unit count of the other places found once."""
     pi, level = ring.pi, ring.n
     q = pi.ring.q
     extra = [v for v in s_finite if v != pi]
     deg_m = level * pi.degree + sum(v.degree for v in extra)
     units = math.prod(q ** v.degree - 1 for v in extra)
-    keys = None  # enumerated at the first counted coefficient
     out = []
     for n in degrees:
         if n < deg_m:
-            out.append(stickelberger_coefficient_enum(pi, level, s_finite, n,
-                                                      ring))
-            continue
-        if keys is None:
-            keys = ring.group_keys()
-        count = q ** (n - deg_m) * units
-        out.append(GroupRingElem(ring, dict.fromkeys(keys, count)))
+            out.append(stickelberger_coefficient_enum(pi, level, s_finite, n))
+        else:
+            out.append(GroupRingElem(ring, dict.fromkeys(
+                ring.group_keys(), q ** (n - deg_m) * units)))
     return out
 
 
-def stickelberger_coefficient_enum(pi: Poly, level: int, s_finite, n: int,
-                                   ring: GroupRing | None = None) -> GroupRingElem:
+def stickelberger_coefficient_enum(pi: Poly, level: int, s_finite,
+                                   n: int) -> GroupRingElem:
     """The same coefficient by literal enumeration of the q^n monic
     polynomials of degree n.  Oracle for stickelberger_coefficient."""
-    if ring is None:
-        ring = GroupRing(pi, level)
+    ring = GroupRing.get(pi, level)
     acc: dict = {}
     for a in monic_enumerate(pi.ring, n, pi.var):
         if any((a % v).is_zero() for v in s_finite):
@@ -289,34 +282,29 @@ class ThetaPoly:
 
     def at_one(self) -> GroupRingElem:
         """Evaluate at u = 1."""
-        total = self.ring.zero()
-        for c in self.coeffs:
-            total = total + c
-        return total
+        return sum(self.coeffs, self.ring.zero())
 
     def project(self, m: int) -> "ThetaPoly":
         """Push every coefficient down to Z[(A/pi^m)^*]."""
-        target = GroupRing(self.pi, m)
-        keymap = self.ring.projection(target)
-        return ThetaPoly(target, self.s_finite, self.t_aux,
-                         [c.project(m, target, keymap) for c in self.coeffs])
+        return ThetaPoly(GroupRing.get(self.pi, m), self.s_finite, self.t_aux,
+                         [c.project(m) for c in self.coeffs])
 
     def eval_char(self, spec: CharSpec) -> Poly:
         """Apply a character coefficientwise; the result is a polynomial in u
-        over Z[x]/(Phi_m) for m the character order."""
+        over Z[x]/(Phi_m) for m the character order: sum coef zeta^e is the
+        integer polynomial sum coef x^e, reduced once mod Phi_m."""
         ring = spec.values()
-        zeta = ring.gen()
         table = character_table(self.ring, spec)
         out = []
         for c in self.coeffs:
-            acc = ring.zero
+            sums = [0] * spec.order
             for key, coef in c.items():
                 e = table.get(key)
                 if e is None:
                     raise CharacterError(
                         f"character generators do not reach [{key}]")
-                acc = acc + zeta ** e * ring.coerce(coef)
-            out.append(acc)
+                sums[e] += coef
+            out.append(ring.coerce(Poly(ZZ, "x", sums)))
         return Poly(ring, "u", out)
 
     def as_dict(self) -> dict:
@@ -390,7 +378,7 @@ def stickelberger_series(pi: Poly, level: int, s_extra=(), t_aux=(),
         raise TailError(
             f"degree bound {udeg} is below the tail window {tail}; raise it")
 
-    ring = GroupRing(pi, level)
+    ring = GroupRing.get(pi, level)
     coeffs = _raw_coefficients(ring, s_finite, range(udeg + 1))
 
     for v in t_list:

@@ -125,8 +125,8 @@ class QuotElem:
         if g.degree != 0:
             raise ZeroDivisionError(
                 f"{self.rep!r} is not invertible mod {self.ring.modulus!r}")
-        return QuotElem(self.ring,
-                        (u.mul_scalar(g.constant ** -1)) % self.ring.modulus)
+        # g = 1 (egcd makes it monic), and deg u < deg modulus by Bezout
+        return QuotElem(self.ring, u)
 
     def __truediv__(self, other: "QuotElem") -> "QuotElem":
         return self * other.inv()

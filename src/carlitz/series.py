@@ -226,9 +226,6 @@ class TruncSeries:
 
     # -- structure -----------------------------------------------------------
 
-    def is_exact(self) -> bool:
-        return self.prec is None
-
     def is_zero(self) -> bool:
         """Zero as far as this series knows itself (exactly zero if exact)."""
         return not self.coeffs

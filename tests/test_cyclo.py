@@ -14,7 +14,7 @@ from carlitz.cyclo import (
 )
 from carlitz.errors import InvariantError
 from carlitz.fq import Fq
-from carlitz.groupring import cyclotomic_poly
+from carlitz.groupring import GroupRing, cyclotomic_poly
 from carlitz.poly import (
     Poly, PolyRing, all_residues, is_irreducible, monic_enumerate,
     poly_parse,
@@ -665,6 +665,33 @@ def test_cyclotomic_unit_matches_the_egcd_route(q, pi_text, n):
             assert cyclotomic_unit(a, b + field.pi ** n, field) == want
 
 
+def test_galois_group_is_the_shared_group_ring():
+    # the Stickelberger elements of level pi^n live on the same instance
+    for q, pi_text, n in ((2, "T^2+T+1", 2), (3, "T", 1)):
+        pi = poly_parse(pi_text, Fq.get(q))
+        assert CycloField.get(pi, n).galois is GroupRing.get(pi, n)
+
+
+@pytest.mark.parametrize("q,pi_text,n", [
+    (2, "T", 1), (2, "T", 2), (2, "T^2+T+1", 1), (2, "T^2+T+1", 2),
+    (3, "T", 1), (3, "T", 2), (3, "T^2+1", 1), (5, "T", 1), (5, "T+1", 2)])
+def test_omega_images_match_the_twisted_evaluation(q, pi_text, n):
+    # phi_k(x) mod m_n against sum c_i omega^(q^i) by powers in the field,
+    # for every key k; upsilon's stored inverses against powers by the egcd
+    field = CycloField.get(poly_parse(pi_text, Fq.get(q)), n)
+    reps = field.galois_reps()
+    want = {k: carlitz_phi(k).eval(field.omega, field) for k in reps}
+    for k in reps:
+        assert field._omega_image(k) == want[k]
+    rng = random.Random(q * 100 + n)
+    for _ in range(3):
+        exps = {k: rng.randint(-2, 2) for k in rng.sample(reps, min(3, len(reps)))}
+        prod = field.one
+        for k, c in exps.items():
+            prod = prod * want[k] ** c
+        assert upsilon(field, exps) == prod
+
+
 def test_rejected_inputs():
     f2 = Fq.get(2)
     pi = poly_parse("T", f2)
@@ -683,9 +710,10 @@ def test_rejected_inputs():
     (base_field, lambda: (Fq(3),)),
     (x_field, lambda: (Fq(3),)),
     (CycloField.get, lambda: (poly_parse("T^2+T+1", Fq.get(2)), 2)),
+    (GroupRing.get, lambda: (poly_parse("T^2+T+1", Fq.get(2)), 2)),
     (_torsion, lambda: (poly_parse("T+1", Fq.get(3)),)),
     (cyclotomic_poly, lambda: (12,)),
-], ids=["Fq", "base_field", "x_field", "CycloField", "torsion",
+], ids=["Fq", "base_field", "x_field", "CycloField", "GroupRing", "torsion",
         "cyclotomic_poly"])
 def test_parent_constructors_share_one_instance_per_key(build, args):
     """Equal keys built afresh (a new Fq or Poly object) reach one instance,

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carlitz.groupring as grmod
 from carlitz.errors import CharacterError
@@ -104,7 +105,26 @@ def test_translation_and_projection_are_key_maps():
             x.act(poly_parse(bad, f3))
     keymap = G.projection(G1)
     assert keymap == {k: G1.key(k) for k in keys}
-    assert x.project(1, G1, keymap) == x.project(1)
+    assert x.project(1) == pushed_down(x, G1)
+
+
+def pushed_down(x, target):
+    """x pushed down to target key by key through G.projection(target)."""
+    keymap = x.ring.projection(target)
+    out = target.zero()
+    for k, c in x.coeffs.items():
+        out = out + target.element(keymap[k], c)
+    return out
+
+
+def test_get_shares_one_ring_and_its_projections():
+    pi = poly_parse("T^2+1", Fq.get(3))
+    G = GroupRing.get(pi, 2)
+    assert GroupRing.get(poly_parse("T^2+1", Fq(3)), 2) is G
+    for m in (0, 1):
+        target = GroupRing.get(pi, m)
+        assert G.projection(target) is G.projection(GroupRing(pi, m))
+        assert G.element(poly_parse("T", Fq.get(3))).project(m).ring is target
 
 
 def test_items_are_sorted_and_sparse():
@@ -194,3 +214,60 @@ def test_group_keys_are_enumerated_once_and_handed_out_fresh(monkeypatch):
         assert len(G.group_keys()) == G.group_order()
         assert G.group_keys() == GroupRing(pi, n).group_keys()
     assert len(calls) == 6  # once per ring built
+
+
+# -- algebraic laws ----------------------------------------------------------
+
+GROUPS = [(q, pi, n) for q, pis in ((2, ("T", "T^2+T+1")), (3, ("T", "T^2+1")))
+          for pi in pis for n in (1, 2)]
+
+
+@st.composite
+def ring_with(draw, count):
+    """A ring GroupRing.get(pi, n) and count elements on a few of its keys,
+    coefficients in [-3, 3]."""
+    q, pi, n = draw(st.sampled_from(GROUPS))
+    G = GroupRing.get(poly_parse(pi, Fq.get(q)), n)
+    keys = G.group_keys()
+    elems = []
+    for _ in range(count):
+        x = G.zero()
+        for k, c in draw(st.lists(st.tuples(st.sampled_from(keys),
+                                            st.integers(-3, 3)), max_size=4)):
+            x = x + G.element(k, c)
+        elems.append(x)
+    return G, elems
+
+
+@settings(max_examples=25)
+@given(ring_with(3))
+def test_multiplication_is_a_ring_law(data):
+    G, (x, y, z) = data
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert G.one() * x == x == x * G.one()
+
+
+@settings(max_examples=25)
+@given(ring_with(2))
+def test_projection_is_a_ring_map_and_the_key_map(data):
+    G, (x, y) = data
+    for m in range(G.n + 1):
+        target = GroupRing.get(G.pi, m)
+        assert (x + y).project(m) == x.project(m) + y.project(m)
+        assert (x * y).project(m) == x.project(m) * y.project(m)
+        assert x.project(m) == pushed_down(x, target)
+
+
+@settings(max_examples=25)
+@given(ring_with(1), st.data())
+def test_translation_is_multiplication_by_a_class(data, draw):
+    G, (x,) = data
+    keys = G.group_keys()
+    a = draw.draw(st.sampled_from(keys))
+    assert x.act(a) == G.element(a) * x
+    perm = G.translation(a)
+    assert sorted(perm, key=Poly.sort_key) == sorted(keys, key=Poly.sort_key)
+    assert sorted(perm.values(), key=Poly.sort_key) == \
+        sorted(keys, key=Poly.sort_key)

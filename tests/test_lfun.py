@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.errors import CharacterError, PrecisionError, TailError
 from carlitz.fq import Fq
-from carlitz.groupring import CharSpec, GroupRing
+from carlitz.groupring import CharSpec, GroupRing, character_table
 from carlitz.lfun import (
-    OkadaReport, okada_report, power_sum, power_sum_enum,
+    OkadaReport, ThetaPoly, okada_report, power_sum, power_sum_enum,
     stickelberger_coefficient, stickelberger_coefficient_enum,
     stickelberger_series, zeta_neg, zeta_pos_trunc, zeta_v_adic_neg,
     zeta_v_adic_neg_enum,
@@ -416,6 +417,63 @@ def test_theta_projection_matches_native_level():
     t = poly_parse("T", f2)
     deep = stickelberger_series(pi, 2, t_aux=(t,), udeg=12)
     assert deep.project(1) == worked_theta()
+
+
+def test_theta_series_and_projection_share_the_group_ring():
+    f2 = Fq.get(2)
+    pi = poly_parse("T^2+T+1", f2)
+    deep = stickelberger_series(pi, 2, t_aux=(poly_parse("T", f2),), udeg=12)
+    assert deep.ring is GroupRing.get(pi, 2)
+    assert deep.project(1).ring is GroupRing.get(pi, 1)
+    assert stickelberger_coefficient(pi, 2, [pi], 3).ring is deep.ring
+
+
+def eval_char_by_powers(theta, spec):
+    """sum coef zeta^e, one power of zeta per key: the oracle of eval_char."""
+    ring = spec.values()
+    zeta = ring.gen()
+    table = character_table(theta.ring, spec)
+    out = []
+    for c in theta.coeffs:
+        acc = ring.zero
+        for key, coef in c.items():
+            acc = acc + zeta ** table[key] * ring.coerce(coef)
+        out.append(acc)
+    return Poly(ring, "u", out)
+
+
+# (q, pi, level, generators of (A/pi^level)^* with their orders)
+CHAR_GROUPS = [
+    (2, "T^2+T+1", 1, (("T", 3),)),
+    (2, "T", 3, (("T+1", 4),)),
+    (3, "T", 2, (("2", 2), ("T+1", 3))),
+    (5, "T", 1, (("2", 4),)),
+]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(CHAR_GROUPS), st.data())
+def test_eval_char_matches_the_sum_of_powers(group, data):
+    q, pi, level, gens = group
+    fq = Fq.get(q)
+    G = GroupRing.get(poly_parse(pi, fq), level)
+    keys = G.group_keys()
+    # a character of order m takes each generator of order o to a multiple
+    # of m / o
+    m = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    spec = CharSpec(m, [(poly_parse(g, fq),
+                         data.draw(st.integers(0, o - 1)) * (m // o)
+                         if m % o == 0 else 0) for g, o in gens])
+    coeffs = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = G.zero()
+        for k, c in data.draw(st.lists(st.tuples(st.sampled_from(keys),
+                                                 st.integers(-3, 3)),
+                                       max_size=5)):
+            x = x + G.element(k, c)
+        coeffs.append(x)
+    theta = ThetaPoly(G, [G.pi], [], coeffs)
+    assert theta.eval_char(spec) == eval_char_by_powers(theta, spec)
 
 
 def test_theta_tail_errors():
