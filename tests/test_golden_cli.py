@@ -80,6 +80,8 @@ INVOCATIONS = [
     ["colemancheck", "--q", "31", "--pi", "T"],
     ["colemancheck", "--q", "32", "--pi", "T"],
     ["colemancheck", "--q", "64", "--pi", "T"],
+    # the first pinned prime above 31, with three trials
+    ["colemancheck", "--q", "53", "--pi", "T", "--trials", "3"],
     ["bc", "--q", "2", "--n", "96"],
     ["cwverify", "--q", "3", "--a", "T", "--b", "1", "--kmax", "96"],
     ["cwverify", "--q", "4", "--a", "T", "--b", "1", "--kmax", "96"],
