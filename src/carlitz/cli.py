@@ -282,14 +282,12 @@ def build_parser() -> _Parser:
     top = _Parser(prog="carlitz", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--q", type=int, required=True,
-                        help="field size, a prime power")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-
     def cmd(name, handler, description=None, **flags):
-        p = sub.add_parser(name, parents=[common], description=description)
+        p = sub.add_parser(name, description=description)
+        p.add_argument("--q", type=int, required=name != "selftest",
+                       help="field size, a prime power")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         for flag, spec in flags.items():
             p.add_argument(f"--{flag}", **spec)
         p.set_defaults(handler=handler)
@@ -332,7 +330,7 @@ def build_parser() -> _Parser:
         kmax={"type": int, "required": True})
     cmd("okada", _cmd_okada, pi={"required": True})
     cmd("selftest", _cmd_selftest, description="Run the check suites on "
-        "fixed fields of their own; --q is required but not read.")
+        "fixed fields of their own; --q is optional and not read.")
     return top
 
 

@@ -82,7 +82,10 @@ def phi_poly(a: Poly, var: str = "x") -> Poly:
 class ColemanSeries:
     """An exact ratio of polynomials in x over F, with provenance: ``pi``
     is the prime the norm operator (and torsion evaluation) is taken at;
-    it may be left unset for the operations that never use it."""
+    it may be left unset for the operations that never use it.  A
+    polynomial in x over F_q or F is lifted into F(x) and a RatFun must
+    already lie there; a truncated series is a ``PrecisionError`` and
+    anything else a ``TypeError``."""
 
     __slots__ = ("value", "pi")
 
@@ -100,7 +103,13 @@ class ColemanSeries:
                 f"a Coleman series must be exact, not truncated at "
                 f"O(x^{value.prec}): its norm and torsion values read "
                 "every coefficient")
-        elif not isinstance(value, RatFun):
+        elif not (isinstance(value, RatFun) and value.field.var == "x"
+                  and isinstance(value.field.cring, FracField)
+                  and value.field.cring.var == "T"
+                  and isinstance(value.field.cring.cring, Fq)):
+            # F(x), F = F_q(T), as ``x_field`` builds it, read off the
+            # attributes: an ``==`` against ``x_field`` takes about 1.5 us,
+            # and every product and quotient builds a Coleman series
             raise TypeError(f"cannot build a Coleman series from {value!r}")
         if pi is not None:
             _require_prime(pi)

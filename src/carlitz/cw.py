@@ -146,9 +146,12 @@ def _gain(g: Poly) -> float:
 def dlog_exp_series(f, prec: int) -> TruncSeries:
     """(dlog f)(e_C(x)) through O(x^prec); the generating series of the
     delta_k values, coefficient of x^(k-1) being delta_k.  e_C is built
-    only as far as the series precision rules need for that."""
-    val = f.value if isinstance(f, ColemanSeries) else f
-    d = dlog(val)
+    only as far as the series precision rules need for that.  Any f but a
+    TruncSeries is read through ``ColemanSeries``, which lifts a polynomial
+    in x over F_q into F(x) and refuses a RatFun outside F(x)."""
+    if not isinstance(f, TruncSeries):
+        f = (f if isinstance(f, ColemanSeries) else ColemanSeries(f)).value
+    d = dlog(f)
     if isinstance(d, RatFun):
         fq = _fq_of(d.field.cring)
         # e known to O(x^P), relative precision P - 1, gives g(e) for g of

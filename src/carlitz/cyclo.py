@@ -22,7 +22,7 @@ depends on x and over A[x] otherwise (``_resultant_norm``).  The route
 runs on F's kernel (``ratfun._Kernel``), which is the ring A and owns
 A[x], from the cleared coefficients to the answer: an A-value is an index
 list over F_p and a Poly over F_{p^m}, an A[x]-value a plain list of them
-(the kernel's ``x``), multiplied over F_p by the packed product;
+(the kernel's ``x``), multiplied by its schoolbook rule on every field;
 phi_a(y) - x is kept per a as its taps over A[x], -x at y^0 and
 A-constants above (``_torsion``), r is reduced by them with
 ``quotient._reduce``, and a division by e in A[x] is the kernel's

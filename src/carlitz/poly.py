@@ -32,16 +32,12 @@ lengths is below ``_KRONECKER_MIN`` and Kronecker substitution above it: both
 operands are packed into one integer each, with room for every coefficient of
 the integer product, multiplied once and unpacked mod p (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC 2009).
-The kernel packs products in A[x], A = F_p[T], too, on lists of index
-lists, the form the torsion norms of ``cyclo`` hold them in: T = z^D, with
-D the longest T-length in one factor plus the longest in the other minus 1,
-turns a product in A[x] into one F_p[z] product whose blocks of D digits
-are the A-coefficients (``_fp_mul_ax``).  Every other coefficient parent,
-A itself, F_{p^m} and F_{p^m}[T] included (the kernel reduces indices mod
-p, which is not F_{p^m} arithmetic), runs the generic loops (in the
-methods and ``_mul_generic``, ``_divmod_generic``, ``_gcd_generic``),
-which the tests also use as the oracle for the kernel,
-and ``_gcd_generic`` as the oracle for ``ratfun``'s gcds and reductions.
+Every other coefficient parent, A = F_p[T] itself, F_{p^m} and F_{p^m}[T]
+included (the kernel reduces indices mod p, which is not F_{p^m}
+arithmetic), runs the generic loops (in the methods and ``_mul_generic``,
+``_divmod_generic``, ``_gcd_generic``), which the tests also use as the
+oracle for the kernel, and ``_gcd_generic`` as the oracle for ``ratfun``'s
+gcds and reductions.
 The one exception is ``gcd`` over F_q(T), prime q or not: that
 ``FracField``'s ``poly_gcd`` (``ratfun._gcd_ax``) runs a remainder sequence
 over A = F_q[T] on the field's kernel, and ``gcd`` takes it; over F(x) and
@@ -584,37 +580,6 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
         return a
     lc = pow(a[-1], -1, p)
     return [x * lc % p for x in a]
-
-
-def _fp_mul_ax(a: list[list[int]], b: list[list[int]],
-               p: int) -> list[list[int]]:
-    """a*b in F_p[T][x] on lists of index lists (x-coefficients low first,
-    no trailing zero), through one F_p[z] product: T = z^D with D the
-    longest T-length in a plus the longest in b minus 1, so each coefficient
-    of the product (T-degree below D) fills its own block of D digits.  A
-    side that is a monomial c x^s in x (s = 0: a constant) is not packed."""
-    if not a or not b:
-        return []
-    if any(b[:-1]):
-        if any(a[:-1]):
-            D = max(map(len, a)) + max(map(len, b)) - 1
-            # every digit is below p < 256, so one bytes object holds the
-            # product and rstrip drops each block's zero padding in C
-            prod = bytes(_fp_mul(_pack(a, D), _pack(b, D), p))
-            return [list(prod[k:k + D].rstrip(b"\0"))
-                    for k in range(0, len(prod), D)]
-        a, b = b, a
-    c = b[-1]
-    return [[]] * (len(b) - 1) + [_fp_mul(x, c, p) for x in a]
-
-
-def _pack(rows: list[list[int]], D: int) -> list[int]:
-    """The indices of sum r_i(z) z^(i D), stripped."""
-    out: list[int] = []
-    for r in rows:
-        out += r
-        out += [0] * (D - len(r))
-    return _fp_strip(out)
 
 
 class PolyRing:

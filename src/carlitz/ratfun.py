@@ -29,10 +29,11 @@ remainder raises ``InvariantError`` on both kernels.  The tests check the
 index kernel against the Poly kernel on F_p(T).  A kernel carries zero,
 one and neg, so it is a ring as ``fq._power`` and ``quotient.charpoly``
 take one, and it owns A[x] on plain lists of its values (its ``x``: add,
-sub and, over F_p, the packed product), with ``_exact_quo``,
-``_primitive`` and ``_prem`` written once on it.  The torsion norms of
-``cyclo`` run on it: ``_cleared`` clears a polynomial's T-denominators
-into kernel values, and A and A[x] serve their reductions and matrices.
+sub and the schoolbook product, the same loop over every field), with
+``_exact_quo``, ``_primitive`` and ``_prem`` written once on it.  The
+torsion norms of ``cyclo`` run on it: ``_cleared`` clears a polynomial's
+T-denominators into kernel values, and A and A[x] serve their reductions
+and matrices.
 
 ``series`` runs its products, quotients and compositions over every fraction
 field on the same kernels, but not term by term through the rule: ``_dot``
@@ -61,8 +62,8 @@ import operator
 from .errors import InvariantError
 from .fq import Fq, _power
 from .poly import (
-    Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_mul_ax, _fp_poly,
-    _fp_scale, _interned, _poly_quo,
+    Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
+    _interned, _poly_quo,
 )
 
 __all__ = ["FracField", "RatFun", "base_field"]
@@ -256,15 +257,17 @@ class _Kernel(_Ring):
     entry of the rule tests for zero first.  x is the ``_Ring`` A[x] on
     plain lists of values (x low first, no trailing zero), the form the
     gcds below and the torsion norms of ``cyclo`` take: add, sub and neg
-    coefficientwise, and mul_x for its product, by default schoolbook on
-    the kernel's own operations.  Input values may be shared with a Poly,
-    so nothing writes to one."""
+    coefficientwise, and mul by the schoolbook rule on the kernel's own
+    add and mul, on every field, one product per pair of nonzero entries
+    (the torsion norms' A[x] values carry many zero A-coefficients), and
+    an add only onto a nonzero partial sum.  Input
+    values may be shared with a Poly, so nothing writes to one."""
 
     __slots__ = ("size", "view", "divmod", "gcd", "quo", "monic", "box",
                  "x")
 
     def __init__(self, zero, one, size, view, add, sub, neg, mul, divmod,
-                 gcd, quo, monic, box, mul_x=None) -> None:
+                 gcd, quo, monic, box) -> None:
         super().__init__(zero, one, add, sub, mul, neg)
         self.size, self.view, self.divmod = size, view, divmod
         self.gcd, self.quo, self.monic, self.box = gcd, quo, monic, box
@@ -290,11 +293,13 @@ class _Kernel(_Ring):
             out = [zero] * (len(a) + len(b) - 1)
             for i, u in enumerate(a):
                 if size(u):
-                    for j, v in enumerate(b):
-                        out[i + j] = add(out[i + j], mul(u, v))
+                    for j, v in enumerate(b, i):
+                        if size(v):
+                            w = mul(u, v)
+                            out[j] = add(out[j], w) if size(out[j]) else w
             return out
 
-        self.x = _Ring([], [one], add_x, sub_x, mul_x or schoolbook,
+        self.x = _Ring([], [one], add_x, sub_x, schoolbook,
                        lambda a: [neg(c) for c in a])
 
 
@@ -425,8 +430,7 @@ def _index_kernel(p: int) -> _Kernel:
         lambda a, b: _fp_mul(a, b, p),
         lambda a, b: _fp_divmod(a, b, p),
         lambda a, b: _fp_gcd(a, b, p),
-        quo, monic, _fp_box,
-        lambda a, b: _fp_mul_ax(a, b, p))
+        quo, monic, _fp_box)
 
 
 def _fp_box(field: FracField, pair: tuple) -> RatFun:

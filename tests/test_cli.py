@@ -339,6 +339,16 @@ def test_selftest_subcommand():
     assert all(s["ok"] for s in doc["suites"])
 
 
+def test_selftest_needs_no_field_size():
+    # selftest runs on fixed fields of its own, so --q is optional there;
+    # every other subcommand still requires it
+    plain = run(["selftest"])
+    assert plain[0] == 0 and plain == run(["selftest", "--q", "2"])
+    rc, out, err = run(["bc", "--n", "2"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "--q" in err
+
+
 def test_selftest_reports_disagreeing_v_adic_routes(monkeypatch):
     real = lfunmod.zeta_neg
     monkeypatch.setattr(
@@ -395,6 +405,11 @@ BROKEN_INVARIANTS = {
         "import carlitz.lfun as m\n"
         "m.power_sum = lambda d, k, fq: m.Poly(fq, 'T', [fq.one])\n"
         "m.zeta_neg(1, m.Fq.get(2))\n",
+        "stratum d=2 fails the vanishing bound for k=1"),
+    "v-adic zeta stratum vanishing": (
+        "import carlitz.lfun as m\n"
+        "m.power_sum = lambda d, k, fq: m.Poly(fq, 'T', [fq.one])\n"
+        "m.zeta_v_adic_neg(1, m.Poly.gen(m.Fq.get(2), 'T'))\n",
         "stratum d=2 fails the vanishing bound for k=1"),
 }
 

@@ -11,6 +11,7 @@ from carlitz.errors import PrecisionError
 from carlitz.fq import Fq
 from carlitz.poly import Poly, PolyRing, poly_parse
 from carlitz.quotient import QuotientRing, quotient_norm
+from carlitz.ratfun import FracField, base_field
 from carlitz.series import TruncSeries
 
 
@@ -250,6 +251,18 @@ def test_truncated_series_is_refused():
         ColemanSeries(TruncSeries.from_poly(g), pi)
     with pytest.raises(ValueError):
         ColemanSeries(phi_poly(poly_parse("T+1", f2), var="y"), pi)
+
+
+def test_rational_function_outside_f_x_is_refused():
+    # a RatFun is a Coleman series only in F(x), F = F_q(T): an element of
+    # F itself or of F_q(x) would fail later, inside the norm
+    f2 = Fq.get(2)
+    pi = poly_parse("T", f2)
+    for value in (base_field(f2).gen(), FracField(f2, "x").gen(),
+                  FracField(Fq.get(3), "T").gen()):
+        with pytest.raises(TypeError):
+            ColemanSeries(value, pi)
+    assert ColemanSeries(x_field(f2).gen(), pi).value == x_field(f2).gen()
 
 
 def test_no_truncation_determines_norm_or_torsion_value():

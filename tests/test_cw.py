@@ -114,6 +114,18 @@ def test_coates_wiles_matches_series_coefficient():
         assert coates_wiles(k, u) == ser.coefficient(k - 1)
 
 
+def test_coates_wiles_reads_an_x_polynomial_as_a_coleman_series():
+    # a polynomial in x over F_q is lifted into F(x), as ColemanSeries
+    # lifts it, rather than mixed with the exponential over F
+    for q in (2, 3):
+        fq = Fq.get(q)
+        p = poly_parse("x^2+x+1", fq, "x")
+        for k in (1, 2, 3):
+            assert coates_wiles(k, p) == coates_wiles(k, ColemanSeries(p))
+    assert coates_wiles(2, poly_parse("x^2+x+1", Fq.get(2), "x")) == \
+        base_field(Fq.get(2)).one
+
+
 def test_galois_equivariance():
     f2 = Fq.get(2)
     F = base_field(f2)
