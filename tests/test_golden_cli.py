@@ -52,6 +52,8 @@ INVOCATIONS = [
     ["zetaneg", "--q", "2", "--k", "8", "--format", "csv"],
     ["zetapos", "--q", "2", "--k", "2", "--dmax", "2", "--prec", "6"],
     ["zetapos", "--q", "3", "--k", "2", "--dmax", "1", "--prec", "4"],
+    # coefficients over F_{p^m} are written as coordinate lists
+    ["zetapos", "--q", "4", "--k", "1", "--dmax", "4", "--prec", "5"],
     ["zetavadic", "--q", "3", "--pi", "T", "--k", "3"],
     ["zetavadic", "--q", "2", "--pi", "T^2+T+1", "--k", "3"],
     ["stickelberger", "--q", "2", "--level", "1", "--udeg", "12"] + THETA,
