@@ -17,15 +17,16 @@ norm is the resultant Res_y(phi_a(y) - x, r) with r's denominators cleared,
 and it has one route: r is reduced mod phi_a(y) - x to degree k < Q =
 q^deg a (kept at k = Q when it is led by F_q^* and its reduction is
 not), and the symmetry of the resultant makes it one k x k
-characteristic polynomial, over A when no coefficient of the reduced r
-depends on x and over A[x] otherwise (``_resultant_norm``).  The route
-runs on F's kernel (``ratfun._Kernel``), which is the ring A and owns
-A[x], from the cleared coefficients to the answer: an A-value is an index
-list over F_p and a Poly over F_{p^m}, an A[x]-value a plain list of them
-(the kernel's ``x``), multiplied by its schoolbook rule on every field;
+characteristic polynomial, over A when r is not reduced and over A[x]
+when it is, since a reduced r always depends on x (``_resultant_norm``).
+The route runs on F's kernel (``ratfun._Kernel``), which is the ring A
+and owns A[x], from the cleared coefficients to the answer: an A-value is
+an index list over F_p and a Poly over F_{p^m}, an A[x]-value a plain
+list of them (the kernel's ``x``), multiplied by its schoolbook rule on
+every field;
 phi_a(y) - x is kept per a as its taps over A[x], -x at y^0 and
 A-constants above (``_torsion``), r is reduced by them with
-``quotient._reduce``, and a division by e in A[x] is the kernel's
+``poly._reduce``, and a division by e in A[x] is the kernel's
 ``ratfun._exact_quo``.  No Poly over A or A[x] is built, and each
 coefficient of the answer is boxed once, by ``ratfun._reduced``.  The
 same route on Polys and a QuotientRing over A[x], and the Q x Q
@@ -67,10 +68,9 @@ from .cmod import carlitz_phi, omega_minpoly
 from .errors import InvariantError
 from .fq import Fq, _power
 from .groupring import GroupRing
-from .poly import Poly
+from .poly import Poly, _reduce, _taps
 from .quotient import (
-    QuotElem, QuotientRing, _mult_rows, _reduce, _taps, charpoly,
-    quotient_norm,
+    QuotElem, QuotientRing, _mult_rows, charpoly, quotient_norm,
 )
 from .ratfun import _cleared, _exact_quo, _reduced, base_field
 
@@ -220,16 +220,17 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
     (-1)^(kQ) det(M'(zbar) - c^Q x) / c^(Q(k-1)) on K[z]/(Pt), and
     det(M'(zbar) - t) = (-1)^k chi(t), chi the ``charpoly`` of
     multiplication by -M'(zbar).  The sign (-1)^(k(Q+1)) is 1: Q + 1 is
-    even for odd q, and -1 = 1 for even q.  K is A when no coefficient of
-    Pbar depends on x and A[x] otherwise.  For c = 1 nothing is scaled
-    and e = 1."""
+    even for odd q, and -1 = 1 for even q.  K is A when P is not reduced
+    and A[x] when it is.  For c = 1 nothing is scaled and e = 1."""
     Q, taps = _torsion(a)
     A = base_field(a.ring).kernel
     AX, size = A.x, A.size
     K = A
     if len(P) > Q:
         # P is nonzero and free of x, and phi_a(y) - x has x-degree 1, so
-        # no multiple of it is P and Pbar is nonzero
+        # no multiple of it is P and Pbar is nonzero.  Nor is Pbar free of
+        # x: then P - Pbar, a multiple of it, would be free of x too, so
+        # zero, and deg P >= Q > deg Pbar
         Pbar = _reduce([[c] if size(c) else [] for c in P], taps, Q,
                        AX.zero, AX.sub, AX.mul)
         while not Pbar[-1]:
@@ -237,10 +238,7 @@ def _resultant_norm(P: list, a: Poly) -> tuple[list, list]:
         top = Pbar[-1]
         if (len(P) > Q + 1 or size(P[-1]) != 1 or len(Pbar) == 1
                 or len(top) == 1 and size(top[0]) == 1):
-            if all(len(b) <= 1 for b in Pbar):
-                P = [b[0] if b else A.zero for b in Pbar]
-            else:
-                P, K = Pbar, AX
+            P, K = Pbar, AX
     zero, one, mul = K.zero, K.one, K.mul
     k = len(P) - 1
     c = P[-1]

@@ -37,7 +37,10 @@ included (the kernel reduces indices mod p, which is not F_{p^m}
 arithmetic), runs the generic loops (in the methods and ``_mul_generic``,
 ``_divmod_generic``, ``_gcd_generic``), which the tests also use as the
 oracle for the kernel, and ``_gcd_generic`` as the oracle for ``ratfun``'s
-gcds and reductions.
+gcds and reductions.  Their division steps down once, in ``_reduce`` on
+plain lists and the divisor's nonzero coefficients (``_taps``), which
+``quotient._mult_rows``, ``cyclo``'s torsion reductions and
+``ratfun._exact_quo`` run on their own rings too.
 The one exception is ``gcd`` over F_q(T), prime q or not: that
 ``FracField``'s ``poly_gcd`` (``ratfun._gcd_ax``) runs a remainder sequence
 over A = F_q[T] on the field's kernel, and ``gcd`` takes it; over F(x) and
@@ -411,34 +414,51 @@ def _mul_generic(a: Poly, b: Poly) -> Poly:
     return Poly(a.ring, a.var, out)
 
 
+def _taps(m: list, zero) -> list:
+    """(i, m_i) for the nonzero coefficients of m below its top."""
+    return [(i, c) for i, c in enumerate(m[:-1]) if c != zero]
+
+
+def _reduce(r: list, taps: list, n: int, zero, sub, mul, lead=None,
+            quo=None) -> list:
+    """r mod a divisor m of degree n with the ``_taps`` taps, for r low
+    first over any ring with sub and mul: the n coefficients below y^n,
+    with r itself left as it was.  This is the one step-down of schoolbook
+    division (Knuth, TAOCP vol. 2, 4.6.1): the top coefficient of r is
+    popped, lead maps it to its quotient coefficient (None, for a monic m,
+    keeps the top itself), and that times m_i is subtracted over the taps
+    only.  A list quo gets the quotient coefficients, highest first; with
+    quo None none is kept, so each popped top is freed at once."""
+    r = list(r)
+    for i in range(len(r) - n - 1, -1, -1):
+        top = r.pop()
+        if top != zero:
+            if lead is not None:
+                top = lead(top)
+            for j, m in taps:
+                r[i + j] = sub(r[i + j], mul(top, m))
+        if quo is not None:
+            quo.append(top)
+    return r + [zero] * (n - len(r))
+
+
 def _divmod_generic(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     ring = a.ring
     zero = ring.zero
     if b.is_monic():
-        linv = None
+        lead = None
     elif ring.is_field:
         linv = b.leading ** -1
+        lead = lambda c: c * linv
     else:
         raise ValueError("division needs a monic divisor over a non-field")
-    rem = list(a.coeffs)
-    dq = len(rem) - len(b.coeffs)
-    if dq < 0:
-        return Poly(ring, a.var, []), a
-    quo = [zero] * (dq + 1)
     dn = len(b.coeffs) - 1
-    # rem[k + dn] is never read once quo[k] is set: subtract below the top,
-    # over the divisor's nonzero coefficients only
-    taps = [(j, dj) for j, dj in enumerate(b.coeffs[:-1]) if dj != zero]
-    for k in range(dq, -1, -1):
-        lead = rem[k + dn]
-        if linv is not None:
-            lead = lead * linv
-        if lead == zero:
-            continue
-        quo[k] = lead
-        for j, dj in taps:
-            rem[k + j] = rem[k + j] - lead * dj
-    return Poly(ring, a.var, quo), Poly(ring, a.var, rem[:dn])
+    if len(a.coeffs) <= dn:
+        return Poly(ring, a.var, []), a
+    quo: list = []
+    rem = _reduce(a.coeffs, _taps(b.coeffs, zero), dn, zero, operator.sub,
+                  operator.mul, lead, quo)
+    return Poly(ring, a.var, quo[::-1]), Poly(ring, a.var, rem)
 
 
 def _gcd_generic(a: Poly, b: Poly) -> Poly:

@@ -22,9 +22,10 @@ matrix, built by ``_mult_rows`` from its first column and m's nonzero
 coefficients on any entry ring.  The torsion norms (``cyclo._norm_poly``)
 build it on A or A[x]: the fraction field's kernel (``ratfun._Kernel``)
 is A, and its ``x`` is A[x], each with its zero, one, add, sub, mul and
-neg.  They reduce by a monic modulus with ``_reduce`` and hand
-``charpoly`` that ring's add, mul and neg, as ``fq._power`` takes its one
-and mul.  ``quotient_norm``, the norm of any QuotElem (the norm to F,
+neg.  They reduce by a monic modulus with ``poly._reduce``, the loop
+``_mult_rows`` steps each column down with too, and hand ``charpoly``
+that ring's add, mul and neg, as ``fq._power`` takes its one and mul.
+``quotient_norm``, the norm of any QuotElem (the norm to F,
 ``cyclo.field_norm`` at level 0, among them), builds it on the element's
 coefficients and takes their own operators.  Berkowitz's recurrence never
 divides, so entries in a field, in A or in A[x] take the same path.  It
@@ -38,7 +39,7 @@ import operator
 from functools import reduce
 
 from .fq import _power
-from .poly import Poly
+from .poly import Poly, _reduce, _taps
 
 __all__ = [
     "QuotientRing",
@@ -217,37 +218,15 @@ def _mult_matrix(u: QuotElem) -> list[list]:
                       operator.sub, operator.mul)
 
 
-def _taps(m: list, zero) -> list:
-    """(i, m_i) for the nonzero coefficients of the monic m below its top."""
-    return [(i, c) for i, c in enumerate(m[:-1]) if c != zero]
-
-
 def _mult_rows(col: list, taps: list, zero, sub, mul) -> list[list]:
     """Rows of multiplication on the power basis 1, ybar, ... of R[y]/(m),
     for m monic of degree len(col) with the ``_taps`` taps: col is the
     first column, and column j + 1 is ybar times column j, shifted up by
-    one and reduced by subtracting top * m_i over the taps only, so no
-    product of residue classes and no division is taken.  sub and mul are
-    R's, and zero, R's zero, enters at the foot of each new column."""
+    one and reduced by ``_reduce``, so no product of residue classes and
+    no division is taken.  sub and mul are R's, and zero, R's zero,
+    enters at the foot of each new column."""
     cols = [col]
     for _ in range(len(col) - 1):
-        top = col[-1]
-        col = [zero] + col[:-1]
-        if top != zero:
-            for i, m in taps:
-                col[i] = sub(col[i], mul(top, m))
+        col = _reduce([zero] + col, taps, len(col), zero, sub, mul)
         cols.append(col)
     return [list(row) for row in zip(*cols)]
-
-
-def _reduce(r: list, taps: list, n: int, zero, sub, mul) -> list:
-    """r mod a monic m of degree n >= 1 with the ``_taps`` taps, for r
-    low first over any ring with sub and mul: the n coefficients below
-    y^n.  r itself is left as it was."""
-    r = list(r)
-    for i in range(len(r) - 1, n - 1, -1):
-        top = r.pop()
-        if top != zero:
-            for j, m in taps:
-                r[i - n + j] = sub(r[i - n + j], mul(top, m))
-    return r + [zero] * (n - len(r))

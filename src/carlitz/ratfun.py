@@ -63,7 +63,7 @@ from .errors import InvariantError
 from .fq import Fq, _power
 from .poly import (
     Poly, _fp_add, _fp_divmod, _fp_gcd, _fp_mul, _fp_poly, _fp_scale,
-    _interned, _poly_quo,
+    _interned, _poly_quo, _reduce, _taps,
 )
 
 __all__ = ["FracField", "RatFun", "base_field"]
@@ -235,8 +235,8 @@ class RatFun:
 
 class _Ring:
     """A commutative ring as the generic loops take one (``fq._power``,
-    ``quotient.charpoly``, ``_reduce`` and ``_mult_rows``): its zero and
-    one, and add, sub (a - b), mul and neg on its values."""
+    ``poly._reduce``, ``quotient.charpoly`` and ``_mult_rows``): its zero
+    and one, and add, sub (a - b), mul and neg on its values."""
 
     __slots__ = ("zero", "one", "add", "sub", "mul", "neg")
 
@@ -472,23 +472,18 @@ def _poly_box(field: FracField, pair: tuple) -> RatFun:
 # -- A[x] on kernel values: exact quotients and gcds in F_q(T)[x] -----------
 
 def _exact_quo(k: _Kernel, h: list, e: list) -> list:
-    """h/e in A[x] for an e that divides h by construction: a remainder
-    in A or in A[x] is one ``InvariantError`` naming h and e."""
-    size, sub, mul = k.size, k.sub, k.mul
-    n = len(e) - 1
-    r = list(h)
-    quo = []
+    """h/e in A[x] for an e that divides h by construction, each quotient
+    coefficient an exact quotient in A: a remainder in A or in A[x] is
+    one ``InvariantError`` naming h and e."""
+    lc, zero = e[-1], k.zero
+    quo: list = []
     try:
-        for i in range(len(r) - 1, n - 1, -1):
-            c = k.quo(r.pop(), e[-1])
-            quo.append(c)
-            if size(c):
-                for j in range(n):
-                    r[i - n + j] = sub(r[i - n + j], mul(c, e[j]))
+        r = _reduce(h, _taps(e, zero), len(e) - 1, zero, k.sub, k.mul,
+                    lambda c: k.quo(c, lc), quo)
     except InvariantError:
         pass
     else:
-        if not any(map(size, r)):
+        if not any(map(k.size, r)):
             return quo[::-1]
     raise InvariantError(f"{h} is not divisible by {e} in A[x]")
 

@@ -136,6 +136,12 @@ def test_charval_repeated_generator_must_agree():
     assert doc["values"] == json.loads(single)["values"]
 
 
+def test_charval_exponent_must_be_an_integer():
+    argv = ["charval", "--q", "2", "--pi", "T^2+T+1", "--level", "1", "--S",
+            "inf", "--T", "T", "--order", "3", "--gen", "T=x"]
+    assert run(argv) == (2, "", "error: exponent 'x' is not an integer\n")
+
+
 def test_okada_csv_and_json():
     rc, out, _ = run(["okada", "--q", "2", "--pi", "T^3+T+1"])
     assert rc == 0

@@ -16,7 +16,7 @@ from carlitz.errors import InvariantError
 from carlitz.fq import Fq
 from carlitz.groupring import GroupRing, cyclotomic_poly
 from carlitz.poly import (
-    Poly, PolyRing, all_residues, is_irreducible, monic_enumerate,
+    Poly, PolyRing, _reduce, all_residues, is_irreducible, monic_enumerate,
     poly_parse,
 )
 from carlitz.quotient import QuotElem
@@ -270,6 +270,28 @@ def test_norm_poly_keeps_p_of_degree_q_when_reducing_does_not_pay():
         got, sides = norm_sides(p, a)
         assert got == torsion_route(p, a)
         assert sides == want
+
+
+@pytest.mark.parametrize("q,a_text", [
+    (q, a) for q in (2, 3, 4, 5) for a in ("T", "T+1")] + [(2, "T^2+T+1")])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_reducing_an_x_free_p_always_leaves_x(q, a_text, data):
+    # P of degree Q to Q + 6, free of x, reduced by the taps of
+    # phi_a(y) - x: P - Pbar is a multiple of it, of x-degree 1, so a Pbar
+    # free of x would make it zero.  So some coefficient of Pbar has
+    # positive x-degree, and _resultant_norm has no x-free case there
+    fq = Fq.get(q)
+    k = base_field(fq).kernel
+    Q, taps = _torsion(poly_parse(a_text, fq))
+    elems = st.sampled_from(fq.elements())
+    P = [Poly(fq, "T", data.draw(st.lists(elems, max_size=3)))
+         for _ in range(data.draw(st.integers(Q, Q + 6)))]
+    P.append(Poly(fq, "T", data.draw(st.lists(elems, max_size=2))
+                  + [data.draw(elems.filter(bool))]))
+    Pbar = _reduce([[k.view(c)] if c.coeffs else [] for c in P], taps, Q,
+                   k.x.zero, k.x.sub, k.x.mul)
+    assert any(len(b) > 1 for b in Pbar)
 
 
 def test_norm_poly_certifies_its_division(monkeypatch):

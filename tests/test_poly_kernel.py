@@ -5,11 +5,15 @@ Over an interned prime field ``Poly`` runs ``+``, ``-``, negation, ``*``,
 fraction field's kernel multiplies A[x] = F_p[T][x] on lists of index lists
 by the schoolbook rule, one ``_fp_mul`` per pair of nonzero coefficients;
 the generic loops, which F_{p^m} and ``Poly`` over A[x] still run, are the
-oracle.
+oracle.  The one step-down of the generic division (``_reduce``), which
+every division by a list of taps runs, is checked against products that
+do not run it: ``_mul_generic`` and the kernel's A[x] product.
 """
 
 import hashlib
+import operator
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -19,10 +23,11 @@ from carlitz import poly as poly_mod, ratfun as ratfun_mod
 from carlitz.fq import Fq, FqElem, _power
 from carlitz.poly import (
     _KRONECKER_MIN, Poly, PolyRing, _divmod_generic, _fp_mul, _fp_strip,
-    _gcd_generic, _interned, _mul_generic, monic_enumerate, poly_parse,
-    poly_to_str,
+    _gcd_generic, _interned, _mul_generic, _reduce, _taps, monic_enumerate,
+    poly_parse, poly_to_str,
 )
-from carlitz.ratfun import base_field
+from carlitz.errors import InvariantError
+from carlitz.ratfun import _exact_quo, base_field
 
 PRIMES = (2, 3, 5, 7)
 KERNEL = settings(max_examples=60)
@@ -298,6 +303,194 @@ def test_ax_mul_path_is_chosen_by_the_coefficient_field():
             assert got == [k.view(c) for c in want.coeffs]
             assert all(type(c) is (list if _interned(fq) else Poly)
                        for c in got), q
+
+
+# -- the one step-down, against products that do not run it ----------------
+
+@st.composite
+def fq_divisions(draw):
+    """(a, b) over one of F_2, F_5 and F_4: a of length up to 14 and b
+    nonzero of length up to 6, monic or not, zeros anywhere below the
+    tops."""
+    fq = Fq.get(draw(st.sampled_from((2, 5, 4))))
+    index = st.integers(0, fq.q - 1)
+    a = draw(st.lists(index, max_size=14))
+    b = draw(st.lists(index, max_size=5))
+    b.append(1 if draw(st.booleans()) else draw(st.integers(1, fq.q - 1)))
+    return tuple(Poly(fq, "T", [fq.from_index(i) for i in ix])
+                 for ix in (a, b))
+
+
+@KERNEL
+@given(fq_divisions())
+def test_divmod_generic_inverts_the_generic_product(case):
+    a, b = case
+    coeffs = list(a.coeffs)
+    quo, rem = _divmod_generic(a, b)
+    assert list(a.coeffs) == coeffs
+    assert _mul_generic(quo, b) + rem == a and rem.degree < b.degree
+    # the remainder alone, from the loop itself: n coefficients
+    zero, n = a.ring.zero, b.degree
+    linv = b.leading ** -1
+    got = _reduce(a.coeffs, _taps(b.coeffs, zero), n, zero, operator.sub,
+                  operator.mul, None if b.is_monic() else lambda c: c * linv)
+    assert len(got) == n and Poly(a.ring, "T", got) == rem
+    assert list(a.coeffs) == coeffs
+
+
+def frozen(v):
+    """A copy of a kernel value down to its index lists."""
+    return [frozen(c) for c in v] if isinstance(v, list) else v
+
+
+@st.composite
+def kernel_divisions(draw):
+    """(r, m): r and a monic m of positive degree in y over R, Polys over
+    R = A = F_q[T] (whose kernel values are index lists over F_2 and F_5
+    and Polys over F_4) or over R = A[x] (over F_3 and F_4, the torsion
+    norms' ring), about a quarter of the A-coefficients zero."""
+    q, over_ax = draw(st.sampled_from(
+        ((2, False), (5, False), (4, False), (3, True), (4, True))))
+    fq = Fq.get(q)
+    A = PolyRing(fq, "T")
+    R = PolyRing(A, "x") if over_ax else A
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def a_value():
+        if rng.random() < 0.25:
+            return A.zero
+        return Poly(fq, "T", [fq.from_index(rng.randrange(q))
+                              for _ in range(rng.randrange(1, 4))])
+
+    def coeff():
+        if not over_ax:
+            return a_value()
+        return Poly(A, "x", [a_value() for _ in range(rng.randrange(3))])
+
+    r = Poly(R, "y", [coeff() for _ in range(draw(st.integers(0, 10)))])
+    m = Poly(R, "y", [coeff() for _ in range(draw(st.integers(1, 4)))]
+             + [R.one])
+    return r, m
+
+
+@KERNEL
+@given(kernel_divisions())
+def test_reduce_on_kernel_values_inverts_the_generic_product(case):
+    # the remainder alone with lead None, as the torsion norms and
+    # _mult_rows ask for it, on A-values of both kernels and on A[x] lists
+    r, m = case
+    R = m.ring
+    over_ax = isinstance(R.cring, PolyRing)
+    fq = R.cring.cring if over_ax else R.cring
+    k = base_field(fq).kernel
+    ring = k.x if over_ax else k
+
+    def view(c):
+        return [k.view(a) for a in c.coeffs] if over_ax else k.view(c)
+
+    def unview(v):
+        def a_poly(c):
+            return c if isinstance(c, Poly) else Poly(
+                fq, "T", [fq.from_index(i) for i in c])
+        return Poly(R.cring, "x", list(map(a_poly, v))) if over_ax \
+            else a_poly(v)
+
+    rv, mv = [view(c) for c in r.coeffs], [view(c) for c in m.coeffs]
+    before, n = frozen(rv), m.degree
+    args = (_taps(mv, ring.zero), n, ring.zero, ring.sub, ring.mul)
+    rem = _reduce(rv, *args)
+    assert frozen(rv) == before and len(rem) == n
+    quo: list = []
+    assert _reduce(rv, *args, quo=quo) == rem and frozen(rv) == before
+    quo.reverse()
+    product = _mul_generic(Poly(R, "y", list(map(unview, quo))), m)
+    assert product + Poly(R, "y", list(map(unview, rem))) == r
+    if not over_ax:  # A[y] on the kernel is its A[x]: the kernel's product
+        assert k.x.add(k.x.mul(quo, mv), rem) == rv
+
+
+@st.composite
+def exact_divisions(draw):
+    """(f, g) in A[x] over F_3 or F_4 as Polys, g of x-degree up to 3 with
+    any nonzero leading coefficient in A, so rarely a unit."""
+    fq = Fq.get(draw(st.sampled_from((3, 4))))
+    A = PolyRing(fq, "T")
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def ax(length):
+        cs = [Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                             for _ in range(rng.randrange(3))])
+              for _ in range(length)]
+        top = Poly(fq, "T", [fq.from_index(rng.randrange(fq.q))
+                             for _ in range(rng.randrange(2))]
+                   + [fq.from_index(rng.randrange(1, fq.q))])
+        return Poly(A, "x", cs + [top])
+
+    return ax(draw(st.integers(0, 5))), ax(draw(st.integers(0, 3)))
+
+
+@KERNEL
+@given(exact_divisions())
+def test_exact_quo_inverts_the_generic_product(case):
+    # each quotient coefficient an exact quotient in A, on the index
+    # kernel (F_3) and the Poly kernel (F_4); h = f g by _mul_generic
+    f, g = case
+    k = base_field(f.ring.cring).kernel
+    h = [k.view(c) for c in _mul_generic(f, g).coeffs]
+    gv = [k.view(c) for c in g.coeffs]
+    before = frozen([h, gv])
+    assert _exact_quo(k, h, gv) == [k.view(c) for c in f.coeffs]
+    assert frozen([h, gv]) == before
+    if len(gv) > 1 or k.size(gv[0]) > 1:  # g is no unit, so g does not
+        with pytest.raises(InvariantError,  # divide f g + 1
+                           match=r"not divisible .* A\[x\]"):
+            _exact_quo(k, k.x.add(h, [k.one]), gv)
+
+
+class Mod:
+    """n mod 5, a new object per value, so that a weak reference shows
+    whether a value is still held."""
+
+    __slots__ = ("n", "__weakref__")
+
+    def __init__(self, n):
+        self.n = n % 5
+
+    def __sub__(self, other):
+        return Mod(self.n - other.n)
+
+    def __mul__(self, other):
+        return Mod(self.n * other.n)
+
+    def __eq__(self, other):
+        return self.n == other.n
+
+
+@KERNEL
+@given(r=st.lists(st.integers(0, 4), max_size=12),
+       m=st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_reduce_holds_no_quotient_unless_asked(r, m):
+    # lead hands out each quotient coefficient as a new object: without a
+    # quo list the loop has let go of every earlier one when it asks for
+    # the next, and with one it holds them all
+    zero = Mod(0)
+    rv, mv = [Mod(c) for c in r], [Mod(c) for c in m] + [Mod(1)]
+    rems = []
+    for quo in (None, []):
+        made, held = [], []
+
+        def lead(c):
+            held.append(sum(w() is not None for w in made))
+            out = Mod(c.n)
+            made.append(weakref.ref(out))
+            return out
+
+        rem = _reduce(rv, _taps(mv, zero), len(m), zero, operator.sub,
+                      operator.mul, lead, quo)
+        assert held == (list(range(len(held))) if quo is not None
+                        else [0] * len(held))
+        rems.append([c.n for c in rem])
+    assert rems[0] == rems[1] and [c.n for c in rv] == r
 
 
 def test_mul_both_sides_of_the_kronecker_cutoff():
